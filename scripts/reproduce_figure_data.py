@@ -38,8 +38,7 @@ def parse_args():
     p.add_argument("--gamma0", type=float, default=0.5, help="flat high-T rate")
     p.add_argument("--calibrate", action="store_true",
                    help="calibrate gamma0 so the fitted F2 matches 6.34")
-    p.add_argument("--states", type=int, default=100)
-    p.add_argument("--quick", action="store_true", help="coarser grids, smaller N")
+    p.add_argument("--quick", action="store_true", help="coarser grids")
     return p.parse_args()
 
 
@@ -50,7 +49,6 @@ def main():
     t_start = time.time()
 
     loop = standard_not_loop(1.0, 1.0)
-    n_states = 40 if args.quick else args.states
     n_grid = 61 if args.quick else 241
     grid = np.linspace(0.25, 60.25, n_grid)
 
@@ -58,27 +56,25 @@ def main():
     calibration_info = {}
     if args.calibrate:
         print("calibrating gamma0 against F2 = 6.34 ...")
-        gamma0, cal_fit = calibrate_gamma0(loop, target_f2=6.34,
-                                           gamma0_init=args.gamma0, n_states=n_states)
+        gamma0, cal_fit = calibrate_gamma0(loop, target_f2=6.34, gamma0_init=args.gamma0)
         calibration_info = {"gamma0": gamma0, "fitted_f2": cal_fit.coefficient("F2")}
         print(f"  gamma0 = {gamma0:.4f} (fitted F2 = {calibration_info['fitted_f2']:.3f})")
     base_noise = high_temperature_noise(0.0, gamma0=gamma0)
 
     print("noiseless fidelity curve ...")
-    ideal = sweep(loop, grid, [0.0], n_states=n_states, noise=base_noise)[0]
+    ideal = sweep(loop, grid, [0.0], noise=base_noise)[0]
     (out / "ideal_curve.csv").write_text(sweep_curve_to_csv(ideal))
 
     print("noisy fidelity curves ...")
-    for curve in sweep(loop, grid, list(NOISY_LAMBDAS[1:]), n_states=n_states,
-                       noise=base_noise):
+    for curve in sweep(loop, grid, list(NOISY_LAMBDAS[1:]), noise=base_noise):
         name = f"noisy_curve_lambda2_{curve.lambda_sq:.12g}.csv"
         (out / name).write_text(sweep_curve_to_csv(curve))
         print(f"  wrote {name}")
 
     print("optimal working points, small couplings ...")
-    small = optimal_point_table(loop, base_noise, list(SMALL_LAMBDAS), n_states=n_states)
+    small = optimal_point_table(loop, base_noise, list(SMALL_LAMBDAS))
     print("optimal working points, large couplings ...")
-    large = optimal_point_table(loop, base_noise, list(LARGE_LAMBDAS), n_states=n_states)
+    large = optimal_point_table(loop, base_noise, list(LARGE_LAMBDAS))
 
     tau1 = optimal_time(1, 1, 1.0)
     f_small = [(p.lambda_sq, p.f_star) for p in small]
@@ -95,7 +91,6 @@ def main():
     doc = {
         "settings": {
             "gamma0": gamma0,
-            "states": n_states,
             "calibration": calibration_info,
         },
         "small_coupling_rows": [p.to_dict() for p in small],
@@ -111,7 +106,7 @@ def main():
     print("robustness table ...")
     rows = [{"lambda_sq": 0.0, "robustness": 0.0}]
     for lam in LARGE_LAMBDAS:
-        r = robustness(loop, base_noise.with_lambda_sq(lam), n_states=n_states)
+        r = robustness(loop, base_noise.with_lambda_sq(lam))
         rows.append({"lambda_sq": lam, "robustness": r})
         print(f"  lambda^2 = {lam}: R = {r:.5f}")
     (out / "robustness.json").write_text(

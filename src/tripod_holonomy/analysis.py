@@ -2,9 +2,10 @@
 noise-response fits, and the robustness figure of merit.
 
 The fidelity target is always the adiabatic-limit gate of the same loop;
-inputs are pure states on the dark-subspace Bloch sphere, sampled on a
-deterministic golden-spiral lattice so runs are reproducible without
-seeds.
+inputs are pure states on the dark-subspace Bloch sphere. The fidelity is
+quadratic in the input state, so its Bloch-sphere average is computed
+exactly from the six octahedral states (+-x, +-y, +-z), a spherical
+2-design.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import (
     ModelMismatch,
     NoPeakInWindow,
-    TooFewStates,
+    StepCountTooSmall,
     UnderdeterminedFit,
 )
 from .lindblad import (
@@ -31,97 +32,52 @@ from .loops import LoopSpec, optimal_time, wedge_order, with_total_time
 from .parallel import ordered_map
 from .propagators import adiabatic_gate, loop_propagator, start_frame
 
-DEFAULT_STATE_COUNT = 100
 PEAK_WINDOW = (0.7, 1.3)
 PEAK_TOL = 1e-4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class InputStateSet:
-    """Pure dark-subspace input states with their Bloch angles."""
-
-    states: np.ndarray        # (N, 4) complex unit vectors
-    bloch_angles: np.ndarray  # (N, 2) polar/azimuthal pairs
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
-
-    def bloch_vectors(self) -> np.ndarray:
-        th, ph = self.bloch_angles[:, 0], self.bloch_angles[:, 1]
-        return np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-        )
-
-
-def _spiral_angles(n: int) -> np.ndarray:
-    """Golden-spiral lattice on the Bloch sphere (deterministic)."""
-    i = np.arange(n)
-    theta = np.arccos(1.0 - 2.0 * (i + 0.5) / n)
-    phi = np.mod(2.0 * np.pi * i * _GOLDEN, 2.0 * np.pi)
-    return np.stack([theta, phi], axis=1)
-
-
-def bloch_states(n: int, dark_basis: np.ndarray | None = None) -> InputStateSet:
-    """Quasi-uniform pure states cos(t/2)|D0> + e^{i p} sin(t/2)|D1>.
-
-    dark_basis is a 4x2 matrix whose columns span the dark subspace at the
-    loop start; default is the standard-family start frame (pole, phi=0),
-    where D0 = |0> and D1 = |1>.
-    """
-    if n < 6:
-        raise TooFewStates(f"need at least 6 input states, got {n}")
-    if dark_basis is None:
-        dark_basis = np.eye(4, dtype=complex)[:, :2]
-    angles = _spiral_angles(n)
-    amp0 = np.cos(angles[:, 0] / 2.0)
-    amp1 = np.exp(1j * angles[:, 1]) * np.sin(angles[:, 0] / 2.0)
-    states = amp0[:, None] * dark_basis[:, 0] + amp1[:, None] * dark_basis[:, 1]
-    return InputStateSet(states=states, bloch_angles=angles)
-
-
-def _loop_states(loop: LoopSpec, n_states: int) -> InputStateSet:
-    return bloch_states(n_states, dark_basis=start_frame(loop).dark)
+# Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y.
+_R = 1.0 / math.sqrt(2.0)
+_OCTAHEDRON = np.array(
+    [[1, 0], [0, 1], [_R, _R], [_R, -_R], [_R, 1j * _R], [_R, -1j * _R]], dtype=complex
+)
 
 
 def per_state_fidelities(
     loop: LoopSpec,
     noise: NoiseModel,
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     target: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fidelity of each sampled input against the adiabatic target."""
-    states = _loop_states(loop, n_states)
+    """Fidelities Tr{T rho T^dag . out} of the six octahedral dark-qubit
+    inputs rho against the target T. n_states is ignored; it is accepted
+    so that existing callers keep running."""
+    psi = _OCTAHEDRON @ start_frame(loop).dark.T
+    rhos = np.einsum("ni,nj->nij", psi, psi.conj())
     if target is None:
         target = adiabatic_gate(loop).matrix
     if noise.lambda_sq == 0.0:
         u = loop_propagator(loop).matrix
-        overlaps = np.einsum("ni,ij,nj->n", states.states.conj(), target.conj().T @ u, states.states)
-        fids = np.abs(overlaps) ** 2
+        outputs = u @ rhos @ u.conj().T
     else:
-        channel = loop_channel(loop, noise, steps)
-        fids = np.empty(states.count)
-        for i, psi in enumerate(states.states):
-            sigma0 = np.outer(psi, psi.conj())
-            sigma_ad = target @ sigma0 @ target.conj().T
-            fids[i] = np.trace(sigma_ad @ channel.apply(sigma0)).real
-    return fids
+        outputs = loop_channel(loop, noise, steps).apply(rhos)
+    ideal = target @ rhos @ target.conj().T
+    return np.einsum("nij,nji->n", ideal, outputs).real
 
 
 def mean_fidelity(
     loop: LoopSpec,
     noise: NoiseModel,
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     target: np.ndarray | None = None,
 ) -> float:
-    """Bloch-sphere average of Tr{sigma_ad sigma(tau)}."""
-    fids = per_state_fidelities(loop, noise, n_states, steps, target)
-    value = float(np.mean(fids))
+    """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)} (six-state
+    2-design average). n_states is ignored."""
+    value = float(np.mean(per_state_fidelities(loop, noise, steps=steps, target=target)))
     if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise ValueError(f"mean fidelity {value} outside [0, 1]")
+        raise StepCountTooSmall(f"mean fidelity {value} outside [0, 1]; increase steps")
     return value
 
 
@@ -137,7 +93,6 @@ class SweepCurve:
     lambda_sq: float
     omega_tau: np.ndarray
     mean_fidelity: np.ndarray
-    n_states: int
     steps: int | None
     noise_label: str = ""
 
@@ -155,16 +110,16 @@ class SweepCurve:
 
 
 def _sweep_task(args: tuple) -> float:
-    loop, noise, n_states, steps, omega_tau = args
+    loop, noise, steps, omega_tau = args
     run = with_total_time(loop, omega_tau / loop.omega_scale)
-    return mean_fidelity(run, noise, n_states, steps)
+    return mean_fidelity(run, noise, steps=steps)
 
 
 def sweep(
     loop: LoopSpec,
     omega_tau_grid: np.ndarray,
     lambda_sq_list: list[float],
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     noise: NoiseModel | None = None,
 ) -> list[SweepCurve]:
@@ -172,7 +127,7 @@ def sweep(
 
     `noise` supplies the rate tables; its lambda_sq field is overridden by
     each entry of lambda_sq_list. Grid points fan out to the worker pool;
-    reduction order is fixed.
+    reduction order is fixed. n_states is ignored.
     """
     grid = np.asarray(omega_tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -182,7 +137,7 @@ def sweep(
     if noise is None:
         noise = high_temperature_noise(0.0)
     tasks = [
-        (loop, noise.with_lambda_sq(lam), n_states, steps, float(ot))
+        (loop, noise.with_lambda_sq(lam), steps, float(ot))
         for lam in lambda_sq_list
         for ot in grid
     ]
@@ -195,7 +150,6 @@ def sweep(
                 lambda_sq=float(lam),
                 omega_tau=grid.copy(),
                 mean_fidelity=np.array(block),
-                n_states=n_states,
                 steps=steps,
                 noise_label=noise.label,
             )
@@ -257,14 +211,15 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, fl
 def find_optimal_point(
     loop: LoopSpec,
     noise: NoiseModel,
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     window: tuple[float, float] | None = None,
     coarse_points: int = 21,
     tol: float = PEAK_TOL,
 ) -> OptimalPoint:
     """Locate the first fidelity peak: coarse scan over the window (in
-    Omega*tau), then golden-section refinement of the best bracket."""
+    Omega*tau), then golden-section refinement of the best bracket.
+    n_states is ignored."""
     omega = loop.omega_scale
     if window is None:
         tau1 = omega * optimal_time(1, wedge_order(loop), omega)
@@ -276,7 +231,7 @@ def find_optimal_point(
         steps = default_step_count(with_total_time(loop, 0.5 * (lo + hi) / omega))
 
     def f(omega_tau: float) -> float:
-        return mean_fidelity(with_total_time(loop, omega_tau / omega), noise, n_states, steps)
+        return mean_fidelity(with_total_time(loop, omega_tau / omega), noise, steps=steps)
 
     grid = np.linspace(lo, hi, coarse_points)
     values = [f(x) for x in grid]
@@ -434,16 +389,16 @@ def f_of_tau_relation(f_fit: FitResult, tau_fit: FitResult) -> float:
 def robustness(
     loop: LoopSpec,
     noise: NoiseModel,
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     window: tuple[float, float] | None = None,
 ) -> float:
     """(F* - F_adiab) / F*, with F_adiab taken at the third revival, where
-    the adiabatic limit is effectively reached."""
+    the adiabatic limit is effectively reached. n_states is ignored."""
     omega = loop.omega_scale
-    point = find_optimal_point(loop, noise, n_states, steps, window)
+    point = find_optimal_point(loop, noise, steps=steps, window=window)
     tau3 = optimal_time(3, wedge_order(loop), omega)
-    f_adiab = mean_fidelity(with_total_time(loop, tau3), noise, n_states, steps=None)
+    f_adiab = mean_fidelity(with_total_time(loop, tau3), noise)
     return (point.f_star - f_adiab) / point.f_star
 
 
@@ -451,13 +406,14 @@ def optimal_point_table(
     loop: LoopSpec,
     noise: NoiseModel,
     lambda_sq_list: list[float],
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     window: tuple[float, float] | None = None,
 ) -> list[OptimalPoint]:
-    """Optimal point per coupling strength (shared window and resolution)."""
+    """Optimal point per coupling strength (shared window and resolution).
+    n_states is ignored."""
     return [
-        find_optimal_point(loop, noise.with_lambda_sq(lam), n_states, steps, window)
+        find_optimal_point(loop, noise.with_lambda_sq(lam), steps=steps, window=window)
         for lam in lambda_sq_list
     ]
 
@@ -470,7 +426,7 @@ def calibrate_gamma0(
     target_f2: float = 6.34,
     lambda_sq_list: tuple[float, ...] = DEFAULT_FIT_LAMBDAS,
     gamma0_init: float | None = None,
-    n_states: int = DEFAULT_STATE_COUNT,
+    n_states: int | None = None,
     steps: int | None = None,
     max_rounds: int = 3,
     rel_tol: float = 0.02,
@@ -478,7 +434,8 @@ def calibrate_gamma0(
     """Scale the flat rate gamma0 until the fitted F2 matches target_f2.
 
     The leading fidelity loss is linear in gamma0, so one proportional
-    update per round converges immediately for small couplings.
+    update per round converges immediately for small couplings. n_states
+    is ignored.
     """
     gamma0 = DEFAULT_GAMMA0 if gamma0_init is None else gamma0_init
     fit = None
@@ -486,7 +443,7 @@ def calibrate_gamma0(
         noise = high_temperature_noise(0.0, gamma0=gamma0)
         points = [
             (p.lambda_sq, p.f_star)
-            for p in optimal_point_table(loop, noise, list(lambda_sq_list), n_states, steps)
+            for p in optimal_point_table(loop, noise, list(lambda_sq_list), steps=steps)
         ]
         fit = fit_noise_response(points, "f_linear")
         f2 = fit.coefficient("F2")

@@ -75,7 +75,7 @@ class RunConfig:
     lambda_sq: tuple[float, ...] | None = None
     gamma0: float = DEFAULT_GAMMA0
     noise_file: str | None = None
-    states: int = 100
+    states: int | None = None  # ignored; accepted so older configs still load
     steps: int | None = None
     out: str = "out"
     calibrate_f2: float | None = None
@@ -85,8 +85,6 @@ class RunConfig:
     def validate(self) -> None:
         if not self.omega > 0:
             raise ConfigError(f"omega must be positive, got {self.omega}")
-        if self.states < 6:
-            raise ConfigError(f"states must be >= 6, got {self.states}")
         if self.steps is not None and self.steps < 3:
             raise ConfigError(f"steps must be >= 3, got {self.steps}")
         if self.grid is not None:
@@ -206,7 +204,10 @@ def build_loop(cfg: RunConfig) -> LoopSpec:
         p = Path(cfg.loop_file)
         if not p.exists():
             raise ConfigError(f"loop file not found: {p}")
-        return loop_from_json(p.read_text())
+        try:
+            return loop_from_json(p.read_text())
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"invalid loop file {p}: {exc}") from exc
     n = parse_loop_kind(cfg.loop)
     return wedge_loop(n, cfg.omega, 1.0)
 
@@ -216,7 +217,10 @@ def build_noise(cfg: RunConfig, gamma0: float | None = None) -> NoiseModel:
         p = Path(cfg.noise_file)
         if not p.exists():
             raise ConfigError(f"noise file not found: {p}")
-        return noise_from_json(p.read_text())
+        try:
+            return noise_from_json(p.read_text())
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"invalid noise file {p}: {exc}") from exc
     return high_temperature_noise(0.0, gamma0=cfg.gamma0 if gamma0 is None else gamma0)
 
 
@@ -263,7 +267,6 @@ def _maybe_calibrate(cfg: RunConfig, loop: LoopSpec) -> tuple[NoiseModel, dict]:
         loop,
         target_f2=cfg.calibrate_f2,
         gamma0_init=cfg.gamma0,
-        n_states=cfg.states,
         steps=cfg.steps,
     )
     extras = {
@@ -290,7 +293,7 @@ def _run_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> int:
     noise, extras = _maybe_calibrate(cfg, loop)
     grid = cfg.grid_values()
     out_dir = Path(cfg.out)
-    curves = sweep(loop, grid, list(lambdas), cfg.states, cfg.steps, noise)
+    curves = sweep(loop, grid, list(lambdas), steps=cfg.steps, noise=noise)
     _write_run_config(out_dir, cfg, extras)
     for curve in curves:
         name = f"sweep_lambda2_{format_lambda(curve.lambda_sq)}.csv"
@@ -302,7 +305,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
     loop = build_loop(cfg)
     noise, extras = _maybe_calibrate(cfg, loop)
     lambdas = cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST
-    points = optimal_point_table(loop, noise, list(lambdas), cfg.states, cfg.steps)
+    points = optimal_point_table(loop, noise, list(lambdas), steps=cfg.steps)
     out_dir = Path(cfg.out)
     doc = {
         "config": _write_run_config(out_dir, cfg, extras),
@@ -359,7 +362,7 @@ def cmd_robustness(cfg: RunConfig) -> int:
     lambdas = cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST
     rows = []
     for lam in lambdas:
-        r = robustness(loop, noise.with_lambda_sq(lam), cfg.states, cfg.steps)
+        r = robustness(loop, noise.with_lambda_sq(lam), steps=cfg.steps)
         rows.append({"lambda_sq": lam, "robustness": r})
     out_dir = Path(cfg.out)
     doc = {"config": _write_run_config(out_dir, cfg, extras), "rows": rows}
@@ -411,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated coupling strengths")
         p.add_argument("--gamma0", type=float, help="flat high-T decay rate")
         p.add_argument("--noise-file", dest="noise_file", help="NoiseModel JSON file")
-        p.add_argument("--states", type=int, help="Bloch-sphere sample count")
+        p.add_argument("--states", type=int,
+                       help="ignored: the Bloch average is exact (six states)")
         p.add_argument("--steps", type=int, help="integrator steps per loop")
         p.add_argument("--calibrate-f2", dest="calibrate_f2", type=float,
                        help="calibrate gamma0 so the fitted F2 matches this value")

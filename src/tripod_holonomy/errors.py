@@ -34,11 +34,8 @@ class UnsupportedLoop(TripodError):
 
 
 class StepCountTooSmall(TripodError):
-    """Integrator resolution too low (trace drift above threshold)."""
-
-
-class TooFewStates(TripodError):
-    """Input-state set smaller than the minimum sample size."""
+    """Integrator resolution too low (trace drift above threshold, or a
+    mean fidelity outside [0, 1])."""
 
 
 class NoPeakInWindow(TripodError):

@@ -255,12 +255,7 @@ def _batched_kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _dissipator_superops(arc, local_times: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Dissipator superoperators (no lambda^2 factor) at local arc times,
     in start-frame coordinates: jump operators are block-masked F^dag A F."""
-    moving = arc.start_angle + arc.rate * local_times
-    if arc.kind.value == "meridian":
-        thetas, phis = moving, np.full_like(moving, arc.fixed_angle)
-    else:
-        thetas, phis = np.full_like(moving, np.pi / 2.0), moving
-    frames = _frame_columns(thetas, phis)
+    frames = _frame_columns(*arc.angles(local_times))
     b = np.einsum("mji,jk,mkl->mil", frames.conj(), COUPLING, frames)
     m = len(local_times)
     # stack the five frequency components: (5, m, 4, 4)
@@ -287,7 +282,7 @@ class LoopChannel:
     """Propagated quantum channel of a full loop at fixed noise.
 
     phi is the 16x16 superoperator propagator in start-frame coordinates;
-    apply() maps an initial lab-frame density matrix to the final one.
+    apply() maps initial lab-frame density matrices to the final ones.
     """
 
     loop: LoopSpec
@@ -300,10 +295,13 @@ class LoopChannel:
         return float(np.linalg.norm(_VEC_IDENTITY @ self.phi - _VEC_IDENTITY))
 
     def apply(self, sigma0_lab: np.ndarray) -> np.ndarray:
+        """Map a 4x4 density matrix, or a stack of shape (..., 4, 4), to
+        the final state(s); both frames are built once per call."""
         f_start = eigenframe(self.loop.start_point()).matrix
         f_end = eigenframe(self.loop.end_point()).matrix
         sigma_frame = f_start.conj().T @ sigma0_lab @ f_start
-        final_frame = (self.phi @ sigma_frame.reshape(-1)).reshape(DIM, DIM)
+        vec = sigma_frame.reshape(*sigma_frame.shape[:-2], DIM * DIM)
+        final_frame = (vec @ self.phi.T).reshape(sigma_frame.shape)
         return f_end @ final_frame @ f_end.conj().T
 
 

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import InvalidDuration, InvalidOrder, TimeOutOfRange, UnsupportedLoop
 from .tripod import SphericalPoint
 
+# Absolute tolerance on theta and on phi*sin(theta) when comparing path
+# points, so loop files with angles rounded to 10 digits still close.
+ANGLE_TOL = 1e-9
+
 
 class ArcKind(str, Enum):
     MERIDIAN = "meridian"  # theta varies at fixed phi
@@ -45,17 +49,18 @@ class ArcSegment:
         """Signed angular speed of the varying angle."""
         return (self.end_angle - self.start_angle) / self.duration
 
-    def angles(self, s: float) -> tuple[float, float]:
-        """(theta, phi) at local time s in [0, duration]; endpoints exact."""
-        if s == 0.0:
-            moving = self.start_angle
-        elif s == self.duration:
-            moving = self.end_angle
-        else:
-            moving = self.start_angle + self.rate * s
+    def angles(self, s: float | np.ndarray) -> tuple:
+        """(theta, phi) at local time s in [0, duration]; endpoints exact.
+
+        s may be a scalar or an array of local times; each angle then has
+        the shape of s.
+        """
+        u = s / self.duration  # exactly 0 and 1 at the endpoints
+        moving = self.start_angle * (1.0 - u) + self.end_angle * u
+        fixed = 0.0 * u  # zero with the shape of s
         if self.kind is ArcKind.MERIDIAN:
-            return moving, self.fixed_angle
-        return np.pi / 2.0, moving
+            return moving, self.fixed_angle + fixed
+        return np.pi / 2.0 + fixed, moving
 
     def rates(self) -> tuple[float, float]:
         """(theta_dot, phi_dot), constant along the arc."""
@@ -105,9 +110,9 @@ class LoopSpec:
 
 
 def _points_coincide(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """Sphere-point equality, insensitive to phi at the poles."""
+    """Sphere-point equality to ANGLE_TOL, insensitive to phi at the poles."""
     (t1, p1), (t2, p2) = a, b
-    return t1 == t2 and p1 * np.sin(t1) == p2 * np.sin(t2)
+    return abs(t1 - t2) <= ANGLE_TOL and abs(p1 * np.sin(t1) - p2 * np.sin(t2)) <= ANGLE_TOL
 
 
 def standard_not_loop(omega: float, tau: float) -> LoopSpec:
@@ -192,7 +197,7 @@ def check_wedge_family(loop: LoopSpec) -> None:
     for arc in loop.arcs:
         if arc.kind is ArcKind.MERIDIAN and (
             min(arc.start_angle, arc.end_angle) < 0.0
-            or max(arc.start_angle, arc.end_angle) > np.pi / 2.0 + 1e-12
+            or max(arc.start_angle, arc.end_angle) > np.pi / 2.0 + ANGLE_TOL
         ):
             raise UnsupportedLoop("meridian arc leaves the northern hemisphere")
     for prev, nxt in zip(loop.arcs[:-1], loop.arcs[1:]):

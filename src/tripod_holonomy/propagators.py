@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .linalg import exp_i_hermitian, is_unitary
-from .loops import ArcKind, LoopSpec, check_wedge_family, solid_angle
+from .loops import LoopSpec, check_wedge_family, solid_angle
 from .tripod import (
     EigenFrame,
     SphericalPoint,
@@ -116,14 +116,6 @@ def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:
     return _dark_rotation(solid_angle(loop))
 
 
-def _arc_angle_grid(arc, m: int) -> tuple[np.ndarray, np.ndarray]:
-    moving = np.linspace(arc.start_angle, arc.end_angle, m + 1)
-    fixed = np.full(m + 1, arc.fixed_angle)
-    if arc.kind is ArcKind.MERIDIAN:
-        return moving, fixed
-    return np.full(m + 1, np.pi / 2.0), moving
-
-
 def holonomy_path_ordered(loop: LoopSpec, steps: int = 2000) -> np.ndarray:
     """Holonomy by discrete parallel transport along the loop.
 
@@ -137,8 +129,7 @@ def holonomy_path_ordered(loop: LoopSpec, steps: int = 2000) -> np.ndarray:
     w = np.eye(2, dtype=complex)
     for arc in loop.arcs:
         m = max(2, int(round(steps * arc.duration / loop.total_time)))
-        thetas, phis = _arc_angle_grid(arc, m)
-        frames = _frame_columns(thetas, phis)
+        frames = _frame_columns(*arc.angles(np.linspace(0.0, arc.duration, m + 1)))
         for j in range(m):
             overlap = frames[j + 1].conj().T @ frames[j]
             w = _polar_unitary(overlap[:2, :2]) @ w
@@ -196,13 +187,7 @@ def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:
     for arc in loop.arcs:
         m = max(1, int(round(steps * arc.duration / total)))
         dt = arc.duration / m
-        mid = (np.arange(m) + 0.5) * dt
-        rate = arc.rate
-        moving = arc.start_angle + rate * mid
-        if arc.kind is ArcKind.MERIDIAN:
-            thetas, phis = moving, np.full(m, arc.fixed_angle)
-        else:
-            thetas, phis = np.full(m, np.pi / 2.0), moving
+        thetas, phis = arc.angles((np.arange(m) + 0.5) * dt)
         h = _hamiltonian_stack(thetas, phis, loop.omega_scale)
         w, v = np.linalg.eigh(h)
         phase = np.exp(-1j * dt * w)

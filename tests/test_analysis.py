@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from tripod_holonomy import (
-    bloch_states,
+    adiabatic_gate,
     f_of_tau_relation,
     find_optimal_point,
     fit_noise_response,
     high_temperature_noise,
+    loop_channel,
     loop_propagator,
     mean_fidelity,
     optimal_time,
@@ -18,32 +19,46 @@ from tripod_holonomy.analysis import per_state_fidelities, sweep_curve_to_csv
 from tripod_holonomy.errors import (
     ModelMismatch,
     NoPeakInWindow,
-    TooFewStates,
     UnderdeterminedFit,
 )
+from tripod_holonomy.propagators import dark_block, start_frame
 
 OMEGA_TAU_1 = optimal_time(1, 1, 1.0)
 LAMBDA_GRID = np.linspace(1e-4, 1e-3, 7)
 
 
-class TestBlochStates:
-    def test_minimum_count(self):
-        with pytest.raises(TooFewStates):
-            bloch_states(5)
+def spiral_density_matrices(n, dark_basis):
+    """Golden-spiral lattice of n pure dark-qubit states, as density
+    matrices: the dense-sampling reference for the exact average."""
+    i = np.arange(n)
+    theta = np.arccos(1.0 - 2.0 * (i + 0.5) / n)
+    phi = 2.0 * np.pi * i * (np.sqrt(5.0) - 1.0) / 2.0
+    amps = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+    psi = amps @ dark_basis.T
+    return np.einsum("ni,nj->nij", psi, psi.conj())
 
-    def test_unit_norm_and_dark_support(self):
-        ss = bloch_states(6)
-        np.testing.assert_allclose(np.linalg.norm(ss.states, axis=1), 1.0, atol=1e-12)
-        # default dark basis is span{|0>, |1>}: no ancilla/excited amplitude
-        np.testing.assert_allclose(ss.states[:, 2:], 0.0, atol=1e-12)
 
-    def test_bloch_vectors_average_out(self):
-        ss = bloch_states(100)
-        assert np.linalg.norm(ss.bloch_vectors().mean(axis=0)) <= 0.05
+class TestExactBlochAverage:
+    @pytest.mark.parametrize("omega_tau", [3.94, 10.0, OMEGA_TAU_1, 21.0, 33.3])
+    def test_noiseless_matches_closed_form(self, omega_tau, no_noise):
+        # Nielsen 2002: the Haar average of |<psi|M|psi>|^2 over a qubit is
+        # (Tr M M^dag + |Tr M|^2) / 6, with M the dark block of T^dag U.
+        loop = standard_not_loop(1.0, omega_tau)
+        t = adiabatic_gate(loop).matrix
+        m = dark_block(t.conj().T @ loop_propagator(loop).matrix, loop)
+        exact = (np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / 6.0
+        assert abs(mean_fidelity(loop, no_noise) - exact) <= 1e-12
 
-    def test_deterministic(self):
-        a, b = bloch_states(50), bloch_states(50)
-        np.testing.assert_array_equal(a.states, b.states)
+    @pytest.mark.parametrize("lam", [0.005, 0.05])
+    @pytest.mark.parametrize("omega_tau", [10.0, 18.25, 30.0])
+    def test_noisy_matches_dense_spiral(self, omega_tau, lam):
+        loop = standard_not_loop(1.0, omega_tau)
+        noise = high_temperature_noise(lam)
+        t = adiabatic_gate(loop).matrix
+        rhos = spiral_density_matrices(2000, start_frame(loop).dark)
+        outputs = loop_channel(loop, noise).apply(rhos)
+        dense = np.mean(np.einsum("nij,nji->n", t @ rhos @ t.conj().T, outputs).real)
+        assert abs(mean_fidelity(loop, noise) - dense) <= 1e-6
 
 
 class TestMeanFidelity:
@@ -66,12 +81,6 @@ class TestMeanFidelity:
         dip = standard_not_loop(1.0, 0.5 * (OMEGA_TAU_1 + optimal_time(2, 1, 1.0)))
         peak = standard_not_loop(1.0, OMEGA_TAU_1)
         assert mean_fidelity(dip, no_noise) < mean_fidelity(peak, no_noise)
-
-    def test_state_count_convergence(self, no_noise):
-        loop = standard_not_loop(1.0, 21.0)
-        f100 = mean_fidelity(loop, no_noise, n_states=100)
-        f200 = mean_fidelity(loop, no_noise, n_states=200)
-        assert abs(f100 - f200) <= 1e-4
 
 
 class TestSweep:

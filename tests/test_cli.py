@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tripod_holonomy.cli import main
+from tripod_holonomy.loops import loop_to_dict, wedge_loop
 
 OMEGA_TAU_1 = 18.251004041881252
 
@@ -40,6 +41,31 @@ class TestHolonomyCommand:
         code, out = run(["holonomy", "--loop", "pentagon"], capsys)
         assert code == 2
         assert "pentagon" in out.err
+
+    def test_loop_file_with_rounded_angles(self, tmp_path, capsys):
+        doc = loop_to_dict(wedge_loop(2, 1.0, 1.0))
+        for arc in doc["arcs"]:
+            for key in ("fixed_angle", "start_angle", "end_angle"):
+                arc[key] = round(arc[key], 10)
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["holonomy", "--loop-file", str(path)], capsys)
+        assert code == 0
+        c = float(np.cos(np.pi / 4))
+        np.testing.assert_allclose(
+            np.array(json.loads(out.out)["entries"]).reshape(2, 2, 2)[..., 0],
+            [[c, c], [-c, c]],
+            atol=1e-9,
+        )
+
+    def test_non_contiguous_loop_file_is_config_error(self, tmp_path, capsys):
+        doc = loop_to_dict(wedge_loop(2, 1.0, 1.0))
+        doc["arcs"][1]["start_angle"] = 0.1
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["holonomy", "--loop-file", str(path)], capsys)
+        assert code == 2
+        assert "not contiguous" in out.err
 
 
 class TestSweepCommands:
@@ -103,6 +129,14 @@ class TestSweepCommands:
             "--steps", "3", "--states", "8", "--out", str(tmp_path / "x"),
         ])
         assert code == 3
+
+    def test_out_of_range_fidelity_exits_3(self, tmp_path, capsys):
+        code, out = run([
+            "noisy-sweep", "--omega-tau", "18.25", "--lambda-sq", "0.05",
+            "--steps", "3", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 3
+        assert "outside [0, 1]" in out.err
 
 
 class TestOptimalAndFit:

@@ -190,3 +190,11 @@ class TestEvolveDensity:
     def test_channel_trace_defect_small_at_default_steps(self, not_loop):
         ch = loop_channel(not_loop, high_temperature_noise(0.03))
         assert ch.trace_defect() <= 1e-10
+
+    def test_stacked_apply_matches_single_apply(self, not_loop, rng):
+        ch = loop_channel(not_loop, high_temperature_noise(0.03))
+        stack = np.array([random_density(rng) for _ in range(5)])
+        out = ch.apply(stack)
+        assert out.shape == stack.shape
+        for sigma, got in zip(stack, out):
+            np.testing.assert_allclose(got, ch.apply(sigma), rtol=0, atol=1e-14)

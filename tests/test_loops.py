@@ -102,6 +102,14 @@ class TestSchedule:
         with pytest.raises(TimeOutOfRange):
             angles_at(loop, 3.1)
 
+    def test_array_angles_match_scalar_calls_with_exact_endpoints(self):
+        for arc in wedge_loop(2, 1.0, 4.0).arcs:
+            s = np.linspace(0.0, arc.duration, 7)
+            thetas, phis = arc.angles(s)
+            assert list(zip(thetas, phis)) == [arc.angles(x) for x in s]
+            moving = thetas if arc.kind is ArcKind.MERIDIAN else phis
+            assert (moving[0], moving[-1]) == (arc.start_angle, arc.end_angle)
+
     @given(tau=st.floats(0.5, 50.0), n=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_rate_times_duration_recovers_arc(self, tau, n):
