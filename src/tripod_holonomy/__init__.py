@@ -16,21 +16,15 @@ from .analysis import (
     sweep,
 )
 from .lindblad import (
-    DensityMatrix,
-    JumpOperatorSet,
     NoiseModel,
-    dissipator_apply,
-    evolve_density,
     high_temperature_noise,
-    jump_operators,
     loop_channel,
 )
-from .linalg import EigenSystem, exp_i_hermitian, frobenius_distance, herm_eig
+from .linalg import exp_i_hermitian
 from .loops import (
     ArcKind,
     ArcSegment,
     LoopSpec,
-    angles_at,
     optimal_time,
     reverse_loop,
     solid_angle,
@@ -40,14 +34,12 @@ from .loops import (
 )
 from .propagators import (
     GatePropagator,
-    TransportGenerator,
     adiabatic_gate,
     adiabatic_holonomy,
     arc_propagator,
     holonomy_path_ordered,
     loop_propagator,
     schrodinger_oracle,
-    transport_generator,
 )
 from .tripod import (
     EigenFrame,
@@ -55,55 +47,42 @@ from .tripod import (
     eigenframe,
     eigenframe_rate,
     hamiltonian,
-    rabi_from_angles,
 )
 
 __all__ = [
     "ArcKind",
     "ArcSegment",
-    "DensityMatrix",
     "EigenFrame",
-    "EigenSystem",
     "FitResult",
     "GatePropagator",
-    "JumpOperatorSet",
     "LoopSpec",
     "NoiseModel",
     "OptimalPoint",
     "SphericalPoint",
     "SweepCurve",
-    "TransportGenerator",
     "adiabatic_gate",
     "adiabatic_holonomy",
-    "angles_at",
     "arc_propagator",
     "calibrate_gamma0",
-    "dissipator_apply",
     "eigenframe",
     "eigenframe_rate",
-    "evolve_density",
     "exp_i_hermitian",
     "f_of_tau_relation",
     "find_optimal_point",
     "fit_noise_response",
-    "frobenius_distance",
     "hamiltonian",
-    "herm_eig",
     "high_temperature_noise",
     "holonomy_path_ordered",
-    "jump_operators",
     "loop_channel",
     "loop_propagator",
     "mean_fidelity",
     "optimal_time",
-    "rabi_from_angles",
     "reverse_loop",
     "robustness",
     "schrodinger_oracle",
     "solid_angle",
     "standard_not_loop",
     "sweep",
-    "transport_generator",
     "wedge_loop",
     "with_total_time",
 ]

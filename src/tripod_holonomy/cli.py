@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -83,17 +84,34 @@ class RunConfig:
     table: str | None = None
 
     def validate(self) -> None:
-        if not self.omega > 0:
-            raise ConfigError(f"omega must be positive, got {self.omega}")
-        if self.steps is not None and self.steps < 3:
-            raise ConfigError(f"steps must be >= 3, got {self.steps}")
+        for name in ("loop", "out", "loop_file", "noise_file", "table"):
+            value = getattr(self, name)
+            optional = name not in ("loop", "out")
+            if not (isinstance(value, str) or (optional and value is None)):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        _check_number("omega", self.omega, minimum=0.0, strict=True)
+        _check_number("gamma0", self.gamma0, minimum=0.0)
+        if self.omega_tau is not None:
+            _check_number("omega_tau", self.omega_tau, minimum=0.0, strict=True)
+        if self.calibrate_f2 is not None:
+            _check_number("calibrate_f2", self.calibrate_f2, minimum=0.0, strict=True)
+        if self.steps is not None and not (_is_integer(self.steps) and self.steps >= 3):
+            raise ConfigError(f"steps must be an integer >= 3, got {self.steps!r}")
         if self.grid is not None:
+            if len(self.grid) != 3:
+                raise ConfigError(f"grid must be [START, STOP, POINTS], got {list(self.grid)}")
             start, stop, points = self.grid
-            if points < 1 or start <= 0 or stop < start:
-                raise ConfigError(f"invalid grid {self.grid}")
+            if not (
+                _is_number(start) and _is_number(stop) and _is_integer(points)
+                and points >= 1 and 0 < start <= stop and (stop > start or points == 1)
+            ):
+                raise ConfigError(
+                    f"invalid grid {list(self.grid)}: need 0 < START < STOP and an integer "
+                    "POINTS >= 1 (START = STOP only with one point)"
+                )
         if self.lambda_sq is not None:
-            if any(lam < 0 for lam in self.lambda_sq):
-                raise ConfigError("lambda_sq entries must be >= 0")
+            for lam in self.lambda_sq:
+                _check_number("lambda_sq entries", lam, minimum=0.0)
         if self.loop_file is None:
             parse_loop_kind(self.loop)
 
@@ -104,6 +122,23 @@ class RunConfig:
             raise ConfigError("no Omega*tau grid configured (use --grid or omega_tau)")
         start, stop, points = self.grid
         return np.linspace(start, stop, points)
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_number(name: str, value, minimum: float, strict: bool = False) -> None:
+    """Require a finite number >= minimum (> minimum when strict)."""
+    if not (_is_number(value) and (value > minimum if strict else value >= minimum)):
+        bound = ">" if strict else ">="
+        raise ConfigError(f"{name} must be a finite number {bound} {minimum:g}, got {value!r}")
 
 
 def parse_loop_kind(text: str) -> int:
@@ -138,16 +173,21 @@ def parse_lambda_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"unparsable --lambda-sq list {text!r}") from None
 
 
-def load_config_file(path: str) -> dict:
+def _read_json_object(path: str, what: str) -> dict:
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"{what} not found: {p}")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {p} must hold a JSON object")
+        raise ConfigError(f"{what} {p} must hold a JSON object")
+    return doc
+
+
+def load_config_file(path: str) -> dict:
+    doc = _read_json_object(path, "config file")
     doc.pop("provenance", None)  # echoed configs carry a provenance block
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
@@ -159,10 +199,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         doc = load_config_file(args.config)
-        if "grid" in doc and doc["grid"] is not None:
-            doc["grid"] = tuple(doc["grid"])
-        if "lambda_sq" in doc and doc["lambda_sq"] is not None:
-            doc["lambda_sq"] = tuple(doc["lambda_sq"])
+        for key in ("grid", "lambda_sq"):
+            if doc.get(key) is not None:
+                if not isinstance(doc[key], list):
+                    raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
+                doc[key] = tuple(doc[key])
         cfg = replace(cfg, **doc)
     overrides = {}
     if args.loop is not None:
@@ -320,15 +361,16 @@ def cmd_optimal(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     if cfg.table is None:
         raise ConfigError("fit needs --table pointing at an optimal-points JSON file")
-    p = Path(cfg.table)
-    if not p.exists():
-        raise ConfigError(f"table file not found: {p}")
-    doc = json.loads(p.read_text())
-    rows = doc.get("rows", doc if isinstance(doc, list) else None)
-    if not rows:
-        raise ConfigError(f"no rows found in table {p}")
-    f_pts = [(float(r["lambda_sq"]), float(r["f_star"])) for r in rows]
-    t_pts = [(float(r["lambda_sq"]), float(r["omega_tau_star"])) for r in rows]
+    rows = _read_json_object(cfg.table, "table file").get("rows")
+    if not isinstance(rows, list) or not rows:
+        raise ConfigError(f'table {cfg.table} needs a non-empty "rows" list, as optimal writes')
+    try:
+        f_pts = [(float(r["lambda_sq"]), float(r["f_star"])) for r in rows]
+        t_pts = [(float(r["lambda_sq"]), float(r["omega_tau_star"])) for r in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"invalid row in table {cfg.table}: {type(exc).__name__} {exc}"
+        ) from exc
     loop = build_loop(cfg)
     tau1 = cfg.omega * optimal_time(1, wedge_order(loop), cfg.omega)
 

@@ -21,14 +21,6 @@ class InvalidOrder(TripodError):
     """Loop order n or revival index k below 1."""
 
 
-class TimeOutOfRange(TripodError):
-    """Sample time outside [0, total loop time]."""
-
-
-class IndexOutOfRange(TripodError):
-    """Arc index outside the loop's arc list."""
-
-
 class UnsupportedLoop(TripodError):
     """Loop is outside the pole/meridian/equator wedge family."""
 

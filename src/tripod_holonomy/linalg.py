@@ -6,8 +6,6 @@ through the spectral decomposition rather than scaling-and-squaring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput
@@ -18,68 +16,26 @@ HERMITIAN_TOL = 1e-10
 POST_TOL = 1e-12
 
 
-def as_complex_matrix(a: np.ndarray) -> np.ndarray:
-    """Validate and return a square complex matrix with finite entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff ||A - A^dag||_F <= tol."""
-    a = np.asarray(a)
-    return float(np.linalg.norm(a - a.conj().T)) <= tol
-
-
 def is_unitary(u: np.ndarray, tol: float = POST_TOL) -> bool:
     """True iff ||U^dag U - I||_F <= tol."""
     u = np.asarray(u)
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are ascending, eigenvectors unitary with columns matching
-    the eigenvalue order, so A = V diag(w) V^dag.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def herm_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = as_complex_matrix(a)
-    if not is_hermitian(m, tol):
-        raise NonHermitianInput(
-            f"Hermiticity residual {np.linalg.norm(m - m.conj().T):.3e} exceeds {tol:.1e}"
-        )
-    w, v = np.linalg.eigh(m)
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
-
-
 def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
-    """exp(i*s*A) for Hermitian A, via V diag(exp(i s w)) V^dag."""
+    """exp(i*s*A) for a square, finite, Hermitian A (to HERMITIAN_TOL in
+    Frobenius norm), via V diag(exp(i s w)) V^dag."""
     if not np.isfinite(s):
         raise ValueError("scale factor must be finite")
-    sys = herm_eig(a)
-    v = sys.eigenvectors
-    return (v * np.exp(1j * s * sys.eigenvalues)) @ v.conj().T
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||A - B||_F."""
-    ma = as_complex_matrix(a)
-    mb = as_complex_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.linalg.norm(ma - mb))
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValueError("matrix entries must be finite")
+    residual = float(np.linalg.norm(m - m.conj().T))
+    if residual > HERMITIAN_TOL:
+        raise NonHermitianInput(
+            f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.1e}"
+        )
+    w, v = np.linalg.eigh(m)
+    return (v * np.exp(1j * s * w)) @ v.conj().T

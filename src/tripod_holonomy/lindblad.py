@@ -10,8 +10,8 @@ The master equation is integrated in the transport picture, where the
 coherent generator is piecewise constant. In the coordinates of the
 start-frame eigenbasis the pieces are simple:
 
-  - coherent part:  diag(0, 0, +Omega, -Omega) - i * M_arc, with M_arc the
-    constant frame-overlap matrix of the arc,
+  - coherent part:  diag(0, 0, +Omega, -Omega) + G_arc, with G_arc the
+    arc's constant transport generator (the one the exact propagator uses),
   - jump operators: block-masked F(t)^dag A F(t).
 
 A classical fixed-step 4th-order scheme propagates the full 16x16
@@ -21,23 +21,14 @@ superoperator, so one integration serves every input state.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .linalg import is_hermitian
 from .loops import LoopSpec
-from .tripod import (
-    DIM,
-    STATE_0,
-    STATE_EXCITED,
-    SphericalPoint,
-    _frame_columns,
-    eigenframe,
-    eigenframe_rate,
-)
+from .propagators import _arc_generator
+from .tripod import DIM, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
 FREQUENCY_MULTIPLES = (0, 1, -1, 2, -2)
 DEFAULT_GAMMA0 = 0.5
@@ -49,11 +40,10 @@ COUPLING[STATE_EXCITED, STATE_0] = 1.0
 
 # Frame-column energies in units of Omega: (D0, D1, D+, D-).
 _FRAME_ENERGY = np.array([0, 0, 1, -1])
-_MASKS = {
-    k: ((_FRAME_ENERGY[None, :] - _FRAME_ENERGY[:, None]) == k).astype(float)
+_MASK_STACK = np.stack([
+    ((_FRAME_ENERGY[None, :] - _FRAME_ENERGY[:, None]) == k).astype(float)
     for k in FREQUENCY_MULTIPLES
-}
-_MASK_STACK = np.stack([_MASKS[k] for k in FREQUENCY_MULTIPLES])
+])
 
 _IDENTITY4 = np.eye(DIM, dtype=complex)
 _VEC_IDENTITY = _IDENTITY4.reshape(-1)
@@ -92,13 +82,6 @@ class NoiseModel:
 
     def with_lambda_sq(self, lambda_sq: float) -> "NoiseModel":
         return replace(self, lambda_sq=lambda_sq)
-
-    def scaled_rates(self, factor: float) -> "NoiseModel":
-        return replace(
-            self,
-            gamma={k: g * factor for k, g in self.gamma.items()},
-            lamb_shift={k: s * factor for k, s in self.lamb_shift.items()},
-        )
 
 
 def high_temperature_noise(
@@ -139,88 +122,6 @@ def noise_from_json(text: str) -> NoiseModel:
     return noise_from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """4x4 system density matrix (Hermitian, unit trace)."""
-
-    matrix: np.ndarray
-    check: bool = True
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if self.check:
-            validate_density(m)
-
-    @classmethod
-    def pure(cls, state: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(state, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-
-def validate_density(
-    m: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> None:
-    if m.shape != (DIM, DIM):
-        raise ValueError(f"density matrix must be {DIM}x{DIM}")
-    if not is_hermitian(m, herm_tol):
-        raise ValueError("density matrix is not Hermitian to tolerance")
-    if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(m).min() < eig_floor:
-        raise ValueError("density matrix has an eigenvalue below the positivity floor")
-
-
-@dataclass(frozen=True)
-class JumpOperatorSet:
-    """Lab-basis eigenoperators of the coupling at one path point.
-
-    ops maps frequency multiples k to 4x4 operators A_{k*Omega}; the five
-    pieces sum back to the bare coupling operator.
-    """
-
-    point: SphericalPoint
-    ops: tuple[tuple[int, np.ndarray], ...]
-
-    def operator(self, k: int) -> np.ndarray:
-        for kk, op in self.ops:
-            if kk == k:
-                return op
-        raise KeyError(k)
-
-    def total(self) -> np.ndarray:
-        return sum(op for _, op in self.ops)
-
-
-def jump_operators(p: SphericalPoint) -> JumpOperatorSet:
-    """Eigenoperator decomposition of the coupling at a path point."""
-    f = eigenframe(p).matrix
-    b = f.conj().T @ COUPLING @ f
-    ops = tuple(
-        (k, f @ (b * _MASKS[k]) @ f.conj().T) for k in FREQUENCY_MULTIPLES
-    )
-    return JumpOperatorSet(point=p, ops=ops)
-
-
-def dissipator_apply(
-    ops: JumpOperatorSet, noise: NoiseModel, sigma: DensityMatrix | np.ndarray
-) -> np.ndarray:
-    """Apply the dissipation superoperator (without the lambda^2 factor)."""
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    out = np.zeros((DIM, DIM), dtype=complex)
-    h_ls = np.zeros((DIM, DIM), dtype=complex)
-    for k, a in ops.ops:
-        ad_a = a.conj().T @ a
-        out += noise.rate(k) * (a @ s @ a.conj().T - 0.5 * (ad_a @ s + s @ ad_a))
-        h_ls += noise.shift(k) * ad_a
-    out += -1j * (h_ls @ s - s @ h_ls)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Superoperator integration in start-frame coordinates
 # ---------------------------------------------------------------------------
@@ -229,17 +130,6 @@ def dissipator_apply(
 def default_step_count(loop: LoopSpec) -> int:
     """Resolution giving ~1e-8 propagator error over the tested range."""
     return max(1000, int(np.ceil(60.0 * loop.omega_scale * loop.total_time)))
-
-
-def _coherent_generator_frame(loop: LoopSpec, arc_index: int) -> np.ndarray:
-    """H(0) + D(t,0) of one arc in start-frame coordinates (constant)."""
-    arc = loop.arcs[arc_index]
-    th, ph = arc.angles(0.0)
-    th_dot, ph_dot = arc.rates()
-    p = SphericalPoint(theta=th, phi=ph, omega=loop.omega_scale)
-    f = eigenframe(p).matrix
-    gen = -1j * (f.conj().T @ eigenframe_rate(p, th_dot, ph_dot))
-    return np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex) + gen
 
 
 def _commutator_superop(h: np.ndarray) -> np.ndarray:
@@ -321,18 +211,18 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
     for i, arc in enumerate(loop.arcs):
         n = max(1, int(round(steps * arc.duration / total)))
         h = arc.duration / n
-        l_unit = _commutator_superop(_coherent_generator_frame(loop, i))
+        _, gen = _arc_generator(loop, i)
+        energies = np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex)
+        l_unit = _commutator_superop(energies + gen)
+        # generators at the 2n + 1 RK4 stage times (step ends and midpoints)
         if dissipative:
             local = np.arange(2 * n + 1) * (h / 2.0)
             local[-1] = arc.duration
             l_all = l_unit[None, :, :] + lam * _dissipator_superops(arc, local, noise)
         else:
-            l_all = None
+            l_all = np.broadcast_to(l_unit, (2 * n + 1, 16, 16))
         for j in range(n):
-            if l_all is not None:
-                la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
-            else:
-                la = lb = lc = l_unit
+            la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
             k1 = la @ phi
             k2 = lb @ (phi + (0.5 * h) * k1)
             k3 = lb @ (phi + (0.5 * h) * k2)
@@ -345,27 +235,3 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
         )
     return channel
 
-
-def evolve_density(
-    loop: LoopSpec,
-    noise: NoiseModel,
-    sigma0: DensityMatrix | np.ndarray,
-    steps: int | None = None,
-) -> DensityMatrix:
-    """Propagate a density matrix around the loop; returns the lab-frame
-    state at loop closure."""
-    s0 = sigma0.matrix if isinstance(sigma0, DensityMatrix) else np.asarray(sigma0, dtype=complex)
-    validate_density(s0)
-    channel = loop_channel(loop, noise, steps)
-    out = channel.apply(s0)
-    trace_drift = abs(np.trace(out) - 1.0)
-    if trace_drift > 1e-6:
-        raise StepCountTooSmall(f"trace drift {trace_drift:.2e} above 1e-6; increase steps")
-    if not is_hermitian(out, 1e-8):
-        raise StepCountTooSmall("evolved state lost Hermiticity; increase steps")
-    floor = float(np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min())
-    if floor < -1e-6:
-        warnings.warn(
-            f"evolved state has eigenvalue {floor:.2e} below -1e-6", stacklevel=2
-        )
-    return DensityMatrix(out, check=False)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDuration, InvalidOrder, TimeOutOfRange, UnsupportedLoop
+from .errors import InvalidDuration, InvalidOrder, UnsupportedLoop
 from .tripod import SphericalPoint
 
 # Absolute tolerance on theta and on phi*sin(theta) when comparing path
@@ -95,10 +95,6 @@ class LoopSpec:
     def total_time(self) -> float:
         return float(sum(arc.duration for arc in self.arcs))
 
-    @property
-    def arc_start_times(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum([a.duration for a in self.arcs])])
-
     def start_point(self) -> SphericalPoint:
         th, ph = self.arcs[0].angles(0.0)
         return SphericalPoint(theta=th, phi=ph, omega=self.omega_scale)
@@ -165,27 +161,6 @@ def reverse_loop(loop: LoopSpec) -> LoopSpec:
         for a in reversed(loop.arcs)
     )
     return LoopSpec(omega_scale=loop.omega_scale, arcs=arcs)
-
-
-def arc_index_at(loop: LoopSpec, t: float) -> tuple[int, float]:
-    """(arc index, local time) for absolute time t; boundaries belong to the later arc."""
-    tau = loop.total_time
-    if not (0.0 <= t <= tau * (1 + 1e-12)):
-        raise TimeOutOfRange(f"t = {t} outside [0, {tau}]")
-    t = min(t, tau)
-    starts = loop.arc_start_times
-    idx = int(np.searchsorted(starts, t, side="right") - 1)
-    idx = min(idx, len(loop.arcs) - 1)
-    return idx, t - starts[idx]
-
-
-def angles_at(loop: LoopSpec, t: float) -> tuple[float, float, float, float]:
-    """(theta, phi, theta_dot, phi_dot) at absolute time t."""
-    idx, s = arc_index_at(loop, t)
-    arc = loop.arcs[idx]
-    th, ph = arc.angles(s)
-    th_dot, ph_dot = arc.rates()
-    return th, ph, th_dot, ph_dot
 
 
 def check_wedge_family(loop: LoopSpec) -> None:

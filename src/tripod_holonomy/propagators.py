@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange
 from .linalg import exp_i_hermitian, is_unitary
 from .loops import LoopSpec, check_wedge_family, solid_angle
 from .tripod import (
@@ -27,16 +26,6 @@ from .tripod import (
 )
 
 PROPAGATOR_UNITARY_TOL = 1e-10
-# Constancy tolerance for the per-arc transport generator.
-GENERATOR_CONST_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TransportGenerator:
-    """Hermitian generator of frame transport, constant along its arc."""
-
-    matrix: np.ndarray
-    arc_index: int
 
 
 @dataclass(frozen=True)
@@ -52,48 +41,32 @@ class GatePropagator:
             raise ValueError("propagator is not unitary to tolerance")
 
 
-def _arc_start_point(loop: LoopSpec, arc_index: int) -> SphericalPoint:
-    if not 0 <= arc_index < len(loop.arcs):
-        raise IndexOutOfRange(f"arc index {arc_index} outside 0..{len(loop.arcs) - 1}")
-    th, ph = loop.arcs[arc_index].angles(0.0)
-    return SphericalPoint(theta=th, phi=ph, omega=loop.omega_scale)
-
-
 def start_frame(loop: LoopSpec) -> EigenFrame:
     """Eigenframe at the loop's start point (t = 0)."""
     return eigenframe(loop.start_point())
 
 
-def transport_generator(loop: LoopSpec, arc_index: int) -> TransportGenerator:
-    """Lab-basis transport generator of one arc, evaluated at the arc start."""
-    return TransportGenerator(
-        matrix=transport_generator_at(loop, arc_index, 0.0), arc_index=arc_index
-    )
+def _arc_generator(loop: LoopSpec, arc_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F0, G) of one arc: the eigenframe F0 at the arc start, and the
+    transport generator G = -i F0^dag dF0/dt in F0's coordinates.
 
-
-def transport_generator_at(loop: LoopSpec, arc_index: int, s: float) -> np.ndarray:
-    """Generator re-evaluated at local arc time s, expressed in the
-    arc-start transported frame; constant in s for meridian/equator arcs."""
-    if not 0 <= arc_index < len(loop.arcs):
-        raise IndexOutOfRange(f"arc index {arc_index} outside 0..{len(loop.arcs) - 1}")
+    On meridian and equator arcs at constant angular speed, G is the same
+    at every point of the arc, so the arc-start value serves the whole arc.
+    """
     arc = loop.arcs[arc_index]
-    th, ph = arc.angles(s)
-    th_dot, ph_dot = arc.rates()
-    p = SphericalPoint(theta=th, phi=ph, omega=loop.omega_scale)
-    frame_t = eigenframe(p).matrix
-    rate_t = eigenframe_rate(p, th_dot, ph_dot)
-    gen_frame = -1j * (frame_t.conj().T @ rate_t)
-    frame_0 = eigenframe(_arc_start_point(loop, arc_index)).matrix
-    return frame_0 @ gen_frame @ frame_0.conj().T
+    p = SphericalPoint(*arc.angles(0.0), omega=loop.omega_scale)
+    f0 = eigenframe(p).matrix
+    return f0, -1j * (f0.conj().T @ eigenframe_rate(p, *arc.rates()))
 
 
 def arc_propagator(loop: LoopSpec, arc_index: int) -> np.ndarray:
     """Exact lab-basis propagator of one arc:
-    exp(i dt D) exp(-i dt (H_start + D))."""
+    exp(i dt D) exp(-i dt (H_start + D)), with D = F0 G F0^dag."""
     arc = loop.arcs[arc_index]
     dt = arc.duration
-    d = transport_generator(loop, arc_index).matrix
-    h0 = hamiltonian(_arc_start_point(loop, arc_index))
+    f0, g = _arc_generator(loop, arc_index)
+    d = f0 @ g @ f0.conj().T
+    h0 = hamiltonian(*arc.angles(0.0), loop.omega_scale)
     return exp_i_hermitian(d, dt) @ exp_i_hermitian(h0 + d, -dt)
 
 
@@ -188,24 +161,10 @@ def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:
         m = max(1, int(round(steps * arc.duration / total)))
         dt = arc.duration / m
         thetas, phis = arc.angles((np.arange(m) + 0.5) * dt)
-        h = _hamiltonian_stack(thetas, phis, loop.omega_scale)
+        h = hamiltonian(thetas, phis, loop.omega_scale)
         w, v = np.linalg.eigh(h)
         phase = np.exp(-1j * dt * w)
         step_us = np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
         u = _ordered_product(step_us) @ u
     return GatePropagator(matrix=u, loop=loop, kind="oracle")
 
-
-def _hamiltonian_stack(thetas: np.ndarray, phis: np.ndarray, omega: float) -> np.ndarray:
-    st, ct = np.sin(thetas), np.cos(thetas)
-    w0 = omega * st * np.sin(phis)
-    w1 = omega * st * np.cos(phis)
-    wa = omega * ct
-    h = np.zeros((len(thetas), 4, 4), dtype=complex)
-    h[:, 3, 0] = w0
-    h[:, 0, 3] = w0
-    h[:, 3, 1] = w1
-    h[:, 1, 3] = w1
-    h[:, 3, 2] = wa
-    h[:, 2, 3] = wa
-    return h

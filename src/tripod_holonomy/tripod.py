@@ -23,11 +23,7 @@ STATE_0 = 0
 STATE_1 = 1
 STATE_ANCILLA = 2
 STATE_EXCITED = 3
-LEVEL_LABELS = ("0", "1", "a", "e")
 DIM = 4
-
-# Tolerance for eigenframe orthonormality and eigenvector residuals.
-FRAME_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -70,26 +66,24 @@ class EigenFrame:
         return self.matrix[:, :2]
 
 
-def rabi_from_angles(p: SphericalPoint) -> tuple[float, float, float]:
-    """Rabi triple (omega_0, omega_1, omega_a) for a control point."""
-    s, c = np.sin(p.theta), np.cos(p.theta)
-    return (
-        p.omega * s * np.sin(p.phi),
-        p.omega * s * np.cos(p.phi),
-        p.omega * c,
-    )
+def hamiltonian(theta, phi, omega: float = 1.0) -> np.ndarray:
+    """Coupling Hamiltonian |e>(w0<0| + w1<1| + wa<a|) + h.c. on the sphere
+    of radius omega, with Rabi frequencies (w0, w1, wa) =
+    omega (sin(theta) sin(phi), sin(theta) cos(phi), cos(theta)).
 
-
-def hamiltonian(p: SphericalPoint) -> np.ndarray:
-    """4x4 coupling Hamiltonian |e>(w0<0| + w1<1| + wa<a|) + h.c."""
-    w0, w1, wa = rabi_from_angles(p)
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[STATE_EXCITED, STATE_0] = w0
-    h[STATE_EXCITED, STATE_1] = w1
-    h[STATE_EXCITED, STATE_ANCILLA] = wa
-    h[STATE_0, STATE_EXCITED] = w0
-    h[STATE_1, STATE_EXCITED] = w1
-    h[STATE_ANCILLA, STATE_EXCITED] = wa
+    theta and phi may be scalars or arrays of one shape; returns (..., 4, 4).
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    w0 = omega * st * np.sin(phi)
+    w1 = omega * st * np.cos(phi)
+    wa = omega * ct
+    h = np.zeros(np.shape(w0) + (DIM, DIM), dtype=complex)
+    h[..., STATE_EXCITED, STATE_0] = w0
+    h[..., STATE_EXCITED, STATE_1] = w1
+    h[..., STATE_EXCITED, STATE_ANCILLA] = wa
+    h[..., STATE_0, STATE_EXCITED] = w0
+    h[..., STATE_1, STATE_EXCITED] = w1
+    h[..., STATE_ANCILLA, STATE_EXCITED] = wa
     return h
 
 

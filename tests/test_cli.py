@@ -187,6 +187,18 @@ class TestOptimalAndFit:
     def test_fit_requires_table(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"lambda_sq": 1e-4, "f_star": 0.999, "omega_tau_star": 18.25}]', "JSON object"),
+        ('{"rows": [', "not valid JSON"),
+        ('{"rows": [{"lambda_sq": 1e-4, "omega_tau_star": 18.25}]}', "f_star"),
+    ], ids=["bare-list", "invalid-json", "row-without-f-star"])
+    def test_fit_bad_table_is_config_error(self, tmp_path, capsys, text, message):
+        table = tmp_path / "table.json"
+        table.write_text(text)
+        code, out = run(["fit", "--table", str(table), "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert message in out.err
+
     def test_robustness_zero_coupling(self, tmp_path):
         out = tmp_path / "rob"
         code = main([
@@ -214,6 +226,22 @@ class TestDeterminismAndRoundTrip:
         b = tmp_path / "b"
         assert main(["ideal-sweep", "--config", str(emitted), "--out", str(b)]) == 0
         assert (a / "sweep_lambda2_0.csv").read_bytes() == (b / "sweep_lambda2_0.csv").read_bytes()
+
+    @pytest.mark.parametrize("config, flags, key", [
+        ({"omega": "abc"}, ["--omega-tau", "18"], "omega"),
+        ({"grid": [1, 2]}, [], "grid"),
+        ({"lambda_sq": 0.1}, ["--omega-tau", "18"], "lambda_sq"),
+        ({}, ["--omega-tau", "18", "--lambda-sq", "nan"], "lambda_sq"),
+        ({}, ["--grid", "1:1:3"], "grid"),
+    ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
+            "grid-not-increasing"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, config, flags, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run(["noisy-sweep", "--config", str(cfg), *flags,
+                         "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert key in out.err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

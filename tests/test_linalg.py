@@ -3,45 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripod_holonomy import exp_i_hermitian, frobenius_distance, herm_eig
+from tripod_holonomy import exp_i_hermitian
 from tripod_holonomy.errors import DimensionMismatch, NonHermitianInput
-from tripod_holonomy.tripod import SphericalPoint, hamiltonian
 
 from conftest import random_hermitian
 
 hermitian_seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-class TestHermEig:
-    def test_diagonal_input_sorted(self):
-        omega = 2.5
-        sys = herm_eig(np.diag([0.0, 0.0, omega, -omega]).astype(complex))
-        np.testing.assert_allclose(sys.eigenvalues, [-omega, 0.0, 0.0, omega], atol=1e-14)
-
-    def test_tripod_spectrum(self):
-        h = hamiltonian(SphericalPoint(np.pi / 2, 0.0, 1.0))
-        sys = herm_eig(h)
-        np.testing.assert_allclose(sys.eigenvalues, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_reconstruction_residual(self, rng):
-        a = random_hermitian(rng)
-        sys = herm_eig(a)
-        assert np.linalg.norm(a - sys.reconstruct()) <= 1e-12 * np.linalg.norm(a)
-        v = sys.eigenvectors
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(NonHermitianInput):
-            herm_eig(bad)
-
-    @given(seed=hermitian_seeds)
-    @settings(max_examples=50, deadline=None)
-    def test_eigenvalue_sum_is_trace(self, seed):
-        a = random_hermitian(np.random.default_rng(seed))
-        sys = herm_eig(a)
-        trace = np.trace(a).real
-        assert abs(sys.eigenvalues.sum() - trace) <= 1e-12 * max(1.0, abs(trace))
 
 
 class TestExpIHermitian:
@@ -81,20 +48,27 @@ class TestExpIHermitian:
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12
 
 
-class TestFrobeniusDistance:
-    def test_zero_for_equal(self):
-        assert frobenius_distance(np.eye(3), np.eye(3)) == 0.0
+    @given(seed=hermitian_seeds, s=st.floats(-5, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_determinant_is_trace_phase(self, seed, s):
+        # det exp(isA) = exp(is Tr A): the eigenvalues used sum to the trace
+        a = random_hermitian(np.random.default_rng(seed))
+        det = np.linalg.det(exp_i_hermitian(a, s))
+        assert abs(det - np.exp(1j * s * np.trace(a).real)) <= 1e-12
 
-    def test_identity_vs_minus_identity(self):
-        assert frobenius_distance(np.eye(2), -np.eye(2)) == pytest.approx(
-            2.0 * np.sqrt(2.0), abs=1e-14
-        )
+    def test_rejects_non_hermitian(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NonHermitianInput):
+            exp_i_hermitian(bad, 1.0)
 
-    def test_dimension_mismatch(self):
+    def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            frobenius_distance(np.eye(2), np.eye(3))
+            exp_i_hermitian(np.zeros((2, 3)), 1.0)
+        with pytest.raises(DimensionMismatch):
+            exp_i_hermitian(np.zeros(4), 1.0)
 
     def test_rejects_non_finite(self):
-        bad = np.full((2, 2), np.nan)
         with pytest.raises(ValueError):
-            frobenius_distance(bad, np.eye(2))
+            exp_i_hermitian(np.full((2, 2), np.nan), 1.0)
+        with pytest.raises(ValueError):
+            exp_i_hermitian(np.eye(2), np.inf)

@@ -9,7 +9,6 @@ from tripod_holonomy import (
     ArcKind,
     ArcSegment,
     LoopSpec,
-    angles_at,
     optimal_time,
     reverse_loop,
     solid_angle,
@@ -17,12 +16,7 @@ from tripod_holonomy import (
     wedge_loop,
     with_total_time,
 )
-from tripod_holonomy.errors import (
-    InvalidDuration,
-    InvalidOrder,
-    TimeOutOfRange,
-    UnsupportedLoop,
-)
+from tripod_holonomy.errors import InvalidDuration, InvalidOrder, UnsupportedLoop
 from tripod_holonomy.loops import loop_from_json, loop_to_json, wedge_order
 
 
@@ -77,30 +71,24 @@ class TestConstruction:
 class TestSchedule:
     def test_angles_at_start(self):
         tau = 3.0
-        loop = standard_not_loop(1.0, tau)
-        th, ph, th_dot, ph_dot = angles_at(loop, 0.0)
-        assert (th, ph) == (0.0, 0.0)
+        first = standard_not_loop(1.0, tau).arcs[0]
+        assert first.angles(0.0) == (0.0, 0.0)
+        th_dot, ph_dot = first.rates()
         assert th_dot == pytest.approx((np.pi / 2) / 1.0)
         assert ph_dot == 0.0
 
     def test_angles_at_end(self):
-        loop = standard_not_loop(1.0, 3.0)
-        th, ph, _, _ = angles_at(loop, 3.0)
+        last = standard_not_loop(1.0, 3.0).arcs[-1]
+        th, ph = last.angles(last.duration)
         assert th == pytest.approx(0.0)
         assert ph == pytest.approx(np.pi / 2)
 
     def test_angles_at_midpoint(self):
-        loop = standard_not_loop(1.0, 3.0)
-        th, ph, _, _ = angles_at(loop, 1.5)
+        # t = 1.5 of 3.0 is halfway along the middle (equator) arc
+        middle = standard_not_loop(1.0, 3.0).arcs[1]
+        th, ph = middle.angles(0.5 * middle.duration)
         assert th == pytest.approx(np.pi / 2)
         assert ph == pytest.approx(np.pi / 4)
-
-    def test_out_of_range(self):
-        loop = standard_not_loop(1.0, 3.0)
-        with pytest.raises(TimeOutOfRange):
-            angles_at(loop, -0.1)
-        with pytest.raises(TimeOutOfRange):
-            angles_at(loop, 3.1)
 
     def test_array_angles_match_scalar_calls_with_exact_endpoints(self):
         for arc in wedge_loop(2, 1.0, 4.0).arcs:
@@ -119,10 +107,9 @@ class TestSchedule:
 
     def test_angles_continuous_across_boundaries(self):
         loop = wedge_loop(2, 1.0, 4.0)
-        starts = loop.arc_start_times
-        for t in starts[1:-1]:
-            before = angles_at(loop, t - 1e-12)[:2]
-            after = angles_at(loop, t)[:2]
+        for prev, nxt in zip(loop.arcs[:-1], loop.arcs[1:]):
+            before = prev.angles(prev.duration - 1e-12)
+            after = nxt.angles(0.0)
             np.testing.assert_allclose(before, after, atol=1e-10)
 
 

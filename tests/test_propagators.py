@@ -15,16 +15,11 @@ from tripod_holonomy import (
     reverse_loop,
     schrodinger_oracle,
     standard_not_loop,
-    transport_generator,
     wedge_loop,
 )
-from tripod_holonomy.errors import IndexOutOfRange, UnsupportedLoop
+from tripod_holonomy.errors import UnsupportedLoop
 from tripod_holonomy.lindblad import high_temperature_noise
-from tripod_holonomy.propagators import (
-    GatePropagator,
-    dark_block,
-    transport_generator_at,
-)
+from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block
 from tripod_holonomy.tripod import SphericalPoint, eigenframe, eigenframe_rate, hamiltonian
 
 NOT_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -45,16 +40,16 @@ def out_and_back_loop(tau=4.0, phi=0.0):
 
 class TestTransportGenerator:
     def test_zero_speed_arc_gives_zero(self):
-        gen = transport_generator(pinned_arc_loop(), 0)
-        np.testing.assert_allclose(gen.matrix, np.zeros((4, 4)), atol=1e-15)
+        _, gen = _arc_generator(pinned_arc_loop(), 0)
+        np.testing.assert_allclose(gen, np.zeros((4, 4)), atol=1e-15)
 
     def test_first_arc_matches_frame_rate_construction(self):
         loop = standard_not_loop(1.0, 3.0)
-        gen = transport_generator(loop, 0).matrix
+        f0, gen = _arc_generator(loop, 0)
         p = SphericalPoint(0.0, 0.0, 1.0)
         th_dot = loop.arcs[0].rate
         expected = -1j * eigenframe_rate(p, th_dot, 0.0) @ eigenframe(p).matrix.conj().T
-        np.testing.assert_allclose(gen, expected, atol=1e-13)
+        np.testing.assert_allclose(f0 @ gen @ f0.conj().T, expected, atol=1e-13)
 
     def test_hermitian_on_random_loops(self, rng):
         for _ in range(100):
@@ -62,20 +57,19 @@ class TestTransportGenerator:
             tau = float(rng.uniform(0.5, 40.0))
             loop = wedge_loop(n, 1.0, tau)
             for i in range(3):
-                m = transport_generator(loop, i).matrix
+                _, m = _arc_generator(loop, i)
                 assert np.linalg.norm(m - m.conj().T) <= 1e-11
 
     def test_piecewise_constant_along_arcs(self):
+        # -i F(s)^dag dF/ds at interior points equals the arc-start value:
+        # this is what lets each arc propagate with two exponentials
         loop = wedge_loop(2, 1.0, 7.0)
         for i, arc in enumerate(loop.arcs):
-            ref = transport_generator_at(loop, i, 0.0)
+            _, ref = _arc_generator(loop, i)
             for frac in (0.25, 0.5, 0.9):
-                interior = transport_generator_at(loop, i, frac * arc.duration)
+                p = SphericalPoint(*arc.angles(frac * arc.duration), omega=1.0)
+                interior = -1j * (eigenframe(p).matrix.conj().T @ eigenframe_rate(p, *arc.rates()))
                 assert np.linalg.norm(interior - ref) <= 1e-9
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            transport_generator(standard_not_loop(1.0, 3.0), 3)
 
 
 class TestArcPropagator:
@@ -87,7 +81,7 @@ class TestArcPropagator:
     def test_static_arc_is_plain_exponential(self):
         loop = pinned_arc_loop(theta=0.3, phi=0.2, duration=2.0)
         u = arc_propagator(loop, 0)
-        h = hamiltonian(SphericalPoint(0.3, 0.2, 1.0))
+        h = hamiltonian(0.3, 0.2, 1.0)
         w, v = np.linalg.eigh(h)
         expected = (v * np.exp(-2.0j * w)) @ v.conj().T
         np.testing.assert_allclose(u, expected, atol=1e-13)
@@ -200,7 +194,7 @@ class TestSchrodingerOracle:
     def test_static_hamiltonian_exact_for_any_steps(self):
         loop = pinned_arc_loop(theta=0.9, phi=1.2, duration=3.0)
         u = schrodinger_oracle(loop, steps=7).matrix
-        h = hamiltonian(SphericalPoint(0.9, 1.2, 1.0))
+        h = hamiltonian(0.9, 1.2, 1.0)
         w, v = np.linalg.eigh(h)
         expected = (v * np.exp(-3.0j * w)) @ v.conj().T
         np.testing.assert_allclose(u, expected, atol=1e-12)
