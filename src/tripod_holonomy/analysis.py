@@ -34,6 +34,7 @@ from .propagators import adiabatic_gate, loop_propagator, start_frame
 
 PEAK_WINDOW = (0.7, 1.3)
 PEAK_TOL = 1e-4
+_COARSE_POINTS = 21
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y.
@@ -44,38 +45,26 @@ _OCTAHEDRON = np.array(
 
 
 def per_state_fidelities(
-    loop: LoopSpec,
-    noise: NoiseModel,
-    n_states: int | None = None,
-    steps: int | None = None,
-    target: np.ndarray | None = None,
+    loop: LoopSpec, noise: NoiseModel, steps: int | None = None
 ) -> np.ndarray:
     """Fidelities Tr{T rho T^dag . out} of the six octahedral dark-qubit
-    inputs rho against the target T. n_states is ignored; it is accepted
-    so that existing callers keep running."""
+    inputs rho against the adiabatic-limit gate T."""
     psi = _OCTAHEDRON @ start_frame(loop).dark.T
     rhos = np.einsum("ni,nj->nij", psi, psi.conj())
-    if target is None:
-        target = adiabatic_gate(loop).matrix
-    if noise.lambda_sq == 0.0:
+    target = adiabatic_gate(loop).matrix
+    if noise.dissipative:
+        outputs = loop_channel(loop, noise, steps).apply(rhos)
+    else:
         u = loop_propagator(loop).matrix
         outputs = u @ rhos @ u.conj().T
-    else:
-        outputs = loop_channel(loop, noise, steps).apply(rhos)
     ideal = target @ rhos @ target.conj().T
     return np.einsum("nij,nji->n", ideal, outputs).real
 
 
-def mean_fidelity(
-    loop: LoopSpec,
-    noise: NoiseModel,
-    n_states: int | None = None,
-    steps: int | None = None,
-    target: np.ndarray | None = None,
-) -> float:
+def mean_fidelity(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> float:
     """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)} (six-state
-    2-design average). n_states is ignored."""
-    value = float(np.mean(per_state_fidelities(loop, noise, steps=steps, target=target)))
+    2-design average)."""
+    value = float(np.mean(per_state_fidelities(loop, noise, steps)))
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise StepCountTooSmall(f"mean fidelity {value} outside [0, 1]; increase steps")
     return value
@@ -93,8 +82,6 @@ class SweepCurve:
     lambda_sq: float
     omega_tau: np.ndarray
     mean_fidelity: np.ndarray
-    steps: int | None
-    noise_label: str = ""
 
     def __post_init__(self) -> None:
         ot = np.asarray(self.omega_tau, dtype=float)
@@ -119,7 +106,6 @@ def sweep(
     loop: LoopSpec,
     omega_tau_grid: np.ndarray,
     lambda_sq_list: list[float],
-    n_states: int | None = None,
     steps: int | None = None,
     noise: NoiseModel | None = None,
 ) -> list[SweepCurve]:
@@ -127,7 +113,7 @@ def sweep(
 
     `noise` supplies the rate tables; its lambda_sq field is overridden by
     each entry of lambda_sq_list. Grid points fan out to the worker pool;
-    reduction order is fixed. n_states is ignored.
+    reduction order is fixed.
     """
     grid = np.asarray(omega_tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -146,13 +132,7 @@ def sweep(
     for j, lam in enumerate(lambda_sq_list):
         block = values[j * len(grid) : (j + 1) * len(grid)]
         curves.append(
-            SweepCurve(
-                lambda_sq=float(lam),
-                omega_tau=grid.copy(),
-                mean_fidelity=np.array(block),
-                steps=steps,
-                noise_label=noise.label,
-            )
+            SweepCurve(lambda_sq=float(lam), omega_tau=grid.copy(), mean_fidelity=np.array(block))
         )
     return curves
 
@@ -211,15 +191,12 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, fl
 def find_optimal_point(
     loop: LoopSpec,
     noise: NoiseModel,
-    n_states: int | None = None,
     steps: int | None = None,
     window: tuple[float, float] | None = None,
-    coarse_points: int = 21,
-    tol: float = PEAK_TOL,
 ) -> OptimalPoint:
-    """Locate the first fidelity peak: coarse scan over the window (in
-    Omega*tau), then golden-section refinement of the best bracket.
-    n_states is ignored."""
+    """Locate the first fidelity peak (or the one inside `window`, in
+    Omega*tau): coarse scan over the window, then golden-section refinement
+    of the best bracket to PEAK_TOL."""
     omega = loop.omega_scale
     if window is None:
         tau1 = omega * optimal_time(1, wedge_order(loop), omega)
@@ -233,13 +210,13 @@ def find_optimal_point(
     def f(omega_tau: float) -> float:
         return mean_fidelity(with_total_time(loop, omega_tau / omega), noise, steps=steps)
 
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(lo, hi, _COARSE_POINTS)
     values = [f(x) for x in grid]
     best = int(np.argmax(values))
-    if best == 0 or best == coarse_points - 1:
+    if best == 0 or best == _COARSE_POINTS - 1:
         raise NoPeakInWindow(f"no interior maximum in window ({lo}, {hi})")
     bracket = (float(grid[best - 1]), float(grid[best + 1]))
-    x_star, f_star = _golden_section_max(f, bracket[0], bracket[1], tol)
+    x_star, f_star = _golden_section_max(f, bracket[0], bracket[1], PEAK_TOL)
     if values[best] > f_star:
         x_star, f_star = float(grid[best]), float(values[best])
     return OptimalPoint(
@@ -247,7 +224,7 @@ def find_optimal_point(
         f_star=f_star,
         lambda_sq=noise.lambda_sq,
         bracket=bracket,
-        tolerance=tol,
+        tolerance=PEAK_TOL,
     )
 
 
@@ -386,17 +363,11 @@ def f_of_tau_relation(f_fit: FitResult, tau_fit: FitResult) -> float:
 # ---------------------------------------------------------------------------
 
 
-def robustness(
-    loop: LoopSpec,
-    noise: NoiseModel,
-    n_states: int | None = None,
-    steps: int | None = None,
-    window: tuple[float, float] | None = None,
-) -> float:
+def robustness(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> float:
     """(F* - F_adiab) / F*, with F_adiab taken at the third revival, where
-    the adiabatic limit is effectively reached. n_states is ignored."""
+    the adiabatic limit is effectively reached."""
     omega = loop.omega_scale
-    point = find_optimal_point(loop, noise, steps=steps, window=window)
+    point = find_optimal_point(loop, noise, steps=steps)
     tau3 = optimal_time(3, wedge_order(loop), omega)
     f_adiab = mean_fidelity(with_total_time(loop, tau3), noise)
     return (point.f_star - f_adiab) / point.f_star
@@ -406,48 +377,43 @@ def optimal_point_table(
     loop: LoopSpec,
     noise: NoiseModel,
     lambda_sq_list: list[float],
-    n_states: int | None = None,
     steps: int | None = None,
-    window: tuple[float, float] | None = None,
 ) -> list[OptimalPoint]:
-    """Optimal point per coupling strength (shared window and resolution).
-    n_states is ignored."""
+    """Optimal point per coupling strength (shared resolution)."""
     return [
-        find_optimal_point(loop, noise.with_lambda_sq(lam), steps=steps, window=window)
+        find_optimal_point(loop, noise.with_lambda_sq(lam), steps=steps)
         for lam in lambda_sq_list
     ]
 
 
 DEFAULT_FIT_LAMBDAS = tuple(np.linspace(1e-4, 1e-3, 7))
+_CALIBRATION_ROUNDS = 3
+_CALIBRATION_REL_TOL = 0.02
 
 
 def calibrate_gamma0(
     loop: LoopSpec,
     target_f2: float = 6.34,
-    lambda_sq_list: tuple[float, ...] = DEFAULT_FIT_LAMBDAS,
     gamma0_init: float | None = None,
-    n_states: int | None = None,
     steps: int | None = None,
-    max_rounds: int = 3,
-    rel_tol: float = 0.02,
 ) -> tuple[float, FitResult]:
-    """Scale the flat rate gamma0 until the fitted F2 matches target_f2.
+    """Scale the flat rate gamma0 until the F2 fitted over
+    DEFAULT_FIT_LAMBDAS matches target_f2 to 2%.
 
     The leading fidelity loss is linear in gamma0, so one proportional
-    update per round converges immediately for small couplings. n_states
-    is ignored.
+    update per round converges immediately for small couplings.
     """
     gamma0 = DEFAULT_GAMMA0 if gamma0_init is None else gamma0_init
     fit = None
-    for _ in range(max_rounds):
+    for _ in range(_CALIBRATION_ROUNDS):
         noise = high_temperature_noise(0.0, gamma0=gamma0)
         points = [
             (p.lambda_sq, p.f_star)
-            for p in optimal_point_table(loop, noise, list(lambda_sq_list), steps=steps)
+            for p in optimal_point_table(loop, noise, list(DEFAULT_FIT_LAMBDAS), steps=steps)
         ]
         fit = fit_noise_response(points, "f_linear")
         f2 = fit.coefficient("F2")
-        if abs(f2 - target_f2) <= rel_tol * target_f2:
+        if abs(f2 - target_f2) <= _CALIBRATION_REL_TOL * target_f2:
             return gamma0, fit
         gamma0 *= target_f2 / f2
     return gamma0, fit

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,27 +46,14 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_LAMBDA_LIST = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)
 
-_CONFIG_KEYS = {
-    "loop",
-    "loop_file",
-    "omega",
-    "grid",
-    "omega_tau",
-    "lambda_sq",
-    "gamma0",
-    "noise_file",
-    "states",
-    "steps",
-    "out",
-    "calibrate_f2",
-    "free_intercept",
-    "table",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (file keys overridden by CLI flags)."""
+    """Resolved run configuration (file keys overridden by CLI flags).
+
+    Its fields are the config-file keys and the destinations of the
+    matching flags; nothing else lists them.
+    """
 
     loop: str = "standard"
     loop_file: str | None = None
@@ -76,7 +63,6 @@ class RunConfig:
     lambda_sq: tuple[float, ...] | None = None
     gamma0: float = DEFAULT_GAMMA0
     noise_file: str | None = None
-    states: int | None = None  # ignored; accepted so older configs still load
     steps: int | None = None
     out: str = "out"
     calibrate_f2: float | None = None
@@ -189,79 +175,60 @@ def _read_json_object(path: str, what: str) -> dict:
 def load_config_file(path: str) -> dict:
     doc = _read_json_object(path, "config file")
     doc.pop("provenance", None)  # echoed configs carry a provenance block
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return doc
+
+
+# Flags given as text that parse into a tuple-valued field.
+_FLAG_PARSERS = {"grid": parse_grid_flag, "lambda_sq": parse_lambda_list}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         doc = load_config_file(args.config)
-        for key in ("grid", "lambda_sq"):
+        for key in _FLAG_PARSERS:
             if doc.get(key) is not None:
                 if not isinstance(doc[key], list):
                     raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
                 doc[key] = tuple(doc[key])
         cfg = replace(cfg, **doc)
     overrides = {}
-    if args.loop is not None:
-        overrides["loop"] = args.loop
-    if getattr(args, "loop_file", None) is not None:
-        overrides["loop_file"] = args.loop_file
-    if args.omega is not None:
-        overrides["omega"] = args.omega
-    if args.grid is not None:
-        overrides["grid"] = parse_grid_flag(args.grid)
-    if getattr(args, "omega_tau", None) is not None:
-        overrides["omega_tau"] = args.omega_tau
-    if args.lambda_sq is not None:
-        overrides["lambda_sq"] = parse_lambda_list(args.lambda_sq)
-    if args.gamma0 is not None:
-        overrides["gamma0"] = args.gamma0
-    if args.noise_file is not None:
-        overrides["noise_file"] = args.noise_file
-    if args.states is not None:
-        overrides["states"] = args.states
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.out is not None:
-        overrides["out"] = args.out
-    if getattr(args, "calibrate_f2", None) is not None:
-        overrides["calibrate_f2"] = args.calibrate_f2
-    if getattr(args, "free_intercept", False):
-        overrides["free_intercept"] = True
-    if getattr(args, "table", None) is not None:
-        overrides["table"] = args.table
+    for f in fields(RunConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            parse = _FLAG_PARSERS.get(f.name)
+            overrides[f.name] = parse(value) if parse else value
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
 
 
+def _read_model_file(path: str, what: str, parse):
+    """Parse a loop or noise JSON file; a missing file or a malformed or
+    wrong-typed field is a ConfigError."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} not found: {p}")
+    try:
+        return parse(p.read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"invalid {what} {p}: {type(exc).__name__} {exc}") from exc
+
+
 def build_loop(cfg: RunConfig) -> LoopSpec:
     """Loop template with unit total time; commands rescale per tau."""
     if cfg.loop_file is not None:
-        p = Path(cfg.loop_file)
-        if not p.exists():
-            raise ConfigError(f"loop file not found: {p}")
-        try:
-            return loop_from_json(p.read_text())
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"invalid loop file {p}: {exc}") from exc
+        return _read_model_file(cfg.loop_file, "loop file", loop_from_json)
     n = parse_loop_kind(cfg.loop)
     return wedge_loop(n, cfg.omega, 1.0)
 
 
 def build_noise(cfg: RunConfig, gamma0: float | None = None) -> NoiseModel:
     if cfg.noise_file is not None:
-        p = Path(cfg.noise_file)
-        if not p.exists():
-            raise ConfigError(f"noise file not found: {p}")
-        try:
-            return noise_from_json(p.read_text())
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"invalid noise file {p}: {exc}") from exc
+        return _read_model_file(cfg.noise_file, "noise file", noise_from_json)
     return high_temperature_noise(0.0, gamma0=cfg.gamma0 if gamma0 is None else gamma0)
 
 
@@ -456,13 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated coupling strengths")
         p.add_argument("--gamma0", type=float, help="flat high-T decay rate")
         p.add_argument("--noise-file", dest="noise_file", help="NoiseModel JSON file")
-        p.add_argument("--states", type=int,
-                       help="ignored: the Bloch average is exact (six states)")
         p.add_argument("--steps", type=int, help="integrator steps per loop")
         p.add_argument("--calibrate-f2", dest="calibrate_f2", type=float,
                        help="calibrate gamma0 so the fitted F2 matches this value")
         p.add_argument("--free-intercept", dest="free_intercept", action="store_true",
-                       help="also report free-intercept diagnostic fits")
+                       default=None, help="also report free-intercept diagnostic fits")
         p.add_argument("--table", help="optimal-points JSON file (fit command)")
     return parser
 

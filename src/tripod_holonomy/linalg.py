@@ -12,14 +12,14 @@ from .errors import DimensionMismatch, NonHermitianInput
 
 # Pre-check tolerance for Hermiticity of inputs.
 HERMITIAN_TOL = 1e-10
-# Post-check tolerance on unitarity / reconstruction of outputs.
-POST_TOL = 1e-12
+# Tolerance on the unitarity of computed propagators.
+UNITARY_TOL = 1e-10
 
 
-def is_unitary(u: np.ndarray, tol: float = POST_TOL) -> bool:
-    """True iff ||U^dag U - I||_F <= tol."""
+def is_unitary(u: np.ndarray) -> bool:
+    """True iff ||U^dag U - I||_F <= UNITARY_TOL."""
     u = np.asarray(u)
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= UNITARY_TOL
 
 
 def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:

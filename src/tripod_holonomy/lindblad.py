@@ -74,6 +74,14 @@ class NoiseModel:
             if k not in FREQUENCY_MULTIPLES:
                 raise ValueError(f"lamb_shift keyed by unknown frequency multiple {k}")
 
+    @property
+    def dissipative(self) -> bool:
+        """True iff the bath acts: lambda_sq > 0 and some rate or Lamb
+        shift is non-zero. Otherwise the evolution is exactly unitary."""
+        return self.lambda_sq > 0 and (
+            any(self.gamma.values()) or any(self.lamb_shift.values())
+        )
+
     def rate(self, k: int) -> float:
         return float(self.gamma.get(k, 0.0))
 
@@ -201,11 +209,6 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
         steps = default_step_count(loop)
     if steps < len(loop.arcs):
         raise StepCountTooSmall(f"need at least one step per arc, got {steps}")
-    lam = noise.lambda_sq
-    dissipative = lam > 0 and (
-        any(g != 0 for g in noise.gamma.values())
-        or any(s != 0 for s in noise.lamb_shift.values())
-    )
     phi = np.eye(16, dtype=complex)
     total = loop.total_time
     for i, arc in enumerate(loop.arcs):
@@ -215,12 +218,9 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
         energies = np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex)
         l_unit = _commutator_superop(energies + gen)
         # generators at the 2n + 1 RK4 stage times (step ends and midpoints)
-        if dissipative:
-            local = np.arange(2 * n + 1) * (h / 2.0)
-            local[-1] = arc.duration
-            l_all = l_unit[None, :, :] + lam * _dissipator_superops(arc, local, noise)
-        else:
-            l_all = np.broadcast_to(l_unit, (2 * n + 1, 16, 16))
+        local = np.arange(2 * n + 1) * (h / 2.0)
+        local[-1] = arc.duration
+        l_all = l_unit[None, :, :] + noise.lambda_sq * _dissipator_superops(arc, local, noise)
         for j in range(n):
             la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
             k1 = la @ phi

@@ -25,8 +25,6 @@ from .tripod import (
     hamiltonian,
 )
 
-PROPAGATOR_UNITARY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class GatePropagator:
@@ -37,7 +35,7 @@ class GatePropagator:
     kind: str = "exact"  # exact | adiabatic | oracle
 
     def __post_init__(self) -> None:
-        if not is_unitary(self.matrix, PROPAGATOR_UNITARY_TOL):
+        if not is_unitary(self.matrix):
             raise ValueError("propagator is not unitary to tolerance")
 
 

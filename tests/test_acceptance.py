@@ -62,7 +62,7 @@ def test_revival_exactness():
         f = mean_fidelity(with_total_time(loop, tau_k), noise)
         worst_f = max(worst_f, abs(f - 1.0))
         point = find_optimal_point(
-            loop, noise, window=(0.9 * tau_k, 1.1 * tau_k), n_states=60
+            loop, noise, window=(0.9 * tau_k, 1.1 * tau_k)
         )
         worst_tau = max(worst_tau, abs(point.tau_star - tau_k))
     _report(
@@ -143,15 +143,15 @@ def test_master_equation_sanity():
     # pointwise ordering across the coupling list on a shared grid
     grid = np.array([10.0, 14.0, tau1, 23.0, 30.0, 37.4, 45.0, 56.35])
     curves = sweep(
-        standard_not_loop(1.0, 1.0), grid, list(CURVE_LAMBDAS), n_states=40,
+        standard_not_loop(1.0, 1.0), grid, list(CURVE_LAMBDAS),
         noise=high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0),
     )
     values = np.stack([c.mean_fidelity for c in curves])
     ordered = bool(np.all(np.diff(values, axis=0) <= 1e-12))
     # step-halving stability of the fidelity
     noise = high_temperature_noise(0.01, gamma0=DEFAULT_GAMMA0)
-    f_default = mean_fidelity(loop, noise, n_states=40)
-    f_fine = mean_fidelity(loop, noise, n_states=40, steps=2 * default_step_count(loop))
+    f_default = mean_fidelity(loop, noise)
+    f_fine = mean_fidelity(loop, noise, steps=2 * default_step_count(loop))
     richardson = abs(f_default - f_fine)
     _report(
         "master-equation sanity (unitary limit, trace, ordering, convergence)",
@@ -199,14 +199,14 @@ def test_noise_response_laws(default_noise_table):
 def test_robustness_criterion():
     loop = standard_not_loop(1.0, 1.0)
     base = high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0)
-    r_zero = robustness(loop, base, n_states=60)
+    r_zero = robustness(loop, base)
     grid_r = [
-        robustness(loop, base.with_lambda_sq(lam), n_states=60) for lam in ROBUSTNESS_LAMBDAS
+        robustness(loop, base.with_lambda_sq(lam)) for lam in ROBUSTNESS_LAMBDAS
     ]
     increasing = bool(np.all(np.diff(grid_r) > 0))
     small = [0.0, 0.00125, 0.0025, 0.00375, 0.005]
     small_r = [0.0 if lam == 0.0 else (
-        grid_r[0] if lam == 0.005 else robustness(loop, base.with_lambda_sq(lam), n_states=60)
+        grid_r[0] if lam == 0.005 else robustness(loop, base.with_lambda_sq(lam))
     ) for lam in small]
     slope, offset = np.polyfit(small, small_r, 1)
     resid = np.abs(np.array(small_r) - (slope * np.array(small) + offset)).max()

@@ -69,10 +69,6 @@ class TestMeanFidelity:
         fids = per_state_fidelities(not_loop, no_noise)
         assert np.all(np.abs(fids - 1.0) <= 1e-6)
 
-    def test_identity_target_gives_exact_one(self, not_loop, no_noise):
-        u = loop_propagator(not_loop).matrix
-        assert mean_fidelity(not_loop, no_noise, target=u) == pytest.approx(1.0, abs=1e-14)
-
     def test_large_time_approaches_unity(self, no_noise):
         loop = standard_not_loop(1.0, 1000.37)
         assert mean_fidelity(loop, no_noise) >= 0.99
@@ -87,7 +83,7 @@ class TestSweep:
     def test_noiseless_maxima_at_revivals(self, no_noise):
         revivals = [optimal_time(k, 1, 1.0) for k in (1, 2, 3)]
         grid = np.unique(np.concatenate([np.linspace(10, 60, 11), revivals]))
-        curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.0], n_states=40)
+        curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.0])
         curve = curves[0]
         for r in revivals:
             idx = int(np.argmin(np.abs(curve.omega_tau - r)))
@@ -96,8 +92,7 @@ class TestSweep:
     def test_pointwise_ordering_in_coupling(self):
         grid = np.linspace(14.0, 22.0, 5)
         noise = high_temperature_noise(0.0, gamma0=0.5)
-        curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.005, 0.01],
-                       n_states=30, noise=noise)
+        curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.005, 0.01], noise=noise)
         assert np.all(curves[1].mean_fidelity <= curves[0].mean_fidelity + 1e-12)
 
     def test_empty_lambda_list(self):
@@ -109,7 +104,7 @@ class TestSweep:
             sweep(standard_not_loop(1.0, 1.0), np.array([12.0, 10.0]), [0.0])
 
     def test_csv_format(self, no_noise):
-        curves = sweep(standard_not_loop(1.0, 1.0), np.array([18.0, 19.0]), [0.0], n_states=20)
+        curves = sweep(standard_not_loop(1.0, 1.0), np.array([18.0, 19.0]), [0.0])
         text = sweep_curve_to_csv(curves[0])
         lines = text.strip().split("\n")
         assert lines[0] == "omega_tau,mean_fidelity"
@@ -120,21 +115,21 @@ class TestSweep:
 
 class TestFindOptimalPoint:
     def test_noiseless_peak_matches_closed_form(self, no_noise):
-        pt = find_optimal_point(standard_not_loop(1.0, 1.0), no_noise, n_states=40)
+        pt = find_optimal_point(standard_not_loop(1.0, 1.0), no_noise)
         assert abs(pt.tau_star - OMEGA_TAU_1) <= 1e-3
         assert pt.f_star >= 1.0 - 1e-6
         assert pt.lambda_sq == 0.0
 
     def test_noisy_peak_lower_and_earlier(self):
         noise = high_temperature_noise(0.01, gamma0=0.5)
-        pt = find_optimal_point(standard_not_loop(1.0, 1.0), noise, n_states=30)
+        pt = find_optimal_point(standard_not_loop(1.0, 1.0), noise)
         assert pt.tau_star < OMEGA_TAU_1
         assert pt.f_star < 1.0
 
     def test_monotone_window_raises(self, no_noise):
         with pytest.raises(NoPeakInWindow):
             find_optimal_point(
-                standard_not_loop(1.0, 1.0), no_noise, n_states=20, window=(10.0, 14.0)
+                standard_not_loop(1.0, 1.0), no_noise, window=(10.0, 14.0)
             )
 
 
@@ -220,10 +215,10 @@ class TestFOfTauRelation:
 
 class TestRobustness:
     def test_zero_coupling_gives_zero(self, no_noise):
-        r = robustness(standard_not_loop(1.0, 1.0), no_noise, n_states=30)
+        r = robustness(standard_not_loop(1.0, 1.0), no_noise)
         assert abs(r) <= 1e-6
 
     def test_positive_for_noisy_gate(self):
         noise = high_temperature_noise(0.02, gamma0=0.5)
-        r = robustness(standard_not_loop(1.0, 1.0), noise, n_states=30)
+        r = robustness(standard_not_loop(1.0, 1.0), noise)
         assert r > 0.0

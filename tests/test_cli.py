@@ -9,6 +9,12 @@ from tripod_holonomy.loops import loop_to_dict, wedge_loop
 OMEGA_TAU_1 = 18.251004041881252
 
 
+def non_contiguous_loop_doc():
+    doc = loop_to_dict(wedge_loop(2, 1.0, 1.0))
+    doc["arcs"][1]["start_angle"] = 0.1
+    return doc
+
+
 def run(argv, capsys=None):
     code = main(argv)
     if capsys is not None:
@@ -58,22 +64,24 @@ class TestHolonomyCommand:
             atol=1e-9,
         )
 
-    def test_non_contiguous_loop_file_is_config_error(self, tmp_path, capsys):
-        doc = loop_to_dict(wedge_loop(2, 1.0, 1.0))
-        doc["arcs"][1]["start_angle"] = 0.1
+    @pytest.mark.parametrize("doc, message", [
+        (non_contiguous_loop_doc(), "not contiguous"),
+        ({"omega_scale": 1, "arcs": 5}, "TypeError"),
+        ([1, 2], "TypeError"),
+    ], ids=["non-contiguous", "arcs-not-a-list", "bare-list"])
+    def test_bad_loop_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(doc))
         code, out = run(["holonomy", "--loop-file", str(path)], capsys)
         assert code == 2
-        assert "not contiguous" in out.err
+        assert message in out.err
 
 
 class TestSweepCommands:
     def test_ideal_sweep_single_point(self, tmp_path):
         out = tmp_path / "run"
         code = main([
-            "ideal-sweep", "--omega-tau", f"{OMEGA_TAU_1}", "--states", "30",
-            "--out", str(out),
+            "ideal-sweep", "--omega-tau", f"{OMEGA_TAU_1}", "--out", str(out),
         ])
         assert code == 0
         rows = (out / "sweep_lambda2_0.csv").read_text().strip().split("\n")
@@ -97,7 +105,7 @@ class TestSweepCommands:
 
     def test_noisy_zero_lambda_matches_ideal(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["--grid", "17:19:3", "--states", "24"]
+        args = ["--grid", "17:19:3"]
         assert main(["ideal-sweep", *args, "--out", str(a)]) == 0
         assert main(["noisy-sweep", *args, "--lambda-sq", "0", "--out", str(b)]) == 0
         assert (a / "sweep_lambda2_0.csv").read_bytes() == (b / "sweep_lambda2_0.csv").read_bytes()
@@ -106,7 +114,7 @@ class TestSweepCommands:
         out = tmp_path / "n"
         code = main([
             "noisy-sweep", "--grid", "18:19:2", "--lambda-sq", "0,0.01",
-            "--gamma0", "0.5", "--states", "16", "--steps", "600", "--out", str(out),
+            "--gamma0", "0.5", "--steps", "600", "--out", str(out),
         ])
         assert code == 0
         assert (out / "sweep_lambda2_0.csv").exists()
@@ -115,18 +123,38 @@ class TestSweepCommands:
         noisy = np.loadtxt(out / "sweep_lambda2_0.01.csv", delimiter=",", skiprows=1)
         assert np.all(noisy[:, 1] <= ideal[:, 1])
 
-    def test_missing_noise_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, message", [
+        (None, "nowhere/missing.json"),
+        ({"lambda_sq": 0, "gamma": 5}, "AttributeError"),
+    ], ids=["missing", "gamma-not-a-table"])
+    def test_bad_noise_file_is_config_error(self, tmp_path, capsys, doc, message):
+        path = "nowhere/missing.json"
+        if doc is not None:
+            path = tmp_path / "noise.json"
+            path.write_text(json.dumps(doc))
         code, out = run([
-            "noisy-sweep", "--grid", "18:19:2", "--noise-file", "nowhere/missing.json",
+            "noisy-sweep", "--grid", "18:19:2", "--noise-file", str(path),
             "--out", str(tmp_path / "x"),
         ], capsys)
         assert code == 2
-        assert "nowhere/missing.json" in out.err
+        assert message in out.err
+
+    def test_zero_rate_noise_file_gives_noiseless_fidelity(self, tmp_path):
+        # No rate and no Lamb shift: the evolution is unitary at any
+        # coupling, so the exact propagator is used and the bytes match.
+        noise = tmp_path / "silent.json"
+        noise.write_text(json.dumps({"lambda_sq": 0.0, "gamma": {"0": 0.0, "1": 0.0}}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["noisy-sweep", "--grid", "10:30:5", "--noise-file", str(noise)]
+        assert main([*args, "--lambda-sq", "0.01", "--out", str(a)]) == 0
+        assert main([*args, "--lambda-sq", "0", "--out", str(b)]) == 0
+        noisy = (a / "sweep_lambda2_0.01.csv").read_bytes()
+        assert noisy == (b / "sweep_lambda2_0.csv").read_bytes()
 
     def test_under_resolved_run_exits_3(self, tmp_path):
         code = main([
             "noisy-sweep", "--omega-tau", "2000", "--lambda-sq", "0.05",
-            "--steps", "3", "--states", "8", "--out", str(tmp_path / "x"),
+            "--steps", "3", "--out", str(tmp_path / "x"),
         ])
         assert code == 3
 
@@ -143,7 +171,7 @@ class TestOptimalAndFit:
     def test_optimal_single_lambda(self, tmp_path):
         out = tmp_path / "opt"
         code = main([
-            "optimal", "--lambda-sq", "0", "--states", "30", "--out", str(out),
+            "optimal", "--lambda-sq", "0", "--out", str(out),
         ])
         assert code == 0
         doc = json.loads((out / "optimal_points.json").read_text())
@@ -152,7 +180,7 @@ class TestOptimalAndFit:
         assert row["lambda_sq"] == 0.0
         assert abs(row["omega_tau_star"] - OMEGA_TAU_1) <= 1e-3
         assert row["f_star"] >= 1.0 - 1e-6
-        assert doc["config"]["states"] == 30
+        assert "states" not in doc["config"]
 
     def test_fit_recovers_synthetic_reference_coefficients(self, tmp_path):
         lams = np.linspace(1e-4, 1e-3, 7)
@@ -202,7 +230,7 @@ class TestOptimalAndFit:
     def test_robustness_zero_coupling(self, tmp_path):
         out = tmp_path / "rob"
         code = main([
-            "robustness", "--lambda-sq", "0", "--states", "24", "--out", str(out),
+            "robustness", "--lambda-sq", "0", "--out", str(out),
         ])
         assert code == 0
         doc = json.loads((out / "robustness.json").read_text())
@@ -212,7 +240,7 @@ class TestOptimalAndFit:
 
 class TestDeterminismAndRoundTrip:
     def test_identical_config_identical_bytes(self, tmp_path):
-        args = ["ideal-sweep", "--grid", "17:20:4", "--states", "20"]
+        args = ["ideal-sweep", "--grid", "17:20:4"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
@@ -220,7 +248,7 @@ class TestDeterminismAndRoundTrip:
 
     def test_rerun_from_emitted_config(self, tmp_path):
         a = tmp_path / "a"
-        assert main(["ideal-sweep", "--grid", "17:20:4", "--states", "20",
+        assert main(["ideal-sweep", "--grid", "17:20:4",
                      "--out", str(a)]) == 0
         emitted = a / "run_config.json"
         b = tmp_path / "b"
@@ -243,18 +271,24 @@ class TestDeterminismAndRoundTrip:
         assert code == 2
         assert key in out.err
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("config, flags", [
+        ({"grid": [17, 20, 4], "typo_key": 1}, []),
+        ({"grid": [17, 20, 4], "states": None}, []),
+        ({"grid": [17, 20, 4]}, ["--states", "30"]),
+    ], ids=["typo-key", "states-key", "states-flag"])
+    def test_unknown_config_key_rejected(self, tmp_path, config, flags):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": [17, 20, 4], "typo_key": 1}))
-        assert main(["ideal-sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        cfg.write_text(json.dumps(config))
+        assert main(["ideal-sweep", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_invalid_worker_env_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOMY_THREADS", "many")
-        code = main(["ideal-sweep", "--grid", "17:19:2", "--states", "16",
+        code = main(["ideal-sweep", "--grid", "17:19:2",
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
     def test_worker_env_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOMY_THREADS", "1")
-        assert main(["ideal-sweep", "--grid", "17:19:2", "--states", "16",
+        assert main(["ideal-sweep", "--grid", "17:19:2",
                      "--out", str(tmp_path / "x")]) == 0

@@ -112,6 +112,12 @@ class TestNoiseModel:
         )
         assert noise_from_json(noise_to_json(noise)) == noise
 
+    def test_dissipative_needs_coupling_and_a_rate_or_shift(self):
+        assert high_temperature_noise(0.01).dissipative
+        assert NoiseModel(lambda_sq=0.01, lamb_shift={1: 0.2}).dissipative
+        assert not high_temperature_noise(0.0).dissipative
+        assert not NoiseModel(lambda_sq=0.01, gamma={0: 0.0, 1: 0.0}).dissipative
+
 
 class TestJumpOperators:
     """The test-side reference decomposition obeys the eigenoperator laws."""

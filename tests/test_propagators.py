@@ -114,7 +114,7 @@ class TestLoopPropagator:
     @pytest.mark.parametrize("k,n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
     def test_revival_fidelity_is_one(self, k, n):
         loop = wedge_loop(n, 1.0, optimal_time(k, n, 1.0))
-        f = mean_fidelity(loop, high_temperature_noise(0.0), n_states=60)
+        f = mean_fidelity(loop, high_temperature_noise(0.0))
         assert abs(f - 1.0) <= 1e-6
 
     def test_adiabatic_limit_dark_block(self):
@@ -124,7 +124,7 @@ class TestLoopPropagator:
 
     def test_far_from_revival_not_a_not_gate(self):
         loop = standard_not_loop(1.0, 5.0)
-        f = mean_fidelity(loop, high_temperature_noise(0.0), n_states=60)
+        f = mean_fidelity(loop, high_temperature_noise(0.0))
         assert f < 0.9
 
     def test_unitarity_random_taus(self, rng):
@@ -137,8 +137,8 @@ class TestLoopPropagator:
         tau = 13.4
         fwd = standard_not_loop(1.0, tau)
         rev = reverse_loop(fwd)
-        f_fwd = mean_fidelity(fwd, high_temperature_noise(0.0), n_states=80)
-        f_rev = mean_fidelity(rev, high_temperature_noise(0.0), n_states=80)
+        f_fwd = mean_fidelity(fwd, high_temperature_noise(0.0))
+        f_rev = mean_fidelity(rev, high_temperature_noise(0.0))
         assert abs(f_fwd - f_rev) <= 1e-9
 
     def test_non_unitary_matrix_rejected(self):
