@@ -83,18 +83,6 @@ class SweepCurve:
     omega_tau: np.ndarray
     mean_fidelity: np.ndarray
 
-    def __post_init__(self) -> None:
-        ot = np.asarray(self.omega_tau, dtype=float)
-        mf = np.asarray(self.mean_fidelity, dtype=float)
-        if ot.shape != mf.shape or ot.ndim != 1:
-            raise ValueError("omega_tau and mean_fidelity must be matching 1-d arrays")
-        if len(ot) > 1 and not np.all(np.diff(ot) > 0):
-            raise ValueError("omega_tau samples must be strictly increasing")
-        if np.any(mf < -1e-9) or np.any(mf > 1.0 + 1e-9):
-            raise ValueError("mean fidelity outside [0, 1]")
-        object.__setattr__(self, "omega_tau", ot)
-        object.__setattr__(self, "mean_fidelity", mf)
-
 
 def _sweep_task(args: tuple) -> float:
     loop, noise, steps, omega_tau = args

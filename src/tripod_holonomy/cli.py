@@ -1,7 +1,7 @@
 """Command-line front end: sweeps, optimal-point tables, fits, robustness,
-and holonomy output, all driven by a single JSON config that CLI flags
-override. Every run echoes its resolved config for provenance, so outputs
-can be reproduced from themselves.
+and holonomy output, each driven by a JSON config that CLI flags override.
+A command takes only the settings it reads (`_SETTINGS`) and echoes them
+for provenance, so outputs can be reproduced from themselves.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-validation
 failure.
@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ class RunConfig:
     """Resolved run configuration (file keys overridden by CLI flags).
 
     Its fields are the config-file keys and the destinations of the
-    matching flags; nothing else lists them.
+    matching flags; `_SETTINGS` says which of them each command reads.
     """
 
     loop: str = "standard"
@@ -75,6 +75,8 @@ class RunConfig:
             optional = name not in ("loop", "out")
             if not (isinstance(value, str) or (optional and value is None)):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.free_intercept, bool):
+            raise ConfigError(f"free_intercept must be true or false, got {self.free_intercept!r}")
         _check_number("omega", self.omega, minimum=0.0, strict=True)
         _check_number("gamma0", self.gamma0, minimum=0.0)
         if self.omega_tau is not None:
@@ -108,6 +110,42 @@ class RunConfig:
             raise ConfigError("no Omega*tau grid configured (use --grid or omega_tau)")
         start, stop, points = self.grid
         return np.linspace(start, stop, points)
+
+
+_LOOP = ("loop", "loop_file", "omega", "out")
+_GRID = ("grid", "omega_tau")
+_NOISE = ("lambda_sq", "gamma0", "noise_file", "steps", "calibrate_f2")
+
+# The RunConfig fields each command reads: its flags, the keys its config
+# file may hold and the keys its config echo writes. Unread fields keep
+# their defaults.
+_SETTINGS = {
+    "ideal-sweep": _LOOP + _GRID,
+    "noisy-sweep": _LOOP + _GRID + _NOISE,
+    "optimal": _LOOP + _NOISE,
+    "fit": ("loop", "loop_file", "out", "table", "free_intercept"),
+    "robustness": _LOOP + _NOISE,
+    "holonomy": ("loop", "loop_file", "out"),
+}
+
+# argparse keywords of the flag --field-name of each RunConfig field.
+_FLAGS = {
+    "loop": {"help": "standard or wedge:N"},
+    "loop_file": {"help": "LoopSpec JSON file; its omega_scale is Omega"},
+    "omega": {"type": float, "help": "energy scale Omega of a --loop loop"},
+    "out": {"help": "output directory"},
+    "grid": {"help": "Omega*tau grid as START:STOP:POINTS"},
+    "omega_tau": {"type": float, "help": "single Omega*tau instead of a grid"},
+    "lambda_sq": {"help": "comma-separated coupling strengths"},
+    "gamma0": {"type": float, "help": "flat high-T decay rate"},
+    "noise_file": {"help": "NoiseModel JSON file"},
+    "steps": {"type": int, "help": "integrator steps per loop"},
+    "calibrate_f2": {"type": float,
+                     "help": "calibrate gamma0 so the fitted F2 matches this value"},
+    "table": {"help": "optimal-points JSON file, as optimal writes"},
+    "free_intercept": {"action": "store_true", "default": None,
+                       "help": "also report free-intercept diagnostic fits"},
+}
 
 
 def _is_number(value) -> bool:
@@ -172,36 +210,32 @@ def _read_json_object(path: str, what: str) -> dict:
     return doc
 
 
-def load_config_file(path: str) -> dict:
-    doc = _read_json_object(path, "config file")
-    doc.pop("provenance", None)  # echoed configs carry a provenance block
-    unknown = set(doc) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return doc
-
-
 # Flags given as text that parse into a tuple-valued field.
 _FLAG_PARSERS = {"grid": parse_grid_flag, "lambda_sq": parse_lambda_list}
 
 
+def load_config_file(path: str, command: str) -> dict:
+    doc = _read_json_object(path, "config file")
+    doc.pop("provenance", None)  # echoed configs carry a provenance block
+    unread = set(doc) - set(_SETTINGS[command])
+    if unread:
+        raise ConfigError(f"config keys {command} does not read: {sorted(unread)}")
+    for key in _FLAG_PARSERS:
+        if doc.get(key) is not None:
+            if not isinstance(doc[key], list):
+                raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
+            doc[key] = tuple(doc[key])
+    return doc
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        doc = load_config_file(args.config)
-        for key in _FLAG_PARSERS:
-            if doc.get(key) is not None:
-                if not isinstance(doc[key], list):
-                    raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
-                doc[key] = tuple(doc[key])
-        cfg = replace(cfg, **doc)
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name)
+    doc = load_config_file(args.config, args.command) if args.config else {}
+    for key in _SETTINGS[args.command]:
+        value = getattr(args, key)
         if value is not None:
-            parse = _FLAG_PARSERS.get(f.name)
-            overrides[f.name] = parse(value) if parse else value
-    cfg = replace(cfg, **overrides)
+            parse = _FLAG_PARSERS.get(key)
+            doc[key] = parse(value) if parse else value
+    cfg = replace(RunConfig(), **doc)
     cfg.validate()
     return cfg
 
@@ -232,8 +266,9 @@ def build_noise(cfg: RunConfig, gamma0: float | None = None) -> NoiseModel:
     return high_temperature_noise(0.0, gamma0=cfg.gamma0 if gamma0 is None else gamma0)
 
 
-def resolved_config_doc(cfg: RunConfig, extra: dict | None = None) -> dict:
-    doc = asdict(cfg)
+def resolved_config_doc(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
+    """The settings the command reads, plus a provenance block."""
+    doc = {key: getattr(cfg, key) for key in _SETTINGS[command]}
     doc["provenance"] = {"version": __version__, **(extra or {})}
     return doc
 
@@ -248,8 +283,10 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _write_run_config(out_dir: Path, cfg: RunConfig, extra: dict | None = None) -> dict:
-    doc = resolved_config_doc(cfg, extra)
+def _write_run_config(
+    out_dir: Path, cfg: RunConfig, command: str, extra: dict | None = None
+) -> dict:
+    doc = resolved_config_doc(cfg, command, extra)
     _write(out_dir / "run_config.json", _json_dump(doc))
     return doc
 
@@ -284,25 +321,25 @@ def _maybe_calibrate(cfg: RunConfig, loop: LoopSpec) -> tuple[NoiseModel, dict]:
     return build_noise(cfg, gamma0=gamma0), extras
 
 
+def _lambdas(cfg: RunConfig) -> list[float]:
+    return list(cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST)
+
+
 def cmd_ideal_sweep(cfg: RunConfig) -> int:
-    lambdas = cfg.lambda_sq if cfg.lambda_sq is not None else (0.0,)
-    if tuple(lambdas) != (0.0,):
-        raise ConfigError("ideal-sweep runs at lambda_sq = 0 only")
-    return _run_sweep(cfg, (0.0,))
+    curves = sweep(build_loop(cfg), cfg.grid_values(), [0.0])
+    return _write_sweep(cfg, "ideal-sweep", curves)
 
 
 def cmd_noisy_sweep(cfg: RunConfig) -> int:
-    lambdas = cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST
-    return _run_sweep(cfg, tuple(lambdas))
-
-
-def _run_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> int:
-    loop = build_loop(cfg)
+    loop, grid = build_loop(cfg), cfg.grid_values()
     noise, extras = _maybe_calibrate(cfg, loop)
-    grid = cfg.grid_values()
+    curves = sweep(loop, grid, _lambdas(cfg), steps=cfg.steps, noise=noise)
+    return _write_sweep(cfg, "noisy-sweep", curves, extras)
+
+
+def _write_sweep(cfg: RunConfig, command: str, curves, extras: dict | None = None) -> int:
     out_dir = Path(cfg.out)
-    curves = sweep(loop, grid, list(lambdas), steps=cfg.steps, noise=noise)
-    _write_run_config(out_dir, cfg, extras)
+    _write_run_config(out_dir, cfg, command, extras)
     for curve in curves:
         name = f"sweep_lambda2_{format_lambda(curve.lambda_sq)}.csv"
         _write(out_dir / name, sweep_curve_to_csv(curve))
@@ -312,13 +349,12 @@ def _run_sweep(cfg: RunConfig, lambdas: tuple[float, ...]) -> int:
 def cmd_optimal(cfg: RunConfig) -> int:
     loop = build_loop(cfg)
     noise, extras = _maybe_calibrate(cfg, loop)
-    lambdas = cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST
-    points = optimal_point_table(loop, noise, list(lambdas), steps=cfg.steps)
+    points = optimal_point_table(loop, noise, _lambdas(cfg), steps=cfg.steps)
     out_dir = Path(cfg.out)
     doc = {
-        "config": _write_run_config(out_dir, cfg, extras),
+        "config": _write_run_config(out_dir, cfg, "optimal", extras),
         "rows": [
-            {**p.to_dict(), "omega_tau_star": cfg.omega * p.tau_star} for p in points
+            {**p.to_dict(), "omega_tau_star": loop.omega_scale * p.tau_star} for p in points
         ],
     }
     _write(out_dir / "optimal_points.json", _json_dump(doc))
@@ -338,8 +374,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         raise ConfigError(
             f"invalid row in table {cfg.table}: {type(exc).__name__} {exc}"
         ) from exc
-    loop = build_loop(cfg)
-    tau1 = cfg.omega * optimal_time(1, wedge_order(loop), cfg.omega)
+    tau1 = optimal_time(1, wedge_order(build_loop(cfg)), 1.0)  # Omega*tau*_1
 
     fits = {
         "f_linear": fit_noise_response(f_pts, "f_linear"),
@@ -357,7 +392,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     slope = f_of_tau_relation(fits["f_linear"], fits["tau_linear"])
     out_dir = Path(cfg.out)
     out_doc = {
-        "config": _write_run_config(out_dir, cfg),
+        "config": _write_run_config(out_dir, cfg, "fit"),
         "fits": {name: fit.to_dict() for name, fit in fits.items()},
         "f_of_tau_slope": slope,
     }
@@ -368,13 +403,12 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_robustness(cfg: RunConfig) -> int:
     loop = build_loop(cfg)
     noise, extras = _maybe_calibrate(cfg, loop)
-    lambdas = cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST
     rows = []
-    for lam in lambdas:
+    for lam in _lambdas(cfg):
         r = robustness(loop, noise.with_lambda_sq(lam), steps=cfg.steps)
         rows.append({"lambda_sq": lam, "robustness": r})
     out_dir = Path(cfg.out)
-    doc = {"config": _write_run_config(out_dir, cfg, extras), "rows": rows}
+    doc = {"config": _write_run_config(out_dir, cfg, "robustness", extras), "rows": rows}
     _write(out_dir / "robustness.json", _json_dump(doc))
     return EXIT_OK
 
@@ -383,7 +417,7 @@ def cmd_holonomy(cfg: RunConfig) -> int:
     loop = build_loop(cfg)
     hol = adiabatic_holonomy(loop)
     doc = {
-        "config": resolved_config_doc(cfg),
+        "config": resolved_config_doc(cfg, "holonomy"),
         "dim": 2,
         "entries": matrix_entries(hol),
     }
@@ -412,23 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--loop", help="standard or wedge:N")
-        p.add_argument("--loop-file", dest="loop_file", help="LoopSpec JSON file")
-        p.add_argument("--omega", type=float, help="energy scale Omega")
-        p.add_argument("--grid", help="Omega*tau grid as START:STOP:POINTS")
-        p.add_argument("--omega-tau", dest="omega_tau", type=float,
-                       help="single Omega*tau instead of a grid")
-        p.add_argument("--lambda-sq", dest="lambda_sq",
-                       help="comma-separated coupling strengths")
-        p.add_argument("--gamma0", type=float, help="flat high-T decay rate")
-        p.add_argument("--noise-file", dest="noise_file", help="NoiseModel JSON file")
-        p.add_argument("--steps", type=int, help="integrator steps per loop")
-        p.add_argument("--calibrate-f2", dest="calibrate_f2", type=float,
-                       help="calibrate gamma0 so the fitted F2 matches this value")
-        p.add_argument("--free-intercept", dest="free_intercept", action="store_true",
-                       default=None, help="also report free-intercept diagnostic fits")
-        p.add_argument("--table", help="optimal-points JSON file (fit command)")
+        for key in _SETTINGS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
     return parser
 
 

@@ -60,7 +60,6 @@ class NoiseModel:
     lambda_sq: float
     gamma: dict[int, float] = field(default_factory=dict)
     lamb_shift: dict[int, float] = field(default_factory=dict)
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not (self.lambda_sq >= 0 and np.isfinite(self.lambda_sq)):
@@ -68,11 +67,13 @@ class NoiseModel:
         for k, g in self.gamma.items():
             if k not in FREQUENCY_MULTIPLES:
                 raise ValueError(f"gamma keyed by unknown frequency multiple {k}")
-            if g < 0:
-                raise ValueError("decay rates must be >= 0")
-        for k in self.lamb_shift:
+            if not (g >= 0 and np.isfinite(g)):
+                raise ValueError(f"decay rates must be finite and >= 0, got {g}")
+        for k, s in self.lamb_shift.items():
             if k not in FREQUENCY_MULTIPLES:
                 raise ValueError(f"lamb_shift keyed by unknown frequency multiple {k}")
+            if not np.isfinite(s):
+                raise ValueError(f"Lamb shifts must be finite, got {s}")
 
     @property
     def dissipative(self) -> bool:
@@ -92,25 +93,9 @@ class NoiseModel:
         return replace(self, lambda_sq=lambda_sq)
 
 
-def high_temperature_noise(
-    lambda_sq: float, gamma0: float = DEFAULT_GAMMA0, label: str = "high-T flat"
-) -> NoiseModel:
+def high_temperature_noise(lambda_sq: float, gamma0: float = DEFAULT_GAMMA0) -> NoiseModel:
     """Flat rate table gamma(omega) = gamma0, zero Lamb shifts."""
-    return NoiseModel(
-        lambda_sq=lambda_sq,
-        gamma={k: gamma0 for k in FREQUENCY_MULTIPLES},
-        lamb_shift={},
-        label=label,
-    )
-
-
-def noise_to_dict(noise: NoiseModel) -> dict:
-    return {
-        "lambda_sq": noise.lambda_sq,
-        "gamma": {str(k): v for k, v in noise.gamma.items()},
-        "lamb_shift": {str(k): v for k, v in noise.lamb_shift.items()},
-        "label": noise.label,
-    }
+    return NoiseModel(lambda_sq=lambda_sq, gamma={k: gamma0 for k in FREQUENCY_MULTIPLES})
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:
@@ -118,12 +103,7 @@ def noise_from_dict(doc: dict) -> NoiseModel:
         lambda_sq=float(doc["lambda_sq"]),
         gamma={int(k): float(v) for k, v in doc.get("gamma", {}).items()},
         lamb_shift={int(k): float(v) for k, v in doc.get("lamb_shift", {}).items()},
-        label=str(doc.get("label", "")),
     )
-
-
-def noise_to_json(noise: NoiseModel) -> str:
-    return json.dumps(noise_to_dict(noise), indent=2)
 
 
 def noise_from_json(text: str) -> NoiseModel:
@@ -184,7 +164,6 @@ class LoopChannel:
     """
 
     loop: LoopSpec
-    noise: NoiseModel
     steps: int
     phi: np.ndarray
 
@@ -228,7 +207,7 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
             k3 = lb @ (phi + (0.5 * h) * k2)
             k4 = lc @ (phi + h * k3)
             phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    channel = LoopChannel(loop=loop, noise=noise, steps=steps, phi=phi)
+    channel = LoopChannel(loop=loop, steps=steps, phi=phi)
     if channel.trace_defect() > 1e-6:
         raise StepCountTooSmall(
             f"trace drift {channel.trace_defect():.2e} above 1e-6; increase steps"

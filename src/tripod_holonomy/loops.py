@@ -97,12 +97,12 @@ class LoopSpec:
 
     def start_point(self) -> SphericalPoint:
         th, ph = self.arcs[0].angles(0.0)
-        return SphericalPoint(theta=th, phi=ph, omega=self.omega_scale)
+        return SphericalPoint(theta=th, phi=ph)
 
     def end_point(self) -> SphericalPoint:
         last = self.arcs[-1]
         th, ph = last.angles(last.duration)
-        return SphericalPoint(theta=th, phi=ph, omega=self.omega_scale)
+        return SphericalPoint(theta=th, phi=ph)
 
 
 def _points_coincide(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -213,24 +213,6 @@ def optimal_time(k: int, n: int, omega: float) -> float:
     return (2 * n + 1) * np.pi / (2 * n * omega) * np.sqrt(16.0 * k * k * n * n - 1.0)
 
 
-def loop_to_dict(loop: LoopSpec) -> dict:
-    """JSON-ready representation (fields mirror the dataclasses)."""
-    return {
-        "omega_scale": loop.omega_scale,
-        "arcs": [
-            {
-                "kind": a.kind.value,
-                "fixed_angle": a.fixed_angle,
-                "start_angle": a.start_angle,
-                "end_angle": a.end_angle,
-                "duration": a.duration,
-            }
-            for a in loop.arcs
-        ],
-        "total_time": loop.total_time,
-    }
-
-
 def loop_from_dict(doc: dict) -> LoopSpec:
     arcs = tuple(
         ArcSegment(
@@ -247,10 +229,6 @@ def loop_from_dict(doc: dict) -> LoopSpec:
     if declared is not None and abs(loop.total_time - float(declared)) > 1e-9 * loop.total_time:
         raise ValueError("declared total_time inconsistent with arc durations")
     return loop
-
-
-def loop_to_json(loop: LoopSpec) -> str:
-    return json.dumps(loop_to_dict(loop), indent=2)
 
 
 def loop_from_json(text: str) -> LoopSpec:

@@ -10,7 +10,7 @@ an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,9 @@ from .tripod import (
 
 @dataclass(frozen=True)
 class GatePropagator:
-    """Unitary acquired over a full loop, tagged by how it was computed."""
+    """Unitary acquired over a full loop."""
 
     matrix: np.ndarray
-    loop: LoopSpec = field(repr=False)
-    kind: str = "exact"  # exact | adiabatic | oracle
 
     def __post_init__(self) -> None:
         if not is_unitary(self.matrix):
@@ -52,7 +50,7 @@ def _arc_generator(loop: LoopSpec, arc_index: int) -> tuple[np.ndarray, np.ndarr
     at every point of the arc, so the arc-start value serves the whole arc.
     """
     arc = loop.arcs[arc_index]
-    p = SphericalPoint(*arc.angles(0.0), omega=loop.omega_scale)
+    p = SphericalPoint(*arc.angles(0.0))
     f0 = eigenframe(p).matrix
     return f0, -1j * (f0.conj().T @ eigenframe_rate(p, *arc.rates()))
 
@@ -73,7 +71,7 @@ def loop_propagator(loop: LoopSpec) -> GatePropagator:
     u = np.eye(4, dtype=complex)
     for i in range(len(loop.arcs)):
         u = arc_propagator(loop, i) @ u
-    return GatePropagator(matrix=u, loop=loop, kind="exact")
+    return GatePropagator(matrix=u)
 
 
 def _dark_rotation(angle: float) -> np.ndarray:
@@ -126,7 +124,7 @@ def adiabatic_gate(loop: LoopSpec) -> GatePropagator:
     block[:2, :2] = adiabatic_holonomy(loop)
     block[2, 2] = np.exp(-1j * omega * tau)
     block[3, 3] = np.exp(+1j * omega * tau)
-    return GatePropagator(matrix=f0 @ block @ f0.conj().T, loop=loop, kind="adiabatic")
+    return GatePropagator(matrix=f0 @ block @ f0.conj().T)
 
 
 def dark_block(u: np.ndarray, loop: LoopSpec) -> np.ndarray:
@@ -164,5 +162,5 @@ def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:
         phase = np.exp(-1j * dt * w)
         step_us = np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
         u = _ordered_product(step_us) @ u
-    return GatePropagator(matrix=u, loop=loop, kind="oracle")
+    return GatePropagator(matrix=u)
 

@@ -28,21 +28,14 @@ DIM = 4
 
 @dataclass(frozen=True)
 class SphericalPoint:
-    """Point on the control sphere of radius omega (hbar = 1).
-
-    theta in [0, pi], phi in [0, 2*pi); omega > 0 is the constant energy
-    gap between bright and dark states.
-    """
+    """Direction on the control sphere: theta in [0, pi], phi in [0, 2*pi)."""
 
     theta: float
     phi: float
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
             raise ValueError("angles must be finite")
-        if not (self.omega > 0 and np.isfinite(self.omega)):
-            raise ValueError("omega must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,11 +47,6 @@ class EigenFrame:
     """
 
     matrix: np.ndarray
-    omega: float
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.omega, -self.omega])
 
     @property
     def dark(self) -> np.ndarray:
@@ -104,7 +92,7 @@ def _frame_columns(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def eigenframe(p: SphericalPoint) -> EigenFrame:
     """Analytic eigenframe at a control point (fixed gauge)."""
-    return EigenFrame(matrix=_frame_columns(p.theta, p.phi), omega=p.omega)
+    return EigenFrame(matrix=_frame_columns(p.theta, p.phi))
 
 
 def eigenframe_rate(p: SphericalPoint, theta_dot: float, phi_dot: float) -> np.ndarray:

@@ -1,18 +1,38 @@
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from tripod_holonomy.cli import main
-from tripod_holonomy.loops import loop_to_dict, wedge_loop
+from tripod_holonomy.loops import wedge_loop
 
 OMEGA_TAU_1 = 18.251004041881252
 
 
+def loop_doc(n=2, omega=1.0):
+    """A loop file's content, as a dict."""
+    return json.loads(json.dumps(dataclasses.asdict(wedge_loop(n, omega, 1.0))))
+
+
 def non_contiguous_loop_doc():
-    doc = loop_to_dict(wedge_loop(2, 1.0, 1.0))
+    doc = loop_doc()
     doc["arcs"][1]["start_angle"] = 0.1
     return doc
+
+
+def write_synthetic_table(path):
+    lams = np.linspace(1e-4, 1e-3, 7)
+    rows = [
+        {
+            "lambda_sq": float(lam),
+            "f_star": float(1 - 6.34 * lam),
+            "omega_tau_star": float(OMEGA_TAU_1 - 59.40 * lam),
+        }
+        for lam in lams
+    ]
+    path.write_text(json.dumps({"rows": rows}))
 
 
 def run(argv, capsys=None):
@@ -49,7 +69,7 @@ class TestHolonomyCommand:
         assert "pentagon" in out.err
 
     def test_loop_file_with_rounded_angles(self, tmp_path, capsys):
-        doc = loop_to_dict(wedge_loop(2, 1.0, 1.0))
+        doc = loop_doc()
         for arc in doc["arcs"]:
             for key in ("fixed_angle", "start_angle", "end_angle"):
                 arc[key] = round(arc[key], 10)
@@ -126,7 +146,9 @@ class TestSweepCommands:
     @pytest.mark.parametrize("doc, message", [
         (None, "nowhere/missing.json"),
         ({"lambda_sq": 0, "gamma": 5}, "AttributeError"),
-    ], ids=["missing", "gamma-not-a-table"])
+        ({"lambda_sq": 0, "gamma": {"0": float("nan")}}, "decay rates must be finite"),
+        ({"lambda_sq": 0, "lamb_shift": {"1": float("inf")}}, "Lamb shifts must be finite"),
+    ], ids=["missing", "gamma-not-a-table", "nan-rate", "inf-shift"])
     def test_bad_noise_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = "nowhere/missing.json"
         if doc is not None:
@@ -180,20 +202,25 @@ class TestOptimalAndFit:
         assert row["lambda_sq"] == 0.0
         assert abs(row["omega_tau_star"] - OMEGA_TAU_1) <= 1e-3
         assert row["f_star"] >= 1.0 - 1e-6
-        assert "states" not in doc["config"]
+        assert set(doc["config"]) == {
+            "loop", "loop_file", "omega", "out", "lambda_sq", "gamma0", "noise_file",
+            "steps", "calibrate_f2", "provenance",
+        }
+
+    def test_optimal_takes_omega_from_loop_file(self, tmp_path):
+        # The loop file's omega_scale is Omega, whatever --omega says.
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps(loop_doc(n=1, omega=2.0)))
+        out = tmp_path / "opt"
+        assert main(["optimal", "--loop-file", str(loop), "--lambda-sq", "0",
+                     "--out", str(out)]) == 0
+        row = json.loads((out / "optimal_points.json").read_text())["rows"][0]
+        assert abs(row["omega_tau_star"] - OMEGA_TAU_1) <= 1e-3
+        assert row["tau_star"] == pytest.approx(row["omega_tau_star"] / 2.0, rel=1e-12)
 
     def test_fit_recovers_synthetic_reference_coefficients(self, tmp_path):
-        lams = np.linspace(1e-4, 1e-3, 7)
-        rows = [
-            {
-                "lambda_sq": float(lam),
-                "f_star": float(1 - 6.34 * lam),
-                "omega_tau_star": float(OMEGA_TAU_1 - 59.40 * lam),
-            }
-            for lam in lams
-        ]
         table = tmp_path / "table.json"
-        table.write_text(json.dumps({"rows": rows}))
+        write_synthetic_table(table)
         out = tmp_path / "fit"
         code = main(["fit", "--table", str(table), "--out", str(out)])
         assert code == 0
@@ -255,21 +282,27 @@ class TestDeterminismAndRoundTrip:
         assert main(["ideal-sweep", "--config", str(emitted), "--out", str(b)]) == 0
         assert (a / "sweep_lambda2_0.csv").read_bytes() == (b / "sweep_lambda2_0.csv").read_bytes()
 
-    @pytest.mark.parametrize("config, flags, key", [
-        ({"omega": "abc"}, ["--omega-tau", "18"], "omega"),
-        ({"grid": [1, 2]}, [], "grid"),
-        ({"lambda_sq": 0.1}, ["--omega-tau", "18"], "lambda_sq"),
-        ({}, ["--omega-tau", "18", "--lambda-sq", "nan"], "lambda_sq"),
-        ({}, ["--grid", "1:1:3"], "grid"),
+    @pytest.mark.parametrize("command, config, flags, key", [
+        ("noisy-sweep", {"omega": "abc"}, ["--omega-tau", "18"], "omega"),
+        ("noisy-sweep", {"grid": [1, 2]}, [], "grid"),
+        ("noisy-sweep", {"lambda_sq": 0.1}, ["--omega-tau", "18"], "lambda_sq"),
+        ("noisy-sweep", {}, ["--omega-tau", "18", "--lambda-sq", "nan"], "lambda_sq"),
+        ("noisy-sweep", {}, ["--grid", "1:1:3"], "grid"),
+        ("fit", {"free_intercept": "no"}, ["--table", "table.json"], "free_intercept"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
-            "grid-not-increasing"])
-    def test_bad_config_value_is_config_error(self, tmp_path, capsys, config, flags, key):
+            "grid-not-increasing", "free-intercept-string"])
+    def test_bad_config_value_is_config_error(
+        self, tmp_path, capsys, command, config, flags, key
+    ):
+        write_synthetic_table(tmp_path / "table.json")
+        flags = [str(tmp_path / f) if f == "table.json" else f for f in flags]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code, out = run(["noisy-sweep", "--config", str(cfg), *flags,
+        code, out = run([command, "--config", str(cfg), *flags,
                          "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert key in out.err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("config, flags", [
         ({"grid": [17, 20, 4], "typo_key": 1}, []),
@@ -281,6 +314,51 @@ class TestDeterminismAndRoundTrip:
         cfg.write_text(json.dumps(config))
         assert main(["ideal-sweep", "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command, flag, key, value", [
+        ("holonomy", "--steps", "steps", 5),
+        ("ideal-sweep", "--calibrate-f2", "calibrate_f2", 6.34),
+        ("optimal", "--grid", "grid", [1, 2, 3]),
+        ("fit", "--gamma0", "gamma0", 1),
+    ], ids=["holonomy-steps", "ideal-sweep-calibrate-f2", "optimal-grid", "fit-gamma0"])
+    def test_setting_the_command_does_not_read_is_rejected(
+        self, tmp_path, capsys, command, flag, key, value
+    ):
+        text = ":".join(map(str, value)) if isinstance(value, list) else str(value)
+        out = tmp_path / "x"
+        code, streams = run([command, flag, text, "--out", str(out)], capsys)
+        assert code == 2
+        assert flag in streams.err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, streams = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert key in streams.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ideal-sweep", "fit", "holonomy"])
+    def test_rerun_from_own_echo_is_byte_identical(self, tmp_path, capsys, command):
+        table = tmp_path / "table.json"
+        write_synthetic_table(table)
+        out = tmp_path / "a"
+        argv = {
+            "ideal-sweep": ["--grid", "17:20:4", "--loop", "wedge:2", "--omega", "1.5"],
+            "fit": ["--table", str(table), "--free-intercept", "--loop", "wedge:2"],
+            "holonomy": ["--loop", "wedge:2"],
+        }[command]
+        code, first = run([command, *argv, "--out", str(out)], capsys)
+        assert code == 0
+        cfg = tmp_path / "echo.json"
+        if command == "holonomy":
+            cfg.write_text(json.dumps(json.loads((out / "holonomy.json").read_text())["config"]))
+        else:
+            shutil.copy(out / "run_config.json", cfg)
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        code, second = run([command, "--config", str(cfg)], capsys)
+        assert code == 0
+        assert second.out == first.out
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_invalid_worker_env_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOMY_THREADS", "many")

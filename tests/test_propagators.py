@@ -46,7 +46,7 @@ class TestTransportGenerator:
     def test_first_arc_matches_frame_rate_construction(self):
         loop = standard_not_loop(1.0, 3.0)
         f0, gen = _arc_generator(loop, 0)
-        p = SphericalPoint(0.0, 0.0, 1.0)
+        p = SphericalPoint(0.0, 0.0)
         th_dot = loop.arcs[0].rate
         expected = -1j * eigenframe_rate(p, th_dot, 0.0) @ eigenframe(p).matrix.conj().T
         np.testing.assert_allclose(f0 @ gen @ f0.conj().T, expected, atol=1e-13)
@@ -67,7 +67,7 @@ class TestTransportGenerator:
         for i, arc in enumerate(loop.arcs):
             _, ref = _arc_generator(loop, i)
             for frac in (0.25, 0.5, 0.9):
-                p = SphericalPoint(*arc.angles(frac * arc.duration), omega=1.0)
+                p = SphericalPoint(*arc.angles(frac * arc.duration))
                 interior = -1j * (eigenframe(p).matrix.conj().T @ eigenframe_rate(p, *arc.rates()))
                 assert np.linalg.norm(interior - ref) <= 1e-9
 
@@ -108,7 +108,6 @@ class TestLoopPropagator:
     def test_not_gate_at_first_revival(self):
         loop = standard_not_loop(1.0, optimal_time(1, 1, 1.0))
         u = loop_propagator(loop)
-        assert u.kind == "exact"
         np.testing.assert_allclose(dark_block(u.matrix, loop), NOT_BLOCK, atol=1e-12)
 
     @pytest.mark.parametrize("k,n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
@@ -142,9 +141,8 @@ class TestLoopPropagator:
         assert abs(f_fwd - f_rev) <= 1e-9
 
     def test_non_unitary_matrix_rejected(self):
-        loop = standard_not_loop(1.0, 3.0)
         with pytest.raises(ValueError):
-            GatePropagator(matrix=np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex), loop=loop)
+            GatePropagator(matrix=np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex))
 
 
 class TestHolonomy:
@@ -184,7 +182,7 @@ class TestHolonomy:
     def test_bright_phases_present_in_adiabatic_gate(self):
         loop = standard_not_loop(1.0, 9.0)
         u = adiabatic_gate(loop).matrix
-        f = eigenframe(SphericalPoint(0.0, 0.0, 1.0)).matrix
+        f = eigenframe(SphericalPoint(0.0, 0.0)).matrix
         block = f.conj().T @ u @ f
         assert block[2, 2] == pytest.approx(np.exp(-9.0j), abs=1e-12)
         assert block[3, 3] == pytest.approx(np.exp(+9.0j), abs=1e-12)

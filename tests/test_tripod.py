@@ -32,9 +32,7 @@ def rabi(theta, phi, omega):
 
 def test_point_validation():
     with pytest.raises(ValueError):
-        SphericalPoint(np.nan, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        SphericalPoint(0.1, 0.2, -1.0)
+        SphericalPoint(np.nan, 0.0)
 
 
 class TestRabiFromAngles:
@@ -102,31 +100,29 @@ class TestHamiltonian:
 
 class TestEigenframe:
     def test_pole_frame(self):
-        f = eigenframe(SphericalPoint(0.0, 0.0, 1.0)).matrix
+        f = eigenframe(SphericalPoint(0.0, 0.0)).matrix
         np.testing.assert_allclose(f[:, 0], KET[0], atol=1e-15)
         np.testing.assert_allclose(f[:, 1], KET[1], atol=1e-15)
         np.testing.assert_allclose(f[:, 2], (KET[3] + KET[2]) / np.sqrt(2), atol=1e-15)
         np.testing.assert_allclose(f[:, 3], (-KET[3] + KET[2]) / np.sqrt(2), atol=1e-15)
 
     def test_equator_d1_is_minus_ancilla(self):
-        f = eigenframe(SphericalPoint(np.pi / 2, 0.0, 1.0)).matrix
+        f = eigenframe(SphericalPoint(np.pi / 2, 0.0)).matrix
         np.testing.assert_allclose(f[:, 1], -KET[2], atol=1e-15)
 
     @given(theta=angles, phi=phases, omega=st.floats(0.1, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_frame_diagonalizes_hamiltonian(self, theta, phi, omega):
-        p = SphericalPoint(theta, phi, omega)
-        frame = eigenframe(p)
-        f = frame.matrix
+        f = eigenframe(SphericalPoint(theta, phi)).matrix
         assert np.linalg.norm(f.conj().T @ f - np.eye(4)) <= 1e-12
         h = hamiltonian(theta, phi, omega)
-        resid = h @ f - f @ np.diag(frame.eigenvalues)
+        resid = h @ f - f @ np.diag([0.0, 0.0, omega, -omega])
         assert np.linalg.norm(resid) <= 1e-11 * omega
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=40, deadline=None)
     def test_dark_subspace_annihilated(self, theta, phi):
-        p = SphericalPoint(theta, phi, 1.0)
+        p = SphericalPoint(theta, phi)
         h = hamiltonian(theta, phi)
         dark = eigenframe(p).dark
         # any unit vector in span(D0, D1)
@@ -139,7 +135,7 @@ class TestEigenframe:
             t = np.linspace(0.0, 1.0, n)
             thetas = 0.5 * np.pi * t
             phis = 0.4 * np.pi * t**2
-            frames = [eigenframe(SphericalPoint(th, ph, 1.0)).matrix for th, ph in zip(thetas, phis)]
+            frames = [eigenframe(SphericalPoint(th, ph)).matrix for th, ph in zip(thetas, phis)]
             return max(
                 np.linalg.norm(b - a) for a, b in zip(frames[:-1], frames[1:])
             )
@@ -150,17 +146,17 @@ class TestEigenframe:
 
 class TestEigenframeRate:
     def test_zero_rates(self):
-        d = eigenframe_rate(SphericalPoint(0.3, 0.4, 1.0), 0.0, 0.0)
+        d = eigenframe_rate(SphericalPoint(0.3, 0.4), 0.0, 0.0)
         np.testing.assert_allclose(d, np.zeros((4, 4)), atol=1e-15)
 
     def test_pole_meridian_rate(self):
-        d = eigenframe_rate(SphericalPoint(0.0, 0.0, 1.0), 1.0, 0.0)
+        d = eigenframe_rate(SphericalPoint(0.0, 0.0), 1.0, 0.0)
         np.testing.assert_allclose(d[:, 0], np.zeros(4), atol=1e-15)
         np.testing.assert_allclose(d[:, 1], -KET[2], atol=1e-15)
 
     def test_rejects_non_finite_rates(self):
         with pytest.raises(ValueError):
-            eigenframe_rate(SphericalPoint(0.1, 0.1, 1.0), np.inf, 0.0)
+            eigenframe_rate(SphericalPoint(0.1, 0.1), np.inf, 0.0)
 
     def test_matches_finite_differences(self, rng):
         # derivative consistency at 1000 random points
@@ -171,12 +167,12 @@ class TestEigenframeRate:
             phi = rng.uniform(0.0, 2 * np.pi)
             th_dot = rng.uniform(-2.0, 2.0)
             ph_dot = rng.uniform(-2.0, 2.0)
-            analytic = eigenframe_rate(SphericalPoint(theta, phi, 1.0), th_dot, ph_dot)
+            analytic = eigenframe_rate(SphericalPoint(theta, phi), th_dot, ph_dot)
             fwd = eigenframe(
-                SphericalPoint(theta + step * th_dot, phi + step * ph_dot, 1.0)
+                SphericalPoint(theta + step * th_dot, phi + step * ph_dot)
             ).matrix
             bwd = eigenframe(
-                SphericalPoint(theta - step * th_dot, phi - step * ph_dot, 1.0)
+                SphericalPoint(theta - step * th_dot, phi - step * ph_dot)
             ).matrix
             worst = max(worst, np.abs(analytic - (fwd - bwd) / (2 * step)).max())
         assert worst <= 1e-6
