@@ -7,7 +7,7 @@ from .analysis import (
     FitResult,
     OptimalPoint,
     SweepCurve,
-    calibrate_gamma0,
+    calibrate_noise,
     f_of_tau_relation,
     find_optimal_point,
     fit_noise_response,
@@ -63,7 +63,7 @@ __all__ = [
     "adiabatic_gate",
     "adiabatic_holonomy",
     "arc_propagator",
-    "calibrate_gamma0",
+    "calibrate_noise",
     "eigenframe",
     "eigenframe_rate",
     "exp_i_hermitian",

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CalibrationFailed,
     ModelMismatch,
     NoPeakInWindow,
     StepCountTooSmall,
     UnderdeterminedFit,
 )
 from .lindblad import (
-    DEFAULT_GAMMA0,
     NoiseModel,
     default_step_count,
     high_temperature_noise,
@@ -184,7 +184,8 @@ def find_optimal_point(
 ) -> OptimalPoint:
     """Locate the first fidelity peak (or the one inside `window`, in
     Omega*tau): coarse scan over the window, then golden-section refinement
-    of the best bracket to PEAK_TOL."""
+    to PEAK_TOL around the interior local maximum of the scan nearest the
+    window centre (wedge:n windows with n >= 2 hold several maxima)."""
     omega = loop.omega_scale
     if window is None:
         tau1 = omega * optimal_time(1, wedge_order(loop), omega)
@@ -200,9 +201,12 @@ def find_optimal_point(
 
     grid = np.linspace(lo, hi, _COARSE_POINTS)
     values = [f(x) for x in grid]
-    best = int(np.argmax(values))
-    if best == 0 or best == _COARSE_POINTS - 1:
+    peaks = [
+        i for i in range(1, _COARSE_POINTS - 1) if values[i - 1] < values[i] >= values[i + 1]
+    ]
+    if not peaks:
         raise NoPeakInWindow(f"no interior maximum in window ({lo}, {hi})")
+    best = min(peaks, key=lambda i: abs(2 * i - (_COARSE_POINTS - 1)))
     bracket = (float(grid[best - 1]), float(grid[best + 1]))
     x_star, f_star = _golden_section_max(f, bracket[0], bracket[1], PEAK_TOL)
     if values[best] > f_star:
@@ -379,29 +383,36 @@ _CALIBRATION_ROUNDS = 3
 _CALIBRATION_REL_TOL = 0.02
 
 
-def calibrate_gamma0(
+def calibrate_noise(
     loop: LoopSpec,
+    noise: NoiseModel,
     target_f2: float = 6.34,
-    gamma0_init: float | None = None,
     steps: int | None = None,
 ) -> tuple[float, FitResult]:
-    """Scale the flat rate gamma0 until the F2 fitted over
-    DEFAULT_FIT_LAMBDAS matches target_f2 to 2%.
+    """Factor c such that the F2 fitted over DEFAULT_FIT_LAMBDAS with
+    noise.scaled(c) matches target_f2 to 2%; returns c and that fit.
 
-    The leading fidelity loss is linear in gamma0, so one proportional
-    update per round converges immediately for small couplings.
+    lambda^2 D is linear in the rate and shift table, so the leading
+    fidelity loss is linear in c and one proportional update per round
+    converges immediately for small couplings. Raises CalibrationFailed
+    when no round reaches the tolerance, or when the fitted F2 is not
+    positive, so that no scale can reach the target.
     """
-    gamma0 = DEFAULT_GAMMA0 if gamma0_init is None else gamma0_init
-    fit = None
+    scale = 1.0
     for _ in range(_CALIBRATION_ROUNDS):
-        noise = high_temperature_noise(0.0, gamma0=gamma0)
-        points = [
-            (p.lambda_sq, p.f_star)
-            for p in optimal_point_table(loop, noise, list(DEFAULT_FIT_LAMBDAS), steps=steps)
-        ]
-        fit = fit_noise_response(points, "f_linear")
+        table = optimal_point_table(
+            loop, noise.scaled(scale), list(DEFAULT_FIT_LAMBDAS), steps=steps
+        )
+        fit = fit_noise_response([(p.lambda_sq, p.f_star) for p in table], "f_linear")
         f2 = fit.coefficient("F2")
         if abs(f2 - target_f2) <= _CALIBRATION_REL_TOL * target_f2:
-            return gamma0, fit
-        gamma0 *= target_f2 / f2
-    return gamma0, fit
+            return scale, fit
+        if not f2 > 0:
+            raise CalibrationFailed(
+                f"fitted F2 = {f2:g}: no scale of this noise table reaches {target_f2:g}"
+            )
+        scale *= target_f2 / f2
+    raise CalibrationFailed(
+        f"fitted F2 = {f2:g} after {_CALIBRATION_ROUNDS} rounds, not within "
+        f"{_CALIBRATION_REL_TOL:.0%} of {target_f2:g}"
+    )

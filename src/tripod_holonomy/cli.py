@@ -13,14 +13,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
-    calibrate_gamma0,
+    calibrate_noise,
     f_of_tau_relation,
     fit_noise_response,
     optimal_point_table,
@@ -98,6 +98,8 @@ class RunConfig:
                     "POINTS >= 1 (START = STOP only with one point)"
                 )
         if self.lambda_sq is not None:
+            if not self.lambda_sq:
+                raise ConfigError("lambda_sq must list at least one coupling")
             for lam in self.lambda_sq:
                 _check_number("lambda_sq entries", lam, minimum=0.0)
         if self.loop_file is None:
@@ -141,7 +143,7 @@ _FLAGS = {
     "noise_file": {"help": "NoiseModel JSON file"},
     "steps": {"type": int, "help": "integrator steps per loop"},
     "calibrate_f2": {"type": float,
-                     "help": "calibrate gamma0 so the fitted F2 matches this value"},
+                     "help": "scale the noise table so the fitted F2 matches this value"},
     "table": {"help": "optimal-points JSON file, as optimal writes"},
     "free_intercept": {"action": "store_true", "default": None,
                        "help": "also report free-intercept diagnostic fits"},
@@ -260,10 +262,10 @@ def build_loop(cfg: RunConfig) -> LoopSpec:
     return wedge_loop(n, cfg.omega, 1.0)
 
 
-def build_noise(cfg: RunConfig, gamma0: float | None = None) -> NoiseModel:
+def build_noise(cfg: RunConfig) -> NoiseModel:
     if cfg.noise_file is not None:
         return _read_model_file(cfg.noise_file, "noise file", noise_from_json)
-    return high_temperature_noise(0.0, gamma0=cfg.gamma0 if gamma0 is None else gamma0)
+    return high_temperature_noise(0.0, gamma0=cfg.gamma0)
 
 
 def resolved_config_doc(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
@@ -277,17 +279,25 @@ def _json_dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str, to_stderr: bool = False) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    print(f"wrote {path}")
+    print(f"wrote {path}", file=sys.stderr if to_stderr else sys.stdout)
 
 
 def _write_run_config(
-    out_dir: Path, cfg: RunConfig, command: str, extra: dict | None = None
+    out_dir: Path,
+    cfg: RunConfig,
+    command: str,
+    extra: dict | None = None,
+    noise: NoiseModel | None = None,
 ) -> dict:
+    """Write run_config.json and, for a noisy command, the noise table it
+    used as noise.json, which --noise-file reads back unchanged."""
     doc = resolved_config_doc(cfg, command, extra)
     _write(out_dir / "run_config.json", _json_dump(doc))
+    if noise is not None:
+        _write(out_dir / "noise.json", json.dumps(asdict(noise.with_lambda_sq(0.0))) + "\n")
     return doc
 
 
@@ -304,21 +314,15 @@ def matrix_entries(m: np.ndarray) -> list[float]:
     return out
 
 
-def _maybe_calibrate(cfg: RunConfig, loop: LoopSpec) -> tuple[NoiseModel, dict]:
-    """Apply calibration mode if requested; returns (noise, config extras)."""
+def _run_noise(cfg: RunConfig, loop: LoopSpec) -> tuple[NoiseModel, dict]:
+    """The run's noise table, scaled by calibration if requested; returns
+    (noise, config extras)."""
+    noise = build_noise(cfg)
     if cfg.calibrate_f2 is None:
-        return build_noise(cfg), {}
-    gamma0, fit = calibrate_gamma0(
-        loop,
-        target_f2=cfg.calibrate_f2,
-        gamma0_init=cfg.gamma0,
-        steps=cfg.steps,
-    )
-    extras = {
-        "gamma0_calibrated": gamma0,
-        "calibrated_f2": fit.coefficient("F2"),
-    }
-    return build_noise(cfg, gamma0=gamma0), extras
+        return noise, {}
+    scale, fit = calibrate_noise(loop, noise, cfg.calibrate_f2, steps=cfg.steps)
+    extras = {"noise_scale": scale, "calibrated_f2": fit.coefficient("F2")}
+    return noise.scaled(scale), extras
 
 
 def _lambdas(cfg: RunConfig) -> list[float]:
@@ -332,14 +336,20 @@ def cmd_ideal_sweep(cfg: RunConfig) -> int:
 
 def cmd_noisy_sweep(cfg: RunConfig) -> int:
     loop, grid = build_loop(cfg), cfg.grid_values()
-    noise, extras = _maybe_calibrate(cfg, loop)
+    noise, extras = _run_noise(cfg, loop)
     curves = sweep(loop, grid, _lambdas(cfg), steps=cfg.steps, noise=noise)
-    return _write_sweep(cfg, "noisy-sweep", curves, extras)
+    return _write_sweep(cfg, "noisy-sweep", curves, extras, noise)
 
 
-def _write_sweep(cfg: RunConfig, command: str, curves, extras: dict | None = None) -> int:
+def _write_sweep(
+    cfg: RunConfig,
+    command: str,
+    curves,
+    extras: dict | None = None,
+    noise: NoiseModel | None = None,
+) -> int:
     out_dir = Path(cfg.out)
-    _write_run_config(out_dir, cfg, command, extras)
+    _write_run_config(out_dir, cfg, command, extras, noise)
     for curve in curves:
         name = f"sweep_lambda2_{format_lambda(curve.lambda_sq)}.csv"
         _write(out_dir / name, sweep_curve_to_csv(curve))
@@ -348,11 +358,11 @@ def _write_sweep(cfg: RunConfig, command: str, curves, extras: dict | None = Non
 
 def cmd_optimal(cfg: RunConfig) -> int:
     loop = build_loop(cfg)
-    noise, extras = _maybe_calibrate(cfg, loop)
+    noise, extras = _run_noise(cfg, loop)
     points = optimal_point_table(loop, noise, _lambdas(cfg), steps=cfg.steps)
     out_dir = Path(cfg.out)
     doc = {
-        "config": _write_run_config(out_dir, cfg, "optimal", extras),
+        "config": _write_run_config(out_dir, cfg, "optimal", extras, noise),
         "rows": [
             {**p.to_dict(), "omega_tau_star": loop.omega_scale * p.tau_star} for p in points
         ],
@@ -402,13 +412,13 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_robustness(cfg: RunConfig) -> int:
     loop = build_loop(cfg)
-    noise, extras = _maybe_calibrate(cfg, loop)
+    noise, extras = _run_noise(cfg, loop)
     rows = []
     for lam in _lambdas(cfg):
         r = robustness(loop, noise.with_lambda_sq(lam), steps=cfg.steps)
         rows.append({"lambda_sq": lam, "robustness": r})
     out_dir = Path(cfg.out)
-    doc = {"config": _write_run_config(out_dir, cfg, "robustness", extras), "rows": rows}
+    doc = {"config": _write_run_config(out_dir, cfg, "robustness", extras, noise), "rows": rows}
     _write(out_dir / "robustness.json", _json_dump(doc))
     return EXIT_OK
 
@@ -423,7 +433,8 @@ def cmd_holonomy(cfg: RunConfig) -> int:
     }
     print(_json_dump(doc), end="")
     if cfg.out != RunConfig.out:
-        _write(Path(cfg.out) / "holonomy.json", _json_dump(doc))
+        # stdout carries the holonomy JSON alone
+        _write(Path(cfg.out) / "holonomy.json", _json_dump(doc), to_stderr=True)
     return EXIT_OK
 
 

@@ -34,6 +34,10 @@ class NoPeakInWindow(TripodError):
     """Peak search bracket contains no interior maximum."""
 
 
+class CalibrationFailed(TripodError):
+    """Noise calibration did not reach its F2 tolerance."""
+
+
 class UnderdeterminedFit(TripodError):
     """Fewer data points than free fit coefficients plus one."""
 

@@ -92,6 +92,15 @@ class NoiseModel:
     def with_lambda_sq(self, lambda_sq: float) -> "NoiseModel":
         return replace(self, lambda_sq=lambda_sq)
 
+    def scaled(self, factor: float) -> "NoiseModel":
+        """Every rate and Lamb shift times factor; lambda^2 D is linear in
+        the table, so this acts exactly as lambda_sq times factor."""
+        return replace(
+            self,
+            gamma={k: factor * g for k, g in self.gamma.items()},
+            lamb_shift={k: factor * s for k, s in self.lamb_shift.items()},
+        )
+
 
 def high_temperature_noise(lambda_sq: float, gamma0: float = DEFAULT_GAMMA0) -> NoiseModel:
     """Flat rate table gamma(omega) = gamma0, zero Lamb shifts."""

@@ -10,7 +10,7 @@ import pytest
 
 from tripod_holonomy import (
     adiabatic_holonomy,
-    calibrate_gamma0,
+    calibrate_noise,
     find_optimal_point,
     fit_noise_response,
     f_of_tau_relation,
@@ -181,7 +181,8 @@ def test_noise_response_laws(default_noise_table):
     # calibration mode: pick gamma0 so the fitted F2 lands on the reference value
     loop = standard_not_loop(1.0, 1.0)
     seed_gamma0 = DEFAULT_GAMMA0 * 6.34 / f2
-    gamma0, cal_fit = calibrate_gamma0(loop, target_f2=6.34, gamma0_init=seed_gamma0)
+    scale, cal_fit = calibrate_noise(loop, high_temperature_noise(0.0, gamma0=seed_gamma0), 6.34)
+    gamma0 = seed_gamma0 * scale
     cal_f2 = cal_fit.coefficient("F2")
     cal_ok = abs(cal_f2 - 6.34) <= 0.05 * 6.34
     cal_noise = high_temperature_noise(0.005, gamma0=gamma0)

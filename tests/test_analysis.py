@@ -14,6 +14,8 @@ from tripod_holonomy import (
     robustness,
     standard_not_loop,
     sweep,
+    wedge_loop,
+    with_total_time,
 )
 from tripod_holonomy.analysis import per_state_fidelities, sweep_curve_to_csv
 from tripod_holonomy.errors import (
@@ -125,6 +127,17 @@ class TestFindOptimalPoint:
         pt = find_optimal_point(standard_not_loop(1.0, 1.0), noise)
         assert pt.tau_star < OMEGA_TAU_1
         assert pt.f_star < 1.0
+
+    def test_wedge2_takes_the_peak_nearest_the_window_centre(self):
+        # The +-30% window around tau*_1 of wedge:2 holds several maxima, and
+        # at lambda^2 = 0.05 its lower edge is above the first-revival peak.
+        loop, noise = wedge_loop(2, 1.0, 1.0), high_temperature_noise(0.05)
+        tau1 = optimal_time(1, 2, 1.0)
+        pt = find_optimal_point(loop, noise)
+        assert 0.9 * tau1 < pt.bracket[0] < pt.tau_star < pt.bracket[1] < tau1
+        assert pt.f_star == pytest.approx(0.7583, abs=1e-3)
+        edge = mean_fidelity(with_total_time(loop, 0.7 * tau1), noise)
+        assert edge > pt.f_star
 
     def test_monotone_window_raises(self, no_noise):
         with pytest.raises(NoPeakInWindow):

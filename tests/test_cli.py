@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from tripod_holonomy import analysis
 from tripod_holonomy.cli import main
 from tripod_holonomy.loops import wedge_loop
 
@@ -265,6 +266,77 @@ class TestOptimalAndFit:
         assert abs(doc["rows"][0]["robustness"]) <= 1e-6
 
 
+def stub_response(monkeypatch, f2_of):
+    """Replace the peak searches calibration runs by F* = 1 - F2 * lambda^2,
+    with F2 = f2_of(noise); returns the list of tables asked for."""
+    asked = []
+
+    def table(loop, noise, lambda_sq_list, steps=None):
+        asked.append(noise)
+        return [
+            analysis.OptimalPoint(18.0, 1.0 - f2_of(noise) * lam, lam, (17.0, 19.0), 1e-4)
+            for lam in lambda_sq_list
+        ]
+
+    monkeypatch.setattr(analysis, "optimal_point_table", table)
+    return asked
+
+
+class TestCalibration:
+    def test_noise_file_table_is_scaled_and_written(self, tmp_path, monkeypatch):
+        table = {"lambda_sq": 0.0, "gamma": {"0": 0.2, "1": 0.1}, "lamb_shift": {"2": 0.05}}
+        path = tmp_path / "bath.json"
+        path.write_text(json.dumps(table))
+        asked = stub_response(monkeypatch, lambda noise: 10.0 * noise.rate(0))
+        out = tmp_path / "n"
+        assert main(["noisy-sweep", "--omega-tau", "18", "--lambda-sq", "0",
+                     "--noise-file", str(path), "--calibrate-f2", "6.34", "--out", str(out)]) == 0
+        assert len(asked) == 2
+        provenance = json.loads((out / "run_config.json").read_text())["provenance"]
+        scale = provenance["noise_scale"]
+        assert scale == pytest.approx(3.17, rel=1e-12)
+        assert provenance["calibrated_f2"] == pytest.approx(6.34, rel=1e-12)
+        written = json.loads((out / "noise.json").read_text())
+        assert written == {
+            "lambda_sq": 0.0,
+            "gamma": {k: scale * v for k, v in table["gamma"].items()},
+            "lamb_shift": {k: scale * v for k, v in table["lamb_shift"].items()},
+        }
+
+    def test_calibration_that_does_not_converge_exits_3(self, tmp_path, monkeypatch, capsys):
+        asked = stub_response(monkeypatch, lambda noise: 1.0)
+        out = tmp_path / "opt"
+        code, streams = run(["optimal", "--lambda-sq", "0", "--calibrate-f2", "6.34",
+                             "--out", str(out)], capsys)
+        assert code == 3
+        assert "after 3 rounds" in streams.err
+        assert len(asked) == 3
+        assert not out.exists()
+
+    def test_table_without_noise_cannot_be_calibrated(self, tmp_path, capsys):
+        path = tmp_path / "silent.json"
+        path.write_text(json.dumps({"lambda_sq": 0.0, "gamma": {"0": 0.0}}))
+        code, streams = run(["optimal", "--lambda-sq", "0", "--noise-file", str(path),
+                             "--calibrate-f2", "6.34", "--out", str(tmp_path / "x")], capsys)
+        assert code == 3
+        assert "no scale of this noise table" in streams.err
+
+    @pytest.mark.parametrize("command", ["noisy-sweep", "optimal", "robustness"])
+    def test_noise_json_reruns_the_same_table(self, tmp_path, command):
+        table = {"lambda_sq": 0.3, "gamma": {"0": 0.2, "-2": 0.1}, "lamb_shift": {"1": 0.05}}
+        path = tmp_path / "bath.json"
+        path.write_text(json.dumps(table))
+        argv = [command, "--lambda-sq", "0", "--noise-file", str(path)]
+        if command == "noisy-sweep":
+            argv += ["--omega-tau", "18"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out", str(a)]) == 0
+        argv[argv.index(str(path))] = str(a / "noise.json")
+        assert main([*argv, "--out", str(b)]) == 0
+        assert (a / "noise.json").read_bytes() == (b / "noise.json").read_bytes()
+        assert json.loads((a / "noise.json").read_text()) == {**table, "lambda_sq": 0.0}
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_config_identical_bytes(self, tmp_path):
         args = ["ideal-sweep", "--grid", "17:20:4"]
@@ -289,8 +361,12 @@ class TestDeterminismAndRoundTrip:
         ("noisy-sweep", {}, ["--omega-tau", "18", "--lambda-sq", "nan"], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "1:1:3"], "grid"),
         ("fit", {"free_intercept": "no"}, ["--table", "table.json"], "free_intercept"),
+        ("noisy-sweep", {}, ["--omega-tau", "18", "--lambda-sq", ","], "lambda_sq"),
+        ("optimal", {}, ["--lambda-sq", ""], "lambda_sq"),
+        ("robustness", {"lambda_sq": []}, [], "lambda_sq"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
-            "grid-not-increasing", "free-intercept-string"])
+            "grid-not-increasing", "free-intercept-string", "lambda-sq-comma",
+            "lambda-sq-empty-flag", "lambda-sq-empty-list"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):
@@ -350,7 +426,7 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         cfg = tmp_path / "echo.json"
         if command == "holonomy":
-            cfg.write_text(json.dumps(json.loads((out / "holonomy.json").read_text())["config"]))
+            cfg.write_text(json.dumps(json.loads(first.out)["config"]))
         else:
             shutil.copy(out / "run_config.json", cfg)
         written = {p.name: p.read_bytes() for p in out.iterdir()}
