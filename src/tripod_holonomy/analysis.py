@@ -361,7 +361,7 @@ def robustness(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> f
     omega = loop.omega_scale
     point = find_optimal_point(loop, noise, steps=steps)
     tau3 = optimal_time(3, wedge_order(loop), omega)
-    f_adiab = mean_fidelity(with_total_time(loop, tau3), noise)
+    f_adiab = mean_fidelity(with_total_time(loop, tau3), noise, steps=steps)
     return (point.f_star - f_adiab) / point.f_star
 
 

@@ -15,7 +15,10 @@ start-frame eigenbasis the pieces are simple:
   - jump operators: block-masked F(t)^dag A F(t).
 
 A classical fixed-step 4th-order scheme propagates the full 16x16
-superoperator, so one integration serves every input state.
+superoperator, so one integration serves every input state. The equation
+is linear, so each step is a fixed 16x16 map: all step maps of an arc are
+built at once from the generators at the 2n + 1 stage times, then
+multiplied by a pairwise tree product.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .loops import LoopSpec
-from .propagators import _arc_generator
+from .propagators import _arc_generator, _ordered_product
 from .tripod import DIM, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
 FREQUENCY_MULTIPLES = (0, 1, -1, 2, -2)
@@ -40,10 +43,10 @@ COUPLING[STATE_EXCITED, STATE_0] = 1.0
 
 # Frame-column energies in units of Omega: (D0, D1, D+, D-).
 _FRAME_ENERGY = np.array([0, 0, 1, -1])
-_MASK_STACK = np.stack([
-    ((_FRAME_ENERGY[None, :] - _FRAME_ENERGY[:, None]) == k).astype(float)
-    for k in FREQUENCY_MULTIPLES
-])
+# Frequency multiple E_l - E_i carried by frame element (i, l), and the
+# pattern of (a, c, b, d) where the sandwich pairs equal frequencies.
+_FREQ = _FRAME_ENERGY[None, :] - _FRAME_ENERGY[:, None]
+_SAME_FREQ = _FREQ[:, None, :, None] == _FREQ[None, :, None, :]
 
 _IDENTITY4 = np.eye(DIM, dtype=complex)
 _VEC_IDENTITY = _IDENTITY4.reshape(-1)
@@ -134,34 +137,41 @@ def _commutator_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, _IDENTITY4) - np.kron(_IDENTITY4, h.T))
 
 
-def _batched_kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    m = x.shape[0]
-    return np.einsum("mab,mcd->macbd", x, y).reshape(m, 16, 16)
-
-
 def _dissipator_superops(arc, local_times: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Dissipator superoperators (no lambda^2 factor) at local arc times,
-    in start-frame coordinates: jump operators are block-masked F^dag A F."""
+    in start-frame coordinates: jump operators are block-masked F^dag A F.
+
+    A_k keeps the elements of b = F^dag A F at frequency k, so the sum over
+    k collapses into fixed weight tensors: the sandwich sum_k gamma_k
+    A_k . A_k^dag weights b_ab conj(b_cd) by the rate of (a, b) where (c, d)
+    has the same frequency, and with c_k = gamma_k / 2 + i S_k and
+    X = sum_k c_k A_k^dag A_k the remaining terms are -(X . + . X^dag).
+    """
     frames = _frame_columns(*arc.angles(local_times))
-    b = np.einsum("mji,jk,mkl->mil", frames.conj(), COUPLING, frames)
-    m = len(local_times)
-    # stack the five frequency components: (5, m, 4, 4)
-    bk = b[None, :, :, :] * _MASK_STACK[:, None, :, :]
-    gk = np.einsum("kmji,kmjl->kmil", bk.conj(), bk)
-    rates = np.array([noise.rate(k) for k in FREQUENCY_MULTIPLES])
-    shifts = np.array([noise.shift(k) for k in FREQUENCY_MULTIPLES])
-    eye = np.broadcast_to(_IDENTITY4, (m, DIM, DIM))
-    # sandwich term sum_k gamma_k A_k . A_k^dag
-    out = np.einsum("k,kmab,kmcd->macbd", rates, bk, bk.conj()).reshape(m, 16, 16)
-    # anticommutator and Lamb-shift terms collapse onto weighted sums of G_k
-    g_tot = np.einsum("k,kmil->mil", rates, gk)
-    out -= 0.5 * (_batched_kron(g_tot, eye) + _batched_kron(eye, g_tot.transpose(0, 2, 1)))
-    if np.any(shifts):
-        h_ls = np.einsum("k,kmil->mil", shifts, gk)
-        out += -1j * (
-            _batched_kron(h_ls, eye) - _batched_kron(eye, h_ls.transpose(0, 2, 1))
-        )
-    return out
+    b = frames.conj().transpose(0, 2, 1) @ COUPLING @ frames
+    # rates and c_k indexed by k + 2
+    gamma = np.array([noise.rate(k) for k in range(-2, 3)])
+    coeff = 0.5 * gamma + 1j * np.array([noise.shift(k) for k in range(-2, 3)])
+    w_sandwich = np.where(_SAME_FREQ, gamma[_FREQ + 2][:, None, :, None], 0.0)
+    w_x = np.where(_FREQ[:, :, None] == _FREQ[:, None, :], coeff[_FREQ + 2][:, :, None], 0.0)
+    x = (b.conj()[:, :, :, None] * b[:, :, None, :] * w_x).sum(axis=1)
+    # view (m, a, c, b, d) of the row-major superoperator: rows (a, c), columns (b, d)
+    out = b[:, :, None, :, None] * b.conj()[:, None, :, None, :]
+    out *= w_sandwich
+    for i in range(DIM):
+        out[:, :, i, :, i] -= x
+        out[:, i, :, i, :] -= x.conj()
+    return out.reshape(len(local_times), DIM * DIM, DIM * DIM)
+
+
+def _step_maps(l_all: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step maps of the linear equation dPhi/dt = L(t) Phi, one per step,
+    from generators sampled at step starts, midpoints and ends."""
+    la, lb, lc = l_all[0:-1:2], l_all[1::2], l_all[2::2]
+    k2 = lb + (0.5 * h) * (lb @ la)
+    k3 = lb + (0.5 * h) * (lb @ k2)
+    k4 = lc + h * (lc @ k3)
+    return np.eye(DIM * DIM) + (h / 6.0) * (la + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -208,18 +218,14 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
         # generators at the 2n + 1 RK4 stage times (step ends and midpoints)
         local = np.arange(2 * n + 1) * (h / 2.0)
         local[-1] = arc.duration
-        l_all = l_unit[None, :, :] + noise.lambda_sq * _dissipator_superops(arc, local, noise)
-        for j in range(n):
-            la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
-            k1 = la @ phi
-            k2 = lb @ (phi + (0.5 * h) * k1)
-            k3 = lb @ (phi + (0.5 * h) * k2)
-            k4 = lc @ (phi + h * k3)
-            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        l_all = _dissipator_superops(arc, local, noise)
+        l_all *= noise.lambda_sq
+        l_all += l_unit
+        phi = _ordered_product(_step_maps(l_all, h)) @ phi
     channel = LoopChannel(loop=loop, steps=steps, phi=phi)
-    if channel.trace_defect() > 1e-6:
-        raise StepCountTooSmall(
-            f"trace drift {channel.trace_defect():.2e} above 1e-6; increase steps"
-        )
+    defect = channel.trace_defect()
+    # written so that a NaN defect (an overflowed, under-resolved run) fails too
+    if not defect <= 1e-6:
+        raise StepCountTooSmall(f"trace drift {defect:.2e} above 1e-6; increase steps")
     return channel
 

@@ -17,6 +17,7 @@ from tripod_holonomy import (
     wedge_loop,
     with_total_time,
 )
+from tripod_holonomy import analysis
 from tripod_holonomy.analysis import per_state_fidelities, sweep_curve_to_csv
 from tripod_holonomy.errors import (
     ModelMismatch,
@@ -235,3 +236,14 @@ class TestRobustness:
         noise = high_temperature_noise(0.02, gamma0=0.5)
         r = robustness(standard_not_loop(1.0, 1.0), noise)
         assert r > 0.0
+
+    def test_every_integration_uses_the_given_steps(self, monkeypatch):
+        seen = []
+
+        def recording(loop, noise, steps=None):
+            seen.append(steps)
+            return loop_channel(loop, noise, steps)
+
+        monkeypatch.setattr(analysis, "loop_channel", recording)
+        robustness(standard_not_loop(1.0, 1.0), high_temperature_noise(0.02), steps=400)
+        assert seen and set(seen) == {400}

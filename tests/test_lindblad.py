@@ -15,11 +15,15 @@ from tripod_holonomy import (
 )
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import (
+    _FRAME_ENERGY,
     COUPLING,
     FREQUENCY_MULTIPLES,
+    _commutator_superop,
     _dissipator_superops,
+    default_step_count,
     noise_from_json,
 )
+from tripod_holonomy.propagators import _arc_generator
 from tripod_holonomy.tripod import SphericalPoint, eigenframe
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
@@ -86,6 +90,35 @@ def superop_at(theta, phi, noise):
 
 def apply_superop(superop, sigma):
     return (superop @ sigma.reshape(-1)).reshape(4, 4)
+
+
+# ---------------------------------------------------------------------------
+# Test-side reference: RK4 on Phi one step at a time
+# ---------------------------------------------------------------------------
+
+
+def sequential_rk4_phi(loop, noise):
+    """Superoperator propagator by the classical RK4 stages k1..k4 applied
+    to Phi step by step, at the production step count and stage times."""
+    steps = default_step_count(loop)
+    phi = np.eye(16, dtype=complex)
+    for i, arc in enumerate(loop.arcs):
+        n = max(1, int(round(steps * arc.duration / loop.total_time)))
+        h = arc.duration / n
+        _, gen = _arc_generator(loop, i)
+        energies = np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex)
+        l_unit = _commutator_superop(energies + gen)
+        local = np.arange(2 * n + 1) * (h / 2.0)
+        local[-1] = arc.duration
+        l_all = l_unit[None, :, :] + noise.lambda_sq * _dissipator_superops(arc, local, noise)
+        for j in range(n):
+            la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
+            k1 = la @ phi
+            k2 = lb @ (phi + (0.5 * h) * k1)
+            k3 = lb @ (phi + (0.5 * h) * k2)
+            k4 = lc @ (phi + h * k3)
+            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
 
 
 class TestNoiseModel:
@@ -243,6 +276,24 @@ class TestEvolveDensity:
         loop = standard_not_loop(1.0, 2000.0)
         with pytest.raises(StepCountTooSmall):
             loop_channel(loop, high_temperature_noise(0.05), steps=3)
+
+    def test_overflowed_run_rejected(self):
+        # this run overflows Phi to NaN, which must fail the trace gate
+        loop = standard_not_loop(1.0, 2000.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepCountTooSmall):
+            loop_channel(loop, high_temperature_noise(0.05), steps=60)
+
+    @pytest.mark.parametrize("loop", [
+        *(standard_not_loop(1.0, omega_tau) for omega_tau in (6.0, 18.251, 42.0)),
+        wedge_loop(2, 1.0, 23.7),
+    ])
+    @pytest.mark.parametrize("noise", [
+        high_temperature_noise(0.05),
+        UNEQUAL_NOISE.with_lambda_sq(0.05),
+    ])
+    def test_step_maps_match_sequential_rk4(self, loop, noise):
+        phi = loop_channel(loop, noise).phi
+        assert np.abs(phi - sequential_rk4_phi(loop, noise)).max() <= 1e-12
 
     def test_channel_trace_defect_small_at_default_steps(self, not_loop):
         ch = loop_channel(not_loop, high_temperature_noise(0.03))
