@@ -36,8 +36,8 @@ from .errors import (
     TripodError,
     UnderdeterminedFit,
 )
-from .lindblad import DEFAULT_GAMMA0, NoiseModel, high_temperature_noise, noise_from_json
-from .loops import LoopSpec, loop_from_json, optimal_time, wedge_loop, wedge_order
+from .lindblad import DEFAULT_GAMMA0, NoiseModel, high_temperature_noise, noise_from_dict
+from .loops import LoopSpec, loop_from_dict, optimal_time, wedge_loop, wedge_order
 from .propagators import adiabatic_holonomy
 
 EXIT_OK = 0
@@ -59,7 +59,6 @@ class RunConfig:
     loop_file: str | None = None
     omega: float = 1.0
     grid: tuple[float, float, int] | None = None
-    omega_tau: float | None = None
     lambda_sq: tuple[float, ...] | None = None
     gamma0: float = DEFAULT_GAMMA0
     noise_file: str | None = None
@@ -79,8 +78,6 @@ class RunConfig:
             raise ConfigError(f"free_intercept must be true or false, got {self.free_intercept!r}")
         _check_number("omega", self.omega, minimum=0.0, strict=True)
         _check_number("gamma0", self.gamma0, minimum=0.0)
-        if self.omega_tau is not None:
-            _check_number("omega_tau", self.omega_tau, minimum=0.0, strict=True)
         if self.calibrate_f2 is not None:
             _check_number("calibrate_f2", self.calibrate_f2, minimum=0.0, strict=True)
         if self.steps is not None and not (_is_integer(self.steps) and self.steps >= 3):
@@ -106,28 +103,25 @@ class RunConfig:
             parse_loop_kind(self.loop)
 
     def grid_values(self) -> np.ndarray:
-        if self.omega_tau is not None:
-            return np.array([self.omega_tau], dtype=float)
         if self.grid is None:
-            raise ConfigError("no Omega*tau grid configured (use --grid or omega_tau)")
+            raise ConfigError("no Omega*tau grid configured (use --grid START:STOP:POINTS)")
         start, stop, points = self.grid
         return np.linspace(start, stop, points)
 
 
 _LOOP = ("loop", "loop_file", "omega", "out")
-_GRID = ("grid", "omega_tau")
-_NOISE = ("lambda_sq", "gamma0", "noise_file", "steps", "calibrate_f2")
+_NOISE = ("lambda_sq", "gamma0", "noise_file", "steps")
 
 # The RunConfig fields each command reads: its flags, the keys its config
 # file may hold and the keys its config echo writes. Unread fields keep
 # their defaults.
 _SETTINGS = {
-    "ideal-sweep": _LOOP + _GRID,
-    "noisy-sweep": _LOOP + _GRID + _NOISE,
-    "optimal": _LOOP + _NOISE,
-    "fit": ("loop", "loop_file", "out", "table", "free_intercept"),
+    "ideal-sweep": _LOOP + ("grid",),
+    "noisy-sweep": _LOOP + ("grid",) + _NOISE,
+    "optimal": _LOOP + _NOISE + ("calibrate_f2",),
+    "fit": ("out", "table", "free_intercept"),
     "robustness": _LOOP + _NOISE,
-    "holonomy": ("loop", "loop_file", "out"),
+    "holonomy": ("loop", "loop_file"),
 }
 
 # argparse keywords of the flag --field-name of each RunConfig field.
@@ -136,8 +130,7 @@ _FLAGS = {
     "loop_file": {"help": "LoopSpec JSON file; its omega_scale is Omega"},
     "omega": {"type": float, "help": "energy scale Omega of a --loop loop"},
     "out": {"help": "output directory"},
-    "grid": {"help": "Omega*tau grid as START:STOP:POINTS"},
-    "omega_tau": {"type": float, "help": "single Omega*tau instead of a grid"},
+    "grid": {"help": "Omega*tau grid as START:STOP:POINTS (X:X:1 for one point)"},
     "lambda_sq": {"help": "comma-separated coupling strengths"},
     "gamma0": {"type": float, "help": "flat high-T decay rate"},
     "noise_file": {"help": "NoiseModel JSON file"},
@@ -199,17 +192,23 @@ def parse_lambda_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"unparsable --lambda-sq list {text!r}") from None
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
+def _read_json(path: str, what: str, parse):
+    """parse() of the JSON object a file holds. A missing or unreadable
+    file, invalid JSON, a document that is not an object and a malformed or
+    wrong-typed field are all ConfigErrors."""
     try:
-        doc = json.loads(p.read_text())
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return parse(doc)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {p} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {p} must hold a JSON object")
-    return doc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"invalid {what} {path}: {type(exc).__name__} {exc}") from exc
 
 
 # Flags given as text that parse into a tuple-valued field.
@@ -217,17 +216,19 @@ _FLAG_PARSERS = {"grid": parse_grid_flag, "lambda_sq": parse_lambda_list}
 
 
 def load_config_file(path: str, command: str) -> dict:
-    doc = _read_json_object(path, "config file")
-    doc.pop("provenance", None)  # echoed configs carry a provenance block
-    unread = set(doc) - set(_SETTINGS[command])
-    if unread:
-        raise ConfigError(f"config keys {command} does not read: {sorted(unread)}")
-    for key in _FLAG_PARSERS:
-        if doc.get(key) is not None:
-            if not isinstance(doc[key], list):
-                raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
-            doc[key] = tuple(doc[key])
-    return doc
+    def settings(doc: dict) -> dict:
+        doc.pop("provenance", None)  # echoed configs carry a provenance block
+        unread = set(doc) - set(_SETTINGS[command])
+        if unread:
+            raise ConfigError(f"config keys {command} does not read: {sorted(unread)}")
+        for key in _FLAG_PARSERS:
+            if doc.get(key) is not None:
+                if not isinstance(doc[key], list):
+                    raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
+                doc[key] = tuple(doc[key])
+        return doc
+
+    return _read_json(path, "config file", settings)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -242,29 +243,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _read_model_file(path: str, what: str, parse):
-    """Parse a loop or noise JSON file; a missing file or a malformed or
-    wrong-typed field is a ConfigError."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    try:
-        return parse(p.read_text())
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"invalid {what} {p}: {type(exc).__name__} {exc}") from exc
-
-
 def build_loop(cfg: RunConfig) -> LoopSpec:
     """Loop template with unit total time; commands rescale per tau."""
     if cfg.loop_file is not None:
-        return _read_model_file(cfg.loop_file, "loop file", loop_from_json)
+        return _read_json(cfg.loop_file, "loop file", loop_from_dict)
     n = parse_loop_kind(cfg.loop)
     return wedge_loop(n, cfg.omega, 1.0)
 
 
 def build_noise(cfg: RunConfig) -> NoiseModel:
     if cfg.noise_file is not None:
-        return _read_model_file(cfg.noise_file, "noise file", noise_from_json)
+        return _read_json(cfg.noise_file, "noise file", noise_from_dict)
     return high_temperature_noise(0.0, gamma0=cfg.gamma0)
 
 
@@ -279,10 +268,10 @@ def _json_dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: Path, text: str, to_stderr: bool = False) -> None:
+def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    print(f"wrote {path}", file=sys.stderr if to_stderr else sys.stdout)
+    print(f"wrote {path}")
 
 
 def _write_run_config(
@@ -314,17 +303,6 @@ def matrix_entries(m: np.ndarray) -> list[float]:
     return out
 
 
-def _run_noise(cfg: RunConfig, loop: LoopSpec) -> tuple[NoiseModel, dict]:
-    """The run's noise table, scaled by calibration if requested; returns
-    (noise, config extras)."""
-    noise = build_noise(cfg)
-    if cfg.calibrate_f2 is None:
-        return noise, {}
-    scale, fit = calibrate_noise(loop, noise, cfg.calibrate_f2, steps=cfg.steps)
-    extras = {"noise_scale": scale, "calibrated_f2": fit.coefficient("F2")}
-    return noise.scaled(scale), extras
-
-
 def _lambdas(cfg: RunConfig) -> list[float]:
     return list(cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST)
 
@@ -335,21 +313,14 @@ def cmd_ideal_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_noisy_sweep(cfg: RunConfig) -> int:
-    loop, grid = build_loop(cfg), cfg.grid_values()
-    noise, extras = _run_noise(cfg, loop)
+    loop, grid, noise = build_loop(cfg), cfg.grid_values(), build_noise(cfg)
     curves = sweep(loop, grid, _lambdas(cfg), steps=cfg.steps, noise=noise)
-    return _write_sweep(cfg, "noisy-sweep", curves, extras, noise)
+    return _write_sweep(cfg, "noisy-sweep", curves, noise)
 
 
-def _write_sweep(
-    cfg: RunConfig,
-    command: str,
-    curves,
-    extras: dict | None = None,
-    noise: NoiseModel | None = None,
-) -> int:
+def _write_sweep(cfg: RunConfig, command: str, curves, noise: NoiseModel | None = None) -> int:
     out_dir = Path(cfg.out)
-    _write_run_config(out_dir, cfg, command, extras, noise)
+    _write_run_config(out_dir, cfg, command, noise=noise)
     for curve in curves:
         name = f"sweep_lambda2_{format_lambda(curve.lambda_sq)}.csv"
         _write(out_dir / name, sweep_curve_to_csv(curve))
@@ -357,8 +328,11 @@ def _write_sweep(
 
 
 def cmd_optimal(cfg: RunConfig) -> int:
-    loop = build_loop(cfg)
-    noise, extras = _run_noise(cfg, loop)
+    loop, noise, extras = build_loop(cfg), build_noise(cfg), {}
+    if cfg.calibrate_f2 is not None:
+        scale, fit = calibrate_noise(loop, noise, cfg.calibrate_f2, steps=cfg.steps)
+        noise = noise.scaled(scale)
+        extras = {"noise_scale": scale, "calibrated_f2": fit.coefficient("F2")}
     points = optimal_point_table(loop, noise, _lambdas(cfg), steps=cfg.steps)
     out_dir = Path(cfg.out)
     doc = {
@@ -371,20 +345,26 @@ def cmd_optimal(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _table_from_dict(doc: dict) -> tuple[list, list, RunConfig]:
+    """(F* points, Omega*tau* points, loop settings) of an optimal table;
+    the loop comes from the config block optimal writes beside the rows."""
+    rows, config = doc.get("rows"), doc.get("config")
+    if not isinstance(rows, list) or not rows:
+        raise ConfigError('no non-empty "rows" list, as optimal writes')
+    f_pts = [(float(r["lambda_sq"]), float(r["f_star"])) for r in rows]
+    t_pts = [(float(r["lambda_sq"]), float(r["omega_tau_star"])) for r in rows]
+    if not isinstance(config, dict):
+        raise ConfigError('no "config" block, as optimal writes')
+    loop_cfg = RunConfig(loop=config["loop"], loop_file=config["loop_file"])
+    loop_cfg.validate()
+    return f_pts, t_pts, loop_cfg
+
+
 def cmd_fit(cfg: RunConfig) -> int:
     if cfg.table is None:
         raise ConfigError("fit needs --table pointing at an optimal-points JSON file")
-    rows = _read_json_object(cfg.table, "table file").get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(f'table {cfg.table} needs a non-empty "rows" list, as optimal writes')
-    try:
-        f_pts = [(float(r["lambda_sq"]), float(r["f_star"])) for r in rows]
-        t_pts = [(float(r["lambda_sq"]), float(r["omega_tau_star"])) for r in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"invalid row in table {cfg.table}: {type(exc).__name__} {exc}"
-        ) from exc
-    tau1 = optimal_time(1, wedge_order(build_loop(cfg)), 1.0)  # Omega*tau*_1
+    f_pts, t_pts, loop_cfg = _read_json(cfg.table, "table file", _table_from_dict)
+    tau1 = optimal_time(1, wedge_order(build_loop(loop_cfg)), 1.0)  # Omega*tau*_1
 
     fits = {
         "f_linear": fit_noise_response(f_pts, "f_linear"),
@@ -411,14 +391,13 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_robustness(cfg: RunConfig) -> int:
-    loop = build_loop(cfg)
-    noise, extras = _run_noise(cfg, loop)
+    loop, noise = build_loop(cfg), build_noise(cfg)
     rows = []
     for lam in _lambdas(cfg):
         r = robustness(loop, noise.with_lambda_sq(lam), steps=cfg.steps)
         rows.append({"lambda_sq": lam, "robustness": r})
     out_dir = Path(cfg.out)
-    doc = {"config": _write_run_config(out_dir, cfg, "robustness", extras, noise), "rows": rows}
+    doc = {"config": _write_run_config(out_dir, cfg, "robustness", noise=noise), "rows": rows}
     _write(out_dir / "robustness.json", _json_dump(doc))
     return EXIT_OK
 
@@ -432,9 +411,6 @@ def cmd_holonomy(cfg: RunConfig) -> int:
         "entries": matrix_entries(hol),
     }
     print(_json_dump(doc), end="")
-    if cfg.out != RunConfig.out:
-        # stdout carries the holonomy JSON alone
-        _write(Path(cfg.out) / "holonomy.json", _json_dump(doc), to_stderr=True)
     return EXIT_OK
 
 

@@ -16,14 +16,14 @@ start-frame eigenbasis the pieces are simple:
 
 A classical fixed-step 4th-order scheme propagates the full 16x16
 superoperator, so one integration serves every input state. The equation
-is linear, so each step is a fixed 16x16 map: all step maps of an arc are
-built at once from the generators at the 2n + 1 stage times, then
-multiplied by a pairwise tree product.
+is linear, so each step is a fixed 16x16 map: the step maps of an arc are
+built in blocks of at most _BLOCK_STEPS from the generators at their
+2n + 1 stage times, and each block is multiplied by a pairwise tree
+product.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +47,11 @@ _FRAME_ENERGY = np.array([0, 0, 1, -1])
 # pattern of (a, c, b, d) where the sandwich pairs equal frequencies.
 _FREQ = _FRAME_ENERGY[None, :] - _FRAME_ENERGY[:, None]
 _SAME_FREQ = _FREQ[:, None, :, None] == _FREQ[None, :, None, :]
+
+# Step maps built at once, at most: bounds the memory of one channel
+# (about 30 KB per step of an arc) whatever the loop time. At the default
+# step count a standard loop up to Omega*tau = 64 stays one block.
+_BLOCK_STEPS = 1280
 
 _IDENTITY4 = np.eye(DIM, dtype=complex)
 _VEC_IDENTITY = _IDENTITY4.reshape(-1)
@@ -116,10 +121,6 @@ def noise_from_dict(doc: dict) -> NoiseModel:
         gamma={int(k): float(v) for k, v in doc.get("gamma", {}).items()},
         lamb_shift={int(k): float(v) for k, v in doc.get("lamb_shift", {}).items()},
     )
-
-
-def noise_from_json(text: str) -> NoiseModel:
-    return noise_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,8 @@ class LoopChannel:
         return f_end @ final_frame @ f_end.conj().T
 
 
+# An under-resolved run can overflow Phi; the trace gate rejects it.
+@np.errstate(over="ignore", invalid="ignore")
 def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> LoopChannel:
     """Integrate the transport-picture master equation over the loop."""
     if steps is None:
@@ -215,13 +218,16 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
         _, gen = _arc_generator(loop, i)
         energies = np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex)
         l_unit = _commutator_superop(energies + gen)
-        # generators at the 2n + 1 RK4 stage times (step ends and midpoints)
-        local = np.arange(2 * n + 1) * (h / 2.0)
-        local[-1] = arc.duration
-        l_all = _dissipator_superops(arc, local, noise)
-        l_all *= noise.lambda_sq
-        l_all += l_unit
-        phi = _ordered_product(_step_maps(l_all, h)) @ phi
+        for first in range(0, n, _BLOCK_STEPS):
+            last = min(first + _BLOCK_STEPS, n)
+            # generators at the RK4 stage times (step ends and midpoints)
+            local = np.arange(2 * first, 2 * last + 1) * (h / 2.0)
+            if last == n:
+                local[-1] = arc.duration
+            l_all = _dissipator_superops(arc, local, noise)
+            l_all *= noise.lambda_sq
+            l_all += l_unit
+            phi = _ordered_product(_step_maps(l_all, h)) @ phi
     channel = LoopChannel(loop=loop, steps=steps, phi=phi)
     defect = channel.trace_defect()
     # written so that a NaN defect (an overflowed, under-resolved run) fails too

@@ -8,7 +8,6 @@ for the pi/2 wedge (the NOT gate) means equal arc times.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -229,7 +228,3 @@ def loop_from_dict(doc: dict) -> LoopSpec:
     if declared is not None and abs(loop.total_time - float(declared)) > 1e-9 * loop.total_time:
         raise ValueError("declared total_time inconsistent with arc durations")
     return loop
-
-
-def loop_from_json(text: str) -> LoopSpec:
-    return loop_from_dict(json.loads(text))

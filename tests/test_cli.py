@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from tripod_holonomy import analysis
 from tripod_holonomy.cli import main
-from tripod_holonomy.loops import wedge_loop
+from tripod_holonomy.loops import optimal_time, wedge_loop
 
 OMEGA_TAU_1 = 18.251004041881252
 
@@ -23,17 +24,24 @@ def non_contiguous_loop_doc():
     return doc
 
 
-def write_synthetic_table(path):
-    lams = np.linspace(1e-4, 1e-3, 7)
-    rows = [
+def synthetic_rows(n=1):
+    """Optimal-table rows of the order-n wedge loop with F2 = 6.34 and
+    tau2 = 59.40."""
+    return [
         {
             "lambda_sq": float(lam),
             "f_star": float(1 - 6.34 * lam),
-            "omega_tau_star": float(OMEGA_TAU_1 - 59.40 * lam),
+            "omega_tau_star": float(optimal_time(1, n, 1.0) - 59.40 * lam),
         }
-        for lam in lams
+        for lam in np.linspace(1e-4, 1e-3, 7)
     ]
-    path.write_text(json.dumps({"rows": rows}))
+
+
+def write_synthetic_table(path, n=1, rows=None):
+    """An optimal table with the config block optimal writes."""
+    loop = "standard" if n == 1 else f"wedge:{n}"
+    rows = synthetic_rows(n) if rows is None else rows
+    path.write_text(json.dumps({"config": {"loop": loop, "loop_file": None}, "rows": rows}))
 
 
 def run(argv, capsys=None):
@@ -100,20 +108,16 @@ class TestHolonomyCommand:
 
 class TestSweepCommands:
     def test_ideal_sweep_single_point(self, tmp_path):
+        # the bytes the former --omega-tau 18.25 flag wrote
         out = tmp_path / "run"
-        code = main([
-            "ideal-sweep", "--omega-tau", f"{OMEGA_TAU_1}", "--out", str(out),
-        ])
-        assert code == 0
-        rows = (out / "sweep_lambda2_0.csv").read_text().strip().split("\n")
-        assert rows[0] == "omega_tau,mean_fidelity"
-        omega_tau, fid = map(float, rows[1].split(","))
-        assert omega_tau == pytest.approx(OMEGA_TAU_1)
-        assert fid == pytest.approx(1.0, abs=1e-6)
+        assert main(["ideal-sweep", "--grid", "18.25:18.25:1", "--out", str(out)]) == 0
+        assert (out / "sweep_lambda2_0.csv").read_bytes() == (
+            b"omega_tau,mean_fidelity\n18.25,0.999999996718\n"
+        )
 
     def test_ideal_sweep_rejects_nonzero_lambda(self, tmp_path):
         code = main([
-            "ideal-sweep", "--omega-tau", "18", "--lambda-sq", "0.01",
+            "ideal-sweep", "--grid", "18:18:1", "--lambda-sq", "0.01",
             "--out", str(tmp_path / "x"),
         ])
         assert code == 2
@@ -176,14 +180,27 @@ class TestSweepCommands:
 
     def test_under_resolved_run_exits_3(self, tmp_path):
         code = main([
-            "noisy-sweep", "--omega-tau", "2000", "--lambda-sq", "0.05",
+            "noisy-sweep", "--grid", "2000:2000:1", "--lambda-sq", "0.05",
             "--steps", "3", "--out", str(tmp_path / "x"),
         ])
         assert code == 3
 
+    def test_overflowed_run_reports_only_the_exit_3_message(self, tmp_path, capsys):
+        # Phi overflows to NaN here; numpy must not warn on the way to the gate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, streams = run([
+                "noisy-sweep", "--grid", "2000:2000:1", "--lambda-sq", "0.05",
+                "--steps", "60", "--out", str(tmp_path / "x"),
+            ], capsys)
+        assert code == 3
+        assert streams.err == (
+            "numerical validation failed: trace drift nan above 1e-6; increase steps\n"
+        )
+
     def test_out_of_range_fidelity_exits_3(self, tmp_path, capsys):
         code, out = run([
-            "noisy-sweep", "--omega-tau", "18.25", "--lambda-sq", "0.05",
+            "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
             "--steps", "3", "--out", str(tmp_path / "x"),
         ], capsys)
         assert code == 3
@@ -233,27 +250,55 @@ class TestOptimalAndFit:
         assert abs(tau2["value"] - 59.40) <= 1e-8
         assert doc["f_of_tau_slope"] == pytest.approx(6.34 / 59.40, abs=1e-9)
 
-    def test_fit_underdetermined_table(self, tmp_path):
+    def test_fit_takes_the_loop_from_the_table(self, tmp_path):
         table = tmp_path / "table.json"
-        table.write_text(json.dumps({
-            "rows": [{"lambda_sq": 1e-4, "f_star": 0.999, "omega_tau_star": 18.25}]
-        }))
-        assert main(["fit", "--table", str(table), "--out", str(tmp_path / "x")]) == 2
+        write_synthetic_table(table, n=2)
+        out = tmp_path / "fit"
+        assert main(["fit", "--table", str(table), "--out", str(out)]) == 0
+        fits = json.loads((out / "fit_results.json").read_text())["fits"]
+        assert fits["tau_linear"]["intercept"] == optimal_time(1, 2, 1.0)
+        assert abs(fits["tau_linear"]["coefficients"][0]["value"] - 59.40) <= 1e-8
+
+    def test_fit_underdetermined_table(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        write_synthetic_table(table, rows=[
+            {"lambda_sq": 1e-4, "f_star": 0.999, "omega_tau_star": 18.25}
+        ])
+        code, out = run(["fit", "--table", str(table), "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert "needs at least 2 points" in out.err
 
     def test_fit_requires_table(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path / "x")]) == 2
+
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys):
+        # a directory where a loop, noise, config or table file should be
+        for argv in (["holonomy", "--loop-file"], ["noisy-sweep", "--grid", "18:18:1",
+                     "--noise-file"], ["ideal-sweep", "--config"], ["fit", "--table"]):
+            code, streams = run([*argv, str(tmp_path)], capsys)
+            assert code == 2
+            assert "cannot read" in streams.err
 
     @pytest.mark.parametrize("text, message", [
         ('[{"lambda_sq": 1e-4, "f_star": 0.999, "omega_tau_star": 18.25}]', "JSON object"),
         ('{"rows": [', "not valid JSON"),
         ('{"rows": [{"lambda_sq": 1e-4, "omega_tau_star": 18.25}]}', "f_star"),
-    ], ids=["bare-list", "invalid-json", "row-without-f-star"])
+        (json.dumps({"rows": synthetic_rows()}), '"config"'),
+        (json.dumps({"rows": synthetic_rows(), "config": {"loop": "standard"}}), "loop_file"),
+        (json.dumps({"rows": synthetic_rows(), "config": {"loop": 2, "loop_file": None}}),
+         "loop must be a string"),
+        (json.dumps({"rows": synthetic_rows(), "config": {"loop": "wedge:0", "loop_file": None}}),
+         "wedge order"),
+    ], ids=["bare-list", "invalid-json", "row-without-f-star", "no-config",
+            "config-without-loop-file", "loop-not-a-string", "bad-wedge-order"])
     def test_fit_bad_table_is_config_error(self, tmp_path, capsys, text, message):
         table = tmp_path / "table.json"
         table.write_text(text)
-        code, out = run(["fit", "--table", str(table), "--out", str(tmp_path / "x")], capsys)
+        out = tmp_path / "x"
+        code, streams = run(["fit", "--table", str(table), "--out", str(out)], capsys)
         assert code == 2
-        assert message in out.err
+        assert message in streams.err
+        assert not out.exists()
 
     def test_robustness_zero_coupling(self, tmp_path):
         out = tmp_path / "rob"
@@ -288,9 +333,9 @@ class TestCalibration:
         path = tmp_path / "bath.json"
         path.write_text(json.dumps(table))
         asked = stub_response(monkeypatch, lambda noise: 10.0 * noise.rate(0))
-        out = tmp_path / "n"
-        assert main(["noisy-sweep", "--omega-tau", "18", "--lambda-sq", "0",
-                     "--noise-file", str(path), "--calibrate-f2", "6.34", "--out", str(out)]) == 0
+        out = tmp_path / "opt"
+        assert main(["optimal", "--lambda-sq", "0", "--noise-file", str(path),
+                     "--calibrate-f2", "6.34", "--out", str(out)]) == 0
         assert len(asked) == 2
         provenance = json.loads((out / "run_config.json").read_text())["provenance"]
         scale = provenance["noise_scale"]
@@ -328,7 +373,7 @@ class TestCalibration:
         path.write_text(json.dumps(table))
         argv = [command, "--lambda-sq", "0", "--noise-file", str(path)]
         if command == "noisy-sweep":
-            argv += ["--omega-tau", "18"]
+            argv += ["--grid", "18:18:1"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main([*argv, "--out", str(a)]) == 0
         argv[argv.index(str(path))] = str(a / "noise.json")
@@ -355,13 +400,13 @@ class TestDeterminismAndRoundTrip:
         assert (a / "sweep_lambda2_0.csv").read_bytes() == (b / "sweep_lambda2_0.csv").read_bytes()
 
     @pytest.mark.parametrize("command, config, flags, key", [
-        ("noisy-sweep", {"omega": "abc"}, ["--omega-tau", "18"], "omega"),
+        ("noisy-sweep", {"omega": "abc"}, ["--grid", "18:18:1"], "omega"),
         ("noisy-sweep", {"grid": [1, 2]}, [], "grid"),
-        ("noisy-sweep", {"lambda_sq": 0.1}, ["--omega-tau", "18"], "lambda_sq"),
-        ("noisy-sweep", {}, ["--omega-tau", "18", "--lambda-sq", "nan"], "lambda_sq"),
+        ("noisy-sweep", {"lambda_sq": 0.1}, ["--grid", "18:18:1"], "lambda_sq"),
+        ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "nan"], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "1:1:3"], "grid"),
         ("fit", {"free_intercept": "no"}, ["--table", "table.json"], "free_intercept"),
-        ("noisy-sweep", {}, ["--omega-tau", "18", "--lambda-sq", ","], "lambda_sq"),
+        ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", ","], "lambda_sq"),
         ("optimal", {}, ["--lambda-sq", ""], "lambda_sq"),
         ("robustness", {"lambda_sq": []}, [], "lambda_sq"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
@@ -396,45 +441,61 @@ class TestDeterminismAndRoundTrip:
         ("ideal-sweep", "--calibrate-f2", "calibrate_f2", 6.34),
         ("optimal", "--grid", "grid", [1, 2, 3]),
         ("fit", "--gamma0", "gamma0", 1),
-    ], ids=["holonomy-steps", "ideal-sweep-calibrate-f2", "optimal-grid", "fit-gamma0"])
+        ("ideal-sweep", "--omega-tau", "omega_tau", 18.25),
+        ("noisy-sweep", "--calibrate-f2", "calibrate_f2", 6.34),
+        ("robustness", "--calibrate-f2", "calibrate_f2", 6.34),
+        ("fit", "--loop", "loop", "wedge:2"),
+        ("holonomy", "--out", "out", "x"),
+    ], ids=["holonomy-steps", "ideal-sweep-calibrate-f2", "optimal-grid", "fit-gamma0",
+            "ideal-sweep-omega-tau", "noisy-sweep-calibrate-f2", "robustness-calibrate-f2",
+            "fit-loop", "holonomy-out"])
     def test_setting_the_command_does_not_read_is_rejected(
-        self, tmp_path, capsys, command, flag, key, value
+        self, tmp_path, monkeypatch, capsys, command, flag, key, value
     ):
+        # a run that went ahead would write into x
+        monkeypatch.chdir(tmp_path)
+        write_synthetic_table(tmp_path / "table.json")
+        given = {"noisy-sweep": ["--grid", "18:18:1", "--lambda-sq", "0"],
+                 "robustness": ["--lambda-sq", "0"],
+                 "fit": ["--table", "table.json"]}.get(command, [])
+        if command != "holonomy":
+            given += ["--out", "x"]
         text = ":".join(map(str, value)) if isinstance(value, list) else str(value)
-        out = tmp_path / "x"
-        code, streams = run([command, flag, text, "--out", str(out)], capsys)
+        code, streams = run([command, flag, text, *given], capsys)
         assert code == 2
         assert flag in streams.err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        code, streams = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+        code, streams = run([command, "--config", str(cfg), *given], capsys)
         assert code == 2
         assert key in streams.err
-        assert not out.exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["ideal-sweep", "fit", "holonomy"])
     def test_rerun_from_own_echo_is_byte_identical(self, tmp_path, capsys, command):
         table = tmp_path / "table.json"
-        write_synthetic_table(table)
+        write_synthetic_table(table, n=2)
         out = tmp_path / "a"
         argv = {
-            "ideal-sweep": ["--grid", "17:20:4", "--loop", "wedge:2", "--omega", "1.5"],
-            "fit": ["--table", str(table), "--free-intercept", "--loop", "wedge:2"],
+            "ideal-sweep": ["--grid", "17:20:4", "--loop", "wedge:2", "--omega", "1.5",
+                            "--out", str(out)],
+            "fit": ["--table", str(table), "--free-intercept", "--out", str(out)],
             "holonomy": ["--loop", "wedge:2"],
         }[command]
-        code, first = run([command, *argv, "--out", str(out)], capsys)
+        code, first = run([command, *argv], capsys)
         assert code == 0
         cfg = tmp_path / "echo.json"
-        if command == "holonomy":
+        written = {}
+        if command == "holonomy":  # its one output is stdout
             cfg.write_text(json.dumps(json.loads(first.out)["config"]))
         else:
             shutil.copy(out / "run_config.json", cfg)
-        written = {p.name: p.read_bytes() for p in out.iterdir()}
-        shutil.rmtree(out)
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
         code, second = run([command, "--config", str(cfg)], capsys)
         assert code == 0
         assert second.out == first.out
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+        assert {p.name: p.read_bytes() for p in out.glob("*")} == written
 
     def test_invalid_worker_env_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOMY_THREADS", "many")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,14 @@ from tripod_holonomy import (
 )
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import (
+    _BLOCK_STEPS,
     _FRAME_ENERGY,
     COUPLING,
     FREQUENCY_MULTIPLES,
     _commutator_superop,
     _dissipator_superops,
     default_step_count,
-    noise_from_json,
+    noise_from_dict,
 )
 from tripod_holonomy.propagators import _arc_generator
 from tripod_holonomy.tripod import SphericalPoint, eigenframe
@@ -144,7 +147,7 @@ class TestNoiseModel:
         text = """{"lambda_sq": 0.02, "label": "custom",
                    "gamma": {"0": 0.5, "1": 0.4, "-1": 0.4, "2": 0.3, "-2": 0.3},
                    "lamb_shift": {"1": 0.05, "-1": -0.05}}"""
-        assert noise_from_json(text) == NoiseModel(
+        assert noise_from_dict(json.loads(text)) == NoiseModel(
             lambda_sq=0.02,
             gamma={0: 0.5, 1: 0.4, -1: 0.4, 2: 0.3, -2: 0.3},
             lamb_shift={1: 0.05, -1: -0.05},
@@ -286,6 +289,8 @@ class TestEvolveDensity:
     @pytest.mark.parametrize("loop", [
         *(standard_not_loop(1.0, omega_tau) for omega_tau in (6.0, 18.251, 42.0)),
         wedge_loop(2, 1.0, 23.7),
+        # 60*Omega*tau / 3 = _BLOCK_STEPS + 176 steps per arc: two blocks
+        standard_not_loop(1.0, (_BLOCK_STEPS + 176) / 20.0),
     ])
     @pytest.mark.parametrize("noise", [
         high_temperature_noise(0.05),

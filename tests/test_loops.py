@@ -18,7 +18,7 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy.errors import InvalidDuration, InvalidOrder, UnsupportedLoop
-from tripod_holonomy.loops import loop_from_json, wedge_order
+from tripod_holonomy.loops import loop_from_dict, wedge_order
 
 
 class TestConstruction:
@@ -181,13 +181,13 @@ STANDARD_LOOP_JSON = f"""{{"omega_scale": 1.0, "arcs": [
 class TestJsonRoundTrip:
     def test_round_trip(self):
         loop = wedge_loop(2, 1.5, 4.0)
-        assert loop_from_json(json.dumps(dataclasses.asdict(loop))) == loop
+        assert loop_from_dict(json.loads(json.dumps(dataclasses.asdict(loop)))) == loop
 
     def test_reads_literal(self):
-        assert loop_from_json(STANDARD_LOOP_JSON) == standard_not_loop(1.0, 3.0)
+        assert loop_from_dict(json.loads(STANDARD_LOOP_JSON)) == standard_not_loop(1.0, 3.0)
 
     def test_inconsistent_total_time_rejected(self):
         doc = json.loads(STANDARD_LOOP_JSON)
         doc["total_time"] = 99.0
         with pytest.raises(ValueError):
-            loop_from_json(json.dumps(doc))
+            loop_from_dict(doc)
