@@ -33,8 +33,7 @@ from .parallel import ordered_map
 from .propagators import adiabatic_gate, loop_propagator, start_frame
 
 PEAK_WINDOW = (0.7, 1.3)
-PEAK_TOL = 1e-4
-_COARSE_POINTS = 21
+PEAK_TOL = 1e-5
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y.
@@ -158,22 +157,37 @@ class OptimalPoint:
         }
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for a maximum of a unimodal function."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+def _brent_max(fn, a: float, b: float, points, tol: float) -> tuple[float, float]:
+    """Brent's method for the maximum of fn inside the bracket (a, b):
+    parabolic steps with a golden-section fallback (Brent 1973, ch. 5).
+    `points` are three evaluated (x, fn(x)) pairs in [a, b]; returns the
+    best point once it is known to within tol."""
+    (x, fx), (w, fw), (v, fv) = sorted(points, key=lambda pt: -pt[1])
+    d = e = b - a
+    while max(x - a, b - x) > tol:
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - w) * r - (x - v) * q, 2.0 * (q - r)
+        p, q = (-p, -q) if q < 0 else (p, q)
+        e_prev, e = e, d
+        if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < tol:
+                d = math.copysign(tol / 2, a + b - 2 * x)
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc > fd else (d, fd)
+            e = (a if 2 * x >= a + b else b) - x
+            d = (1.0 - _GOLDEN) * e
+        u = x + math.copysign(max(abs(d), tol / 2), d)
+        fu = fn(u)
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            (v, fv), (w, fw), (x, fx) = (w, fw), (x, fx), (u, fu)
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu >= fw:
+                (v, fv), (w, fw) = (w, fw), (u, fu)
+            elif fu >= fv:
+                v, fv = u, fu
+    return x, fx
 
 
 def find_optimal_point(
@@ -183,9 +197,12 @@ def find_optimal_point(
     window: tuple[float, float] | None = None,
 ) -> OptimalPoint:
     """Locate the first fidelity peak (or the one inside `window`, in
-    Omega*tau): coarse scan over the window, then golden-section refinement
-    to PEAK_TOL around the interior local maximum of the scan nearest the
-    window centre (wedge:n windows with n >= 2 hold several maxima)."""
+    Omega*tau). The search starts at the window centre and its neighbours
+    at +-(hi - lo)/40 and climbs uphill, each step the golden ratio longer
+    than the last, until the middle of three points is the highest: it
+    takes the maximum the centre sits on (wedge:n windows with n >= 2 hold
+    several). Brent's method refines that bracket to PEAK_TOL. A climb
+    that would leave the window raises NoPeakInWindow."""
     omega = loop.omega_scale
     if window is None:
         tau1 = omega * optimal_time(1, wedge_order(loop), omega)
@@ -193,24 +210,23 @@ def find_optimal_point(
     lo, hi = window
     if not (hi > lo > 0):
         raise ValueError(f"invalid search window {window}")
+    centre, h = 0.5 * (lo + hi), (hi - lo) / 40
     if steps is None:
-        steps = default_step_count(with_total_time(loop, 0.5 * (lo + hi) / omega))
+        steps = default_step_count(with_total_time(loop, centre / omega))
 
     def f(omega_tau: float) -> float:
         return mean_fidelity(with_total_time(loop, omega_tau / omega), noise, steps=steps)
 
-    grid = np.linspace(lo, hi, _COARSE_POINTS)
-    values = [f(x) for x in grid]
-    peaks = [
-        i for i in range(1, _COARSE_POINTS - 1) if values[i - 1] < values[i] >= values[i + 1]
-    ]
-    if not peaks:
-        raise NoPeakInWindow(f"no interior maximum in window ({lo}, {hi})")
-    best = min(peaks, key=lambda i: abs(2 * i - (_COARSE_POINTS - 1)))
-    bracket = (float(grid[best - 1]), float(grid[best + 1]))
-    x_star, f_star = _golden_section_max(f, bracket[0], bracket[1], PEAK_TOL)
-    if values[best] > f_star:
-        x_star, f_star = float(grid[best]), float(values[best])
+    pts = [(x, f(x)) for x in (centre - h, centre, centre + h)]
+    while pts[1][1] < max(pts[0][1], pts[2][1]):
+        h /= _GOLDEN
+        up = 1 if pts[2][1] > pts[0][1] else -1
+        x = pts[1 + up][0] + up * h
+        if not lo <= x <= hi:
+            raise NoPeakInWindow(f"no maximum uphill of the centre of window ({lo}, {hi})")
+        pts = pts[1:] + [(x, f(x))] if up > 0 else [(x, f(x))] + pts[:2]
+    bracket = (pts[0][0], pts[2][0])
+    x_star, f_star = _brent_max(f, *bracket, pts, PEAK_TOL)
     return OptimalPoint(
         tau_star=x_star / omega,
         f_star=f_star,
@@ -316,7 +332,9 @@ def fit_noise_response(
     else:
         rhs = y - intercept
     design = np.stack(columns, axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    if rank < n_free:
+        raise UnderdeterminedFit(f"{model}: lambda^2 values fix {rank} of {n_free} coefficients")
     resid = rhs - design @ coef
     dof = len(x) - n_free
     sigma_sq = float(resid @ resid) / dof if dof > 0 else 0.0

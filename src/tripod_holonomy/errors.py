@@ -31,7 +31,7 @@ class StepCountTooSmall(TripodError):
 
 
 class NoPeakInWindow(TripodError):
-    """Peak search bracket contains no interior maximum."""
+    """Peak search climbed out of its window without finding a maximum."""
 
 
 class CalibrationFailed(TripodError):

@@ -18,12 +18,13 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy import analysis
-from tripod_holonomy.analysis import per_state_fidelities, sweep_curve_to_csv
+from tripod_holonomy.analysis import PEAK_TOL, per_state_fidelities, sweep_curve_to_csv
 from tripod_holonomy.errors import (
     ModelMismatch,
     NoPeakInWindow,
     UnderdeterminedFit,
 )
+from tripod_holonomy.lindblad import default_step_count
 from tripod_holonomy.propagators import dark_block, start_frame
 
 OMEGA_TAU_1 = optimal_time(1, 1, 1.0)
@@ -39,6 +40,24 @@ def spiral_density_matrices(n, dark_basis):
     amps = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
     psi = amps @ dark_basis.T
     return np.einsum("ni,nj->nij", psi, psi.conj())
+
+
+def golden_section_peak(fn, lo, hi, tol):
+    """Dense reference for the peak search: golden section on (lo, hi)
+    down to an interval of width tol."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    while hi - lo > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = fn(d)
+    return (c, fc) if fc > fd else (d, fd)
 
 
 class TestExactBlochAverage:
@@ -140,6 +159,38 @@ class TestFindOptimalPoint:
         edge = mean_fidelity(with_total_time(loop, 0.7 * tau1), noise)
         assert edge > pt.f_star
 
+    def test_standard_search_makes_at_most_12_integrations(self, monkeypatch):
+        seen = []
+
+        def recording(loop, noise, steps=None):
+            seen.append(steps)
+            return loop_channel(loop, noise, steps)
+
+        monkeypatch.setattr(analysis, "loop_channel", recording)
+        find_optimal_point(standard_not_loop(1.0, 1.0), high_temperature_noise(1e-3))
+        assert 1 <= len(seen) <= 12
+        assert len(set(seen)) == 1
+
+    @pytest.mark.parametrize("n, lam, window", [
+        (1, 1e-3, (0.9, 1.05)),
+        (1, 0.05, (0.9, 1.05)),
+        (2, 0.05, (0.9, 1.0)),
+    ])
+    def test_matches_a_dense_golden_section(self, n, lam, window):
+        # Each window holds one maximum, the one the search starts on.
+        loop, noise = wedge_loop(n, 1.0, 1.0), high_temperature_noise(lam)
+        tau1 = optimal_time(1, n, 1.0)
+        steps = default_step_count(with_total_time(loop, tau1))
+        x_ref, f_ref = golden_section_peak(
+            lambda x: mean_fidelity(with_total_time(loop, x), noise, steps=steps),
+            window[0] * tau1,
+            window[1] * tau1,
+            1e-8,
+        )
+        pt = find_optimal_point(loop, noise, steps=steps)
+        assert abs(pt.tau_star - x_ref) <= PEAK_TOL <= 1e-5
+        assert abs(pt.f_star - f_ref) <= 1e-12
+
     def test_monotone_window_raises(self, no_noise):
         with pytest.raises(NoPeakInWindow):
             find_optimal_point(
@@ -182,6 +233,14 @@ class TestFitEngine:
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedFit):
             fit_noise_response([(1e-4, 1.0)], "f_linear")
+
+    @pytest.mark.parametrize("model, lambdas", [
+        ("f_linear", [0.0] * 7),
+        ("f_quartic", [1e-3] * 4),
+    ], ids=["all-zero", "quartic-one-value"])
+    def test_degenerate_lambdas_are_underdetermined(self, model, lambdas):
+        with pytest.raises(UnderdeterminedFit):
+            fit_noise_response([(x, 1.0 - 6.34 * x) for x in lambdas], model)
 
     def test_unknown_model(self):
         with pytest.raises(ModelMismatch):

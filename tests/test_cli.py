@@ -268,6 +268,14 @@ class TestOptimalAndFit:
         assert code == 2
         assert "needs at least 2 points" in out.err
 
+    def test_fit_on_an_all_zero_coupling_table_exits_2(self, tmp_path, capsys):
+        assert run(["optimal", "--lambda-sq", "0,0", "--out", str(tmp_path / "opt")]) == 0
+        table = tmp_path / "opt" / "optimal_points.json"
+        code, out = run(["fit", "--table", str(table), "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert "f_linear: lambda^2 values fix 0 of 1 coefficients" in out.err
+        assert not (tmp_path / "x").exists()
+
     def test_fit_requires_table(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path / "x")]) == 2
 
