@@ -12,22 +12,26 @@ from tripod_holonomy import (
     high_temperature_noise,
     loop_channel,
     loop_propagator,
+    mean_fidelity,
     standard_not_loop,
     wedge_loop,
 )
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import (
+    _BASIS,
     _BLOCK_STEPS,
+    _EXCITED_ROW,
     _FRAME_ENERGY,
     COUPLING,
     FREQUENCY_MULTIPLES,
     _commutator_superop,
     _dissipator_superops,
+    _dissipator_terms,
     default_step_count,
     noise_from_dict,
 )
 from tripod_holonomy.propagators import _arc_generator
-from tripod_holonomy.tripod import SphericalPoint, eigenframe
+from tripod_holonomy.tripod import STATE_EXCITED, SphericalPoint, _frame_columns, eigenframe
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
@@ -41,6 +45,10 @@ UNEQUAL_NOISE = NoiseModel(
     gamma={0: 0.31, 1: 0.47, -1: 0.22, 2: 0.13, -2: 0.58},
     lamb_shift={0: 0.05, 1: -0.07, -1: 0.11, 2: 0.02, -2: -0.03},
 )
+
+# 60*Omega*tau / 3 = 3.5 * _BLOCK_STEPS steps per arc, above the 1,000-step
+# floor: each arc is three full blocks and a partial one.
+MULTI_BLOCK_LOOP = standard_not_loop(1.0, 3.5 * _BLOCK_STEPS / 20.0)
 
 
 def random_density(rng):
@@ -83,12 +91,20 @@ def dissipator_lab(ops, noise, sigma):
     return out - 1j * (h_ls @ sigma - sigma @ h_ls)
 
 
+def vec_dissipators(arc, local_times, noise):
+    """Production dissipator samples (lambda^2 included) at local arc times,
+    mapped from real coordinates back to superoperators acting on
+    row-major vec(sigma) in the coordinates of the start frame."""
+    real = _dissipator_superops(arc, local_times, _dissipator_terms(noise))
+    return _BASIS @ real @ _BASIS.conj().T
+
+
 def superop_at(theta, phi, noise):
-    """Production dissipator superoperator at one path point, acting on
-    row-major vec(sigma) in the coordinates of the eigenframe there."""
+    """Production dissipator superoperator (no lambda^2 factor) at one path
+    point, acting on row-major vec(sigma) in the eigenframe there."""
     arc = ArcSegment(ArcKind.MERIDIAN, fixed_angle=phi, start_angle=theta,
                      end_angle=theta, duration=1.0)
-    return _dissipator_superops(arc, np.array([0.0]), noise)[0]
+    return vec_dissipators(arc, np.array([0.0]), noise.with_lambda_sq(1.0))[0]
 
 
 def apply_superop(superop, sigma):
@@ -113,7 +129,7 @@ def sequential_rk4_phi(loop, noise):
         l_unit = _commutator_superop(energies + gen)
         local = np.arange(2 * n + 1) * (h / 2.0)
         local[-1] = arc.duration
-        l_all = l_unit[None, :, :] + noise.lambda_sq * _dissipator_superops(arc, local, noise)
+        l_all = l_unit[None, :, :] + vec_dissipators(arc, local, noise)
         for j in range(n):
             la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
             k1 = la @ phi
@@ -194,22 +210,34 @@ class TestDissipator:
     """The production superoperator, checked on its own and against the
     per-state reference."""
 
-    def test_matches_per_state_reference(self, rng):
+    def test_matches_per_state_reference(self):
+        # the real-coordinate samples, mapped back to the vec basis, column
+        # by column against the reference acting on each unit E_bd
         loop = wedge_loop(2, 1.0, 23.7)
+        units = np.eye(16).reshape(16, 4, 4)
         worst = 0.0
         for arc in loop.arcs:
-            times = np.array([0.0, 0.5 * arc.duration, arc.duration])
-            superops = _dissipator_superops(arc, times, UNEQUAL_NOISE)
+            times = np.linspace(0.0, arc.duration, 5)
+            superops = vec_dissipators(arc, times, UNEQUAL_NOISE)
             for t, superop in zip(times, superops):
                 p = SphericalPoint(*arc.angles(t))
                 f = eigenframe(p).matrix
                 ops = jump_operators(p)
-                for _ in range(3):
-                    sigma = random_density(rng)
-                    lab = dissipator_lab(ops, UNEQUAL_NOISE, f @ sigma @ f.conj().T)
-                    expected = f.conj().T @ lab @ f
-                    worst = max(worst, np.abs(apply_superop(superop, sigma) - expected).max())
+                expected = np.stack([
+                    (f.conj().T @ dissipator_lab(ops, UNEQUAL_NOISE, f @ e @ f.conj().T) @ f)
+                    .reshape(-1)
+                    for e in units
+                ], axis=-1)
+                worst = max(worst, np.abs(superop - expected).max())
         assert worst <= 1e-12
+
+    @given(theta=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+           phi=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+    @settings(max_examples=100, deadline=None)
+    def test_excited_row_of_the_frame_is_constant(self, theta, phi):
+        # the quadratic form in the |0> row assumes this row never moves
+        row = _frame_columns(np.array(theta), np.array(phi))[STATE_EXCITED]
+        assert np.array_equal(row, _EXCITED_ROW)
 
     def test_zero_rates_give_zero(self):
         silent = NoiseModel(lambda_sq=1.0)
@@ -289,8 +317,7 @@ class TestEvolveDensity:
     @pytest.mark.parametrize("loop", [
         *(standard_not_loop(1.0, omega_tau) for omega_tau in (6.0, 18.251, 42.0)),
         wedge_loop(2, 1.0, 23.7),
-        # 60*Omega*tau / 3 = _BLOCK_STEPS + 176 steps per arc: two blocks
-        standard_not_loop(1.0, (_BLOCK_STEPS + 176) / 20.0),
+        MULTI_BLOCK_LOOP,
     ])
     @pytest.mark.parametrize("noise", [
         high_temperature_noise(0.05),
@@ -299,6 +326,22 @@ class TestEvolveDensity:
     def test_step_maps_match_sequential_rk4(self, loop, noise):
         phi = loop_channel(loop, noise).phi
         assert np.abs(phi - sequential_rk4_phi(loop, noise)).max() <= 1e-12
+
+    def test_multi_block_loop_ends_in_a_partial_block(self):
+        loop = MULTI_BLOCK_LOOP
+        steps = default_step_count(loop)
+        for arc in loop.arcs:
+            n = int(round(steps * arc.duration / loop.total_time))
+            assert n > _BLOCK_STEPS and n % _BLOCK_STEPS
+
+    @pytest.mark.parametrize("omega_tau", [42.0, 60.25])
+    @pytest.mark.parametrize("lambda_sq", [0.005, 0.05])
+    def test_default_steps_resolve_the_fidelity(self, omega_tau, lambda_sq):
+        loop = standard_not_loop(1.0, omega_tau)
+        noise = high_temperature_noise(lambda_sq)
+        f_default = mean_fidelity(loop, noise)
+        f_fine = mean_fidelity(loop, noise, steps=4 * default_step_count(loop))
+        assert abs(f_default - f_fine) <= 1e-9
 
     def test_channel_trace_defect_small_at_default_steps(self, not_loop):
         ch = loop_channel(not_loop, high_temperature_noise(0.03))
