@@ -3,10 +3,11 @@
 tripod-holonomy commands in turn, each into its own directory under --out:
 
   ideal/        ideal-sweep: the noiseless fidelity curve
-  optimal/      optimal: working points over the small and large couplings,
-                and noise.json, the noise table (calibrated with --calibrate)
+  optimal/      optimal: working points at 0 and over the small and large
+                couplings, and noise.json, the noise table (calibrated with
+                --calibrate)
   noisy/        noisy-sweep with optimal/noise.json: the noisy-curve family
-  robustness/   robustness with optimal/noise.json: R at 0 and the large
+  robustness/   robustness over the optimal table: R at each of its
                 couplings
   fit_all/      fit over every optimal row: the quartic and cubic fits
   fit_small/    fit over the small-coupling rows (copied there as
@@ -55,12 +56,11 @@ def plan(args):
     calibrate = ["--calibrate-f2", "6.34"] if args.calibrate else []
 
     yield ["ideal-sweep", "--grid", grid, "--out", str(out / "ideal")]
-    yield ["optimal", "--lambda-sq", _lambda_list(DEFAULT_FIT_LAMBDAS + large),
+    yield ["optimal", "--lambda-sq", _lambda_list((0.0,) + DEFAULT_FIT_LAMBDAS + large),
            "--gamma0", repr(args.gamma0), *calibrate, "--out", str(out / "optimal")]
     yield ["noisy-sweep", "--grid", grid, "--lambda-sq", _lambda_list(large),
            "--noise-file", noise, "--out", str(out / "noisy")]
-    yield ["robustness", "--lambda-sq", _lambda_list((0.0, *large)),
-           "--noise-file", noise, "--out", str(out / "robustness")]
+    yield ["robustness", "--table", str(table), "--out", str(out / "robustness")]
     yield ["fit", "--table", str(table), "--out", str(out / "fit_all")]
 
     doc = json.loads(table.read_text())

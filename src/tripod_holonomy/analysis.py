@@ -373,14 +373,14 @@ def f_of_tau_relation(f_fit: FitResult, tau_fit: FitResult) -> float:
 # ---------------------------------------------------------------------------
 
 
-def robustness(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> float:
-    """(F* - F_adiab) / F*, with F_adiab taken at the third revival, where
-    the adiabatic limit is effectively reached."""
-    omega = loop.omega_scale
-    point = find_optimal_point(loop, noise, steps=steps)
-    tau3 = optimal_time(3, wedge_order(loop), omega)
+def robustness(
+    loop: LoopSpec, noise: NoiseModel, f_star: float, steps: int | None = None
+) -> float:
+    """(F* - F_adiab) / F* for the peak fidelity f_star at this noise, with
+    F_adiab at the third revival, where the adiabatic limit is reached."""
+    tau3 = optimal_time(3, wedge_order(loop), loop.omega_scale)
     f_adiab = mean_fidelity(with_total_time(loop, tau3), noise, steps=steps)
-    return (point.f_star - f_adiab) / point.f_star
+    return (f_star - f_adiab) / f_star
 
 
 def optimal_point_table(

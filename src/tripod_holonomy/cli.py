@@ -120,7 +120,7 @@ _SETTINGS = {
     "noisy-sweep": _LOOP + ("grid",) + _NOISE,
     "optimal": _LOOP + _NOISE + ("calibrate_f2",),
     "fit": ("out", "table", "free_intercept"),
-    "robustness": _LOOP + _NOISE,
+    "robustness": ("out", "table"),
     "holonomy": ("loop", "loop_file"),
 }
 
@@ -240,6 +240,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             doc[key] = parse(value) if parse else value
     cfg = replace(RunConfig(), **doc)
     cfg.validate()
+    if "table" in _SETTINGS[args.command] and cfg.table is None:
+        raise ConfigError(f"{args.command} needs --table pointing at an optimal-points JSON file")
     return cfg
 
 
@@ -345,25 +347,31 @@ def cmd_optimal(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _table_from_dict(doc: dict) -> tuple[list, list, RunConfig]:
-    """(F* points, Omega*tau* points, loop settings) of an optimal table;
-    the loop comes from the config block optimal writes beside the rows."""
+def _table_from_dict(doc: dict, keys: tuple[str, ...]) -> tuple[list, list, RunConfig, float]:
+    """(F* points, Omega*tau* points, settings, noise scale) of an optimal
+    table: the given keys of the config block optimal writes beside the rows,
+    checked as a config file's are, and its calibration's scale (or 1)."""
     rows, config = doc.get("rows"), doc.get("config")
     if not isinstance(rows, list) or not rows:
         raise ConfigError('no non-empty "rows" list, as optimal writes')
-    f_pts = [(float(r["lambda_sq"]), float(r["f_star"])) for r in rows]
-    t_pts = [(float(r["lambda_sq"]), float(r["omega_tau_star"])) for r in rows]
+    for r in rows:
+        for key, strict in (("lambda_sq", False), ("f_star", True), ("omega_tau_star", True)):
+            _check_number(key, r[key], minimum=0.0, strict=strict)
+    f_pts = [(r["lambda_sq"], r["f_star"]) for r in rows]
+    t_pts = [(r["lambda_sq"], r["omega_tau_star"]) for r in rows]
     if not isinstance(config, dict):
         raise ConfigError('no "config" block, as optimal writes')
-    loop_cfg = RunConfig(loop=config["loop"], loop_file=config["loop_file"])
-    loop_cfg.validate()
-    return f_pts, t_pts, loop_cfg
+    table_cfg = replace(RunConfig(), **{key: config[key] for key in keys})
+    table_cfg.validate()
+    scale = config.get("provenance", {}).get("noise_scale", 1.0)
+    _check_number("noise_scale", scale, minimum=0.0, strict=True)
+    return f_pts, t_pts, table_cfg, scale
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    if cfg.table is None:
-        raise ConfigError("fit needs --table pointing at an optimal-points JSON file")
-    f_pts, t_pts, loop_cfg = _read_json(cfg.table, "table file", _table_from_dict)
+    f_pts, t_pts, loop_cfg, _ = _read_json(
+        cfg.table, "table file", lambda doc: _table_from_dict(doc, ("loop", "loop_file"))
+    )
     tau1 = optimal_time(1, wedge_order(build_loop(loop_cfg)), 1.0)  # Omega*tau*_1
 
     fits = {
@@ -391,10 +399,14 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_robustness(cfg: RunConfig) -> int:
-    loop, noise = build_loop(cfg), build_noise(cfg)
+    keys = ("loop", "loop_file", "omega", "gamma0", "noise_file", "steps")
+    f_pts, _, table_cfg, scale = _read_json(
+        cfg.table, "table file", lambda doc: _table_from_dict(doc, keys)
+    )
+    loop, noise = build_loop(table_cfg), build_noise(table_cfg).scaled(scale)
     rows = []
-    for lam in _lambdas(cfg):
-        r = robustness(loop, noise.with_lambda_sq(lam), steps=cfg.steps)
+    for lam, f_star in f_pts:
+        r = robustness(loop, noise.with_lambda_sq(lam), f_star, steps=table_cfg.steps)
         rows.append({"lambda_sq": lam, "robustness": r})
     out_dir = Path(cfg.out)
     doc = {"config": _write_run_config(out_dir, cfg, "robustness", noise=noise), "rows": rows}

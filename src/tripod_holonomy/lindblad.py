@@ -218,7 +218,7 @@ def _dissipator_terms(noise: NoiseModel) -> np.ndarray:
 def _dissipator_superops(arc, local_times: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Dissipator samples (lambda^2 included) at local arc times, in the
     real coordinates of the start frame, from _dissipator_terms' K."""
-    r = _frame_columns(*arc.angles(local_times))[:, STATE_0, :].real
+    r = _frame_columns(*arc.angles(local_times))[:, STATE_0, :]
     p, q = _TERM_PAIRS
     return ((r[:, p] * r[:, q]) @ terms).reshape(len(local_times), DIM * DIM, DIM * DIM)
 

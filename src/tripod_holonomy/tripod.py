@@ -76,7 +76,7 @@ def hamiltonian(theta, phi, omega: float = 1.0) -> np.ndarray:
 
 
 def _frame_columns(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Closed-form frame for arrays of angles; returns (..., 4, 4)."""
+    """Closed-form frame for arrays of angles; returns real (..., 4, 4)."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st, ct = np.sin(theta), np.cos(theta)
@@ -87,12 +87,12 @@ def _frame_columns(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     d1 = np.stack([ct * sp, ct * cp, -st, z], axis=-1)
     dp = inv_sqrt2 * np.stack([st * sp, st * cp, ct, z + 1.0], axis=-1)
     dm = inv_sqrt2 * np.stack([st * sp, st * cp, ct, z - 1.0], axis=-1)
-    return np.stack([d0, d1, dp, dm], axis=-1).astype(complex)
+    return np.stack([d0, d1, dp, dm], axis=-1)
 
 
 def eigenframe(p: SphericalPoint) -> EigenFrame:
     """Analytic eigenframe at a control point (fixed gauge)."""
-    return EigenFrame(matrix=_frame_columns(p.theta, p.phi))
+    return EigenFrame(matrix=_frame_columns(p.theta, p.phi).astype(complex))
 
 
 def eigenframe_rate(p: SphericalPoint, theta_dot: float, phi_dot: float) -> np.ndarray:

@@ -200,14 +200,17 @@ def test_noise_response_laws(default_noise_table):
 def test_robustness_criterion():
     loop = standard_not_loop(1.0, 1.0)
     base = high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0)
-    r_zero = robustness(loop, base)
-    grid_r = [
-        robustness(loop, base.with_lambda_sq(lam)) for lam in ROBUSTNESS_LAMBDAS
-    ]
+
+    def r_at(lam):
+        noise = base.with_lambda_sq(lam)
+        return robustness(loop, noise, find_optimal_point(loop, noise).f_star)
+
+    r_zero = r_at(0.0)
+    grid_r = [r_at(lam) for lam in ROBUSTNESS_LAMBDAS]
     increasing = bool(np.all(np.diff(grid_r) > 0))
     small = [0.0, 0.00125, 0.0025, 0.00375, 0.005]
     small_r = [0.0 if lam == 0.0 else (
-        grid_r[0] if lam == 0.005 else robustness(loop, base.with_lambda_sq(lam))
+        grid_r[0] if lam == 0.005 else r_at(lam)
     ) for lam in small]
     slope, offset = np.polyfit(small, small_r, 1)
     resid = np.abs(np.array(small_r) - (slope * np.array(small) + offset)).max()

@@ -286,14 +286,20 @@ class TestFOfTauRelation:
             f_of_tau_relation(q_fit, t_fit)
 
 
+def robustness_at(loop, noise, steps=None):
+    """R with F* from the peak search at the same noise and steps."""
+    f_star = find_optimal_point(loop, noise, steps=steps).f_star
+    return robustness(loop, noise, f_star, steps=steps)
+
+
 class TestRobustness:
     def test_zero_coupling_gives_zero(self, no_noise):
-        r = robustness(standard_not_loop(1.0, 1.0), no_noise)
+        r = robustness_at(standard_not_loop(1.0, 1.0), no_noise)
         assert abs(r) <= 1e-6
 
     def test_positive_for_noisy_gate(self):
         noise = high_temperature_noise(0.02, gamma0=0.5)
-        r = robustness(standard_not_loop(1.0, 1.0), noise)
+        r = robustness_at(standard_not_loop(1.0, 1.0), noise)
         assert r > 0.0
 
     def test_every_integration_uses_the_given_steps(self, monkeypatch):
@@ -304,5 +310,5 @@ class TestRobustness:
             return loop_channel(loop, noise, steps)
 
         monkeypatch.setattr(analysis, "loop_channel", recording)
-        robustness(standard_not_loop(1.0, 1.0), high_temperature_noise(0.02), steps=400)
+        robustness_at(standard_not_loop(1.0, 1.0), high_temperature_noise(0.02), steps=400)
         assert seen and set(seen) == {400}

@@ -8,7 +8,8 @@ import pytest
 
 from tripod_holonomy import analysis
 from tripod_holonomy.cli import main
-from tripod_holonomy.loops import optimal_time, wedge_loop
+from tripod_holonomy.lindblad import high_temperature_noise
+from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
 
 OMEGA_TAU_1 = 18.251004041881252
 
@@ -42,6 +43,27 @@ def write_synthetic_table(path, n=1, rows=None):
     loop = "standard" if n == 1 else f"wedge:{n}"
     rows = synthetic_rows(n) if rows is None else rows
     path.write_text(json.dumps({"config": {"loop": loop, "loop_file": None}, "rows": rows}))
+
+
+# A row value of each kind the table reader rejects.
+BAD_ROW_VALUES = [
+    ("f_star", float("nan")), ("f_star", 0.0), ("lambda_sq", -1e-4),
+    ("lambda_sq", float("inf")), ("omega_tau_star", 0.0), ("omega_tau_star", float("nan")),
+]
+BAD_ROW_IDS = ["f-star-nan", "f-star-zero", "lambda-sq-negative", "lambda-sq-inf",
+               "omega-tau-star-zero", "omega-tau-star-nan"]
+
+# The config block optimal writes for the standard loop and the flat table,
+# less the keys no table command reads.
+TABLE_CONFIG = {"loop": "standard", "loop_file": None, "omega": 1.0, "gamma0": 0.5,
+                "noise_file": None, "steps": None}
+
+
+def bad_rows(key, value):
+    """Synthetic rows whose last row holds value under key."""
+    rows = synthetic_rows()
+    rows[-1][key] = value
+    return rows
 
 
 def run(argv, capsys=None):
@@ -297,8 +319,13 @@ class TestOptimalAndFit:
          "loop must be a string"),
         (json.dumps({"rows": synthetic_rows(), "config": {"loop": "wedge:0", "loop_file": None}}),
          "wedge order"),
+    ] + [
+        (json.dumps({"rows": bad_rows(key, value), "config": {"loop": "standard",
+                                                              "loop_file": None}}), key)
+        for key, value in BAD_ROW_VALUES
     ], ids=["bare-list", "invalid-json", "row-without-f-star", "no-config",
-            "config-without-loop-file", "loop-not-a-string", "bad-wedge-order"])
+            "config-without-loop-file", "loop-not-a-string", "bad-wedge-order",
+            *BAD_ROW_IDS])
     def test_fit_bad_table_is_config_error(self, tmp_path, capsys, text, message):
         table = tmp_path / "table.json"
         table.write_text(text)
@@ -309,14 +336,81 @@ class TestOptimalAndFit:
         assert not out.exists()
 
     def test_robustness_zero_coupling(self, tmp_path):
-        out = tmp_path / "rob"
+        opt, out = tmp_path / "opt", tmp_path / "rob"
+        assert main(["optimal", "--lambda-sq", "0", "--out", str(opt)]) == 0
         code = main([
-            "robustness", "--lambda-sq", "0", "--out", str(out),
+            "robustness", "--table", str(opt / "optimal_points.json"), "--out", str(out),
         ])
         assert code == 0
         doc = json.loads((out / "robustness.json").read_text())
         assert doc["rows"][0]["lambda_sq"] == 0.0
         assert abs(doc["rows"][0]["robustness"]) <= 1e-6
+
+    def test_robustness_reads_the_table_and_searches_no_peak(self, tmp_path, monkeypatch):
+        opt = tmp_path / "opt"
+        assert main(["optimal", "--lambda-sq", "0,0.005", "--gamma0", "0.3",
+                     "--out", str(opt)]) == 0
+        calls = {"find_optimal_point": 0, "loop_channel": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(analysis, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counting)
+        out = tmp_path / "rob"
+        assert main(["robustness", "--table", str(opt / "optimal_points.json"),
+                     "--out", str(out)]) == 0
+        assert calls == {"find_optimal_point": 0, "loop_channel": 1}
+        monkeypatch.undo()
+
+        # R of the definition that searched the peak itself
+        loop = wedge_loop(1, 1.0, 1.0)
+        tau3 = optimal_time(3, 1, 1.0)
+        rows = json.loads((out / "robustness.json").read_text())["rows"]
+        assert [r["lambda_sq"] for r in rows] == [0.0, 0.005]
+        for row in rows:
+            noise = high_temperature_noise(row["lambda_sq"], gamma0=0.3)
+            f_star = analysis.find_optimal_point(loop, noise).f_star
+            f_adiab = analysis.mean_fidelity(with_total_time(loop, tau3), noise)
+            assert abs(row["robustness"] - (f_star - f_adiab) / f_star) <= 1e-12
+
+        assert (out / "noise.json").read_bytes() == (opt / "noise.json").read_bytes()
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = tmp_path / "echo.json"
+        shutil.copy(out / "run_config.json", cfg)
+        shutil.rmtree(out)
+        assert main(["robustness", "--config", str(cfg)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+    def test_robustness_applies_the_calibration_scale(self, tmp_path):
+        table = tmp_path / "table.json"
+        rows = [{"lambda_sq": 0.0, "f_star": 1.0, "omega_tau_star": OMEGA_TAU_1}]
+        config = {**TABLE_CONFIG, "provenance": {"noise_scale": 2.0}}
+        table.write_text(json.dumps({"rows": rows, "config": config}))
+        out = tmp_path / "rob"
+        assert main(["robustness", "--table", str(table), "--out", str(out)]) == 0
+        gamma = json.loads((out / "noise.json").read_text())["gamma"]
+        assert set(gamma.values()) == {2.0 * TABLE_CONFIG["gamma0"]}
+
+    @pytest.mark.parametrize("rows, config, message", [
+        (bad_rows(key, value), TABLE_CONFIG, key) for key, value in BAD_ROW_VALUES
+    ] + [
+        (synthetic_rows(), {k: v for k, v in TABLE_CONFIG.items() if k != key}, key)
+        for key in ("omega", "gamma0", "noise_file", "steps")
+    ] + [
+        (synthetic_rows(), {**TABLE_CONFIG, "steps": 2}, "steps"),
+        (synthetic_rows(), {**TABLE_CONFIG, "provenance": {"noise_scale": -1.0}},
+         "noise_scale"),
+    ], ids=[*BAD_ROW_IDS, "config-without-omega", "config-without-gamma0",
+            "config-without-noise-file", "config-without-steps", "steps-too-few",
+            "negative-noise-scale"])
+    def test_robustness_bad_table_is_config_error(self, tmp_path, capsys, rows, config, message):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"rows": rows, "config": config}))
+        out = tmp_path / "x"
+        code, streams = run(["robustness", "--table", str(table), "--out", str(out)], capsys)
+        assert code == 2
+        assert message in streams.err
+        assert not out.exists()
 
 
 def stub_response(monkeypatch, f2_of):
@@ -379,13 +473,22 @@ class TestCalibration:
         table = {"lambda_sq": 0.3, "gamma": {"0": 0.2, "-2": 0.1}, "lamb_shift": {"1": 0.05}}
         path = tmp_path / "bath.json"
         path.write_text(json.dumps(table))
-        argv = [command, "--lambda-sq", "0", "--noise-file", str(path)]
-        if command == "noisy-sweep":
-            argv += ["--grid", "18:18:1"]
+
+        def run_with(noise_file, out):
+            # robustness reads the noise file named in the table optimal writes
+            first = "optimal" if command == "robustness" else command
+            argv = [first, "--lambda-sq", "0", "--noise-file", str(noise_file)]
+            if command == "noisy-sweep":
+                argv += ["--grid", "18:18:1"]
+            if command != "robustness":
+                return main([*argv, "--out", str(out)])
+            opt = out.with_name(out.name + "-opt")
+            assert main([*argv, "--out", str(opt)]) == 0
+            return main([command, "--table", str(opt / "optimal_points.json"), "--out", str(out)])
+
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main([*argv, "--out", str(a)]) == 0
-        argv[argv.index(str(path))] = str(a / "noise.json")
-        assert main([*argv, "--out", str(b)]) == 0
+        assert run_with(path, a) == 0
+        assert run_with(a / "noise.json", b) == 0
         assert (a / "noise.json").read_bytes() == (b / "noise.json").read_bytes()
         assert json.loads((a / "noise.json").read_text()) == {**table, "lambda_sq": 0.0}
 
@@ -416,10 +519,11 @@ class TestDeterminismAndRoundTrip:
         ("fit", {"free_intercept": "no"}, ["--table", "table.json"], "free_intercept"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", ","], "lambda_sq"),
         ("optimal", {}, ["--lambda-sq", ""], "lambda_sq"),
-        ("robustness", {"lambda_sq": []}, [], "lambda_sq"),
+        ("optimal", {"lambda_sq": []}, [], "lambda_sq"),
+        ("robustness", {"table": 5}, [], "table"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
             "grid-not-increasing", "free-intercept-string", "lambda-sq-comma",
-            "lambda-sq-empty-flag", "lambda-sq-empty-list"])
+            "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):
@@ -454,9 +558,11 @@ class TestDeterminismAndRoundTrip:
         ("robustness", "--calibrate-f2", "calibrate_f2", 6.34),
         ("fit", "--loop", "loop", "wedge:2"),
         ("holonomy", "--out", "out", "x"),
+        ("robustness", "--lambda-sq", "lambda_sq", [0.005]),
+        ("robustness", "--noise-file", "noise_file", "x"),
     ], ids=["holonomy-steps", "ideal-sweep-calibrate-f2", "optimal-grid", "fit-gamma0",
             "ideal-sweep-omega-tau", "noisy-sweep-calibrate-f2", "robustness-calibrate-f2",
-            "fit-loop", "holonomy-out"])
+            "fit-loop", "holonomy-out", "robustness-lambda-sq", "robustness-noise-file"])
     def test_setting_the_command_does_not_read_is_rejected(
         self, tmp_path, monkeypatch, capsys, command, flag, key, value
     ):
@@ -464,7 +570,7 @@ class TestDeterminismAndRoundTrip:
         monkeypatch.chdir(tmp_path)
         write_synthetic_table(tmp_path / "table.json")
         given = {"noisy-sweep": ["--grid", "18:18:1", "--lambda-sq", "0"],
-                 "robustness": ["--lambda-sq", "0"],
+                 "robustness": ["--table", "table.json"],
                  "fit": ["--table", "table.json"]}.get(command, [])
         if command != "holonomy":
             given += ["--out", "x"]

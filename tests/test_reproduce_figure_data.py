@@ -57,15 +57,15 @@ def test_call_plan(script, monkeypatch, tmp_path):
     # One calibration, in optimal; the others reuse the noise table it wrote.
     assert [c for c in calls if "--calibrate-f2" in c] == [calls[1]]
     assert optimal["--calibrate-f2"] == "6.34"
-    noise = str(tmp_path / "optimal" / "noise.json")
-    assert noisy["--noise-file"] == rob["--noise-file"] == noise
+    assert noisy["--noise-file"] == str(tmp_path / "optimal" / "noise.json")
     large = [float(x) for x in cli.DEFAULT_LAMBDA_LIST[1:]]
     fit_lams = [float(x) for x in DEFAULT_FIT_LAMBDAS]
-    assert [float(x) for x in optimal["--lambda-sq"].split(",")] == fit_lams + large
-    assert [float(x) for x in rob["--lambda-sq"].split(",")] == [0.0, *large]
+    assert [float(x) for x in optimal["--lambda-sq"].split(",")] == [0.0, *fit_lams, *large]
 
-    # fit_all reads the whole optimal table, fit_small its small-coupling rows.
-    assert fit_all["--table"] == str(tmp_path / "optimal" / "optimal_points.json")
+    # robustness and fit_all read the whole optimal table, fit_small its
+    # small-coupling rows.
+    table = str(tmp_path / "optimal" / "optimal_points.json")
+    assert rob["--table"] == fit_all["--table"] == table
     small = json.loads(Path(fit_small["--table"]).read_text())["rows"]
     assert [r["lambda_sq"] for r in small] == fit_lams
     assert fit_all["--out"] != fit_small["--out"]
