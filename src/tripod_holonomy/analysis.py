@@ -44,29 +44,35 @@ _OCTAHEDRON = np.array(
 
 
 def per_state_fidelities(
-    loop: LoopSpec, noise: NoiseModel, steps: int | None = None
+    loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
 ) -> np.ndarray:
     """Fidelities Tr{T rho T^dag . out} of the six octahedral dark-qubit
-    inputs rho against the adiabatic-limit gate T."""
+    inputs rho against the adiabatic-limit gate T; (n, 6) on a noiseless
+    run's Omega*tau grid (T acts on them by the holonomy alone)."""
     psi = _OCTAHEDRON @ start_frame(loop).dark.T
     rhos = np.einsum("ni,nj->nij", psi, psi.conj())
     target = adiabatic_gate(loop).matrix
     if noise.dissipative:
+        if omega_tau is not None:
+            raise ValueError("an Omega*tau grid needs a noiseless run")
         outputs = loop_channel(loop, noise, steps).apply(rhos)
     else:
-        u = loop_propagator(loop).matrix
-        outputs = u @ rhos @ u.conj().T
+        u = loop_propagator(loop, omega_tau).matrix[..., None, :, :]
+        outputs = u @ rhos @ u.conj().swapaxes(-1, -2)
     ideal = target @ rhos @ target.conj().T
-    return np.einsum("nij,nji->n", ideal, outputs).real
+    return np.einsum("nij,...nji->...n", ideal, outputs).real
 
 
-def mean_fidelity(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> float:
+def mean_fidelity(
+    loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
+) -> float | np.ndarray:
     """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)} (six-state
-    2-design average)."""
-    value = float(np.mean(per_state_fidelities(loop, noise, steps)))
-    if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise StepCountTooSmall(f"mean fidelity {value} outside [0, 1]; increase steps")
-    return value
+    2-design average); one value per point of an Omega*tau grid."""
+    value = np.mean(per_state_fidelities(loop, noise, steps, omega_tau), axis=-1)
+    outside = np.extract(~((value >= -1e-9) & (value <= 1.0 + 1e-9)), value)
+    if outside.size:
+        raise StepCountTooSmall(f"mean fidelity {outside[0]} outside [0, 1]; increase steps")
+    return float(value) if omega_tau is None else value
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +89,12 @@ class SweepCurve:
     mean_fidelity: np.ndarray
 
 
-def _sweep_task(args: tuple) -> float:
+def _sweep_task(args: tuple) -> np.ndarray:
     loop, noise, steps, omega_tau = args
+    if not noise.dissipative:
+        return mean_fidelity(loop, noise, omega_tau=omega_tau)
     run = with_total_time(loop, omega_tau / loop.omega_scale)
-    return mean_fidelity(run, noise, steps=steps)
+    return np.array([mean_fidelity(run, noise, steps=steps)])
 
 
 def sweep(
@@ -99,8 +107,10 @@ def sweep(
     """One fidelity curve per coupling strength over a shared time grid.
 
     `noise` supplies the rate tables; its lambda_sq field is overridden by
-    each entry of lambda_sq_list. Grid points fan out to the worker pool;
-    reduction order is fixed.
+    each entry of lambda_sq_list. A silent curve (lambda^2 = 0 or an
+    all-zero table) is one task, its whole grid from the stacked exact
+    propagator; a dissipative one is one channel task per grid point. Tasks
+    fan out to the worker pool; reduction order is fixed.
     """
     grid = np.asarray(omega_tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -109,19 +119,18 @@ def sweep(
         raise ValueError("omega_tau grid must be strictly increasing")
     if noise is None:
         noise = high_temperature_noise(0.0)
-    tasks = [
-        (loop, noise.with_lambda_sq(lam), steps, float(ot))
-        for lam in lambda_sq_list
-        for ot in grid
+    tasks = []
+    for lam in lambda_sq_list:
+        curve_noise = noise.with_lambda_sq(lam)
+        if curve_noise.dissipative:
+            tasks += [(loop, curve_noise, steps, float(ot)) for ot in grid]
+        else:
+            tasks.append((loop, curve_noise, steps, grid))
+    values = np.concatenate([[], *ordered_map(_sweep_task, tasks)]).reshape(-1, len(grid))
+    return [
+        SweepCurve(lambda_sq=float(lam), omega_tau=grid.copy(), mean_fidelity=f)
+        for lam, f in zip(lambda_sq_list, values)
     ]
-    values = ordered_map(_sweep_task, tasks)
-    curves = []
-    for j, lam in enumerate(lambda_sq_list):
-        block = values[j * len(grid) : (j + 1) * len(grid)]
-        curves.append(
-            SweepCurve(lambda_sq=float(lam), omega_tau=grid.copy(), mean_fidelity=np.array(block))
-        )
-    return curves
 
 
 def sweep_curve_to_csv(curve: SweepCurve) -> str:
@@ -413,9 +422,12 @@ def calibrate_noise(
     lambda^2 D is linear in the rate and shift table, so the leading
     fidelity loss is linear in c and one proportional update per round
     converges immediately for small couplings. Raises CalibrationFailed
+    before any peak search when the table has no non-zero rate or shift,
     when no round reaches the tolerance, or when the fitted F2 is not
     positive, so that no scale can reach the target.
     """
+    if not noise.with_lambda_sq(1.0).dissipative:
+        raise CalibrationFailed(f"no scale of this noise table reaches {target_f2:g}: all zero")
     scale = 1.0
     for _ in range(_CALIBRATION_ROUNDS):
         table = optimal_point_table(

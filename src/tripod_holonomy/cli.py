@@ -292,19 +292,6 @@ def _write_run_config(
     return doc
 
 
-def format_lambda(lam: float) -> str:
-    return f"{lam:.12g}"
-
-
-def matrix_entries(m: np.ndarray) -> list[float]:
-    """Row-major, re/im interleaved flat list (2 * dim^2 reals)."""
-    flat = np.asarray(m, dtype=complex).reshape(-1)
-    out: list[float] = []
-    for z in flat:
-        out.extend((float(z.real), float(z.imag)))
-    return out
-
-
 def _lambdas(cfg: RunConfig) -> list[float]:
     return list(cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST)
 
@@ -324,7 +311,7 @@ def _write_sweep(cfg: RunConfig, command: str, curves, noise: NoiseModel | None 
     out_dir = Path(cfg.out)
     _write_run_config(out_dir, cfg, command, noise=noise)
     for curve in curves:
-        name = f"sweep_lambda2_{format_lambda(curve.lambda_sq)}.csv"
+        name = f"sweep_lambda2_{curve.lambda_sq:.12g}.csv"
         _write(out_dir / name, sweep_curve_to_csv(curve))
     return EXIT_OK
 
@@ -347,10 +334,10 @@ def cmd_optimal(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _table_from_dict(doc: dict, keys: tuple[str, ...]) -> tuple[list, list, RunConfig, float]:
-    """(F* points, Omega*tau* points, settings, noise scale) of an optimal
-    table: the given keys of the config block optimal writes beside the rows,
-    checked as a config file's are, and its calibration's scale (or 1)."""
+def _table_from_dict(doc: dict, keys: tuple[str, ...]) -> tuple[list, list, RunConfig]:
+    """(F* points, Omega*tau* points, settings) of an optimal table: the
+    given keys of the config block optimal writes beside the rows, checked
+    as a config file's are."""
     rows, config = doc.get("rows"), doc.get("config")
     if not isinstance(rows, list) or not rows:
         raise ConfigError('no non-empty "rows" list, as optimal writes')
@@ -363,13 +350,11 @@ def _table_from_dict(doc: dict, keys: tuple[str, ...]) -> tuple[list, list, RunC
         raise ConfigError('no "config" block, as optimal writes')
     table_cfg = replace(RunConfig(), **{key: config[key] for key in keys})
     table_cfg.validate()
-    scale = config.get("provenance", {}).get("noise_scale", 1.0)
-    _check_number("noise_scale", scale, minimum=0.0, strict=True)
-    return f_pts, t_pts, table_cfg, scale
+    return f_pts, t_pts, table_cfg
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    f_pts, t_pts, loop_cfg, _ = _read_json(
+    f_pts, t_pts, loop_cfg = _read_json(
         cfg.table, "table file", lambda doc: _table_from_dict(doc, ("loop", "loop_file"))
     )
     tau1 = optimal_time(1, wedge_order(build_loop(loop_cfg)), 1.0)  # Omega*tau*_1
@@ -399,11 +384,14 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_robustness(cfg: RunConfig) -> int:
-    keys = ("loop", "loop_file", "omega", "gamma0", "noise_file", "steps")
-    f_pts, _, table_cfg, scale = _read_json(
-        cfg.table, "table file", lambda doc: _table_from_dict(doc, keys)
+    """R at every row of the table, with the noise.json that optimal wrote
+    beside it: the table it used, already scaled by any calibration."""
+    f_pts, _, table_cfg = _read_json(
+        cfg.table, "table file",
+        lambda doc: _table_from_dict(doc, ("loop", "loop_file", "omega", "steps")),
     )
-    loop, noise = build_loop(table_cfg), build_noise(table_cfg).scaled(scale)
+    loop = build_loop(table_cfg)
+    noise = _read_json(str(Path(cfg.table).with_name("noise.json")), "noise file", noise_from_dict)
     rows = []
     for lam, f_star in f_pts:
         r = robustness(loop, noise.with_lambda_sq(lam), f_star, steps=table_cfg.steps)
@@ -420,7 +408,7 @@ def cmd_holonomy(cfg: RunConfig) -> int:
     doc = {
         "config": resolved_config_doc(cfg, "holonomy"),
         "dim": 2,
-        "entries": matrix_entries(hol),
+        "entries": hol.view(float).ravel().tolist(),  # row-major, re/im interleaved
     }
     print(_json_dump(doc), end="")
     return EXIT_OK

@@ -5,7 +5,9 @@ generator (built from the analytic eigenframe) is constant, so the arc
 evolution is a product of two matrix exponentials. Arc factors are
 assembled in the lab basis, each from its own arc-start frame, and compose
 by plain matrix multiplication; a brute-force midpoint integrator provides
-an independent cross-check.
+an independent cross-check. The generator scales as the inverse arc time,
+so a whole grid of loop times takes one constant exponential and one
+stacked eigendecomposition per arc.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidDuration
 from .linalg import exp_i_hermitian, is_unitary
 from .loops import LoopSpec, check_wedge_family, solid_angle
 from .tripod import (
@@ -28,7 +31,8 @@ from .tripod import (
 
 @dataclass(frozen=True)
 class GatePropagator:
-    """Unitary acquired over a full loop."""
+    """Unitary acquired over a full loop, or the (n, 4, 4) stack of them
+    over a grid of loop times; every member is checked."""
 
     matrix: np.ndarray
 
@@ -55,34 +59,40 @@ def _arc_generator(loop: LoopSpec, arc_index: int) -> tuple[np.ndarray, np.ndarr
     return f0, -1j * (f0.conj().T @ eigenframe_rate(p, *arc.rates()))
 
 
-def arc_propagator(loop: LoopSpec, arc_index: int) -> np.ndarray:
+def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
     """Exact lab-basis propagator of one arc:
-    exp(i dt D) exp(-i dt (H_start + D)), with D = F0 G F0^dag."""
+    exp(i dt D) exp(-i dt (H_start + D)), with D = F0 G F0^dag. G scales as
+    1/dt, so dt D is the same at every loop time, and with a 1-d Omega*tau
+    grid the (n, 4, 4) stack at loop times omega_tau / Omega takes one
+    exponential of dt D and one stacked exponential."""
     arc = loop.arcs[arc_index]
     dt = arc.duration
+    if omega_tau is not None:
+        omega_tau = np.asarray(omega_tau, dtype=float)
+        if omega_tau.ndim != 1 or not np.all(np.isfinite(omega_tau) & (omega_tau > 0)):
+            raise InvalidDuration("an Omega*tau grid must be a 1-d array of positive times")
+        dt = dt * (omega_tau / loop.omega_scale / loop.total_time)[:, None, None]
     f0, g = _arc_generator(loop, arc_index)
-    d = f0 @ g @ f0.conj().T
+    d = arc.duration * (f0 @ g @ f0.conj().T)
     h0 = hamiltonian(*arc.angles(0.0), loop.omega_scale)
-    return exp_i_hermitian(d, dt) @ exp_i_hermitian(h0 + d, -dt)
+    return exp_i_hermitian(d, 1.0) @ exp_i_hermitian(dt * h0 + d, -1.0)
 
 
-def loop_propagator(loop: LoopSpec) -> GatePropagator:
-    """Exact propagator of the whole loop (arc 1 applied first)."""
+def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
+    """Exact propagator of the whole loop (arc 1 applied first); with a 1-d
+    Omega*tau grid, the (n, 4, 4) stack of them over that grid."""
     u = np.eye(4, dtype=complex)
     for i in range(len(loop.arcs)):
-        u = arc_propagator(loop, i) @ u
+        u = arc_propagator(loop, i, omega_tau) @ u
     return GatePropagator(matrix=u)
 
 
-def _dark_rotation(angle: float) -> np.ndarray:
-    """exp(i sigma_y angle) on span{D0, D1}: [[cos, sin], [-sin, cos]]."""
+def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:
+    """Closed-form adiabatic holonomy on span{D0(0), D1(0)}: exp(i sigma_y
+    angle) = [[cos, sin], [-sin, cos]] for the loop's solid angle."""
+    angle = solid_angle(loop)
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:
-    """Closed-form adiabatic holonomy on span{D0(0), D1(0)}."""
-    return _dark_rotation(solid_angle(loop))
 
 
 def holonomy_path_ordered(loop: LoopSpec, steps: int = 2000) -> np.ndarray:

@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
 
-from tripod_holonomy import high_temperature_noise, optimal_time, standard_not_loop
+from tripod_holonomy import (
+    adiabatic_gate,
+    hamiltonian,
+    high_temperature_noise,
+    optimal_time,
+    standard_not_loop,
+    with_total_time,
+)
+from tripod_holonomy.analysis import _OCTAHEDRON
+from tripod_holonomy.propagators import _arc_generator, start_frame
+
+# A loop file whose arcs run at three different angular speeds.
+UNEVEN_LOOP_DOC = {"omega_scale": 1.3, "arcs": [
+    {"kind": "meridian", "fixed_angle": 0.0, "start_angle": 0.0,
+     "end_angle": np.pi / 2, "duration": 0.2},
+    {"kind": "equator", "fixed_angle": np.pi / 2, "start_angle": 0.0,
+     "end_angle": np.pi / 6, "duration": 0.5},
+    {"kind": "meridian", "fixed_angle": np.pi / 6, "start_angle": np.pi / 2,
+     "end_angle": 0.0, "duration": 0.3},
+]}
 
 # First three revival times of the standard loop (Omega = 1), closed form.
 OMEGA_TAU_STAR = tuple(optimal_time(k, 1, 1.0) for k in (1, 2, 3))
@@ -26,3 +45,31 @@ def no_noise():
 def random_hermitian(rng, dim=4, scale=1.0):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (m + m.conj().T)
+
+
+def _expm_i(a, s):
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(1j * s * w)) @ v.conj().T
+
+
+def per_point_propagator(loop, omega_tau):
+    """The loop's propagator at one Omega*tau, built point by point: the
+    loop rescaled to that time, then exp(i dt D) exp(-i dt (H0 + D)) per
+    arc with D = F0 G F0^dag."""
+    run = with_total_time(loop, omega_tau / loop.omega_scale)
+    u = np.eye(4, dtype=complex)
+    for i, arc in enumerate(run.arcs):
+        f0, g = _arc_generator(run, i)
+        d = f0 @ g @ f0.conj().T
+        h0 = hamiltonian(*arc.angles(0.0), run.omega_scale)
+        u = _expm_i(d, arc.duration) @ _expm_i(h0 + d, -arc.duration) @ u
+    return u
+
+
+def per_point_fidelity(loop, omega_tau):
+    """Noiseless six-state average at one Omega*tau, from
+    per_point_propagator and the adiabatic gate of the rescaled loop."""
+    run = with_total_time(loop, omega_tau / loop.omega_scale)
+    psi = _OCTAHEDRON @ start_frame(run).dark.T
+    u, t = per_point_propagator(loop, omega_tau), adiabatic_gate(run).matrix
+    return float(np.mean(np.abs(np.einsum("ni,ij,nj->n", (t @ psi.T).T.conj(), u, psi)) ** 2))

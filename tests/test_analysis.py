@@ -22,10 +22,14 @@ from tripod_holonomy.analysis import PEAK_TOL, per_state_fidelities, sweep_curve
 from tripod_holonomy.errors import (
     ModelMismatch,
     NoPeakInWindow,
+    StepCountTooSmall,
     UnderdeterminedFit,
 )
-from tripod_holonomy.lindblad import default_step_count
+from tripod_holonomy.lindblad import NoiseModel, default_step_count
+from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.propagators import dark_block, start_frame
+
+from conftest import UNEVEN_LOOP_DOC, per_point_fidelity
 
 OMEGA_TAU_1 = optimal_time(1, 1, 1.0)
 LAMBDA_GRID = np.linspace(1e-4, 1e-3, 7)
@@ -101,7 +105,67 @@ class TestMeanFidelity:
         assert mean_fidelity(dip, no_noise) < mean_fidelity(peak, no_noise)
 
 
+class TestBatchedNoiselessCurve:
+    SILENT = NoiseModel(lambda_sq=0.01, gamma={0: 0.0})
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.25, 60.25, 41), np.array([18.25])],
+                             ids=["41-points", "one-point"])
+    @pytest.mark.parametrize("loop", [
+        wedge_loop(1, 1.0, 1.0), wedge_loop(2, 1.0, 1.0), wedge_loop(3, 1.0, 1.0),
+        wedge_loop(1, 1.7, 1.0), loop_from_dict(UNEVEN_LOOP_DOC),
+    ], ids=["wedge1", "wedge2", "wedge3", "omega1.7", "loop-file"])
+    def test_matches_per_point_path(self, loop, grid, no_noise):
+        batched = mean_fidelity(loop, no_noise, omega_tau=grid)
+        assert batched.shape == grid.shape
+        per_point = [per_point_fidelity(loop, ot) for ot in grid]
+        assert np.abs(batched - per_point).max() <= 1e-13
+        assert np.array_equal(mean_fidelity(loop, self.SILENT, omega_tau=grid), batched)
+
+    def test_matches_closed_form(self, no_noise):
+        # (Tr M M^dag + |Tr M|^2) / 6 with M the dark block of T^dag U
+        loop, grid = wedge_loop(2, 1.0, 1.0), np.array([3.94, 17.0, 33.3])
+        batched = mean_fidelity(loop, no_noise, omega_tau=grid)
+        for ot, f in zip(grid, batched):
+            run = with_total_time(loop, ot)
+            m = dark_block(adiabatic_gate(run).matrix.conj().T @ loop_propagator(run).matrix, run)
+            assert abs(f - (np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / 6) <= 1e-12
+
+    def test_grid_needs_a_noiseless_run(self):
+        with pytest.raises(ValueError):
+            mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.01),
+                          omega_tau=np.array([18.0]))
+
+    def test_range_check_applies_to_each_point(self, no_noise, monkeypatch):
+        fids = np.ones((3, 6))
+        fids[1, 0] = 1.5
+        monkeypatch.setattr(analysis, "per_state_fidelities", lambda *args: fids)
+        with pytest.raises(StepCountTooSmall, match="outside"):
+            mean_fidelity(wedge_loop(1, 1.0, 1.0), no_noise, omega_tau=np.arange(1.0, 4.0))
+
+
 class TestSweep:
+    @pytest.mark.parametrize("noise, lambdas, tasks", [
+        (high_temperature_noise(0.0), [0.0, 0.01, 0.02], 1 + 5 + 5),
+        (NoiseModel(lambda_sq=0.0, gamma={0: 0.0}), [0.0, 0.01, 0.02], 3),
+        (high_temperature_noise(0.0), [0.0], 1),
+    ], ids=["flat", "silent-table", "ideal"])
+    def test_one_task_per_silent_curve_and_per_channel_point(
+        self, monkeypatch, noise, lambdas, tasks
+    ):
+        handed = []
+
+        def recording(fn, items):
+            handed.extend(items)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(analysis, "ordered_map", recording)
+        grid = np.linspace(14.0, 22.0, 5)
+        curves = sweep(standard_not_loop(1.0, 1.0), grid, lambdas, steps=60, noise=noise)
+        assert len(handed) == tasks
+        assert [c.lambda_sq for c in curves] == lambdas
+        assert all(c.mean_fidelity.shape == grid.shape for c in curves)
+
+
     def test_noiseless_maxima_at_revivals(self, no_noise):
         revivals = [optimal_time(k, 1, 1.0) for k in (1, 2, 3)]
         grid = np.unique(np.concatenate([np.linspace(10, 60, 11), revivals]))

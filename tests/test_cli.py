@@ -53,10 +53,11 @@ BAD_ROW_VALUES = [
 BAD_ROW_IDS = ["f-star-nan", "f-star-zero", "lambda-sq-negative", "lambda-sq-inf",
                "omega-tau-star-zero", "omega-tau-star-nan"]
 
-# The config block optimal writes for the standard loop and the flat table,
-# less the keys no table command reads.
-TABLE_CONFIG = {"loop": "standard", "loop_file": None, "omega": 1.0, "gamma0": 0.5,
-                "noise_file": None, "steps": None}
+# The config block optimal writes for the standard loop, less the keys no
+# table command reads, and the noise.json it writes beside the table for the
+# flat table.
+TABLE_CONFIG = {"loop": "standard", "loop_file": None, "omega": 1.0, "steps": None}
+FLAT_NOISE = {"lambda_sq": 0.0, "gamma": {str(k): 0.5 for k in (0, 1, -1, 2, -2)}}
 
 
 def bad_rows(key, value):
@@ -190,15 +191,18 @@ class TestSweepCommands:
 
     def test_zero_rate_noise_file_gives_noiseless_fidelity(self, tmp_path):
         # No rate and no Lamb shift: the evolution is unitary at any
-        # coupling, so the exact propagator is used and the bytes match.
+        # coupling, so the exact propagator is used and the bytes match,
+        # also those of ideal-sweep (one exact engine).
         noise = tmp_path / "silent.json"
         noise.write_text(json.dumps({"lambda_sq": 0.0, "gamma": {"0": 0.0, "1": 0.0}}))
-        a, b = tmp_path / "a", tmp_path / "b"
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         args = ["noisy-sweep", "--grid", "10:30:5", "--noise-file", str(noise)]
         assert main([*args, "--lambda-sq", "0.01", "--out", str(a)]) == 0
         assert main([*args, "--lambda-sq", "0", "--out", str(b)]) == 0
+        assert main(["ideal-sweep", "--grid", "10:30:5", "--out", str(c)]) == 0
         noisy = (a / "sweep_lambda2_0.01.csv").read_bytes()
         assert noisy == (b / "sweep_lambda2_0.csv").read_bytes()
+        assert noisy == (c / "sweep_lambda2_0.csv").read_bytes()
 
     def test_under_resolved_run_exits_3(self, tmp_path):
         code = main([
@@ -382,30 +386,54 @@ class TestOptimalAndFit:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_robustness_applies_the_calibration_scale(self, tmp_path):
+        # optimal writes noise.json already scaled; the recorded scale is
+        # provenance only and must not be applied a second time
         table = tmp_path / "table.json"
         rows = [{"lambda_sq": 0.0, "f_star": 1.0, "omega_tau_star": OMEGA_TAU_1}]
         config = {**TABLE_CONFIG, "provenance": {"noise_scale": 2.0}}
         table.write_text(json.dumps({"rows": rows, "config": config}))
+        scaled = {**FLAT_NOISE, "gamma": {k: 1.0 for k in FLAT_NOISE["gamma"]}}
+        (tmp_path / "noise.json").write_text(json.dumps(scaled))
         out = tmp_path / "rob"
         assert main(["robustness", "--table", str(table), "--out", str(out)]) == 0
         gamma = json.loads((out / "noise.json").read_text())["gamma"]
-        assert set(gamma.values()) == {2.0 * TABLE_CONFIG["gamma0"]}
+        assert set(gamma.values()) == {1.0}
 
-    @pytest.mark.parametrize("rows, config, message", [
-        (bad_rows(key, value), TABLE_CONFIG, key) for key, value in BAD_ROW_VALUES
+    def test_robustness_ignores_a_noise_file_edited_after_optimal(self, tmp_path):
+        bath = tmp_path / "bath.json"
+        bath.write_text(json.dumps({"lambda_sq": 0.0, "gamma": {"0": 0.5}}))
+        opt = tmp_path / "opt"
+        assert main(["optimal", "--lambda-sq", "0.01", "--noise-file", str(bath),
+                     "--out", str(opt)]) == 0
+        table = str(opt / "optimal_points.json")
+        assert main(["robustness", "--table", table, "--out", str(tmp_path / "a")]) == 0
+        bath.write_text(json.dumps({"lambda_sq": 0.0, "gamma": {"0": 5.0}}))
+        assert main(["robustness", "--table", table, "--out", str(tmp_path / "b")]) == 0
+        a, b = (json.loads((tmp_path / d / "robustness.json").read_text()) for d in "ab")
+        assert a["rows"] == b["rows"]
+        for d in "ab":
+            assert (tmp_path / d / "noise.json").read_bytes() == (opt / "noise.json").read_bytes()
+
+    @pytest.mark.parametrize("rows, config, noise, message", [
+        (bad_rows(key, value), TABLE_CONFIG, FLAT_NOISE, key) for key, value in BAD_ROW_VALUES
     ] + [
-        (synthetic_rows(), {k: v for k, v in TABLE_CONFIG.items() if k != key}, key)
-        for key in ("omega", "gamma0", "noise_file", "steps")
+        (synthetic_rows(), {k: v for k, v in TABLE_CONFIG.items() if k != key}, FLAT_NOISE, key)
+        for key in ("omega", "steps")
     ] + [
-        (synthetic_rows(), {**TABLE_CONFIG, "steps": 2}, "steps"),
-        (synthetic_rows(), {**TABLE_CONFIG, "provenance": {"noise_scale": -1.0}},
-         "noise_scale"),
-    ], ids=[*BAD_ROW_IDS, "config-without-omega", "config-without-gamma0",
-            "config-without-noise-file", "config-without-steps", "steps-too-few",
-            "negative-noise-scale"])
-    def test_robustness_bad_table_is_config_error(self, tmp_path, capsys, rows, config, message):
+        (synthetic_rows(), {**TABLE_CONFIG, "steps": 2}, FLAT_NOISE, "steps"),
+        (synthetic_rows(), TABLE_CONFIG, None, "noise.json"),
+        (synthetic_rows(), TABLE_CONFIG, {"lambda_sq": 0, "gamma": 5}, "AttributeError"),
+        (synthetic_rows(), TABLE_CONFIG, {"lambda_sq": 0, "gamma": {"0": -1.0}},
+         "decay rates must be finite"),
+    ], ids=[*BAD_ROW_IDS, "config-without-omega", "config-without-steps", "steps-too-few",
+            "noise-missing", "noise-malformed", "noise-negative-rate"])
+    def test_robustness_bad_table_is_config_error(
+        self, tmp_path, capsys, rows, config, noise, message
+    ):
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"rows": rows, "config": config}))
+        if noise is not None:
+            (tmp_path / "noise.json").write_text(json.dumps(noise))
         out = tmp_path / "x"
         code, streams = run(["robustness", "--table", str(table), "--out", str(out)], capsys)
         assert code == 2
@@ -460,13 +488,19 @@ class TestCalibration:
         assert len(asked) == 3
         assert not out.exists()
 
-    def test_table_without_noise_cannot_be_calibrated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("loop", ["standard", "wedge:2", "wedge:3"])
+    def test_table_without_noise_cannot_be_calibrated(self, tmp_path, capsys, monkeypatch, loop):
+        searches = []
+        monkeypatch.setattr(analysis, "find_optimal_point",
+                            lambda *args, **kwargs: searches.append(args))
         path = tmp_path / "silent.json"
         path.write_text(json.dumps({"lambda_sq": 0.0, "gamma": {"0": 0.0}}))
-        code, streams = run(["optimal", "--lambda-sq", "0", "--noise-file", str(path),
-                             "--calibrate-f2", "6.34", "--out", str(tmp_path / "x")], capsys)
+        code, streams = run(["optimal", "--loop", loop, "--lambda-sq", "0",
+                             "--noise-file", str(path), "--calibrate-f2", "6.34",
+                             "--out", str(tmp_path / "x")], capsys)
         assert code == 3
         assert "no scale of this noise table" in streams.err
+        assert searches == []
 
     @pytest.mark.parametrize("command", ["noisy-sweep", "optimal", "robustness"])
     def test_noise_json_reruns_the_same_table(self, tmp_path, command):

@@ -72,3 +72,22 @@ class TestExpIHermitian:
             exp_i_hermitian(np.full((2, 2), np.nan), 1.0)
         with pytest.raises(ValueError):
             exp_i_hermitian(np.eye(2), np.inf)
+
+
+class TestStackedExponential:
+    def test_stack_equals_per_matrix_calls(self, rng):
+        stack = np.stack([random_hermitian(rng, scale=s) for s in (0.1, 1.0, 30.0)])
+        batched = exp_i_hermitian(stack, -0.7)
+        assert batched.shape == (3, 4, 4)
+        for a, u in zip(stack, batched):
+            assert np.abs(u - exp_i_hermitian(a, -0.7)).max() <= 1e-15
+
+    def test_one_non_hermitian_member_rejects_the_stack(self, rng):
+        stack = np.stack([random_hermitian(rng) for _ in range(3)])
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(NonHermitianInput):
+            exp_i_hermitian(stack, 1.0)
+
+    def test_rejects_stacks_of_non_square_matrices(self):
+        with pytest.raises(DimensionMismatch):
+            exp_i_hermitian(np.zeros((5, 2, 3)), 1.0)

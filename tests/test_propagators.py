@@ -16,13 +16,25 @@ from tripod_holonomy import (
     schrodinger_oracle,
     standard_not_loop,
     wedge_loop,
+    with_total_time,
 )
-from tripod_holonomy.errors import UnsupportedLoop
+from tripod_holonomy.errors import InvalidDuration, UnsupportedLoop
+from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block
 from tripod_holonomy.tripod import SphericalPoint, eigenframe, eigenframe_rate, hamiltonian
 
+from conftest import UNEVEN_LOOP_DOC, per_point_propagator
+
 NOT_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+
+GRID_LOOPS = {
+    "wedge1": wedge_loop(1, 1.0, 1.0),
+    "wedge2": wedge_loop(2, 1.0, 1.0),
+    "wedge3": wedge_loop(3, 1.0, 1.0),
+    "omega1.7": wedge_loop(1, 1.7, 1.0),
+    "loop-file": loop_from_dict(UNEVEN_LOOP_DOC),
+}
 
 
 def pinned_arc_loop(theta=0.3, phi=0.2, duration=2.0):
@@ -143,6 +155,43 @@ class TestLoopPropagator:
     def test_non_unitary_matrix_rejected(self):
         with pytest.raises(ValueError):
             GatePropagator(matrix=np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex))
+
+
+class TestStackedPropagator:
+    @pytest.mark.parametrize("grid", [np.linspace(0.25, 60.25, 61), np.array([18.25])],
+                             ids=["61-points", "one-point"])
+    @pytest.mark.parametrize("name", list(GRID_LOOPS))
+    def test_matches_per_point_path(self, name, grid):
+        loop = GRID_LOOPS[name]
+        stack = loop_propagator(loop, grid).matrix
+        assert stack.shape == (len(grid), 4, 4)
+        for ot, u in zip(grid, stack):
+            assert np.abs(u - per_point_propagator(loop, ot)).max() <= 1e-13
+
+    def test_no_grid_is_the_loops_own_propagator(self):
+        loop = wedge_loop(2, 1.0, 17.3)
+        grid_one = loop_propagator(loop, [17.3]).matrix[0]
+        assert np.abs(loop_propagator(loop).matrix - grid_one).max() <= 1e-14
+
+    def test_arc_stack_matches_the_rescaled_arc(self):
+        loop = wedge_loop(3, 1.0, 1.0)
+        grid = np.array([2.0, 9.5, 40.0])
+        stack = arc_propagator(loop, 1, grid)
+        for ot, u in zip(grid, stack):
+            ref = arc_propagator(with_total_time(loop, ot), 1)
+            assert np.abs(u - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0], [1.0, np.nan], [[1.0, 2.0]]],
+                             ids=["zero-time", "nan", "two-dimensional"])
+    def test_rejects_bad_grids(self, grid):
+        with pytest.raises(InvalidDuration):
+            loop_propagator(wedge_loop(1, 1.0, 1.0), grid)
+
+    def test_one_non_unitary_member_rejects_the_stack(self):
+        stack = np.stack([np.eye(4, dtype=complex)] * 3)
+        stack[2, 3, 3] = 1.0 + 1e-6
+        with pytest.raises(ValueError):
+            GatePropagator(matrix=stack)
 
 
 class TestHolonomy:
