@@ -3,9 +3,8 @@ noise-response fits, and the robustness figure of merit.
 
 The fidelity target is always the adiabatic-limit gate of the same loop;
 inputs are pure states on the dark-subspace Bloch sphere. The fidelity is
-quadratic in the input state, so its Bloch-sphere average is computed
-exactly from the six octahedral states (+-x, +-y, +-z), a spherical
-2-design.
+quadratic in the input state, so its Bloch-sphere average is a fixed
+linear function of the loop's map on the dark block, taken in closed form.
 """
 
 from __future__ import annotations
@@ -30,49 +29,43 @@ from .lindblad import (
 )
 from .loops import LoopSpec, optimal_time, wedge_order, with_total_time
 from .parallel import ordered_map
-from .propagators import adiabatic_gate, loop_propagator, start_frame
+from .propagators import adiabatic_gate, dark_block, loop_propagator, loop_times, start_frame
+from .tripod import eigenframe
 
 PEAK_WINDOW = (0.7, 1.3)
 PEAK_TOL = 1e-5
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y.
-_R = 1.0 / math.sqrt(2.0)
-_OCTAHEDRON = np.array(
-    [[1, 0], [0, 1], [_R, _R], [_R, -_R], [_R, 1j * _R], [_R, -1j * _R]], dtype=complex
-)
-
-
-def per_state_fidelities(
-    loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
-) -> np.ndarray:
-    """Fidelities Tr{T rho T^dag . out} of the six octahedral dark-qubit
-    inputs rho against the adiabatic-limit gate T; (n, 6) on a noiseless
-    run's Omega*tau grid (T acts on them by the holonomy alone)."""
-    psi = _OCTAHEDRON @ start_frame(loop).dark.T
-    rhos = np.einsum("ni,nj->nij", psi, psi.conj())
-    target = adiabatic_gate(loop).matrix
-    if noise.dissipative:
-        if omega_tau is not None:
-            raise ValueError("an Omega*tau grid needs a noiseless run")
-        outputs = loop_channel(loop, noise, steps).apply(rhos)
-    else:
-        u = loop_propagator(loop, omega_tau).matrix[..., None, :, :]
-        outputs = u @ rhos @ u.conj().swapaxes(-1, -2)
-    ideal = target @ rhos @ target.conj().T
-    return np.einsum("nij,...nji->...n", ideal, outputs).real
-
 
 def mean_fidelity(
     loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
 ) -> float | np.ndarray:
-    """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)} (six-state
-    2-design average); one value per point of an Omega*tau grid."""
-    value = np.mean(per_state_fidelities(loop, noise, steps, omega_tau), axis=-1)
+    """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)}; one value per
+    point of an Omega*tau grid (one channel per point under dissipative noise).
+    With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
+    the dark block in start-frame coordinates against the target's dark block
+    T, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i]) / 6; for a unitary, the
+    (|Tr M|^2 + Tr M M^dag) / 6 of Nielsen (PLA 303, 249, 2002), M = T^dag U."""
+    target = dark_block(adiabatic_gate(loop).matrix, loop)
+    if noise.dissipative:
+        # the channel's outputs are in end-frame coordinates; the closure
+        # f0^dag f_end moves them to the start frame's
+        closure = start_frame(loop).matrix.conj().T @ eigenframe(loop.end_point()).matrix
+        v = target.conj().T @ closure[:2]
+        runs = [loop] if omega_tau is None else [
+            with_total_time(loop, t) for t in loop_times(loop, omega_tau)
+        ]
+        units = [loop_channel(run, noise, steps).phi.reshape(4, 4, 4, 4)[..., :2, :2]
+                 for run in runs]
+        y = np.einsum("ia,nabkl,jb->nijkl", v, np.array(units), v.conj())
+    else:
+        m = target.conj().T @ dark_block(loop_propagator(loop, omega_tau).matrix, loop)
+        y = np.einsum("...ik,...jl->...ijkl", m, m.conj())
+    value = (np.einsum("...ijij->...", y) + np.einsum("...jjii->...", y)).real / 6.0
     outside = np.extract(~((value >= -1e-9) & (value <= 1.0 + 1e-9)), value)
     if outside.size:
         raise StepCountTooSmall(f"mean fidelity {outside[0]} outside [0, 1]; increase steps")
-    return float(value) if omega_tau is None else value
+    return value.item() if omega_tau is None else value
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +83,7 @@ class SweepCurve:
 
 
 def _sweep_task(args: tuple) -> np.ndarray:
-    loop, noise, steps, omega_tau = args
-    if not noise.dissipative:
-        return mean_fidelity(loop, noise, omega_tau=omega_tau)
-    run = with_total_time(loop, omega_tau / loop.omega_scale)
-    return np.array([mean_fidelity(run, noise, steps=steps)])
+    return mean_fidelity(*args)
 
 
 def sweep(
@@ -122,10 +111,8 @@ def sweep(
     tasks = []
     for lam in lambda_sq_list:
         curve_noise = noise.with_lambda_sq(lam)
-        if curve_noise.dissipative:
-            tasks += [(loop, curve_noise, steps, float(ot)) for ot in grid]
-        else:
-            tasks.append((loop, curve_noise, steps, grid))
+        chunks = np.split(grid, len(grid)) if curve_noise.dissipative else [grid]
+        tasks += [(loop, curve_noise, steps, chunk) for chunk in chunks]
     values = np.concatenate([[], *ordered_map(_sweep_task, tasks)]).reshape(-1, len(grid))
     return [
         SweepCurve(lambda_sq=float(lam), omega_tau=grid.copy(), mean_fidelity=f)

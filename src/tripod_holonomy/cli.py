@@ -99,6 +99,8 @@ class RunConfig:
                 raise ConfigError("lambda_sq must list at least one coupling")
             for lam in self.lambda_sq:
                 _check_number("lambda_sq entries", lam, minimum=0.0)
+            if len(set(self.lambda_sq)) < len(self.lambda_sq):
+                raise ConfigError(f"lambda_sq lists a coupling twice: {list(self.lambda_sq)}")
         if self.loop_file is None:
             parse_loop_kind(self.loop)
 
@@ -194,8 +196,8 @@ def parse_lambda_list(text: str) -> tuple[float, ...]:
 
 def _read_json(path: str, what: str, parse):
     """parse() of the JSON object a file holds. A missing or unreadable
-    file, invalid JSON, a document that is not an object and a malformed or
-    wrong-typed field are all ConfigErrors."""
+    file, invalid JSON, a document that is not an object, a malformed or
+    wrong-typed field and a package error of parse() are ConfigErrors."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -207,7 +209,7 @@ def _read_json(path: str, what: str, parse):
         return parse(doc)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (TripodError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"invalid {what} {path}: {type(exc).__name__} {exc}") from exc
 
 

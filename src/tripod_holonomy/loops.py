@@ -213,6 +213,7 @@ def optimal_time(k: int, n: int, omega: float) -> float:
 
 
 def loop_from_dict(doc: dict) -> LoopSpec:
+    """The loop of a loop file's document; it must be in the wedge family."""
     arcs = tuple(
         ArcSegment(
             kind=ArcKind(a["kind"]),
@@ -227,4 +228,5 @@ def loop_from_dict(doc: dict) -> LoopSpec:
     declared = doc.get("total_time")
     if declared is not None and abs(loop.total_time - float(declared)) > 1e-9 * loop.total_time:
         raise ValueError("declared total_time inconsistent with arc durations")
+    check_wedge_family(loop)
     return loop

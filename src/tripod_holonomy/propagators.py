@@ -59,6 +59,14 @@ def _arc_generator(loop: LoopSpec, arc_index: int) -> tuple[np.ndarray, np.ndarr
     return f0, -1j * (f0.conj().T @ eigenframe_rate(p, *arc.rates()))
 
 
+def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
+    """Loop times omega_tau / Omega of a 1-d grid of positive Omega*tau."""
+    omega_tau = np.asarray(omega_tau, dtype=float)
+    if omega_tau.ndim != 1 or not np.all(np.isfinite(omega_tau) & (omega_tau > 0)):
+        raise InvalidDuration("an Omega*tau grid must be a 1-d array of positive times")
+    return omega_tau / loop.omega_scale
+
+
 def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
     """Exact lab-basis propagator of one arc:
     exp(i dt D) exp(-i dt (H_start + D)), with D = F0 G F0^dag. G scales as
@@ -68,10 +76,7 @@ def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray
     arc = loop.arcs[arc_index]
     dt = arc.duration
     if omega_tau is not None:
-        omega_tau = np.asarray(omega_tau, dtype=float)
-        if omega_tau.ndim != 1 or not np.all(np.isfinite(omega_tau) & (omega_tau > 0)):
-            raise InvalidDuration("an Omega*tau grid must be a 1-d array of positive times")
-        dt = dt * (omega_tau / loop.omega_scale / loop.total_time)[:, None, None]
+        dt = dt * (loop_times(loop, omega_tau) / loop.total_time)[:, None, None]
     f0, g = _arc_generator(loop, arc_index)
     d = arc.duration * (f0 @ g @ f0.conj().T)
     h0 = hamiltonian(*arc.angles(0.0), loop.omega_scale)
@@ -138,9 +143,10 @@ def adiabatic_gate(loop: LoopSpec) -> GatePropagator:
 
 
 def dark_block(u: np.ndarray, loop: LoopSpec) -> np.ndarray:
-    """2x2 block of a lab-basis operator on span{D0(0), D1(0)}."""
+    """2x2 block of a lab-basis operator, or of each in a (..., 4, 4)
+    stack, on span{D0(0), D1(0)}."""
     f0 = start_frame(loop).matrix
-    return (f0.conj().T @ u @ f0)[:2, :2]
+    return (f0.conj().T @ u @ f0)[..., :2, :2]
 
 
 def _ordered_product(stack: np.ndarray) -> np.ndarray:

@@ -9,8 +9,14 @@ from tripod_holonomy import (
     standard_not_loop,
     with_total_time,
 )
-from tripod_holonomy.analysis import _OCTAHEDRON
 from tripod_holonomy.propagators import _arc_generator, start_frame
+
+# Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y: a
+# spherical 2-design, so their mean fidelity is the exact Bloch average.
+_R = 1.0 / np.sqrt(2.0)
+OCTAHEDRON = np.array(
+    [[1, 0], [0, 1], [_R, _R], [_R, -_R], [_R, 1j * _R], [_R, -1j * _R]], dtype=complex
+)
 
 # A loop file whose arcs run at three different angular speeds.
 UNEVEN_LOOP_DOC = {"omega_scale": 1.3, "arcs": [
@@ -66,10 +72,16 @@ def per_point_propagator(loop, omega_tau):
     return u
 
 
+def six_state_fidelities(loop, u):
+    """|<psi| T^dag U |psi>|^2 of the six octahedral dark-qubit inputs psi,
+    with T the loop's adiabatic gate and U a lab-basis propagator."""
+    psi = OCTAHEDRON @ start_frame(loop).dark.T
+    t = adiabatic_gate(loop).matrix
+    return np.abs(np.einsum("ni,ij,nj->n", (t @ psi.T).T.conj(), u, psi)) ** 2
+
+
 def per_point_fidelity(loop, omega_tau):
     """Noiseless six-state average at one Omega*tau, from
     per_point_propagator and the adiabatic gate of the rescaled loop."""
     run = with_total_time(loop, omega_tau / loop.omega_scale)
-    psi = _OCTAHEDRON @ start_frame(run).dark.T
-    u, t = per_point_propagator(loop, omega_tau), adiabatic_gate(run).matrix
-    return float(np.mean(np.abs(np.einsum("ni,ij,nj->n", (t @ psi.T).T.conj(), u, psi)) ** 2))
+    return float(np.mean(six_state_fidelities(run, per_point_propagator(loop, omega_tau))))

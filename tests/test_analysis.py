@@ -1,3 +1,6 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy import analysis
-from tripod_holonomy.analysis import PEAK_TOL, per_state_fidelities, sweep_curve_to_csv
+from tripod_holonomy.analysis import PEAK_TOL, sweep_curve_to_csv
 from tripod_holonomy.errors import (
     ModelMismatch,
     NoPeakInWindow,
@@ -29,7 +32,7 @@ from tripod_holonomy.lindblad import NoiseModel, default_step_count
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.propagators import dark_block, start_frame
 
-from conftest import UNEVEN_LOOP_DOC, per_point_fidelity
+from conftest import UNEVEN_LOOP_DOC, per_point_fidelity, six_state_fidelities
 
 OMEGA_TAU_1 = optimal_time(1, 1, 1.0)
 LAMBDA_GRID = np.linspace(1e-4, 1e-3, 7)
@@ -91,8 +94,8 @@ class TestMeanFidelity:
     def test_unity_at_first_revival(self, not_loop, no_noise):
         assert abs(mean_fidelity(not_loop, no_noise) - 1.0) <= 1e-6
 
-    def test_per_state_unity_at_revival(self, not_loop, no_noise):
-        fids = per_state_fidelities(not_loop, no_noise)
+    def test_per_state_unity_at_revival(self, not_loop):
+        fids = six_state_fidelities(not_loop, loop_propagator(not_loop).matrix)
         assert np.all(np.abs(fids - 1.0) <= 1e-6)
 
     def test_large_time_approaches_unity(self, no_noise):
@@ -130,17 +133,49 @@ class TestBatchedNoiselessCurve:
             m = dark_block(adiabatic_gate(run).matrix.conj().T @ loop_propagator(run).matrix, run)
             assert abs(f - (np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / 6) <= 1e-12
 
-    def test_grid_needs_a_noiseless_run(self):
-        with pytest.raises(ValueError):
-            mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.01),
-                          omega_tau=np.array([18.0]))
+    def test_dissipative_grid_matches_per_point_calls(self):
+        noise, grid = high_temperature_noise(0.02), np.array([6.0, 13.3, 18.25, 30.1])
+        for loop in (wedge_loop(1, 1.0, 1.0), wedge_loop(2, 1.3, 1.0)):
+            batched = mean_fidelity(loop, noise, steps=300, omega_tau=grid)
+            per_point = [
+                mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=300)
+                for ot in grid
+            ]
+            assert batched.shape == grid.shape
+            assert np.array_equal(batched, per_point)
+            assert np.array_equal(mean_fidelity(loop, noise, steps=300, omega_tau=grid[1:2]),
+                                  batched[1:2])
 
-    def test_range_check_applies_to_each_point(self, no_noise, monkeypatch):
-        fids = np.ones((3, 6))
-        fids[1, 0] = 1.5
-        monkeypatch.setattr(analysis, "per_state_fidelities", lambda *args: fids)
-        with pytest.raises(StepCountTooSmall, match="outside"):
-            mean_fidelity(wedge_loop(1, 1.0, 1.0), no_noise, omega_tau=np.arange(1.0, 4.0))
+    def test_dissipative_grid_defaults_steps_per_point(self, monkeypatch):
+        used = []
+
+        def recording(run, noise, steps=None):
+            used.append(default_step_count(run) if steps is None else steps)
+            return loop_channel(run, noise, steps)
+
+        monkeypatch.setattr(analysis, "loop_channel", recording)
+        grid = np.array([6.0, 30.0])
+        mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.02), omega_tau=grid)
+        assert used == [1000, 1800]
+
+    def test_range_check_applies_to_each_point(self, monkeypatch):
+        # the middle point's map is scaled by 1.5^2 in both engines, so its
+        # fidelity leaves [0, 1]
+        def scaled_channel(run, noise, steps=None):
+            channel = loop_channel(run, noise, 200)
+            return replace(channel, phi=next(scales) ** 2 * channel.phi)
+
+        def scaled_propagator(loop, omega_tau):
+            stack = loop_propagator(loop, omega_tau).matrix
+            return SimpleNamespace(matrix=stack * np.array([1.0, 1.5, 1.0])[:, None, None])
+
+        monkeypatch.setattr(analysis, "loop_channel", scaled_channel)
+        monkeypatch.setattr(analysis, "loop_propagator", scaled_propagator)
+        grid = np.array([17.0, OMEGA_TAU_1, 19.0])
+        for noise in (high_temperature_noise(0.0), high_temperature_noise(0.02)):
+            scales = iter([1.0, 1.5, 1.0])
+            with pytest.raises(StepCountTooSmall, match="outside"):
+                mean_fidelity(wedge_loop(1, 1.0, 1.0), noise, omega_tau=grid)
 
 
 class TestSweep:

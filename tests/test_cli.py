@@ -25,6 +25,13 @@ def non_contiguous_loop_doc():
     return doc
 
 
+def off_pole_loop_doc():
+    """The order-2 wedge loop started at its second arc, on the equator."""
+    doc = loop_doc()
+    doc["arcs"] = doc["arcs"][1:] + doc["arcs"][:1]
+    return doc
+
+
 def synthetic_rows(n=1):
     """Optimal-table rows of the order-n wedge loop with F2 = 6.34 and
     tau2 = 59.40."""
@@ -120,7 +127,11 @@ class TestHolonomyCommand:
         (non_contiguous_loop_doc(), "not contiguous"),
         ({"omega_scale": 1, "arcs": 5}, "TypeError"),
         ([1, 2], "TypeError"),
-    ], ids=["non-contiguous", "arcs-not-a-list", "bare-list"])
+        ({**loop_doc(), "arcs": [{**loop_doc()["arcs"][0], "duration": 0.0}]}, "positive"),
+        ({"omega_scale": 1, "arcs": []}, "at least one arc"),
+        (off_pole_loop_doc(), "pole"),
+    ], ids=["non-contiguous", "arcs-not-a-list", "bare-list", "zero-duration", "no-arcs",
+            "off-pole"])
     def test_bad_loop_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(doc))
@@ -295,8 +306,11 @@ class TestOptimalAndFit:
         assert "needs at least 2 points" in out.err
 
     def test_fit_on_an_all_zero_coupling_table_exits_2(self, tmp_path, capsys):
-        assert run(["optimal", "--lambda-sq", "0,0", "--out", str(tmp_path / "opt")]) == 0
+        # optimal rejects a repeated coupling, so the second zero row is added by hand
+        assert run(["optimal", "--lambda-sq", "0", "--out", str(tmp_path / "opt")]) == 0
         table = tmp_path / "opt" / "optimal_points.json"
+        doc = json.loads(table.read_text())
+        table.write_text(json.dumps({**doc, "rows": doc["rows"] * 2}))
         code, out = run(["fit", "--table", str(table), "--out", str(tmp_path / "x")], capsys)
         assert code == 2
         assert "f_linear: lambda^2 values fix 0 of 1 coefficients" in out.err
@@ -555,9 +569,12 @@ class TestDeterminismAndRoundTrip:
         ("optimal", {}, ["--lambda-sq", ""], "lambda_sq"),
         ("optimal", {"lambda_sq": []}, [], "lambda_sq"),
         ("robustness", {"table": 5}, [], "table"),
+        ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "0.005,5e-3"], "lambda_sq"),
+        ("optimal", {"lambda_sq": [0.01, 0.0, 0.01]}, [], "lambda_sq"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
             "grid-not-increasing", "free-intercept-string", "lambda-sq-comma",
-            "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string"])
+            "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string",
+            "lambda-sq-repeated-flag", "lambda-sq-repeated-config"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):
@@ -655,3 +672,14 @@ class TestDeterminismAndRoundTrip:
         monkeypatch.setenv("HOLONOMY_THREADS", "1")
         assert main(["ideal-sweep", "--grid", "17:19:2",
                      "--out", str(tmp_path / "x")]) == 0
+        # one task per channel point, so two workers share the dissipative
+        # curve; the worker count never changes the bytes written
+        written = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HOLONOMY_THREADS", workers)
+            out = tmp_path / workers
+            assert main(["noisy-sweep", "--grid", "17:19:3", "--lambda-sq", "0,0.01",
+                         "--steps", "300", "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert len(written[0]) == 2
+        assert written[0] == written[1]
