@@ -45,7 +45,6 @@ from .tripod import (
     EigenFrame,
     SphericalPoint,
     eigenframe,
-    eigenframe_rate,
     hamiltonian,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "arc_propagator",
     "calibrate_noise",
     "eigenframe",
-    "eigenframe_rate",
     "exp_i_hermitian",
     "f_of_tau_relation",
     "find_optimal_point",

@@ -29,7 +29,8 @@ from .lindblad import (
 )
 from .loops import LoopSpec, optimal_time, wedge_order, with_total_time
 from .parallel import ordered_map
-from .propagators import adiabatic_gate, dark_block, loop_propagator, loop_times, start_frame
+from .propagators import adiabatic_holonomy, dark_block, loop_propagator, loop_times, start_frame
+from .propagators import adiabatic_gate  # noqa: F401  (perfbench/selftest.py checks this binding)
 from .tripod import eigenframe
 
 PEAK_WINDOW = (0.7, 1.3)
@@ -44,9 +45,10 @@ def mean_fidelity(
     point of an Omega*tau grid (one channel per point under dissipative noise).
     With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
     the dark block in start-frame coordinates against the target's dark block
-    T, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i]) / 6; for a unitary, the
-    (|Tr M|^2 + Tr M M^dag) / 6 of Nielsen (PLA 303, 249, 2002), M = T^dag U."""
-    target = dark_block(adiabatic_gate(loop).matrix, loop)
+    T, the closed-form holonomy, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i])
+    / 6; for a unitary, the (|Tr M|^2 + Tr M M^dag) / 6 of Nielsen (PLA 303,
+    249, 2002), M = T^dag U."""
+    target = adiabatic_holonomy(loop)
     if noise.dissipative:
         # the channel's outputs are in end-frame coordinates; the closure
         # f0^dag f_end moves them to the start frame's

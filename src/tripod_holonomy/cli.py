@@ -3,8 +3,8 @@ and holonomy output, each driven by a JSON config that CLI flags override.
 A command takes only the settings it reads (`_SETTINGS`) and echoes them
 for provenance, so outputs can be reproduced from themselves.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-validation
-failure.
+Exit codes: 0 success, 2 configuration error (a loop outside the wedge
+family included), 3 numerical-validation failure.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     StepCountTooSmall,
     TripodError,
     UnderdeterminedFit,
+    UnsupportedLoop,
 )
 from .lindblad import DEFAULT_GAMMA0, NoiseModel, high_temperature_noise, noise_from_dict
 from .loops import LoopSpec, loop_from_dict, optimal_time, wedge_loop, wedge_order
@@ -99,8 +100,12 @@ class RunConfig:
                 raise ConfigError("lambda_sq must list at least one coupling")
             for lam in self.lambda_sq:
                 _check_number("lambda_sq entries", lam, minimum=0.0)
-            if len(set(self.lambda_sq)) < len(self.lambda_sq):
-                raise ConfigError(f"lambda_sq lists a coupling twice: {list(self.lambda_sq)}")
+            names = [_sweep_file_name(lam) for lam in self.lambda_sq]
+            if len(set(names)) < len(names):
+                raise ConfigError(
+                    f"lambda_sq lists couplings equal to 12 significant digits, which "
+                    f"name one sweep file: {list(self.lambda_sq)}"
+                )
         if self.loop_file is None:
             parse_loop_kind(self.loop)
 
@@ -294,6 +299,10 @@ def _write_run_config(
     return doc
 
 
+def _sweep_file_name(lambda_sq: float) -> str:
+    return f"sweep_lambda2_{lambda_sq:.12g}.csv"
+
+
 def _lambdas(cfg: RunConfig) -> list[float]:
     return list(cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST)
 
@@ -313,8 +322,7 @@ def _write_sweep(cfg: RunConfig, command: str, curves, noise: NoiseModel | None 
     out_dir = Path(cfg.out)
     _write_run_config(out_dir, cfg, command, noise=noise)
     for curve in curves:
-        name = f"sweep_lambda2_{curve.lambda_sq:.12g}.csv"
-        _write(out_dir / name, sweep_curve_to_csv(curve))
+        _write(out_dir / _sweep_file_name(curve.lambda_sq), sweep_curve_to_csv(curve))
     return EXIT_OK
 
 
@@ -449,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, UnderdeterminedFit, ModelMismatch) as exc:
+    except (ConfigError, UnderdeterminedFit, ModelMismatch, UnsupportedLoop) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StepCountTooSmall, NoPeakInWindow) as exc:

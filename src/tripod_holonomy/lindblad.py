@@ -10,8 +10,9 @@ The master equation is integrated in the transport picture, where the
 coherent generator is piecewise constant. In the coordinates of the
 start-frame eigenbasis the pieces are simple:
 
-  - coherent part:  diag(0, 0, +Omega, -Omega) + G_arc, with G_arc the
-    arc's constant transport generator (the one the exact propagator uses),
+  - coherent part:  Omega diag(FRAME_ENERGY) + G_arc, with G_arc the
+    arc's constant transport generator: the exponent of the exact
+    propagator's arc factor,
   - jump operators: block-masked F(t)^dag A F(t).
 
 A classical fixed-step 4th-order scheme propagates the full 16x16
@@ -34,9 +35,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .loops import LoopSpec
+from .loops import LoopSpec, check_wedge_family
 from .propagators import _arc_generator, _ordered_product
-from .tripod import DIM, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
+from .tripod import DIM, FRAME_ENERGY, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
 FREQUENCY_MULTIPLES = (0, 1, -1, 2, -2)
 DEFAULT_GAMMA0 = 0.5
@@ -46,11 +47,9 @@ COUPLING = np.zeros((DIM, DIM), dtype=complex)
 COUPLING[STATE_0, STATE_EXCITED] = 1.0
 COUPLING[STATE_EXCITED, STATE_0] = 1.0
 
-# Frame-column energies in units of Omega: (D0, D1, D+, D-).
-_FRAME_ENERGY = np.array([0, 0, 1, -1])
 # Frequency multiple E_l - E_i carried by frame element (i, l), and the
 # pattern of (a, c, b, d) where the sandwich pairs equal frequencies.
-_FREQ = _FRAME_ENERGY[None, :] - _FRAME_ENERGY[:, None]
+_FREQ = FRAME_ENERGY[None, :] - FRAME_ENERGY[:, None]
 _SAME_FREQ = _FREQ[:, None, :, None] == _FREQ[None, :, None, :]
 
 # |e> row of the frame columns, the same at every path point in the fixed
@@ -276,7 +275,10 @@ class LoopChannel:
 # An under-resolved run can overflow Phi; the trace gate rejects it.
 @np.errstate(over="ignore", invalid="ignore")
 def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> LoopChannel:
-    """Integrate the transport-picture master equation over the loop."""
+    """Integrate the transport-picture master equation over the loop. Each
+    arc hands the next its end frame, so the loop must pass
+    check_wedge_family."""
+    check_wedge_family(loop)
     if steps is None:
         steps = default_step_count(loop)
     if steps < len(loop.arcs):
@@ -287,9 +289,8 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
     for i, arc in enumerate(loop.arcs):
         n = max(1, int(round(steps * arc.duration / total)))
         h = arc.duration / n
-        _, gen = _arc_generator(loop, i)
-        energies = np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex)
-        l_unit = _real_superop(_commutator_superop(energies + gen))
+        energies = np.diag(loop.omega_scale * FRAME_ENERGY)
+        l_unit = _real_superop(_commutator_superop(energies + _arc_generator(loop, i)))
         for first in range(0, n, _BLOCK_STEPS):
             last = min(first + _BLOCK_STEPS, n)
             # generators at the RK4 stage times (step ends and midpoints)

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidDuration, InvalidOrder, UnsupportedLoop
-from .tripod import SphericalPoint
+from .tripod import SphericalPoint, _frame_columns
 
 # Absolute tolerance on theta and on phi*sin(theta) when comparing path
 # points, so loop files with angles rounded to 10 digits still close.
@@ -60,12 +60,6 @@ class ArcSegment:
         if self.kind is ArcKind.MERIDIAN:
             return moving, self.fixed_angle + fixed
         return np.pi / 2.0 + fixed, moving
-
-    def rates(self) -> tuple[float, float]:
-        """(theta_dot, phi_dot), constant along the arc."""
-        if self.kind is ArcKind.MERIDIAN:
-            return self.rate, 0.0
-        return 0.0, self.rate
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,10 @@ def reverse_loop(loop: LoopSpec) -> LoopSpec:
 
 def check_wedge_family(loop: LoopSpec) -> None:
     """Require a pole-anchored, northern-hemisphere loop whose gauge frame
-    can only jump at the start/end closure (no interior pole crossing)."""
+    can only jump at the start/end closure: at every interior joint the
+    frames of the two arcs agree entrywise to 2 ANGLE_TOL. A frame entry
+    changes by at most |d theta| + |d phi|, so that is the bound when both
+    angles agree to ANGLE_TOL."""
     th0, _ = loop.arcs[0].angles(0.0)
     if th0 != 0.0:
         raise UnsupportedLoop("loop must start at the pole (theta = 0)")
@@ -174,11 +171,12 @@ def check_wedge_family(loop: LoopSpec) -> None:
             or max(arc.start_angle, arc.end_angle) > np.pi / 2.0 + ANGLE_TOL
         ):
             raise UnsupportedLoop("meridian arc leaves the northern hemisphere")
-    for prev, nxt in zip(loop.arcs[:-1], loop.arcs[1:]):
-        th_end, ph_end = prev.angles(prev.duration)
-        _, ph_start = nxt.angles(0.0)
-        if th_end == 0.0 and ph_end != ph_start:
-            raise UnsupportedLoop("interior pole crossing with a gauge jump")
+    # (theta, phi) at each interior joint: the end of one arc, the start of the next
+    joints = [(a.angles(a.duration), b.angles(0.0)) for a, b in zip(loop.arcs, loop.arcs[1:])]
+    frames = _frame_columns(*np.moveaxis(np.array(joints, dtype=float).reshape(-1, 2, 2), -1, 0))
+    jump = np.abs(frames[:, 0] - frames[:, 1]).max(initial=0.0)
+    if jump > 2.0 * ANGLE_TOL:
+        raise UnsupportedLoop(f"gauge frame jumps by {jump:.3g} at an interior joint")
 
 
 def solid_angle(loop: LoopSpec) -> float:

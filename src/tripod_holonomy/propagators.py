@@ -1,13 +1,14 @@
 """Exact and adiabatic propagators for tripod control loops.
 
-The exact propagator uses the factorized form: on each arc the transport
-generator (built from the analytic eigenframe) is constant, so the arc
-evolution is a product of two matrix exponentials. Arc factors are
-assembled in the lab basis, each from its own arc-start frame, and compose
-by plain matrix multiplication; a brute-force midpoint integrator provides
-an independent cross-check. The generator scales as the inverse arc time,
-so a whole grid of loop times takes one constant exponential and one
-stacked eigendecomposition per arc.
+The exact propagator works in the transport picture: in the coordinates of
+the analytic eigenframe F(t) the Hamiltonian is Omega diag(FRAME_ENERGY)
+and the frame's own motion adds the transport generator G = -i F^T dF/dt,
+which is constant on each meridian and equator arc. So each arc evolves
+by one exponential, exp(-i dt (Omega E + G)), and consecutive arcs share
+the frame at their joint: the loop's lab-basis propagator is
+F(end) x_n ... x_1 F(0)^T. G scales as the inverse arc time, so a whole
+grid of loop times takes one stacked eigendecomposition per arc. A
+brute-force midpoint integrator provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ import numpy as np
 
 from .errors import InvalidDuration
 from .linalg import exp_i_hermitian, is_unitary
-from .loops import LoopSpec, check_wedge_family, solid_angle
-from .tripod import (
-    EigenFrame,
-    SphericalPoint,
-    _frame_columns,
-    eigenframe,
-    eigenframe_rate,
-    hamiltonian,
-)
+from .loops import ArcKind, LoopSpec, check_wedge_family, solid_angle
+from .tripod import DIM, FRAME_ENERGY, EigenFrame, _frame_columns, eigenframe, hamiltonian
 
 
 @dataclass(frozen=True)
@@ -46,17 +40,20 @@ def start_frame(loop: LoopSpec) -> EigenFrame:
     return eigenframe(loop.start_point())
 
 
-def _arc_generator(loop: LoopSpec, arc_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F0, G) of one arc: the eigenframe F0 at the arc start, and the
-    transport generator G = -i F0^dag dF0/dt in F0's coordinates.
+def _arc_generator(loop: LoopSpec, arc_index: int) -> np.ndarray:
+    """Transport generator G = -i F^T dF/dt of one arc, in frame coordinates.
 
-    On meridian and equator arcs at constant angular speed, G is the same
-    at every point of the arc, so the arc-start value serves the whole arc.
+    The arc moves one dark state, D1 along a meridian and D0 along the
+    equator, and only that state couples, to D+ and D- alike, with
+    strength rate / sqrt(2): the same at every point of the arc.
     """
     arc = loop.arcs[arc_index]
-    p = SphericalPoint(*arc.angles(0.0))
-    f0 = eigenframe(p).matrix
-    return f0, -1j * (f0.conj().T @ eigenframe_rate(p, *arc.rates()))
+    moving = 1 if arc.kind is ArcKind.MERIDIAN else 0
+    coupling = -1j * arc.rate / np.sqrt(2.0)
+    g = np.zeros((DIM, DIM), dtype=complex)
+    g[moving, 2:] = coupling
+    g[2:, moving] = -coupling
+    return g
 
 
 def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
@@ -68,28 +65,29 @@ def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
 
 
 def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
-    """Exact lab-basis propagator of one arc:
-    exp(i dt D) exp(-i dt (H_start + D)), with D = F0 G F0^dag. G scales as
-    1/dt, so dt D is the same at every loop time, and with a 1-d Omega*tau
-    grid the (n, 4, 4) stack at loop times omega_tau / Omega takes one
-    exponential of dt D and one stacked exponential."""
+    """Exact propagator of one arc in frame coordinates, F(end)^T U F(start):
+    exp(-i (dt Omega E + duration G)). dt G is the same at every loop time,
+    so with a 1-d Omega*tau grid the (n, 4, 4) stack at loop times
+    omega_tau / Omega is one stacked exponential."""
     arc = loop.arcs[arc_index]
     dt = arc.duration
     if omega_tau is not None:
         dt = dt * (loop_times(loop, omega_tau) / loop.total_time)[:, None, None]
-    f0, g = _arc_generator(loop, arc_index)
-    d = arc.duration * (f0 @ g @ f0.conj().T)
-    h0 = hamiltonian(*arc.angles(0.0), loop.omega_scale)
-    return exp_i_hermitian(d, 1.0) @ exp_i_hermitian(dt * h0 + d, -1.0)
+    energies = np.diag(loop.omega_scale * FRAME_ENERGY)
+    return exp_i_hermitian(dt * energies + arc.duration * _arc_generator(loop, arc_index), -1.0)
 
 
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
-    """Exact propagator of the whole loop (arc 1 applied first); with a 1-d
-    Omega*tau grid, the (n, 4, 4) stack of them over that grid."""
-    u = np.eye(4, dtype=complex)
-    for i in range(len(loop.arcs)):
-        u = arc_propagator(loop, i, omega_tau) @ u
-    return GatePropagator(matrix=u)
+    """Exact lab-basis propagator of the whole loop (arc 1 applied first);
+    with a 1-d Omega*tau grid, the (n, 4, 4) stack of them over that grid.
+    Each arc hands the next its end frame, so the loop must pass
+    check_wedge_family."""
+    check_wedge_family(loop)
+    x = arc_propagator(loop, 0, omega_tau)
+    for i in range(1, len(loop.arcs)):
+        x = arc_propagator(loop, i, omega_tau) @ x
+    f_end = eigenframe(loop.end_point()).matrix
+    return GatePropagator(matrix=f_end @ x @ start_frame(loop).matrix.conj().T)
 
 
 def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Four-level tripod system: Hamiltonian, spherical control parametrization,
-and the analytic dark/bright eigenframe with its time derivative.
+and the analytic dark/bright eigenframe.
 
 Basis ordering is fixed globally: index 0 -> |0>, 1 -> |1>, 2 -> |a>
 (ancilla), 3 -> |e> (excited). The lower three levels couple to |e> through
@@ -24,6 +24,10 @@ STATE_1 = 1
 STATE_ANCILLA = 2
 STATE_EXCITED = 3
 DIM = 4
+
+# Energies of the frame columns (D0, D1, D+, D-) in units of Omega: the
+# frame takes the Hamiltonian to Omega diag(FRAME_ENERGY) at every point.
+FRAME_ENERGY = np.array([0, 0, 1, -1])
 
 
 @dataclass(frozen=True)
@@ -93,29 +97,3 @@ def _frame_columns(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def eigenframe(p: SphericalPoint) -> EigenFrame:
     """Analytic eigenframe at a control point (fixed gauge)."""
     return EigenFrame(matrix=_frame_columns(p.theta, p.phi).astype(complex))
-
-
-def eigenframe_rate(p: SphericalPoint, theta_dot: float, phi_dot: float) -> np.ndarray:
-    """Time derivative of the eigenframe columns via the chain rule."""
-    if not (np.isfinite(theta_dot) and np.isfinite(phi_dot)):
-        raise ValueError("angle rates must be finite")
-    st, ct = np.sin(p.theta), np.cos(p.theta)
-    sp, cp = np.sin(p.phi), np.cos(p.phi)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    # d/dtheta of each column
-    d0_t = np.zeros(4)
-    d1_t = np.array([-st * sp, -st * cp, -ct, 0.0])
-    dpm_t = inv_sqrt2 * np.array([ct * sp, ct * cp, -st, 0.0])
-    # d/dphi of each column
-    d0_p = np.array([-sp, -cp, 0.0, 0.0])
-    d1_p = np.array([ct * cp, -ct * sp, 0.0, 0.0])
-    dpm_p = inv_sqrt2 * np.array([st * cp, -st * sp, 0.0, 0.0])
-
-    cols = [
-        theta_dot * d0_t + phi_dot * d0_p,
-        theta_dot * d1_t + phi_dot * d1_p,
-        theta_dot * dpm_t + phi_dot * dpm_p,
-        theta_dot * dpm_t + phi_dot * dpm_p,
-    ]
-    return np.stack(cols, axis=-1).astype(complex)

@@ -10,6 +10,7 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy.propagators import _arc_generator, start_frame
+from tripod_holonomy.tripod import _frame_columns
 
 # Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y: a
 # spherical 2-design, so their mean fidelity is the exact Bloch average.
@@ -26,6 +27,22 @@ UNEVEN_LOOP_DOC = {"omega_scale": 1.3, "arcs": [
      "end_angle": np.pi / 6, "duration": 0.5},
     {"kind": "meridian", "fixed_angle": np.pi / 6, "start_angle": np.pi / 2,
      "end_angle": 0.0, "duration": 0.3},
+]}
+
+# Two wedges, at phi = 0 and phi = pi, joined near the pole: the third arc
+# stops 1e-10 short of it, close enough for the fourth arc's start to meet
+# its end, but the frames there belong to phi = pi/2 and phi = pi.
+_HALF_PI = np.pi / 2
+GAUGE_JUMP_LOOP_DOC = {"omega_scale": 1.0, "arcs": [
+    {"kind": kind, "fixed_angle": fixed, "start_angle": start, "end_angle": end, "duration": 1.0}
+    for kind, fixed, start, end in (
+        ("meridian", 0.0, 0.0, _HALF_PI),
+        ("equator", _HALF_PI, 0.0, _HALF_PI),
+        ("meridian", _HALF_PI, _HALF_PI, 1e-10),
+        ("meridian", np.pi, 0.0, _HALF_PI),
+        ("equator", _HALF_PI, np.pi, np.pi + _HALF_PI),
+        ("meridian", np.pi + _HALF_PI, _HALF_PI, 0.0),
+    )
 ]}
 
 # First three revival times of the standard loop (Omega = 1), closed form.
@@ -61,12 +78,12 @@ def _expm_i(a, s):
 def per_point_propagator(loop, omega_tau):
     """The loop's propagator at one Omega*tau, built point by point: the
     loop rescaled to that time, then exp(i dt D) exp(-i dt (H0 + D)) per
-    arc with D = F0 G F0^dag."""
+    arc with D = F0 G F0^T, F0 the frame at the arc's start."""
     run = with_total_time(loop, omega_tau / loop.omega_scale)
     u = np.eye(4, dtype=complex)
     for i, arc in enumerate(run.arcs):
-        f0, g = _arc_generator(run, i)
-        d = f0 @ g @ f0.conj().T
+        f0 = _frame_columns(*arc.angles(0.0))
+        d = f0 @ _arc_generator(run, i) @ f0.T
         h0 = hamiltonian(*arc.angles(0.0), run.omega_scale)
         u = _expm_i(d, arc.duration) @ _expm_i(h0 + d, -arc.duration) @ u
     return u

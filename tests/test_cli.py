@@ -11,6 +11,8 @@ from tripod_holonomy.cli import main
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
 
+from conftest import GAUGE_JUMP_LOOP_DOC
+
 OMEGA_TAU_1 = 18.251004041881252
 
 
@@ -29,6 +31,13 @@ def off_pole_loop_doc():
     """The order-2 wedge loop started at its second arc, on the equator."""
     doc = loop_doc()
     doc["arcs"] = doc["arcs"][1:] + doc["arcs"][:1]
+    return doc
+
+
+def opening_loop_doc(opening=0.5):
+    """The standard loop with an equatorial opening that is not pi/(2n)."""
+    doc = loop_doc(n=1)
+    doc["arcs"][1]["end_angle"] = doc["arcs"][2]["fixed_angle"] = opening
     return doc
 
 
@@ -130,14 +139,38 @@ class TestHolonomyCommand:
         ({**loop_doc(), "arcs": [{**loop_doc()["arcs"][0], "duration": 0.0}]}, "positive"),
         ({"omega_scale": 1, "arcs": []}, "at least one arc"),
         (off_pole_loop_doc(), "pole"),
+        (GAUGE_JUMP_LOOP_DOC, "gauge frame jumps"),
     ], ids=["non-contiguous", "arcs-not-a-list", "bare-list", "zero-duration", "no-arcs",
-            "off-pole"])
+            "off-pole", "interior-gauge-jump"])
     def test_bad_loop_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(doc))
         code, out = run(["holonomy", "--loop-file", str(path)], capsys)
         assert code == 2
         assert message in out.err
+
+    @pytest.mark.parametrize("command", ["optimal", "fit"])
+    @pytest.mark.parametrize("doc, message", [
+        (opening_loop_doc(), "is not pi/(2n)"),
+        (GAUGE_JUMP_LOOP_DOC, "gauge frame jumps"),
+    ], ids=["opening-not-pi-over-2n", "interior-gauge-jump"])
+    def test_bad_loop_file_of_optimal_and_fit_is_config_error(
+        self, tmp_path, capsys, command, doc, message
+    ):
+        # holonomy accepts any opening; the peak search and the fit need pi/(2n)
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        if command == "optimal":
+            argv = ["optimal", "--loop-file", str(path), "--lambda-sq", "0"]
+        else:
+            table = tmp_path / "table.json"
+            table.write_text(json.dumps({"config": {"loop": "standard", "loop_file": str(path)},
+                                         "rows": synthetic_rows()}))
+            argv = ["fit", "--table", str(table)]
+        code, out = run([*argv, "--out", str(tmp_path / "x")], capsys)
+        assert code == 2
+        assert message in out.err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweepCommands:
@@ -571,10 +604,12 @@ class TestDeterminismAndRoundTrip:
         ("robustness", {"table": 5}, [], "table"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "0.005,5e-3"], "lambda_sq"),
         ("optimal", {"lambda_sq": [0.01, 0.0, 0.01]}, [], "lambda_sq"),
+        ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "0.005,0.0050000000000001"],
+         "lambda_sq"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
             "grid-not-increasing", "free-intercept-string", "lambda-sq-comma",
             "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string",
-            "lambda-sq-repeated-flag", "lambda-sq-repeated-config"])
+            "lambda-sq-repeated-flag", "lambda-sq-repeated-config", "lambda-sq-same-file-name"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):

@@ -21,7 +21,6 @@ from tripod_holonomy.lindblad import (
     _BASIS,
     _BLOCK_STEPS,
     _EXCITED_ROW,
-    _FRAME_ENERGY,
     COUPLING,
     FREQUENCY_MULTIPLES,
     _commutator_superop,
@@ -31,13 +30,16 @@ from tripod_holonomy.lindblad import (
     noise_from_dict,
 )
 from tripod_holonomy.propagators import _arc_generator
-from tripod_holonomy.tripod import STATE_EXCITED, SphericalPoint, _frame_columns, eigenframe
+from tripod_holonomy.tripod import (
+    FRAME_ENERGY,
+    STATE_EXCITED,
+    SphericalPoint,
+    _frame_columns,
+    eigenframe,
+)
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
-
-# Energies of the frame columns (D0, D1, D+, D-) in units of Omega.
-FRAME_ENERGY = np.array([0, 0, 1, -1])
 
 # Unequal rates on all five frequencies and non-zero Lamb shifts.
 UNEQUAL_NOISE = NoiseModel(
@@ -124,9 +126,8 @@ def sequential_rk4_phi(loop, noise):
     for i, arc in enumerate(loop.arcs):
         n = max(1, int(round(steps * arc.duration / loop.total_time)))
         h = arc.duration / n
-        _, gen = _arc_generator(loop, i)
-        energies = np.diag(loop.omega_scale * _FRAME_ENERGY).astype(complex)
-        l_unit = _commutator_superop(energies + gen)
+        energies = np.diag(loop.omega_scale * FRAME_ENERGY)
+        l_unit = _commutator_superop(energies + _arc_generator(loop, i))
         local = np.arange(2 * n + 1) * (h / 2.0)
         local[-1] = arc.duration
         l_all = l_unit[None, :, :] + vec_dissipators(arc, local, noise)

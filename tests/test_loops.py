@@ -10,6 +10,9 @@ from tripod_holonomy import (
     ArcKind,
     ArcSegment,
     LoopSpec,
+    high_temperature_noise,
+    loop_channel,
+    loop_propagator,
     optimal_time,
     reverse_loop,
     solid_angle,
@@ -19,6 +22,8 @@ from tripod_holonomy import (
 )
 from tripod_holonomy.errors import InvalidDuration, InvalidOrder, UnsupportedLoop
 from tripod_holonomy.loops import loop_from_dict, wedge_order
+
+from conftest import GAUGE_JUMP_LOOP_DOC
 
 
 class TestConstruction:
@@ -74,9 +79,7 @@ class TestSchedule:
         tau = 3.0
         first = standard_not_loop(1.0, tau).arcs[0]
         assert first.angles(0.0) == (0.0, 0.0)
-        th_dot, ph_dot = first.rates()
-        assert th_dot == pytest.approx((np.pi / 2) / 1.0)
-        assert ph_dot == 0.0
+        assert first.rate == pytest.approx((np.pi / 2) / 1.0)
 
     def test_angles_at_end(self):
         last = standard_not_loop(1.0, 3.0).arcs[-1]
@@ -166,6 +169,21 @@ class TestTransforms:
         loop = LoopSpec(omega_scale=1.0, arcs=arcs)
         with pytest.raises(UnsupportedLoop):
             solid_angle(loop)
+
+    def test_interior_gauge_jump_unsupported(self):
+        # both engines carry the frame across each interior joint, so a
+        # jump there would give each of them a different wrong gate
+        with pytest.raises(UnsupportedLoop, match="gauge frame jumps by 1 "):
+            loop_from_dict(GAUGE_JUMP_LOOP_DOC)
+        loop = LoopSpec(omega_scale=1.0, arcs=tuple(
+            ArcSegment(ArcKind(a["kind"]), a["fixed_angle"], a["start_angle"], a["end_angle"],
+                       a["duration"])
+            for a in GAUGE_JUMP_LOOP_DOC["arcs"]
+        ))
+        with pytest.raises(UnsupportedLoop):
+            loop_propagator(loop)
+        with pytest.raises(UnsupportedLoop):
+            loop_channel(loop, high_temperature_noise(1e-3))
 
 
 HALF_PI = "1.5707963267948966"

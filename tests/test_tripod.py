@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripod_holonomy import eigenframe, eigenframe_rate, exp_i_hermitian, hamiltonian
-from tripod_holonomy.tripod import SphericalPoint
+from tripod_holonomy import eigenframe, exp_i_hermitian, hamiltonian
+from tripod_holonomy.tripod import FRAME_ENERGY, SphericalPoint
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
@@ -116,7 +116,7 @@ class TestEigenframe:
         f = eigenframe(SphericalPoint(theta, phi)).matrix
         assert np.linalg.norm(f.conj().T @ f - np.eye(4)) <= 1e-12
         h = hamiltonian(theta, phi, omega)
-        resid = h @ f - f @ np.diag([0.0, 0.0, omega, -omega])
+        resid = h @ f - f @ np.diag(omega * FRAME_ENERGY)
         assert np.linalg.norm(resid) <= 1e-11 * omega
 
     @given(theta=angles, phi=phases)
@@ -142,37 +142,3 @@ class TestEigenframe:
 
         coarse, fine = max_step(200), max_step(800)
         assert fine < coarse / 3.0
-
-
-class TestEigenframeRate:
-    def test_zero_rates(self):
-        d = eigenframe_rate(SphericalPoint(0.3, 0.4), 0.0, 0.0)
-        np.testing.assert_allclose(d, np.zeros((4, 4)), atol=1e-15)
-
-    def test_pole_meridian_rate(self):
-        d = eigenframe_rate(SphericalPoint(0.0, 0.0), 1.0, 0.0)
-        np.testing.assert_allclose(d[:, 0], np.zeros(4), atol=1e-15)
-        np.testing.assert_allclose(d[:, 1], -KET[2], atol=1e-15)
-
-    def test_rejects_non_finite_rates(self):
-        with pytest.raises(ValueError):
-            eigenframe_rate(SphericalPoint(0.1, 0.1), np.inf, 0.0)
-
-    def test_matches_finite_differences(self, rng):
-        # derivative consistency at 1000 random points
-        step = 1e-6
-        worst = 0.0
-        for _ in range(1000):
-            theta = rng.uniform(0.05, np.pi - 0.05)
-            phi = rng.uniform(0.0, 2 * np.pi)
-            th_dot = rng.uniform(-2.0, 2.0)
-            ph_dot = rng.uniform(-2.0, 2.0)
-            analytic = eigenframe_rate(SphericalPoint(theta, phi), th_dot, ph_dot)
-            fwd = eigenframe(
-                SphericalPoint(theta + step * th_dot, phi + step * ph_dot)
-            ).matrix
-            bwd = eigenframe(
-                SphericalPoint(theta - step * th_dot, phi - step * ph_dot)
-            ).matrix
-            worst = max(worst, np.abs(analytic - (fwd - bwd) / (2 * step)).max())
-        assert worst <= 1e-6
