@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedLoop,
 )
 from .lindblad import DEFAULT_GAMMA0, NoiseModel, high_temperature_noise, noise_from_dict
-from .loops import LoopSpec, loop_from_dict, optimal_time, wedge_loop, wedge_order
+from .loops import LoopSpec, _is_number, loop_from_dict, optimal_time, wedge_loop, wedge_order
 from .propagators import adiabatic_holonomy
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ class RunConfig:
             start, stop, points = self.grid
             if not (
                 _is_number(start) and _is_number(stop) and _is_integer(points)
-                and points >= 1 and 0 < start <= stop and (stop > start or points == 1)
+                and points >= 1 and 0 < start <= stop < math.inf and (stop > start or points == 1)
             ):
                 raise ConfigError(
                     f"invalid grid {list(self.grid)}: need 0 < START < STOP and an integer "
@@ -106,6 +106,14 @@ class RunConfig:
                     f"lambda_sq lists couplings equal to 12 significant digits, which "
                     f"name one sweep file: {list(self.lambda_sq)}"
                 )
+        # a loop or noise file sets these too, and an echo of a changed one
+        # would record a value that was not used
+        for file_key, keys in (("loop_file", ("loop", "omega")), ("noise_file", ("gamma0",))):
+            for key in keys:
+                value = getattr(self, key)
+                if getattr(self, file_key) is not None and value != getattr(RunConfig, key):
+                    raise ConfigError(f"{key} {value!r} conflicts with {file_key}, which "
+                                      "sets it; give only one")
         if self.loop_file is None:
             parse_loop_kind(self.loop)
 
@@ -150,19 +158,16 @@ _FLAGS = {
 }
 
 
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    )
-
-
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_number(name: str, value, minimum: float, strict: bool = False) -> None:
     """Require a finite number >= minimum (> minimum when strict)."""
-    if not (_is_number(value) and (value > minimum if strict else value >= minimum)):
+    if not (
+        _is_number(value) and math.isfinite(value)
+        and (value > minimum if strict else value >= minimum)
+    ):
         bound = ">" if strict else ">="
         raise ConfigError(f"{name} must be a finite number {bound} {minimum:g}, got {value!r}")
 

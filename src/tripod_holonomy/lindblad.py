@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .loops import LoopSpec, check_wedge_family
+from .loops import LoopSpec, _number
 from .propagators import _arc_generator, _ordered_product
 from .tripod import DIM, FRAME_ENERGY, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
@@ -125,11 +125,9 @@ def high_temperature_noise(lambda_sq: float, gamma0: float = DEFAULT_GAMMA0) -> 
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:
-    return NoiseModel(
-        lambda_sq=float(doc["lambda_sq"]),
-        gamma={int(k): float(v) for k, v in doc.get("gamma", {}).items()},
-        lamb_shift={int(k): float(v) for k, v in doc.get("lamb_shift", {}).items()},
-    )
+    rates = {key: {int(k): _number(v, f"{key}[{k}]") for k, v in doc.get(key, {}).items()}
+             for key in ("gamma", "lamb_shift")}
+    return NoiseModel(lambda_sq=_number(doc["lambda_sq"], "lambda_sq"), **rates)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +273,8 @@ class LoopChannel:
 # An under-resolved run can overflow Phi; the trace gate rejects it.
 @np.errstate(over="ignore", invalid="ignore")
 def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> LoopChannel:
-    """Integrate the transport-picture master equation over the loop. Each
-    arc hands the next its end frame, so the loop must pass
-    check_wedge_family."""
-    check_wedge_family(loop)
+    """Integrate the transport-picture master equation over the loop; each
+    arc hands the next its end frame."""
     if steps is None:
         steps = default_step_count(loop)
     if steps < len(loop.arcs):

@@ -8,16 +8,17 @@ for the pi/2 wedge (the NOT gate) means equal arc times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidDuration, InvalidOrder, UnsupportedLoop
-from .tripod import SphericalPoint, _frame_columns
+from .tripod import SphericalPoint
 
-# Absolute tolerance on theta and on phi*sin(theta) when comparing path
-# points, so loop files with angles rounded to 10 digits still close.
+# Absolute tolerance on theta and on phi mod 2 pi at each joint, so loop
+# files with angles rounded to 10 digits still close.
 ANGLE_TOL = 1e-9
 
 
@@ -70,18 +71,34 @@ class LoopSpec:
     arcs: tuple[ArcSegment, ...]
 
     def __post_init__(self) -> None:
+        """Admit only the wedge family that both engines integrate: start
+        at the pole, meridians in the northern hemisphere, back at the
+        pole at the end. The gauge frame depends only on (theta, phi mod
+        2 pi), and the engines carry it across every interior joint, so
+        both angles must agree there; the only frame jump is the closure."""
         if not (self.omega_scale > 0 and np.isfinite(self.omega_scale)):
             raise ValueError("omega_scale must be positive")
         if not self.arcs:
             raise InvalidDuration("loop needs at least one arc")
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        prev = None
+        if self.arcs[0].angles(0.0)[0] != 0.0:
+            raise UnsupportedLoop("loop must start at the pole (theta = 0)")
         for arc in self.arcs:
-            start = arc.angles(0.0)
-            if prev is not None and not _points_coincide(prev, start):
+            if arc.kind is ArcKind.MERIDIAN and (
+                min(arc.start_angle, arc.end_angle) < 0.0
+                or max(arc.start_angle, arc.end_angle) > np.pi / 2.0 + ANGLE_TOL
+            ):
+                raise UnsupportedLoop("meridian arc leaves the northern hemisphere")
+        for a, b in zip(self.arcs, self.arcs[1:]):
+            (th1, ph1), (th2, ph2) = a.angles(a.duration), b.angles(0.0)
+            dphi = abs(math.remainder(ph2 - ph1, 2.0 * math.pi))
+            # apart on the sphere, or one point seen from two gauges
+            if abs(th2 - th1) > ANGLE_TOL or dphi * math.sin(th1) > ANGLE_TOL:
                 raise ValueError("arcs are not contiguous")
-            prev = arc.angles(arc.duration)
-        if not _points_coincide(prev, self.arcs[0].angles(0.0)):
+            if dphi > ANGLE_TOL:
+                raise UnsupportedLoop(f"gauge frame jumps by {dphi:.3g} rad of phi at a joint")
+        last = self.arcs[-1]
+        if last.angles(last.duration)[0] > ANGLE_TOL:
             raise ValueError("loop is not closed")
 
     @property
@@ -96,12 +113,6 @@ class LoopSpec:
         last = self.arcs[-1]
         th, ph = last.angles(last.duration)
         return SphericalPoint(theta=th, phi=ph)
-
-
-def _points_coincide(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """Sphere-point equality to ANGLE_TOL, insensitive to phi at the poles."""
-    (t1, p1), (t2, p2) = a, b
-    return abs(t1 - t2) <= ANGLE_TOL and abs(p1 * np.sin(t1) - p2 * np.sin(t2)) <= ANGLE_TOL
 
 
 def standard_not_loop(omega: float, tau: float) -> LoopSpec:
@@ -156,35 +167,11 @@ def reverse_loop(loop: LoopSpec) -> LoopSpec:
     return LoopSpec(omega_scale=loop.omega_scale, arcs=arcs)
 
 
-def check_wedge_family(loop: LoopSpec) -> None:
-    """Require a pole-anchored, northern-hemisphere loop whose gauge frame
-    can only jump at the start/end closure: at every interior joint the
-    frames of the two arcs agree entrywise to 2 ANGLE_TOL. A frame entry
-    changes by at most |d theta| + |d phi|, so that is the bound when both
-    angles agree to ANGLE_TOL."""
-    th0, _ = loop.arcs[0].angles(0.0)
-    if th0 != 0.0:
-        raise UnsupportedLoop("loop must start at the pole (theta = 0)")
-    for arc in loop.arcs:
-        if arc.kind is ArcKind.MERIDIAN and (
-            min(arc.start_angle, arc.end_angle) < 0.0
-            or max(arc.start_angle, arc.end_angle) > np.pi / 2.0 + ANGLE_TOL
-        ):
-            raise UnsupportedLoop("meridian arc leaves the northern hemisphere")
-    # (theta, phi) at each interior joint: the end of one arc, the start of the next
-    joints = [(a.angles(a.duration), b.angles(0.0)) for a, b in zip(loop.arcs, loop.arcs[1:])]
-    frames = _frame_columns(*np.moveaxis(np.array(joints, dtype=float).reshape(-1, 2, 2), -1, 0))
-    jump = np.abs(frames[:, 0] - frames[:, 1]).max(initial=0.0)
-    if jump > 2.0 * ANGLE_TOL:
-        raise UnsupportedLoop(f"gauge frame jumps by {jump:.3g} at an interior joint")
-
-
 def solid_angle(loop: LoopSpec) -> float:
     """Signed solid angle of a wedge-family loop.
 
     Meridian arcs never move phi and the equator sits at theta = pi/2, so
     the enclosed area reduces exactly to the summed equatorial openings."""
-    check_wedge_family(loop)
     return float(
         sum(a.end_angle - a.start_angle for a in loop.arcs if a.kind is ArcKind.EQUATOR)
     )
@@ -210,21 +197,30 @@ def optimal_time(k: int, n: int, omega: float) -> float:
     return (2 * n + 1) * np.pi / (2 * n * omega) * np.sqrt(16.0 * k * k * n * n - 1.0)
 
 
+def _is_number(value) -> bool:
+    """An int or float, not a bool: the only type of number that config,
+    loop and noise files may hold. Finiteness and range are the reader's."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name: str) -> float:
+    if not _is_number(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def loop_from_dict(doc: dict) -> LoopSpec:
-    """The loop of a loop file's document; it must be in the wedge family."""
+    """The loop of a loop file's document."""
+    angles = ("fixed_angle", "start_angle", "end_angle", "duration")
     arcs = tuple(
-        ArcSegment(
-            kind=ArcKind(a["kind"]),
-            fixed_angle=float(a["fixed_angle"]),
-            start_angle=float(a["start_angle"]),
-            end_angle=float(a["end_angle"]),
-            duration=float(a["duration"]),
-        )
+        ArcSegment(ArcKind(a["kind"]), *(_number(a[key], key) for key in angles))
         for a in doc["arcs"]
     )
-    loop = LoopSpec(omega_scale=float(doc["omega_scale"]), arcs=arcs)
+    loop = LoopSpec(omega_scale=_number(doc["omega_scale"], "omega_scale"), arcs=arcs)
     declared = doc.get("total_time")
-    if declared is not None and abs(loop.total_time - float(declared)) > 1e-9 * loop.total_time:
+    # written so that a NaN total_time fails too
+    if declared is not None and not (
+        abs(loop.total_time - _number(declared, "total_time")) <= 1e-9 * loop.total_time
+    ):
         raise ValueError("declared total_time inconsistent with arc durations")
-    check_wedge_family(loop)
     return loop

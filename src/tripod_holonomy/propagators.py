@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidDuration
 from .linalg import exp_i_hermitian, is_unitary
-from .loops import ArcKind, LoopSpec, check_wedge_family, solid_angle
+from .loops import ArcKind, LoopSpec, solid_angle
 from .tripod import DIM, FRAME_ENERGY, EigenFrame, _frame_columns, eigenframe, hamiltonian
 
 
@@ -80,9 +80,7 @@ def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
     """Exact lab-basis propagator of the whole loop (arc 1 applied first);
     with a 1-d Omega*tau grid, the (n, 4, 4) stack of them over that grid.
-    Each arc hands the next its end frame, so the loop must pass
-    check_wedge_family."""
-    check_wedge_family(loop)
+    Each arc hands the next its end frame."""
     x = arc_propagator(loop, 0, omega_tau)
     for i in range(1, len(loop.arcs)):
         x = arc_propagator(loop, i, omega_tau) @ x
@@ -107,7 +105,6 @@ def holonomy_path_ordered(loop: LoopSpec, steps: int = 2000) -> np.ndarray:
     the start/end gauge mismatch. Serves as the numerical cross-check of
     the closed form.
     """
-    check_wedge_family(loop)
     w = np.eye(2, dtype=complex)
     for arc in loop.arcs:
         m = max(2, int(round(steps * arc.duration / loop.total_time)))

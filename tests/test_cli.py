@@ -27,6 +27,13 @@ def non_contiguous_loop_doc():
     return doc
 
 
+def typed_loop_doc(arc_key, value):
+    """The order-2 wedge loop file with value under its first arc's key."""
+    doc = loop_doc()
+    doc["arcs"][0][arc_key] = value
+    return doc
+
+
 def off_pole_loop_doc():
     """The order-2 wedge loop started at its second arc, on the equator."""
     doc = loop_doc()
@@ -140,8 +147,12 @@ class TestHolonomyCommand:
         ({"omega_scale": 1, "arcs": []}, "at least one arc"),
         (off_pole_loop_doc(), "pole"),
         (GAUGE_JUMP_LOOP_DOC, "gauge frame jumps"),
+        ({**loop_doc(), "omega_scale": "1.0"}, "omega_scale must be a number"),
+        (typed_loop_doc("duration", True), "duration must be a number"),
+        (typed_loop_doc("end_angle", "1.5707963267948966"), "end_angle must be a number"),
     ], ids=["non-contiguous", "arcs-not-a-list", "bare-list", "zero-duration", "no-arcs",
-            "off-pole", "interior-gauge-jump"])
+            "off-pole", "interior-gauge-jump", "omega-scale-string", "duration-bool",
+            "angle-string"])
     def test_bad_loop_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(doc))
@@ -220,7 +231,11 @@ class TestSweepCommands:
         ({"lambda_sq": 0, "gamma": 5}, "AttributeError"),
         ({"lambda_sq": 0, "gamma": {"0": float("nan")}}, "decay rates must be finite"),
         ({"lambda_sq": 0, "lamb_shift": {"1": float("inf")}}, "Lamb shifts must be finite"),
-    ], ids=["missing", "gamma-not-a-table", "nan-rate", "inf-shift"])
+        ({"lambda_sq": True, "gamma": {"0": 0.5}}, "lambda_sq must be a number"),
+        ({"lambda_sq": 0, "gamma": {"0": "0.5", "1": "1e-1"}}, "gamma[0] must be a number"),
+        ({"lambda_sq": 0, "lamb_shift": {"1": False}}, "lamb_shift[1] must be a number"),
+    ], ids=["missing", "gamma-not-a-table", "nan-rate", "inf-shift", "lambda-sq-bool",
+            "rate-string", "shift-bool"])
     def test_bad_noise_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = "nowhere/missing.json"
         if doc is not None:
@@ -606,15 +621,30 @@ class TestDeterminismAndRoundTrip:
         ("optimal", {"lambda_sq": [0.01, 0.0, 0.01]}, [], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "0.005,0.0050000000000001"],
          "lambda_sq"),
+        # a loop or noise file beside a setting it replaces
+        ("ideal-sweep", {}, ["--grid", "18:18:1", "--loop-file", "loop.json", "--omega", "2"],
+         "omega 2.0 conflicts with loop_file"),
+        ("ideal-sweep", {}, ["--grid", "18:18:1", "--loop-file", "loop.json", "--loop", "wedge:3"],
+         "loop 'wedge:3' conflicts with loop_file"),
+        ("optimal", {"omega": 2.0}, ["--loop-file", "loop.json", "--lambda-sq", "0"],
+         "omega 2.0 conflicts with loop_file"),
+        ("noisy-sweep", {}, ["--grid", "18:18:1", "--noise-file", "noise.json", "--gamma0", "5"],
+         "gamma0 5.0 conflicts with noise_file"),
+        ("optimal", {"gamma0": 0.1}, ["--noise-file", "noise.json", "--lambda-sq", "0"],
+         "gamma0 0.1 conflicts with noise_file"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
             "grid-not-increasing", "free-intercept-string", "lambda-sq-comma",
             "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string",
-            "lambda-sq-repeated-flag", "lambda-sq-repeated-config", "lambda-sq-same-file-name"])
+            "lambda-sq-repeated-flag", "lambda-sq-repeated-config", "lambda-sq-same-file-name",
+            "loop-file-and-omega-flag", "loop-file-and-loop-flag", "loop-file-and-omega-key",
+            "noise-file-and-gamma0-flag", "noise-file-and-gamma0-key"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):
         write_synthetic_table(tmp_path / "table.json")
-        flags = [str(tmp_path / f) if f == "table.json" else f for f in flags]
+        (tmp_path / "loop.json").write_text(json.dumps(loop_doc()))
+        (tmp_path / "noise.json").write_text(json.dumps(FLAT_NOISE))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out = run([command, "--config", str(cfg), *flags,

@@ -11,6 +11,7 @@ from tripod_holonomy import (
     ArcSegment,
     LoopSpec,
     high_temperature_noise,
+    holonomy_path_ordered,
     loop_channel,
     loop_propagator,
     optimal_time,
@@ -21,7 +22,7 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy.errors import InvalidDuration, InvalidOrder, UnsupportedLoop
-from tripod_holonomy.loops import loop_from_dict, wedge_order
+from tripod_holonomy.loops import ANGLE_TOL, loop_from_dict, wedge_order
 
 from conftest import GAUGE_JUMP_LOOP_DOC
 
@@ -166,24 +167,66 @@ class TestTransforms:
             ArcSegment(ArcKind.MERIDIAN, 0.0, 0.0, np.pi, 1.0),
             ArcSegment(ArcKind.MERIDIAN, 0.0, np.pi, 0.0, 1.0),
         )
-        loop = LoopSpec(omega_scale=1.0, arcs=arcs)
-        with pytest.raises(UnsupportedLoop):
-            solid_angle(loop)
+        with pytest.raises(UnsupportedLoop, match="northern hemisphere"):
+            LoopSpec(omega_scale=1.0, arcs=arcs)
 
     def test_interior_gauge_jump_unsupported(self):
         # both engines carry the frame across each interior joint, so a
-        # jump there would give each of them a different wrong gate
-        with pytest.raises(UnsupportedLoop, match="gauge frame jumps by 1 "):
+        # jump there would give each of them a different wrong gate: such a
+        # loop cannot be built, from a file or from arcs
+        with pytest.raises(UnsupportedLoop, match="gauge frame jumps by 1.57 "):
             loop_from_dict(GAUGE_JUMP_LOOP_DOC)
-        loop = LoopSpec(omega_scale=1.0, arcs=tuple(
-            ArcSegment(ArcKind(a["kind"]), a["fixed_angle"], a["start_angle"], a["end_angle"],
-                       a["duration"])
-            for a in GAUGE_JUMP_LOOP_DOC["arcs"]
-        ))
-        with pytest.raises(UnsupportedLoop):
-            loop_propagator(loop)
-        with pytest.raises(UnsupportedLoop):
-            loop_channel(loop, high_temperature_noise(1e-3))
+        with pytest.raises(UnsupportedLoop, match="gauge frame jumps by 1.57 "):
+            LoopSpec(omega_scale=1.0, arcs=tuple(
+                ArcSegment(ArcKind(a["kind"]), a["fixed_angle"], a["start_angle"],
+                           a["end_angle"], a["duration"])
+                for a in GAUGE_JUMP_LOOP_DOC["arcs"]
+            ))
+
+
+@st.composite
+def wedge_loops(draw):
+    """A wedge loop of order 1-3, optionally reversed and rescaled."""
+    n, omega, tau = draw(st.integers(1, 3)), draw(st.floats(0.5, 2.0)), draw(st.floats(1.0, 40.0))
+    loop = wedge_loop(n, omega, tau)
+    if draw(st.booleans()):
+        loop = reverse_loop(loop)
+    if draw(st.booleans()):
+        loop = with_total_time(loop, draw(st.floats(1.0, 40.0)))
+    return loop
+
+
+class TestOneValidator:
+    """LoopSpec's constructor is the only loop check: what it builds, every
+    engine takes, and a loop with a broken joint is never built."""
+
+    @given(loop=wedge_loops())
+    @settings(max_examples=20, deadline=None)
+    def test_wedge_loops_reach_every_engine(self, loop):
+        assert loop_propagator(loop).matrix.shape == (4, 4)
+        assert loop_channel(loop, high_temperature_noise(1e-3), steps=200).phi.shape == (16, 16)
+        assert holonomy_path_ordered(loop, steps=60).shape == (2, 2)
+
+    @given(loop=wedge_loops(), joint=st.integers(0, 1), side=st.booleans(),
+           sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_moved_joint_is_rejected(self, loop, joint, side, sign):
+        arcs = list(loop.arcs)
+        i, key = (joint, "end_angle") if side else (joint + 1, "start_angle")
+        moved = getattr(arcs[i], key) + sign * 10 * ANGLE_TOL
+        arcs[i] = dataclasses.replace(arcs[i], **{key: moved})
+        with pytest.raises((ValueError, UnsupportedLoop)):
+            LoopSpec(omega_scale=loop.omega_scale, arcs=tuple(arcs))
+
+    @given(loop=wedge_loops())
+    @settings(max_examples=40, deadline=None)
+    def test_angles_rounded_to_ten_digits_construct(self, loop):
+        arcs = tuple(
+            dataclasses.replace(a, **{key: round(getattr(a, key), 10)
+                                      for key in ("fixed_angle", "start_angle", "end_angle")})
+            for a in loop.arcs
+        )
+        LoopSpec(omega_scale=loop.omega_scale, arcs=arcs)
 
 
 HALF_PI = "1.5707963267948966"

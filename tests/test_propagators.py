@@ -21,10 +21,10 @@ from tripod_holonomy import (
 from tripod_holonomy.errors import InvalidDuration, UnsupportedLoop
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.lindblad import high_temperature_noise
-from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block
+from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block, start_frame
 from tripod_holonomy.tripod import SphericalPoint, _frame_columns, eigenframe, hamiltonian
 
-from conftest import UNEVEN_LOOP_DOC, per_point_propagator
+from conftest import UNEVEN_LOOP_DOC, _expm_i, per_point_propagator
 
 NOT_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -37,11 +37,15 @@ GRID_LOOPS = {
 }
 
 
-def pinned_arc_loop(theta=0.3, phi=0.2, duration=2.0):
-    """Single zero-speed arc: the control point never moves."""
-    arc = ArcSegment(ArcKind.MERIDIAN, fixed_angle=phi, start_angle=theta,
-                     end_angle=theta, duration=duration)
-    return LoopSpec(omega_scale=1.0, arcs=(arc,))
+def pinned_arc_loop(theta=0.3, phi=0.2, duration=2.0, climb=0.1):
+    """Down a meridian to (theta, phi), a zero-speed arc there (arc 1: the
+    control point never moves), and back up to the pole."""
+    arcs = (
+        ArcSegment(ArcKind.MERIDIAN, phi, 0.0, theta, climb),
+        ArcSegment(ArcKind.MERIDIAN, phi, theta, theta, duration),
+        ArcSegment(ArcKind.MERIDIAN, phi, theta, 0.0, climb),
+    )
+    return LoopSpec(omega_scale=1.0, arcs=arcs)
 
 
 def out_and_back_loop(tau=4.0, phi=0.0):
@@ -61,7 +65,7 @@ def lab_arc_propagator(loop, arc_index):
 
 class TestTransportGenerator:
     def test_zero_speed_arc_gives_zero(self):
-        gen = _arc_generator(pinned_arc_loop(), 0)
+        gen = _arc_generator(pinned_arc_loop(), 1)
         np.testing.assert_allclose(gen, np.zeros((4, 4)), atol=1e-15)
 
     def test_hermitian_on_random_loops(self, rng):
@@ -97,7 +101,7 @@ class TestArcPropagator:
 
     def test_static_arc_is_plain_exponential(self):
         loop = pinned_arc_loop(theta=0.3, phi=0.2, duration=2.0)
-        u = lab_arc_propagator(loop, 0)
+        u = lab_arc_propagator(loop, 1)
         h = hamiltonian(0.3, 0.2, 1.0)
         w, v = np.linalg.eigh(h)
         expected = (v * np.exp(-2.0j * w)) @ v.conj().T
@@ -224,14 +228,27 @@ class TestHolonomy:
         numeric = holonomy_path_ordered(loop, steps=2000)
         assert np.linalg.norm(numeric - adiabatic_holonomy(loop)) <= 1e-6
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_frame_closure_is_the_holonomy(self, n, omega, reverse):
+        # the closure f0^dag f_end between the start and end pole frames is
+        # the target on the dark block and the identity on the bright one,
+        # so mean_fidelity's v = target^dag closure[:2] is exactly [I | 0]
+        loop = wedge_loop(n, omega, 3.0)
+        loop = reverse_loop(loop) if reverse else loop
+        closure = start_frame(loop).matrix.conj().T @ eigenframe(loop.end_point()).matrix
+        expected = np.eye(4, dtype=complex)
+        expected[:2, :2] = adiabatic_holonomy(loop)
+        np.testing.assert_allclose(closure, expected, rtol=0, atol=1e-15)
+
     def test_southern_hemisphere_unsupported(self):
         arcs = (
             ArcSegment(ArcKind.MERIDIAN, 0.0, 0.0, np.pi, 1.0),
             ArcSegment(ArcKind.MERIDIAN, 0.0, np.pi, 0.0, 1.0),
         )
-        loop = LoopSpec(omega_scale=1.0, arcs=arcs)
-        with pytest.raises(UnsupportedLoop):
-            adiabatic_holonomy(loop)
+        with pytest.raises(UnsupportedLoop, match="northern hemisphere"):
+            LoopSpec(omega_scale=1.0, arcs=arcs)
 
     def test_bright_phases_present_in_adiabatic_gate(self):
         loop = standard_not_loop(1.0, 9.0)
@@ -244,12 +261,15 @@ class TestHolonomy:
 
 class TestSchrodingerOracle:
     def test_static_hamiltonian_exact_for_any_steps(self):
+        # 7 or 13 steps give each short meridian one midpoint step, at
+        # theta / 2, and the pinned arc the rest, which must add up to one
+        # exponential
         loop = pinned_arc_loop(theta=0.9, phi=1.2, duration=3.0)
-        u = schrodinger_oracle(loop, steps=7).matrix
-        h = hamiltonian(0.9, 1.2, 1.0)
-        w, v = np.linalg.eigh(h)
-        expected = (v * np.exp(-3.0j * w)) @ v.conj().T
-        np.testing.assert_allclose(u, expected, atol=1e-12)
+        climb = _expm_i(hamiltonian(0.45, 1.2, 1.0), -0.1)
+        expected = climb @ _expm_i(hamiltonian(0.9, 1.2, 1.0), -3.0) @ climb
+        for steps in (7, 13):
+            u = schrodinger_oracle(loop, steps=steps).matrix
+            np.testing.assert_allclose(u, expected, atol=1e-12)
 
     def test_matches_exact_engine(self):
         loop = standard_not_loop(1.0, 18.251004041881252)
