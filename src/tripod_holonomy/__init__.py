@@ -26,9 +26,7 @@ from .loops import (
     ArcSegment,
     LoopSpec,
     optimal_time,
-    reverse_loop,
     solid_angle,
-    standard_not_loop,
     wedge_loop,
     with_total_time,
 )
@@ -37,7 +35,6 @@ from .propagators import (
     adiabatic_gate,
     adiabatic_holonomy,
     arc_propagator,
-    holonomy_path_ordered,
     loop_propagator,
     schrodinger_oracle,
 )
@@ -70,16 +67,13 @@ __all__ = [
     "fit_noise_response",
     "hamiltonian",
     "high_temperature_noise",
-    "holonomy_path_ordered",
     "loop_channel",
     "loop_propagator",
     "mean_fidelity",
     "optimal_time",
-    "reverse_loop",
     "robustness",
     "schrodinger_oracle",
     "solid_angle",
-    "standard_not_loop",
     "sweep",
     "wedge_loop",
     "with_total_time",

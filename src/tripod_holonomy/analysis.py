@@ -263,25 +263,12 @@ class FitResult:
     intercept: float
     coefficients: tuple[FitCoefficient, ...]
     residual_norm: float
-    x: np.ndarray
-    y: np.ndarray
 
     def coefficient(self, name: str) -> float:
         for c in self.coefficients:
             if c.name == name:
                 return c.value
         raise KeyError(name)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        _, powers, signs, names = FIT_MODELS[self.model]
-        out = np.full_like(x, self.intercept)
-        for p, s, name in zip(powers, signs, names):
-            out = out + s * self.coefficient(name) * x**p
-        return out
-
-    def residuals(self) -> np.ndarray:
-        return self.y - self.predict(self.x)
 
     def to_dict(self) -> dict:
         return {
@@ -354,8 +341,6 @@ def fit_noise_response(
         intercept=intercept_out,
         coefficients=tuple(fitted),
         residual_norm=float(np.linalg.norm(resid)),
-        x=x,
-        y=y,
     )
 
 

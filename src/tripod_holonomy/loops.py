@@ -115,11 +115,6 @@ class LoopSpec:
         return SphericalPoint(theta=th, phi=ph)
 
 
-def standard_not_loop(omega: float, tau: float) -> LoopSpec:
-    """The pi/2-wedge NOT loop: three arcs of equal duration tau/3."""
-    return wedge_loop(1, omega, tau)
-
-
 def wedge_loop(n: int, omega: float, tau: float) -> LoopSpec:
     """Wedge loop enclosing solid angle pi/(2n), constant angular speed.
 
@@ -154,15 +149,6 @@ def with_total_time(loop: LoopSpec, tau: float) -> LoopSpec:
     arcs = tuple(
         ArcSegment(a.kind, a.fixed_angle, a.start_angle, a.end_angle, a.duration * scale)
         for a in loop.arcs
-    )
-    return LoopSpec(omega_scale=loop.omega_scale, arcs=arcs)
-
-
-def reverse_loop(loop: LoopSpec) -> LoopSpec:
-    """Orientation-reversed loop (arcs in reverse order and direction)."""
-    arcs = tuple(
-        ArcSegment(a.kind, a.fixed_angle, a.end_angle, a.start_angle, a.duration)
-        for a in reversed(loop.arcs)
     )
     return LoopSpec(omega_scale=loop.omega_scale, arcs=arcs)
 

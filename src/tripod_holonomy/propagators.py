@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidDuration
 from .linalg import exp_i_hermitian, is_unitary
 from .loops import ArcKind, LoopSpec, solid_angle
-from .tripod import DIM, FRAME_ENERGY, EigenFrame, _frame_columns, eigenframe, hamiltonian
+from .tripod import DIM, FRAME_ENERGY, EigenFrame, eigenframe, hamiltonian
 
 
 @dataclass(frozen=True)
@@ -94,34 +94,6 @@ def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:
     angle = solid_angle(loop)
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def holonomy_path_ordered(loop: LoopSpec, steps: int = 2000) -> np.ndarray:
-    """Holonomy by discrete parallel transport along the loop.
-
-    Accumulates the dark-block frame overlaps between consecutive path
-    samples (projected back to the unitary group each step, the Wilson-line
-    discretization of the path-ordered connection integral), then applies
-    the start/end gauge mismatch. Serves as the numerical cross-check of
-    the closed form.
-    """
-    w = np.eye(2, dtype=complex)
-    for arc in loop.arcs:
-        m = max(2, int(round(steps * arc.duration / loop.total_time)))
-        frames = _frame_columns(*arc.angles(np.linspace(0.0, arc.duration, m + 1)))
-        for j in range(m):
-            overlap = frames[j + 1].conj().T @ frames[j]
-            w = _polar_unitary(overlap[:2, :2]) @ w
-    f_start = start_frame(loop).matrix
-    th_end, ph_end = loop.arcs[-1].angles(loop.arcs[-1].duration)
-    f_end = _frame_columns(np.asarray(th_end), np.asarray(ph_end))
-    closure = (f_start.conj().T @ f_end)[:2, :2]
-    return closure @ w
-
-
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
 
 
 def adiabatic_gate(loop: LoopSpec) -> GatePropagator:

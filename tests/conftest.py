@@ -6,11 +6,12 @@ from tripod_holonomy import (
     hamiltonian,
     high_temperature_noise,
     optimal_time,
-    standard_not_loop,
     with_total_time,
 )
 from tripod_holonomy.propagators import _arc_generator, start_frame
 from tripod_holonomy.tripod import _frame_columns
+
+from oracles import standard_not_loop
 
 # Dark-qubit amplitudes of the Bloch vectors +z, -z, +x, -x, +y, -y: a
 # spherical 2-design, so their mean fidelity is the exact Bloch average.

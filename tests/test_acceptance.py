@@ -15,14 +15,12 @@ from tripod_holonomy import (
     fit_noise_response,
     f_of_tau_relation,
     high_temperature_noise,
-    holonomy_path_ordered,
     loop_channel,
     loop_propagator,
     mean_fidelity,
     optimal_time,
     robustness,
     schrodinger_oracle,
-    standard_not_loop,
     sweep,
     wedge_loop,
     with_total_time,
@@ -30,6 +28,8 @@ from tripod_holonomy import (
 from tripod_holonomy.analysis import optimal_point_table
 from tripod_holonomy.lindblad import DEFAULT_GAMMA0, default_step_count
 from tripod_holonomy.propagators import dark_block
+
+from oracles import fit_residuals, holonomy_path_ordered, standard_not_loop
 
 NOT_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 CURVE_LAMBDAS = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)
@@ -164,12 +164,12 @@ def test_master_equation_sanity():
 def test_noise_response_laws(default_noise_table):
     points = default_noise_table
     tau1 = optimal_time(1, 1, 1.0)
-    f_fit = fit_noise_response([(p.lambda_sq, p.f_star) for p in points], "f_linear")
-    t_fit = fit_noise_response(
-        [(p.lambda_sq, p.tau_star) for p in points], "tau_linear", intercept=tau1
-    )
-    f_resid = np.abs(f_fit.residuals()).max()
-    t_resid = np.abs(t_fit.residuals()).max()
+    f_points = [(p.lambda_sq, p.f_star) for p in points]
+    t_points = [(p.lambda_sq, p.tau_star) for p in points]
+    f_fit = fit_noise_response(f_points, "f_linear")
+    t_fit = fit_noise_response(t_points, "tau_linear", intercept=tau1)
+    f_resid = np.abs(fit_residuals(f_fit, f_points)).max()
+    t_resid = np.abs(fit_residuals(t_fit, t_points)).max()
     f2 = f_fit.coefficient("F2")
     tau2 = t_fit.coefficient("tau2")
     monotone = bool(

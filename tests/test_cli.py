@@ -701,14 +701,23 @@ class TestDeterminismAndRoundTrip:
         assert key in streams.err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("command", ["ideal-sweep", "fit", "holonomy"])
+    @pytest.mark.parametrize(
+        "command", ["ideal-sweep", "noisy-sweep", "optimal", "robustness", "fit", "holonomy"])
     def test_rerun_from_own_echo_is_byte_identical(self, tmp_path, capsys, command):
         table = tmp_path / "table.json"
         write_synthetic_table(table, n=2)
+        optimal = ["--lambda-sq", "0,1e-3", "--steps", "600"]
+        if command == "robustness":  # it reads a real table and the noise.json beside it
+            assert run(["optimal", *optimal, "--out", str(tmp_path / "opt")], capsys)[0] == 0
         out = tmp_path / "a"
         argv = {
             "ideal-sweep": ["--grid", "17:20:4", "--loop", "wedge:2", "--omega", "1.5",
                             "--out", str(out)],
+            "noisy-sweep": ["--grid", "17:19:3", "--lambda-sq", "0,0.01", "--steps", "300",
+                            "--out", str(out)],
+            "optimal": [*optimal, "--out", str(out)],
+            "robustness": ["--table", str(tmp_path / "opt" / "optimal_points.json"),
+                           "--out", str(out)],
             "fit": ["--table", str(table), "--free-intercept", "--out", str(out)],
             "holonomy": ["--loop", "wedge:2"],
         }[command]

@@ -13,7 +13,6 @@ from tripod_holonomy import (
     loop_channel,
     loop_propagator,
     mean_fidelity,
-    standard_not_loop,
     wedge_loop,
 )
 from tripod_holonomy.errors import StepCountTooSmall
@@ -37,6 +36,8 @@ from tripod_holonomy.tripod import (
     _frame_columns,
     eigenframe,
 )
+
+from oracles import standard_not_loop
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)

@@ -11,13 +11,10 @@ from tripod_holonomy import (
     ArcSegment,
     LoopSpec,
     high_temperature_noise,
-    holonomy_path_ordered,
     loop_channel,
     loop_propagator,
     optimal_time,
-    reverse_loop,
     solid_angle,
-    standard_not_loop,
     wedge_loop,
     with_total_time,
 )
@@ -25,6 +22,7 @@ from tripod_holonomy.errors import InvalidDuration, InvalidOrder, UnsupportedLoo
 from tripod_holonomy.loops import ANGLE_TOL, loop_from_dict, wedge_order
 
 from conftest import GAUGE_JUMP_LOOP_DOC
+from oracles import holonomy_path_ordered, reverse_loop, standard_not_loop
 
 
 class TestConstruction:

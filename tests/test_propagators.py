@@ -8,13 +8,10 @@ from tripod_holonomy import (
     adiabatic_gate,
     adiabatic_holonomy,
     arc_propagator,
-    holonomy_path_ordered,
     loop_propagator,
     mean_fidelity,
     optimal_time,
-    reverse_loop,
     schrodinger_oracle,
-    standard_not_loop,
     wedge_loop,
     with_total_time,
 )
@@ -25,6 +22,7 @@ from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_blo
 from tripod_holonomy.tripod import SphericalPoint, _frame_columns, eigenframe, hamiltonian
 
 from conftest import UNEVEN_LOOP_DOC, _expm_i, per_point_propagator
+from oracles import holonomy_path_ordered, reverse_loop, standard_not_loop
 
 NOT_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
