@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tripod_holonomy import analysis
+from tripod_holonomy import analysis, lindblad
 from tripod_holonomy.cli import main
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
@@ -271,7 +271,8 @@ class TestSweepCommands:
         assert code == 3
 
     def test_overflowed_run_reports_only_the_exit_3_message(self, tmp_path, capsys):
-        # Phi overflows to NaN here; numpy must not warn on the way to the gate
+        # steps this long would overflow Phi; the Magnus gate rejects them
+        # first, and numpy must not warn on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, streams = run([
@@ -280,13 +281,32 @@ class TestSweepCommands:
             ], capsys)
         assert code == 3
         assert streams.err == (
-            "numerical validation failed: trace drift nan above 1e-6; increase steps\n"
+            "numerical validation failed: "
+            "Magnus step h*|A|_F = 133.4 not below pi; increase steps\n"
         )
 
-    def test_out_of_range_fidelity_exits_3(self, tmp_path, capsys):
+    def test_under_resolved_standard_loop_exits_3(self, tmp_path, capsys):
+        # 4 steps per arc put h*|A|_F at 6.28, beyond the pi bound within
+        # which the Magnus series is known to converge; Phi stays finite and
+        # trace-preserving, so only the Magnus gate can reject the run
+        code, streams = run([
+            "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
+            "--steps", "12", "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 3
+        assert "Magnus step" in streams.err
+        assert not (tmp_path / "x" / "sweep_lambda2_0.05.csv").exists()
+
+    def test_out_of_range_fidelity_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a channel scaled by 1.5^2 gives a fidelity above 1
+        def scaled_channel(run, noise, steps=None):
+            channel = lindblad.loop_channel(run, noise, steps)
+            return dataclasses.replace(channel, phi=1.5 ** 2 * channel.phi)
+
+        monkeypatch.setattr(analysis, "loop_channel", scaled_channel)
         code, out = run([
             "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
-            "--steps", "3", "--out", str(tmp_path / "x"),
+            "--out", str(tmp_path / "x"),
         ], capsys)
         assert code == 3
         assert "outside [0, 1]" in out.err

@@ -49,9 +49,18 @@ UNEQUAL_NOISE = NoiseModel(
     lamb_shift={0: 0.05, 1: -0.07, -1: 0.11, 2: 0.02, -2: -0.03},
 )
 
-# 60*Omega*tau / 3 = 3.5 * _BLOCK_STEPS steps per arc, above the 1,000-step
+# 2.4*Omega*tau / 3 = 3.5 * _BLOCK_STEPS steps per arc, above the 144-step
 # floor: each arc is three full blocks and a partial one.
-MULTI_BLOCK_LOOP = standard_not_loop(1.0, 3.5 * _BLOCK_STEPS / 20.0)
+MULTI_BLOCK_LOOP = standard_not_loop(1.0, 3.5 * _BLOCK_STEPS / 0.8)
+
+# Loops of both checks against step-by-step references; MULTI_BLOCK_LOOP
+# (Omega*tau = 560) takes only the Magnus one, since RK4 at 8 x 60 steps
+# per unit of Omega*tau would take 268,800 steps there.
+CHANNEL_LOOPS = [
+    *(standard_not_loop(1.0, omega_tau) for omega_tau in (6.0, 18.251, 42.0)),
+    wedge_loop(2, 1.0, 23.7),
+]
+TEST_NOISES = [high_temperature_noise(0.05), UNEQUAL_NOISE.with_lambda_sq(0.05)]
 
 
 def random_density(rng):
@@ -115,20 +124,42 @@ def apply_superop(superop, sigma):
 
 
 # ---------------------------------------------------------------------------
-# Test-side reference: RK4 on Phi one step at a time
+# Test-side references: Magnus-4 and RK4 on Phi one step at a time
 # ---------------------------------------------------------------------------
 
 
-def sequential_rk4_phi(loop, noise):
-    """Superoperator propagator by the classical RK4 stages k1..k4 applied
-    to Phi step by step, at the production step count and stage times."""
-    steps = default_step_count(loop)
-    phi = np.eye(16, dtype=complex)
+def _arc_pieces(loop, steps):
+    """Per arc: the arc, its step count and size, and its coherent
+    superoperator on row-major vec(sigma), at the production split of
+    steps across arcs."""
+    energies = np.diag(loop.omega_scale * FRAME_ENERGY)
     for i, arc in enumerate(loop.arcs):
         n = max(1, int(round(steps * arc.duration / loop.total_time)))
-        h = arc.duration / n
-        energies = np.diag(loop.omega_scale * FRAME_ENERGY)
-        l_unit = _commutator_superop(energies + _arc_generator(loop, i))
+        yield arc, n, arc.duration / n, _commutator_superop(energies + _arc_generator(loop, i))
+
+
+def sequential_magnus_phi(loop, noise):
+    """Superoperator propagator by 4th-order Magnus steps taken one at a
+    time at the production step count, each step's exponent
+    h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] from the generators at its
+    two Gauss points, exponentiated by eigendecomposition."""
+    phi = np.eye(16, dtype=complex)
+    for arc, n, h, l_unit in _arc_pieces(loop, default_step_count(loop)):
+        for j in range(n):
+            gauss = (j + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
+            a1, a2 = l_unit + vec_dissipators(arc, gauss, noise)
+            exponent = 0.5 * h * (a1 + a2) + np.sqrt(3.0) * h * h / 12.0 * (a2 @ a1 - a1 @ a2)
+            w, v = np.linalg.eig(exponent)
+            phi = (v * np.exp(w)) @ np.linalg.solve(v, phi)
+    return phi
+
+
+def sequential_rk4_phi(loop, noise, steps):
+    """Superoperator propagator by the classical RK4 stages k1..k4 applied
+    to Phi step by step, with the generators at step starts, midpoints and
+    ends."""
+    phi = np.eye(16, dtype=complex)
+    for arc, n, h, l_unit in _arc_pieces(loop, steps):
         local = np.arange(2 * n + 1) * (h / 2.0)
         local[-1] = arc.duration
         l_all = l_unit[None, :, :] + vec_dissipators(arc, local, noise)
@@ -310,24 +341,33 @@ class TestEvolveDensity:
         with pytest.raises(StepCountTooSmall):
             loop_channel(loop, high_temperature_noise(0.05), steps=3)
 
+    @pytest.mark.parametrize("wedge", [1, 2, 3])
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_default_steps_pass_the_magnus_gate(self, wedge, noise):
+        # both sides of the 144-step floor; the largest h*|A|_F is near
+        # Omega*tau = 60, where the floor gives way to 2.4 per unit
+        for omega_tau in (0.25, 1.0, 6.0, 18.251, 42.0, 60.0, 61.0, 65.0, 120.0, 240.0):
+            loop_channel(wedge_loop(wedge, 1.0, omega_tau), noise)
+
     def test_overflowed_run_rejected(self):
-        # this run overflows Phi to NaN, which must fail the trace gate
+        # h*|A|_F is about 133 here, far outside the Magnus gate
         loop = standard_not_loop(1.0, 2000.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepCountTooSmall):
             loop_channel(loop, high_temperature_noise(0.05), steps=60)
 
-    @pytest.mark.parametrize("loop", [
-        *(standard_not_loop(1.0, omega_tau) for omega_tau in (6.0, 18.251, 42.0)),
-        wedge_loop(2, 1.0, 23.7),
-        MULTI_BLOCK_LOOP,
-    ])
-    @pytest.mark.parametrize("noise", [
-        high_temperature_noise(0.05),
-        UNEQUAL_NOISE.with_lambda_sq(0.05),
-    ])
-    def test_step_maps_match_sequential_rk4(self, loop, noise):
+    @pytest.mark.parametrize("loop", [*CHANNEL_LOOPS, MULTI_BLOCK_LOOP])
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_channel_matches_sequential_magnus(self, loop, noise):
         phi = loop_channel(loop, noise).phi
-        assert np.abs(phi - sequential_rk4_phi(loop, noise)).max() <= 1e-12
+        assert np.abs(phi - sequential_magnus_phi(loop, noise)).max() <= 1e-12
+
+    @pytest.mark.parametrize("loop", CHANNEL_LOOPS)
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_channel_matches_fine_rk4(self, loop, noise):
+        # RK4 at 8 x 60 steps per unit of Omega*tau (at least 8 x 1,000)
+        steps = 8 * max(1000, int(np.ceil(60.0 * loop.omega_scale * loop.total_time)))
+        phi = loop_channel(loop, noise).phi
+        assert np.abs(phi - sequential_rk4_phi(loop, noise, steps)).max() <= 1e-8
 
     def test_multi_block_loop_ends_in_a_partial_block(self):
         loop = MULTI_BLOCK_LOOP
