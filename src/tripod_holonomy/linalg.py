@@ -1,8 +1,10 @@
-"""Dense complex linear algebra for the 2x2 and 4x4 matrices used here.
+"""Dense linear algebra for the small matrices used here.
 
-Everything is Hermitian or unitary and tiny, so matrix exponentials go
-through the spectral decomposition rather than scaling-and-squaring. Both
-functions take one matrix or a (..., n, n) stack of them.
+The 2x2 and 4x4 matrices are Hermitian or unitary and tiny, so their
+exponentials go through the spectral decomposition rather than
+scaling-and-squaring; both public functions take one matrix or a
+(..., n, n) stack of them. The ordered product of a stack of step maps
+serves both time-ordered engines.
 """
 
 from __future__ import annotations
@@ -42,3 +44,17 @@ def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
         )
     w, v = np.linalg.eigh(m)
     return (v * np.exp(1j * s * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _ordered_product(stack: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Product stack[n-1] @ ... @ stack[0] by pairwise tree reduction. The
+    levels alternate between stack and spare, which holds at least
+    ceil(n / 2) matrices; both are overwritten, and the result is a view
+    into one of them."""
+    while len(stack) > 1:
+        half, odd = divmod(len(stack), 2)
+        np.matmul(stack[1 : 2 * half : 2], stack[0 : 2 * half : 2], out=spare[:half])
+        if odd:
+            spare[half] = stack[-1]
+        stack, spare = spare[: half + odd], stack
+    return stack[0]

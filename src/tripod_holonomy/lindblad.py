@@ -21,30 +21,35 @@ ones, so in a real orthonormal basis of Hermitian 4x4 operators it is a
 real matrix, and the integration runs in float64 there.
 F(t)^dag A F(t) = r e^T + e r^T, with r the |0> row of the frame and e its
 constant |e> row, so the dissipator is a fixed quadratic form in the four
-entries of r: ten fixed terms per call.
+entries of r: ten fixed terms per rate table.
 
 Each step is a 4th-order Magnus step (Blanes, Casas, Oteo and Ros, Phys.
 Rep. 470, 151, 2009): the exponent h/2 (A1 + A2) + (sqrt(3) h^2 / 12)
 [A2, A1] from the generator A = L_arc + lambda^2 D at the step's two Gauss
 points, exponentiated by a batched Taylor polynomial with scaling and
 squaring. The large constant coherent part L_arc is thereby taken exactly,
-and the error comes from lambda^2 D alone. The steps of an arc are built
-in blocks of at most _BLOCK_STEPS, and each block's maps are multiplied by
-a pairwise tree product. The series converges when h ||A||_2 < pi, so a
-step with h ||A||_F >= pi raises StepCountTooSmall: an exact exponential
-keeps Phi finite and trace-preserving at any step size, so only this gate
-sees an under-resolved run.
+and the error comes from lambda^2 D alone. Everything in the exponents
+but the loop time and lambda^2 comes from a channel plan (_ChannelPlan),
+built once per loop shape, Omega, step split and rate table; the last
+plan is kept. Its workspace holds the step exponentials and their
+pairwise tree product, so a process runs one channel at a time. The
+series converges when h ||A||_2 < pi, so a step with h ||A||_F >= pi
+raises StepCountTooSmall before any exponential is taken: an exact
+exponential keeps Phi finite and trace-preserving at any step size, so
+only this gate sees an under-resolved run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import StepCountTooSmall
-from .loops import LoopSpec, _number
-from .propagators import _arc_generator, _ordered_product
+from .linalg import _ordered_product
+from .loops import ArcSegment, LoopSpec, _number
+from .propagators import _arc_generator
 from .tripod import DIM, FRAME_ENERGY, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
 FREQUENCY_MULTIPLES = (0, 1, -1, 2, -2)
@@ -65,9 +70,9 @@ _SAME_FREQ = _FREQ[:, None, :, None] == _FREQ[None, :, None, :]
 _EXCITED_ROW = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2.0)
 _TERM_PAIRS = np.triu_indices(DIM)
 
-# Steps built at once, at most: one block's float64 generators, exponents
-# and powers take about 20 KB per step, so a block stays in cache and one
-# channel's memory is bounded whatever the step count.
+# Steps exponentiated at once, at most: the six workspace buffers take
+# 12 KB per step, so a block stays in cache and the workspace is bounded
+# whatever the step count.
 _BLOCK_STEPS = 128
 
 # Gauss-Legendre nodes of the Magnus step, as fractions of the step, and
@@ -234,37 +239,45 @@ def _dissipator_terms(noise: NoiseModel) -> np.ndarray:
     return noise.lambda_sq * _real_superop(terms).reshape(len(p), -1)
 
 
+def _term_weights(arc, local_times: np.ndarray) -> np.ndarray:
+    """Weights r_p r_q of _dissipator_terms' K at local arc times, one row
+    per time, with r the |0> row of the frame there."""
+    r = _frame_columns(*arc.angles(local_times))[:, STATE_0, :]
+    p, q = _TERM_PAIRS
+    return r[:, p] * r[:, q]
+
+
 def _dissipator_superops(arc, local_times: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Dissipator samples (lambda^2 included) at local arc times, in the
     real coordinates of the start frame, from _dissipator_terms' K."""
-    r = _frame_columns(*arc.angles(local_times))[:, STATE_0, :]
-    p, q = _TERM_PAIRS
-    return ((r[:, p] * r[:, q]) @ terms).reshape(len(local_times), DIM * DIM, DIM * DIM)
+    samples = _term_weights(arc, local_times) @ terms
+    return samples.reshape(len(local_times), DIM * DIM, DIM * DIM)
 
 
-def _expm(x: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a real (n, d, d) stack: one power of two scales
-    the stack to a largest 1-norm of at most _TAYLOR_RADIUS, a degree-10
-    Taylor polynomial (Paterson-Stockmeyer: five products) exponentiates
-    it, and squaring undoes the scaling (Higham, SIAM J. Matrix Anal.
-    Appl. 26, 1179, 2005). The first omitted term is at most
-    0.2^11 / 11! = 5.1e-16 of the scaled matrix's norm."""
-    _, squarings = np.frexp(np.abs(x).sum(axis=-2).max() / _TAYLOR_RADIUS)
+def _expm(x: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
+    """exp of each matrix of a real (n, d, d) stack x, which it overwrites,
+    computed in the five (n, d, d) buffers of work and returned in one of
+    them: one power of two scales the stack to a largest 1-norm of at most
+    _TAYLOR_RADIUS, a degree-10 Taylor polynomial (Paterson-Stockmeyer:
+    five products) exponentiates it, and squaring undoes the scaling
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). The first omitted
+    term is at most 0.2^11 / 11! = 5.1e-16 of the scaled matrix's norm."""
+    x2, x3, out, buf, tmp = work
+    _, squarings = np.frexp(np.abs(x, out=tmp).sum(axis=-2).max() / _TAYLOR_RADIUS)
     squarings = max(0, int(squarings))
-    x = np.ldexp(x, -squarings)
-    x2 = x @ x
-    x3 = x2 @ x
+    np.ldexp(x, -squarings, out=x)
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
     c = _TAYLOR_COEFFS
     # sum_k c_k x^k = B0 + x3 (B1 + x3 (B2 + x3 B3)), each Bj of degree
     # <= 2 in x; products go to two alternating buffers
-    out = c[10] * x
-    buf = np.empty_like(x)
+    np.multiply(x, c[10], out=out)
     _diagonal(out)[...] += c[9]
     for k in (6, 3, 0):
         np.matmul(x3, out, out=buf)
         out, buf = buf, out
-        out += c[k + 1] * x
-        out += c[k + 2] * x2
+        out += np.multiply(x, c[k + 1], out=tmp)
+        out += np.multiply(x2, c[k + 2], out=tmp)
         _diagonal(out)[...] += c[k]
     for _ in range(squarings):
         np.matmul(out, out, out=buf)
@@ -277,16 +290,114 @@ def _diagonal(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
-def _magnus_exponents(a: np.ndarray, h: float) -> np.ndarray:
-    """4th-order Magnus exponents h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1]
-    of the steps, from the generators a[j] = (A1, A2) at each step's two
-    Gauss points."""
-    a1, a2 = a[:, 0], a[:, 1]
-    exponents = a2 @ a1
-    exponents -= a1 @ a2
-    exponents *= np.sqrt(3.0) * h * h / 12.0
-    exponents += (0.5 * h) * (a1 + a2)
-    return exponents
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] of real matrices, or of each pair in broadcast stacks."""
+    return a @ b - b @ a
+
+
+class _ChannelPlan:
+    """What a channel needs that depends on neither the loop time nor
+    lambda^2: per arc, the Magnus basis rows, the tau-free transport
+    superoperator and the Gram pieces of the convergence gate, plus a
+    step workspace that every integration reuses.
+
+    With D the dissipator at lambda^2 = 1 at a step's two Gauss points,
+    Sigma = D1 + D2, Delta = D1 - D2, P = [L_E, Delta], Q = [L_G, Delta]
+    and C = [D2, D1], the 4th-order Magnus exponent h/2 (A1 + A2) +
+    (sqrt(3) h^2 / 12) [A2, A1] of A = L_E + L_G / duration + lambda^2 D
+    is exactly h L_E + L_G / n + lambda^2 (h/2 Sigma + c h^2 P + c h/n Q)
+    + lambda^4 c h^2 C, with c = sqrt(3) / 12. L_E is -i[Omega E, .], and
+    L_G is -i[duration G, .], built from the arc's angles alone, since G
+    scales as 1 / duration. The Gauss points sit at the fixed fractions
+    u = (j + 1/2 -+ sqrt(3)/6) / n of the arc, so the rows Sigma, P, Q and
+    C are the same for every loop time and coupling. D is a fixed
+    quadratic form w @ K in the frame's |0> row, so each row is one
+    product of the steps' weights with the commutators of the ten terms K.
+    """
+
+    def __init__(self, omega: float, shape: tuple, counts: tuple, table: tuple) -> None:
+        unit = LoopSpec(omega, tuple(ArcSegment(*arc, duration=1.0) for arc in shape))
+        terms = _dissipator_terms(NoiseModel(
+            lambda_sq=1.0,
+            gamma={k: g for k, (g, _) in zip(FREQUENCY_MULTIPLES, table)},
+            lamb_shift={k: s for k, (_, s) in zip(FREQUENCY_MULTIPLES, table)},
+        ))
+        k = terms.reshape(-1, DIM**2, DIM**2)
+        a, b = np.triu_indices(len(k), 1)
+        self.counts = counts
+        self.l_e = _real_superop(_commutator_superop(np.diag(omega * FRAME_ENERGY)))
+        e_terms = _commutator(self.l_e, k).reshape(len(k), -1)
+        pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
+        term_gram = terms @ terms.T
+        self.l_g, self.basis, self.gram = [], [], []
+        for i, (arc, n) in enumerate(zip(unit.arcs, counts)):
+            l_g = _real_superop(_commutator_superop(_arc_generator(unit, i)))
+            g_terms = _commutator(l_g, k).reshape(len(k), -1)
+            w = _term_weights(arc, ((np.arange(n)[:, None] + _GAUSS_NODES) / n).ravel())
+            w1, w2 = w[0::2], w[1::2]
+            basis = np.empty((4, n, DIM**4))
+            np.matmul(w1 + w2, terms, out=basis[0])
+            np.matmul(w1 - w2, e_terms, out=basis[1])
+            np.matmul(w1 - w2, g_terms, out=basis[2])
+            np.matmul(w2[:, a] * w1[:, b] - w2[:, b] * w1[:, a], pair_terms, out=basis[3])
+            self.basis.append(basis.reshape(4, -1))
+            # <L_E, D>, <L_G, D> and ||D||^2 at each Gauss point, and the
+            # Frobenius products of L_E and L_G
+            self.gram.append((
+                np.stack([w @ (terms @ self.l_e.ravel()), w @ (terms @ l_g.ravel()),
+                          np.einsum("ia,ab,ib->i", w, term_gram, w)]),
+                np.vdot(self.l_e, self.l_e), np.vdot(self.l_e, l_g), np.vdot(l_g, l_g),
+            ))
+            self.l_g.append(l_g)
+        self.work = np.empty((6, min(max(counts), _BLOCK_STEPS), DIM**2, DIM**2))
+
+    def reach(self, loop: LoopSpec, lambda_sq: float) -> float:
+        """Largest h ||A||_F over the Gauss points of every step, from
+        ||A||^2 = ||L||^2 + 2 lambda^2 <L, D> + lambda^4 ||D||^2 with
+        L = L_E + L_G / duration."""
+        reach = 0.0
+        for arc, n, (gram, ee, eg, gg) in zip(loop.arcs, self.counts, self.gram):
+            inv = 1.0 / arc.duration
+            weights = np.array([2.0 * lambda_sq, 2.0 * lambda_sq * inv, lambda_sq**2])
+            square = ee + 2.0 * eg * inv + gg * inv * inv + (weights @ gram).max()
+            reach = max(reach, arc.duration / n * np.sqrt(square))
+        return reach
+
+    def propagate(self, loop: LoopSpec, lambda_sq: float) -> np.ndarray:
+        """Phi in real coordinates: each block of at most _BLOCK_STEPS step
+        exponents is one product of coefficients and basis rows plus the
+        arc's coherent part, exponentiated and multiplied in the
+        workspace."""
+        phi = np.eye(DIM**2)
+        c = np.sqrt(3.0) / 12.0
+        for arc, n, basis, l_g in zip(loop.arcs, self.counts, self.basis, self.l_g):
+            h = arc.duration / n
+            coherent = h * self.l_e + l_g / n
+            coeffs = lambda_sq * h * np.array([0.5, c * h, c / n, lambda_sq * c * h])
+            for first in range(0, n, _BLOCK_STEPS):
+                size = min(_BLOCK_STEPS, n - first)
+                x, *work = self.work[:, :size]
+                np.dot(coeffs, basis[:, first * DIM**4:(first + size) * DIM**4],
+                       out=x.reshape(-1))
+                x += coherent
+                # the first buffer, x^2, is free once the exponentials are done
+                phi = _ordered_product(_expm(x, work), work[0]) @ phi
+        return phi
+
+
+# The plan of a loop shape (the kind and angles of each arc), Omega, the
+# per-arc step counts and a rate and shift table; the last one is kept.
+_channel_plan = lru_cache(maxsize=1)(_ChannelPlan)
+
+
+def _loop_plan(loop: LoopSpec, noise: NoiseModel, steps: int) -> _ChannelPlan:
+    """The channel plan of a loop at a total step count, split across arcs
+    by duration."""
+    total = loop.total_time
+    counts = tuple(max(1, int(round(steps * arc.duration / total))) for arc in loop.arcs)
+    shape = tuple((a.kind, a.fixed_angle, a.start_angle, a.end_angle) for a in loop.arcs)
+    table = tuple((noise.rate(k), noise.shift(k)) for k in FREQUENCY_MULTIPLES)
+    return _channel_plan(loop.omega_scale, shape, counts, table)
 
 
 @dataclass(frozen=True)
@@ -323,26 +434,12 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
         steps = default_step_count(loop)
     if steps < len(loop.arcs):
         raise StepCountTooSmall(f"need at least one step per arc, got {steps}")
-    terms = _dissipator_terms(noise)
-    phi = np.eye(DIM * DIM)
-    total = loop.total_time
-    for i, arc in enumerate(loop.arcs):
-        n = max(1, int(round(steps * arc.duration / total)))
-        h = arc.duration / n
-        energies = np.diag(loop.omega_scale * FRAME_ENERGY)
-        l_unit = _real_superop(_commutator_superop(energies + _arc_generator(loop, i)))
-        for first in range(0, n, _BLOCK_STEPS):
-            local = (np.arange(first, min(first + _BLOCK_STEPS, n))[:, None] + _GAUSS_NODES) * h
-            a = _dissipator_superops(arc, local.ravel(), terms)
-            a += l_unit
-            # the Magnus series converges when h ||A||_2 < pi; ||A||_F bounds ||A||_2
-            reach = h * np.sqrt(np.square(a).sum(axis=(1, 2)).max())
-            if not reach < np.pi:
-                raise StepCountTooSmall(
-                    f"Magnus step h*|A|_F = {reach:.4g} not below pi; increase steps"
-                )
-            exponents = _magnus_exponents(a.reshape(-1, 2, DIM * DIM, DIM * DIM), h)
-            phi = _ordered_product(_expm(exponents)) @ phi
+    plan = _loop_plan(loop, noise, steps)
+    # the Magnus series converges when h ||A||_2 < pi; ||A||_F bounds ||A||_2
+    reach = plan.reach(loop, noise.lambda_sq)
+    if not reach < np.pi:
+        raise StepCountTooSmall(f"Magnus step h*|A|_F = {reach:.4g} not below pi; increase steps")
+    phi = plan.propagate(loop, noise.lambda_sq)
     channel = LoopChannel(loop=loop, steps=steps, phi=_BASIS @ phi @ _BASIS.conj().T)
     defect = channel.trace_defect()
     # written so that a NaN defect fails too

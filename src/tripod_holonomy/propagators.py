@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDuration
-from .linalg import exp_i_hermitian, is_unitary
+from .linalg import _ordered_product, exp_i_hermitian, is_unitary
 from .loops import ArcKind, LoopSpec, solid_angle
 from .tripod import DIM, FRAME_ENERGY, EigenFrame, eigenframe, hamiltonian
 
@@ -116,21 +116,6 @@ def dark_block(u: np.ndarray, loop: LoopSpec) -> np.ndarray:
     return (f0.conj().T @ u @ f0)[..., :2, :2]
 
 
-def _ordered_product(stack: np.ndarray) -> np.ndarray:
-    """Product stack[n-1] @ ... @ stack[0] by pairwise tree reduction."""
-    while stack.shape[0] > 1:
-        n = stack.shape[0]
-        if n % 2:
-            head, tail = stack[:-1], stack[-1]
-        else:
-            head, tail = stack, None
-        paired = np.matmul(head[1::2], head[0::2])
-        if tail is not None:
-            paired = np.concatenate([paired, tail[None]], axis=0)
-        stack = paired
-    return stack[0]
-
-
 def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:
     """Brute-force propagator: time-ordered product of midpoint-sampled
     step exponentials, second-order accurate in the step size."""
@@ -144,6 +129,6 @@ def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:
         w, v = np.linalg.eigh(h)
         phase = np.exp(-1j * dt * w)
         step_us = np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
-        u = _ordered_product(step_us) @ u
+        u = _ordered_product(step_us, np.empty_like(step_us)) @ u
     return GatePropagator(matrix=u)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from tripod_holonomy import (
     loop_propagator,
     mean_fidelity,
     wedge_loop,
+    with_total_time,
 )
+from tripod_holonomy.analysis import DEFAULT_FIT_LAMBDAS, optimal_point_table
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import (
     _BASIS,
@@ -23,8 +26,10 @@ from tripod_holonomy.lindblad import (
     COUPLING,
     FREQUENCY_MULTIPLES,
     _commutator_superop,
+    _channel_plan,
     _dissipator_superops,
     _dissipator_terms,
+    _loop_plan,
     default_step_count,
     noise_from_dict,
 )
@@ -37,6 +42,7 @@ from tripod_holonomy.tripod import (
     eigenframe,
 )
 
+from conftest import OMEGA_TAU_STAR
 from oracles import standard_not_loop
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
@@ -396,3 +402,69 @@ class TestEvolveDensity:
         assert out.shape == stack.shape
         for sigma, got in zip(stack, out):
             np.testing.assert_allclose(got, ch.apply(sigma), rtol=0, atol=1e-14)
+
+
+def direct_reach(loop, noise, steps):
+    """Largest h ||A||_F over every Gauss point, with A = L_arc + lambda^2 D
+    formed one superoperator at a time in the vec basis, where the
+    Frobenius norm is the same as in real coordinates."""
+    reach = 0.0
+    for arc, n, h, l_unit in _arc_pieces(loop, steps):
+        gauss = (np.arange(n)[:, None] + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
+        a = l_unit + vec_dissipators(arc, gauss.ravel(), noise)
+        reach = max(reach, h * np.sqrt(np.square(np.abs(a)).sum(axis=(1, 2)).max()))
+    return reach
+
+
+class TestChannelPlan:
+    """One plan per loop shape, step split and rate table serves every loop
+    time and coupling, and no result depends on which plan came before."""
+
+    @pytest.mark.parametrize("wedge", [1, 2, 3])
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_gram_gate_matches_the_direct_norms(self, wedge, noise):
+        for omega_tau in (0.25, 18.251, 60.0, 240.0):
+            loop = wedge_loop(wedge, 1.0, omega_tau)
+            steps = default_step_count(loop)
+            expected = direct_reach(loop, noise, steps)
+            got = _loop_plan(loop, noise, steps).reach(loop, noise.lambda_sq)
+            assert abs(got - expected) <= 1e-12 * expected
+
+    def test_under_resolved_message_reads_the_largest_step(self):
+        loop = standard_not_loop(1.0, 18.25)
+        with pytest.raises(StepCountTooSmall, match=r"h\*\|A\|_F = 6\.284 not below pi"):
+            loop_channel(loop, high_temperature_noise(0.05), steps=12)
+
+    def test_warm_channel_allocates_little(self):
+        # numpy reports its buffers to tracemalloc; the step exponentials
+        # and their product live in the plan's workspace
+        loop = standard_not_loop(1.0, OMEGA_TAU_STAR[0])
+        noise = high_temperature_noise(1e-3)
+        loop_channel(loop, noise)
+        tracemalloc.start()
+        try:
+            loop_channel(loop, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
+    def test_results_do_not_depend_on_earlier_channels(self):
+        loop = standard_not_loop(1.0, OMEGA_TAU_STAR[0])
+        noise = high_temperature_noise(1e-3)
+        _channel_plan.cache_clear()
+        cold = mean_fidelity(loop, noise)
+        channel = loop_channel(loop, noise)
+        phi = channel.phi.copy()
+        warm = mean_fidelity(loop, noise)
+        loop_channel(wedge_loop(2, 1.0, 23.7), UNEQUAL_NOISE.with_lambda_sq(0.05))
+        loop_channel(with_total_time(loop, 19.0), noise)
+        after_other = mean_fidelity(loop, noise)
+        assert cold == warm == after_other
+        assert np.array_equal(channel.phi, phi)
+
+    def test_optimal_table_builds_one_plan(self):
+        loop = standard_not_loop(1.0, OMEGA_TAU_STAR[0])
+        _channel_plan.cache_clear()
+        optimal_point_table(loop, high_temperature_noise(0.0), list(DEFAULT_FIT_LAMBDAS))
+        assert _channel_plan.cache_info().misses == 1
