@@ -84,10 +84,6 @@ class SweepCurve:
     mean_fidelity: np.ndarray
 
 
-def _sweep_task(args: tuple) -> np.ndarray:
-    return mean_fidelity(*args)
-
-
 def sweep(
     loop: LoopSpec,
     omega_tau_grid: np.ndarray,
@@ -98,10 +94,10 @@ def sweep(
     """One fidelity curve per coupling strength over a shared time grid.
 
     `noise` supplies the rate tables; its lambda_sq field is overridden by
-    each entry of lambda_sq_list. A silent curve (lambda^2 = 0 or an
-    all-zero table) is one task, its whole grid from the stacked exact
-    propagator; a dissipative one is one channel task per grid point. Tasks
-    fan out to the worker pool; reduction order is fixed.
+    each entry of lambda_sq_list. Each curve is one `mean_fidelity` call on
+    the whole grid, in this process and in list order: a silent curve
+    (lambda^2 = 0 or an all-zero table) from the stacked exact propagator,
+    a dissipative one from one channel per grid point.
     """
     grid = np.asarray(omega_tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -110,12 +106,9 @@ def sweep(
         raise ValueError("omega_tau grid must be strictly increasing")
     if noise is None:
         noise = high_temperature_noise(0.0)
-    tasks = []
-    for lam in lambda_sq_list:
-        curve_noise = noise.with_lambda_sq(lam)
-        chunks = np.split(grid, len(grid)) if curve_noise.dissipative else [grid]
-        tasks += [(loop, curve_noise, steps, chunk) for chunk in chunks]
-    values = np.concatenate([[], *ordered_map(_sweep_task, tasks)]).reshape(-1, len(grid))
+    values = ordered_map(
+        lambda lam: mean_fidelity(loop, noise.with_lambda_sq(lam), steps, grid), lambda_sq_list
+    )
     return [
         SweepCurve(lambda_sq=float(lam), omega_tau=grid.copy(), mean_fidelity=f)
         for lam, f in zip(lambda_sq_list, values)

@@ -1,40 +1,21 @@
-"""Worker-pool helper for embarrassingly parallel sweep evaluations.
+"""The in-order map that `analysis.sweep` runs its curves through.
 
-Results always come back in submission order, so reductions are
-bit-stable regardless of the worker count. HOLONOMY_THREADS caps the
-pool; unset, it defaults to the machine's CPU count.
+Every curve runs in this process: a warm channel integration takes about
+a millisecond, less than a worker pool costs to start and feed. The map
+stays a module of its own only because `perfbench/` hooks
+`parallel.ordered_map` and `analysis.ordered_map` by name and expects one
+call per sweep. Deleting this module waits for the change that lets
+`perfbench/` drop that binding (ROADMAP items 1 and 4).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from .errors import ConfigError
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-WORKERS_ENV = "HOLONOMY_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map fn over items, in order, fanning out to workers when useful."""
-    work: Sequence[T] = list(items)
-    n_workers = min(worker_count(), len(work))
-    if n_workers <= 1:
-        return [fn(item) for item in work]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, work))
+    """fn over items, in order, in this process."""
+    return [fn(item) for item in items]

@@ -179,27 +179,32 @@ class TestBatchedNoiselessCurve:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("noise, lambdas, tasks", [
-        (high_temperature_noise(0.0), [0.0, 0.01, 0.02], 1 + 5 + 5),
-        (NoiseModel(lambda_sq=0.0, gamma={0: 0.0}), [0.0, 0.01, 0.02], 3),
-        (high_temperature_noise(0.0), [0.0], 1),
-    ], ids=["flat", "silent-table", "ideal"])
-    def test_one_task_per_silent_curve_and_per_channel_point(
-        self, monkeypatch, noise, lambdas, tasks
-    ):
-        handed = []
+    @pytest.mark.parametrize("noise", [
+        high_temperature_noise(0.0),
+        NoiseModel(lambda_sq=0.0, gamma={0: 0.0}),
+        NoiseModel(lambda_sq=0.0, gamma={0: 0.3, 1: 0.1}, lamb_shift={1: 0.2}),
+    ], ids=["flat", "silent-table", "uneven"])
+    @pytest.mark.parametrize("lambdas", [[0.0, 0.01, 0.02], []], ids=["three", "none"])
+    def test_one_task_and_one_grid_call_per_curve(self, monkeypatch, noise, lambdas):
+        handed, grids = [], []
 
         def recording(fn, items):
-            handed.extend(items)
-            return [fn(item) for item in items]
+            handed.append(list(items))
+            return [fn(item) for item in handed[-1]]
+
+        def grid_call(loop, noise, steps, omega_tau):
+            grids.append(omega_tau)
+            return mean_fidelity(loop, noise, steps, omega_tau)
 
         monkeypatch.setattr(analysis, "ordered_map", recording)
+        monkeypatch.setattr(analysis, "mean_fidelity", grid_call)
         grid = np.linspace(14.0, 22.0, 5)
         curves = sweep(standard_not_loop(1.0, 1.0), grid, lambdas, steps=60, noise=noise)
-        assert len(handed) == tasks
+        assert len(handed) == 1 and len(handed[0]) == len(lambdas)
+        assert len(grids) == len(lambdas)
+        assert all(np.array_equal(g, grid) for g in grids)
         assert [c.lambda_sq for c in curves] == lambdas
         assert all(c.mean_fidelity.shape == grid.shape for c in curves)
-
 
     def test_noiseless_maxima_at_revivals(self, no_noise):
         revivals = [optimal_time(k, 1, 1.0) for k in (1, 2, 3)]

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
 from tripod_holonomy.cli import main
 from tripod_holonomy.lindblad import high_temperature_noise
@@ -756,24 +761,29 @@ class TestDeterminismAndRoundTrip:
         assert second.out == first.out
         assert {p.name: p.read_bytes() for p in out.glob("*")} == written
 
-    def test_invalid_worker_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLONOMY_THREADS", "many")
-        code = main(["ideal-sweep", "--grid", "17:19:2",
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-
-    def test_worker_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLONOMY_THREADS", "1")
-        assert main(["ideal-sweep", "--grid", "17:19:2",
-                     "--out", str(tmp_path / "x")]) == 0
-        # one task per channel point, so two workers share the dissipative
-        # curve; the worker count never changes the bytes written
+    def test_noisy_sweep_rerun_writes_identical_csvs(self, tmp_path):
         written = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("HOLONOMY_THREADS", workers)
-            out = tmp_path / workers
+        for run_dir in ("a", "b"):
+            out = tmp_path / run_dir
             assert main(["noisy-sweep", "--grid", "17:19:3", "--lambda-sq", "0,0.01",
                          "--steps", "300", "--out", str(out)]) == 0
             written.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
         assert len(written[0]) == 2
         assert written[0] == written[1]
+
+    def test_noisy_sweep_loads_no_process_machinery(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from tripod_holonomy.cli import main\n"
+            f"code = main(['noisy-sweep', '--grid', '17:19:3', '--lambda-sq', '0,0.01',"
+            f" '--steps', '300', '--out', {str(tmp_path / 'out')!r}])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(tripod_holonomy.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
