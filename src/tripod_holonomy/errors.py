@@ -26,8 +26,8 @@ class UnsupportedLoop(TripodError):
 
 
 class StepCountTooSmall(TripodError):
-    """Integrator resolution too low (trace drift above threshold, or a
-    mean fidelity outside [0, 1])."""
+    """Integrator resolution too low: a Magnus step with h ||A||_F >= pi,
+    trace drift above 1e-6, or a mean fidelity outside [0, 1]."""
 
 
 class NoPeakInWindow(TripodError):

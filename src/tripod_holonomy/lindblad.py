@@ -28,15 +28,15 @@ Rep. 470, 151, 2009): the exponent h/2 (A1 + A2) + (sqrt(3) h^2 / 12)
 [A2, A1] from the generator A = L_arc + lambda^2 D at the step's two Gauss
 points, exponentiated by a batched Taylor polynomial with scaling and
 squaring. The large constant coherent part L_arc is thereby taken exactly,
-and the error comes from lambda^2 D alone. Everything in the exponents
-but the loop time and lambda^2 comes from a channel plan (_ChannelPlan),
-built once per loop shape, Omega, step split and rate table; the last
-plan is kept. Its workspace holds the step exponentials and their
-pairwise tree product, so a process runs one channel at a time. The
-series converges when h ||A||_2 < pi, so a step with h ||A||_F >= pi
-raises StepCountTooSmall before any exponential is taken: an exact
-exponential keeps Phi finite and trace-preserving at any step size, so
-only this gate sees an under-resolved run.
+and the error comes from lambda^2 D alone. Everything in the exponents but
+the loop time and lambda^2 comes from a channel plan (_ChannelPlan), built
+once per Omega, loop shape (the arcs at unit duration), step split and
+rate table; the last plan is kept. Its workspace holds the step
+exponentials and their pairwise tree product, so a process runs one
+channel at a time. The series converges when h ||A||_2 < pi, so a step
+with h ||A||_F >= pi raises StepCountTooSmall before any exponential is
+taken: an exact exponential keeps Phi finite and trace-preserving at any
+step size, so only this gate sees an under-resolved run.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .linalg import _ordered_product
-from .loops import ArcSegment, LoopSpec, _number
+from .loops import LoopSpec, _number
 from .propagators import _arc_generator
 from .tripod import DIM, FRAME_ENERGY, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
@@ -200,10 +200,11 @@ def _commutator_superop(h: np.ndarray) -> np.ndarray:
     return -1j * product.reshape(DIM * DIM, DIM * DIM)
 
 
-def _dissipator_terms(noise: NoiseModel) -> np.ndarray:
-    """K of shape (10, 256): lambda^2 times the dissipator at a path point is
-    sum over p <= q of r_p r_q K_pq, reshaped to 16x16 real coordinates,
-    with r the |0> row of the frame there (see _TERM_PAIRS).
+def _dissipator_terms(gamma, shift) -> np.ndarray:
+    """K of shape (10, 256): the dissipator at lambda^2 = 1 at a path point
+    is sum over p <= q of r_p r_q K_pq, reshaped to 16x16 real coordinates,
+    with r the |0> row of the frame there (see _TERM_PAIRS). gamma and shift
+    hold the rates and the Lamb shifts at k = -2..2, in that order.
 
     In start-frame coordinates the coupling is b = F^dag A F = r e^T + e r^T,
     and A_k keeps the elements of b at frequency k, so the sum over k
@@ -221,9 +222,8 @@ def _dissipator_terms(noise: NoiseModel) -> np.ndarray:
     frames[:, STATE_0] = np.eye(DIM)[p] + np.eye(DIM)[q]
     frames[:, STATE_EXCITED] = _EXCITED_ROW
     b = frames.transpose(0, 2, 1) @ COUPLING.real @ frames
-    # rates and c_k indexed by k + 2
-    gamma = np.array([noise.rate(k) for k in range(-2, 3)])
-    coeff = 0.5 * gamma + 1j * np.array([noise.shift(k) for k in range(-2, 3)])
+    gamma = np.asarray(gamma)
+    coeff = 0.5 * gamma + 1j * np.asarray(shift)
     w_sandwich = np.where(_SAME_FREQ, gamma[_FREQ + 2][:, None, :, None], 0.0)
     w_x = np.where(_FREQ[:, :, None] == _FREQ[:, None, :], coeff[_FREQ + 2][:, :, None], 0.0)
     x = (b[:, :, :, None] * b[:, :, None, :] * w_x).sum(axis=1)
@@ -236,7 +236,7 @@ def _dissipator_terms(noise: NoiseModel) -> np.ndarray:
     on_diag = d[p == q] / 4.0  # dissipator at r = e_p
     terms = d - on_diag[p] - on_diag[q]
     terms[p == q] = on_diag
-    return noise.lambda_sq * _real_superop(terms).reshape(len(p), -1)
+    return _real_superop(terms).reshape(len(p), -1)
 
 
 def _term_weights(arc, local_times: np.ndarray) -> np.ndarray:
@@ -245,13 +245,6 @@ def _term_weights(arc, local_times: np.ndarray) -> np.ndarray:
     r = _frame_columns(*arc.angles(local_times))[:, STATE_0, :]
     p, q = _TERM_PAIRS
     return r[:, p] * r[:, q]
-
-
-def _dissipator_superops(arc, local_times: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Dissipator samples (lambda^2 included) at local arc times, in the
-    real coordinates of the start frame, from _dissipator_terms' K."""
-    samples = _term_weights(arc, local_times) @ terms
-    return samples.reshape(len(local_times), DIM * DIM, DIM * DIM)
 
 
 def _expm(x: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
@@ -307,31 +300,30 @@ class _ChannelPlan:
     (sqrt(3) h^2 / 12) [A2, A1] of A = L_E + L_G / duration + lambda^2 D
     is exactly h L_E + L_G / n + lambda^2 (h/2 Sigma + c h^2 P + c h/n Q)
     + lambda^4 c h^2 C, with c = sqrt(3) / 12. L_E is -i[Omega E, .], and
-    L_G is -i[duration G, .], built from the arc's angles alone, since G
-    scales as 1 / duration. The Gauss points sit at the fixed fractions
+    L_G is -i[duration G, .], built from the unit arc, since G scales as
+    1 / duration. The Gauss points sit at the fixed fractions
     u = (j + 1/2 -+ sqrt(3)/6) / n of the arc, so the rows Sigma, P, Q and
     C are the same for every loop time and coupling. D is a fixed
     quadratic form w @ K in the frame's |0> row, so each row is one
     product of the steps' weights with the commutators of the ten terms K.
+    The gate's ||A||^2 leaves out <L_E, L_G>, zero since E is diagonal and
+    G has a zero diagonal, and <L_G, D>, zero term by term.
     """
 
-    def __init__(self, omega: float, shape: tuple, counts: tuple, table: tuple) -> None:
-        unit = LoopSpec(omega, tuple(ArcSegment(*arc, duration=1.0) for arc in shape))
-        terms = _dissipator_terms(NoiseModel(
-            lambda_sq=1.0,
-            gamma={k: g for k, (g, _) in zip(FREQUENCY_MULTIPLES, table)},
-            lamb_shift={k: s for k, (_, s) in zip(FREQUENCY_MULTIPLES, table)},
-        ))
+    def __init__(self, omega: float, arcs: tuple, counts: tuple, gamma: tuple,
+                 shift: tuple) -> None:
+        terms = _dissipator_terms(gamma, shift)
         k = terms.reshape(-1, DIM**2, DIM**2)
         a, b = np.triu_indices(len(k), 1)
         self.counts = counts
         self.l_e = _real_superop(_commutator_superop(np.diag(omega * FRAME_ENERGY)))
+        self.ee = np.vdot(self.l_e, self.l_e)
         e_terms = _commutator(self.l_e, k).reshape(len(k), -1)
         pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
         term_gram = terms @ terms.T
         self.l_g, self.basis, self.gram = [], [], []
-        for i, (arc, n) in enumerate(zip(unit.arcs, counts)):
-            l_g = _real_superop(_commutator_superop(_arc_generator(unit, i)))
+        for arc, n in zip(arcs, counts):
+            l_g = _real_superop(_commutator_superop(_arc_generator(arc)))
             g_terms = _commutator(l_g, k).reshape(len(k), -1)
             w = _term_weights(arc, ((np.arange(n)[:, None] + _GAUSS_NODES) / n).ravel())
             w1, w2 = w[0::2], w[1::2]
@@ -341,25 +333,23 @@ class _ChannelPlan:
             np.matmul(w1 - w2, g_terms, out=basis[2])
             np.matmul(w2[:, a] * w1[:, b] - w2[:, b] * w1[:, a], pair_terms, out=basis[3])
             self.basis.append(basis.reshape(4, -1))
-            # <L_E, D>, <L_G, D> and ||D||^2 at each Gauss point, and the
-            # Frobenius products of L_E and L_G
+            # <L_E, D> and ||D||^2 at each Gauss point, and ||L_G||^2
             self.gram.append((
-                np.stack([w @ (terms @ self.l_e.ravel()), w @ (terms @ l_g.ravel()),
-                          np.einsum("ia,ab,ib->i", w, term_gram, w)]),
-                np.vdot(self.l_e, self.l_e), np.vdot(self.l_e, l_g), np.vdot(l_g, l_g),
+                np.stack([w @ (terms @ self.l_e.ravel()), np.einsum("ia,ab,ib->i", w, term_gram, w)]),
+                np.vdot(l_g, l_g),
             ))
             self.l_g.append(l_g)
         self.work = np.empty((6, min(max(counts), _BLOCK_STEPS), DIM**2, DIM**2))
 
     def reach(self, loop: LoopSpec, lambda_sq: float) -> float:
         """Largest h ||A||_F over the Gauss points of every step, from
-        ||A||^2 = ||L||^2 + 2 lambda^2 <L, D> + lambda^4 ||D||^2 with
-        L = L_E + L_G / duration."""
+        ||A||^2 = ||L_E||^2 + ||L_G||^2 / duration^2 + 2 lambda^2 <L_E, D>
+        + lambda^4 ||D||^2."""
         reach = 0.0
-        for arc, n, (gram, ee, eg, gg) in zip(loop.arcs, self.counts, self.gram):
+        weights = np.array([2.0 * lambda_sq, lambda_sq**2])
+        for arc, n, (gram, gg) in zip(loop.arcs, self.counts, self.gram):
             inv = 1.0 / arc.duration
-            weights = np.array([2.0 * lambda_sq, 2.0 * lambda_sq * inv, lambda_sq**2])
-            square = ee + 2.0 * eg * inv + gg * inv * inv + (weights @ gram).max()
+            square = self.ee + gg * inv * inv + (weights @ gram).max()
             reach = max(reach, arc.duration / n * np.sqrt(square))
         return reach
 
@@ -385,8 +375,7 @@ class _ChannelPlan:
         return phi
 
 
-# The plan of a loop shape (the kind and angles of each arc), Omega, the
-# per-arc step counts and a rate and shift table; the last one is kept.
+# One plan per set of constructor arguments; only the last is kept.
 _channel_plan = lru_cache(maxsize=1)(_ChannelPlan)
 
 
@@ -394,10 +383,10 @@ def _loop_plan(loop: LoopSpec, noise: NoiseModel, steps: int) -> _ChannelPlan:
     """The channel plan of a loop at a total step count, split across arcs
     by duration."""
     total = loop.total_time
+    arcs = tuple(replace(arc, duration=1.0) for arc in loop.arcs)
     counts = tuple(max(1, int(round(steps * arc.duration / total))) for arc in loop.arcs)
-    shape = tuple((a.kind, a.fixed_angle, a.start_angle, a.end_angle) for a in loop.arcs)
-    table = tuple((noise.rate(k), noise.shift(k)) for k in FREQUENCY_MULTIPLES)
-    return _channel_plan(loop.omega_scale, shape, counts, table)
+    rates = (tuple(get(k) for k in range(-2, 3)) for get in (noise.rate, noise.shift))
+    return _channel_plan(loop.omega_scale, arcs, counts, *rates)
 
 
 @dataclass(frozen=True)
@@ -405,6 +394,7 @@ class LoopChannel:
     """Propagated quantum channel of a full loop at fixed noise.
 
     phi is the 16x16 superoperator propagator in start-frame coordinates;
+    steps is the number of Magnus steps taken, the per-arc counts summed;
     apply() maps initial lab-frame density matrices to the final ones.
     """
 
@@ -440,7 +430,7 @@ def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) ->
     if not reach < np.pi:
         raise StepCountTooSmall(f"Magnus step h*|A|_F = {reach:.4g} not below pi; increase steps")
     phi = plan.propagate(loop, noise.lambda_sq)
-    channel = LoopChannel(loop=loop, steps=steps, phi=_BASIS @ phi @ _BASIS.conj().T)
+    channel = LoopChannel(loop=loop, steps=sum(plan.counts), phi=_BASIS @ phi @ _BASIS.conj().T)
     defect = channel.trace_defect()
     # written so that a NaN defect fails too
     if not defect <= 1e-6:

@@ -38,10 +38,10 @@ class ArcSegment:
     duration: float
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0 and np.isfinite(self.duration)):
+        if not (self.duration > 0 and math.isfinite(self.duration)):
             raise InvalidDuration(f"arc duration must be positive, got {self.duration}")
         for a in (self.fixed_angle, self.start_angle, self.end_angle):
-            if not np.isfinite(a):
+            if not math.isfinite(a):
                 raise ValueError("arc angles must be finite")
 
     @property

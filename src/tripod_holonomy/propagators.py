@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidDuration
 from .linalg import _ordered_product, exp_i_hermitian, is_unitary
-from .loops import ArcKind, LoopSpec, solid_angle
+from .loops import ArcKind, ArcSegment, LoopSpec, solid_angle
 from .tripod import DIM, FRAME_ENERGY, EigenFrame, eigenframe, hamiltonian
 
 
@@ -40,14 +40,13 @@ def start_frame(loop: LoopSpec) -> EigenFrame:
     return eigenframe(loop.start_point())
 
 
-def _arc_generator(loop: LoopSpec, arc_index: int) -> np.ndarray:
+def _arc_generator(arc: ArcSegment) -> np.ndarray:
     """Transport generator G = -i F^T dF/dt of one arc, in frame coordinates.
 
     The arc moves one dark state, D1 along a meridian and D0 along the
     equator, and only that state couples, to D+ and D- alike, with
     strength rate / sqrt(2): the same at every point of the arc.
     """
-    arc = loop.arcs[arc_index]
     moving = 1 if arc.kind is ArcKind.MERIDIAN else 0
     coupling = -1j * arc.rate / np.sqrt(2.0)
     g = np.zeros((DIM, DIM), dtype=complex)
@@ -74,7 +73,7 @@ def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray
     if omega_tau is not None:
         dt = dt * (loop_times(loop, omega_tau) / loop.total_time)[:, None, None]
     energies = np.diag(loop.omega_scale * FRAME_ENERGY)
-    return exp_i_hermitian(dt * energies + arc.duration * _arc_generator(loop, arc_index), -1.0)
+    return exp_i_hermitian(dt * energies + arc.duration * _arc_generator(arc), -1.0)
 
 
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:

@@ -82,9 +82,9 @@ def per_point_propagator(loop, omega_tau):
     arc with D = F0 G F0^T, F0 the frame at the arc's start."""
     run = with_total_time(loop, omega_tau / loop.omega_scale)
     u = np.eye(4, dtype=complex)
-    for i, arc in enumerate(run.arcs):
+    for arc in run.arcs:
         f0 = _frame_columns(*arc.angles(0.0))
-        d = f0 @ _arc_generator(run, i) @ f0.T
+        d = f0 @ _arc_generator(arc) @ f0.T
         h0 = hamiltonian(*arc.angles(0.0), run.omega_scale)
         u = _expm_i(d, arc.duration) @ _expm_i(h0 + d, -arc.duration) @ u
     return u

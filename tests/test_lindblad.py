@@ -27,9 +27,10 @@ from tripod_holonomy.lindblad import (
     FREQUENCY_MULTIPLES,
     _commutator_superop,
     _channel_plan,
-    _dissipator_superops,
     _dissipator_terms,
     _loop_plan,
+    _real_superop,
+    _term_weights,
     default_step_count,
     noise_from_dict,
 )
@@ -43,7 +44,7 @@ from tripod_holonomy.tripod import (
 )
 
 from conftest import OMEGA_TAU_STAR
-from oracles import standard_not_loop
+from oracles import reverse_loop, standard_not_loop
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
@@ -113,7 +114,9 @@ def vec_dissipators(arc, local_times, noise):
     """Production dissipator samples (lambda^2 included) at local arc times,
     mapped from real coordinates back to superoperators acting on
     row-major vec(sigma) in the coordinates of the start frame."""
-    real = _dissipator_superops(arc, local_times, _dissipator_terms(noise))
+    rates = ([get(k) for k in range(-2, 3)] for get in (noise.rate, noise.shift))
+    terms = noise.lambda_sq * _dissipator_terms(*rates)
+    real = (_term_weights(arc, local_times) @ terms).reshape(len(local_times), 16, 16)
     return _BASIS @ real @ _BASIS.conj().T
 
 
@@ -139,9 +142,9 @@ def _arc_pieces(loop, steps):
     superoperator on row-major vec(sigma), at the production split of
     steps across arcs."""
     energies = np.diag(loop.omega_scale * FRAME_ENERGY)
-    for i, arc in enumerate(loop.arcs):
+    for arc in loop.arcs:
         n = max(1, int(round(steps * arc.duration / loop.total_time)))
-        yield arc, n, arc.duration / n, _commutator_superop(energies + _arc_generator(loop, i))
+        yield arc, n, arc.duration / n, _commutator_superop(energies + _arc_generator(arc))
 
 
 def sequential_magnus_phi(loop, noise):
@@ -429,6 +432,28 @@ class TestChannelPlan:
             expected = direct_reach(loop, noise, steps)
             got = _loop_plan(loop, noise, steps).reach(loop, noise.lambda_sq)
             assert abs(got - expected) <= 1e-12 * expected
+
+    def test_dropped_gram_terms_are_exactly_zero(self, rng):
+        # the gate leaves out <L_E, L_G> and <L_G, D>: both must stay 0.0
+        # for every rate table and arc, reversed arcs included
+        loops = [wedge_loop(n, 1.3, 7.0) for n in (1, 2, 3)]
+        l_e = _real_superop(_commutator_superop(np.diag(1.3 * FRAME_ENERGY)))
+        l_gs = [_real_superop(_commutator_superop(_arc_generator(arc)))
+                for loop in loops + [reverse_loop(loop) for loop in loops]
+                for arc in loop.arcs]
+        assert all(np.vdot(l_e, l_g) == 0.0 for l_g in l_gs)
+        for _ in range(20):
+            terms = _dissipator_terms(rng.uniform(0.0, 1.0, 5), rng.normal(size=5))
+            for l_g in l_gs:
+                assert not np.any(terms @ l_g.ravel())
+
+    @pytest.mark.parametrize(("wedge", "omega_tau", "taken"), [(1, 60.25, 144), (2, 18.0, 145)])
+    def test_channel_records_the_steps_taken(self, wedge, omega_tau, taken):
+        # default_step_count asks for 145 and 144 here; rounding the split
+        # across arcs gives 48 x 3 and 58 + 29 + 58
+        loop = wedge_loop(wedge, 1.0, omega_tau)
+        assert default_step_count(loop) != taken
+        assert loop_channel(loop, high_temperature_noise(0.05)).steps == taken
 
     def test_under_resolved_message_reads_the_largest_step(self):
         loop = standard_not_loop(1.0, 18.25)

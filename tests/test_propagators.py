@@ -63,7 +63,7 @@ def lab_arc_propagator(loop, arc_index):
 
 class TestTransportGenerator:
     def test_zero_speed_arc_gives_zero(self):
-        gen = _arc_generator(pinned_arc_loop(), 1)
+        gen = _arc_generator(pinned_arc_loop().arcs[1])
         np.testing.assert_allclose(gen, np.zeros((4, 4)), atol=1e-15)
 
     def test_hermitian_on_random_loops(self, rng):
@@ -72,7 +72,7 @@ class TestTransportGenerator:
             tau = float(rng.uniform(0.5, 40.0))
             loop = wedge_loop(n, 1.0, tau)
             for i in range(3):
-                m = _arc_generator(loop, i)
+                m = _arc_generator(loop.arcs[i])
                 assert np.linalg.norm(m - m.conj().T) <= 1e-11
 
     def test_piecewise_constant_along_arcs(self):
@@ -81,8 +81,8 @@ class TestTransportGenerator:
         step = 1e-5
         loops = [wedge_loop(n, 1.0, 7.0) for n in (1, 2, 3)]
         for loop in loops + [reverse_loop(loop) for loop in loops]:
-            for i, arc in enumerate(loop.arcs):
-                gen = _arc_generator(loop, i)
+            for arc in loop.arcs:
+                gen = _arc_generator(arc)
                 for frac in (0.1, 0.25, 0.5, 0.9):
                     s = frac * arc.duration
                     f = _frame_columns(*arc.angles(s))
