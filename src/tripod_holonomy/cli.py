@@ -81,8 +81,9 @@ class RunConfig:
         _check_number("gamma0", self.gamma0, minimum=0.0)
         if self.calibrate_f2 is not None:
             _check_number("calibrate_f2", self.calibrate_f2, minimum=0.0, strict=True)
-        if self.steps is not None and not (_is_integer(self.steps) and self.steps >= 3):
-            raise ConfigError(f"steps must be an integer >= 3, got {self.steps!r}")
+        # the channel plan keeps 8 KB of basis rows per step: at most 400 MB
+        if self.steps is not None and not (_is_integer(self.steps) and 3 <= self.steps <= 50_000):
+            raise ConfigError(f"steps must be an integer in [3, 50000], got {self.steps!r}")
         if self.grid is not None:
             if len(self.grid) != 3:
                 raise ConfigError(f"grid must be [START, STOP, POINTS], got {list(self.grid)}")

@@ -1,10 +1,10 @@
 """Dense linear algebra for the small matrices used here.
 
-The 2x2 and 4x4 matrices are Hermitian or unitary and tiny, so their
-exponentials go through the spectral decomposition rather than
-scaling-and-squaring; both public functions take one matrix or a
-(..., n, n) stack of them. The ordered product of a stack of step maps
-serves both time-ordered engines.
+`is_unitary` checks every exact propagator. `exp_i_hermitian` goes
+through the spectral decomposition; no engine calls it, as both tripod
+exponentials are closed forms, and it stays for the benchmark harness,
+which binds it. Both take one matrix or a (..., n, n) stack. The ordered
+product of a stack of step maps serves both time-ordered engines.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ and the frame's own motion adds the transport generator G = -i F^T dF/dt,
 which is constant on each meridian and equator arc. So each arc evolves
 by one exponential, exp(-i dt (Omega E + G)), and consecutive arcs share
 the frame at their joint: the loop's lab-basis propagator is
-F(end) x_n ... x_1 F(0)^T. G scales as the inverse arc time, so a whole
-grid of loop times takes one stacked eigendecomposition per arc. A
-brute-force midpoint integrator provides an independent cross-check.
+F(end) x_n ... x_1 F(0)^T. Each exponential is a closed form in H and H^2,
+and G scales as the inverse arc time, so a whole grid of loop times takes
+one stacked closed form per arc. A brute-force midpoint integrator, with
+closed-form steps too, provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDuration
-from .linalg import _ordered_product, exp_i_hermitian, is_unitary
+from .linalg import _ordered_product, is_unitary
 from .loops import ArcKind, ArcSegment, LoopSpec, solid_angle
 from .tripod import DIM, FRAME_ENERGY, EigenFrame, eigenframe, hamiltonian
 
@@ -65,15 +66,18 @@ def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
 
 def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
     """Exact propagator of one arc in frame coordinates, F(end)^T U F(start):
-    exp(-i (dt Omega E + duration G)). dt G is the same at every loop time,
-    so with a 1-d Omega*tau grid the (n, 4, 4) stack at loop times
-    omega_tau / Omega is one stacked exponential."""
+    exp(-iH), H = dt Omega E + duration G; with a 1-d Omega*tau grid, the
+    (n, 4, 4) stack at loop times omega_tau / Omega. H has eigenvalues
+    {0, 0, +-w}, w^2 = (dt Omega)^2 + span^2 > 0, so H^3 = w^2 H and
+    exp(-iH) = I - 2 (sin(w/2) / w)^2 H^2 - i (sin(w) / w) H."""
     arc = loop.arcs[arc_index]
     dt = arc.duration
     if omega_tau is not None:
         dt = dt * (loop_times(loop, omega_tau) / loop.total_time)[:, None, None]
-    energies = np.diag(loop.omega_scale * FRAME_ENERGY)
-    return exp_i_hermitian(dt * energies + arc.duration * _arc_generator(arc), -1.0)
+    a = dt * loop.omega_scale
+    h = a * np.diag(FRAME_ENERGY) + arc.duration * _arc_generator(arc)
+    w = np.sqrt(a**2 + (arc.end_angle - arc.start_angle) ** 2)
+    return np.eye(DIM) - 2.0 * (np.sin(w / 2.0) / w) ** 2 * (h @ h) - 1j * (np.sin(w) / w) * h
 
 
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
@@ -125,9 +129,9 @@ def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:
         dt = arc.duration / m
         thetas, phis = arc.angles((np.arange(m) + 0.5) * dt)
         h = hamiltonian(thetas, phis, loop.omega_scale)
-        w, v = np.linalg.eigh(h)
-        phase = np.exp(-1j * dt * w)
-        step_us = np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
+        # K = H / Omega has K^3 = K, so exp(-i x K) = I - 2 sin^2(x/2) K^2 - i sin(x) K
+        x, k = loop.omega_scale * dt, h / loop.omega_scale
+        step_us = np.eye(4) - 2.0 * np.sin(x / 2.0) ** 2 * (k @ k) - 1j * np.sin(x) * k
         u = _ordered_product(step_us, np.empty_like(step_us)) @ u
     return GatePropagator(matrix=u)
 

@@ -275,6 +275,16 @@ class TestSweepCommands:
         ])
         assert code == 3
 
+    def test_steps_above_the_ceiling_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, streams = run([
+            "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
+            "--steps", "50001", "--out", str(out),
+        ], capsys)
+        assert code == 2
+        assert "steps must be an integer in [3, 50000], got 50001" in streams.err
+        assert not out.exists()
+
     def test_overflowed_run_reports_only_the_exit_3_message(self, tmp_path, capsys):
         # steps this long would overflow Phi; the Magnus gate rejects them
         # first, and numpy must not warn on the way

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,14 @@ from tripod_holonomy import (
     wedge_loop,
     with_total_time,
 )
+from tripod_holonomy import linalg
 from tripod_holonomy.errors import InvalidDuration, UnsupportedLoop
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block, start_frame
-from tripod_holonomy.tripod import SphericalPoint, _frame_columns, eigenframe, hamiltonian
+from tripod_holonomy.tripod import (
+    FRAME_ENERGY, SphericalPoint, _frame_columns, eigenframe, hamiltonian,
+)
 
 from conftest import UNEVEN_LOOP_DOC, _expm_i, per_point_propagator
 from oracles import holonomy_path_ordered, reverse_loop, standard_not_loop
@@ -32,6 +37,13 @@ GRID_LOOPS = {
     "wedge3": wedge_loop(3, 1.0, 1.0),
     "omega1.7": wedge_loop(1, 1.7, 1.0),
     "loop-file": loop_from_dict(UNEVEN_LOOP_DOC),
+}
+
+
+CLOSED_FORM_LOOPS = {
+    **{f"wedge{n}-omega{omega}": wedge_loop(n, omega, 1.0)
+       for n in (1, 2, 3) for omega in (1.0, 1.3)},
+    "wedge2-reversed": reverse_loop(wedge_loop(2, 1.3, 1.0)),
 }
 
 
@@ -121,6 +133,48 @@ class TestArcPropagator:
         for m in step_us:
             u = m @ u
         assert np.linalg.norm(exact - u) <= 1e-6
+
+
+def eigh_arc_propagator(loop, arc_index, omega_tau):
+    """exp(-i (dt Omega E + duration G)) of one arc at each Omega*tau of a
+    grid, one eigendecomposition per point."""
+    arc = loop.arcs[arc_index]
+    energies = loop.omega_scale * np.diag(FRAME_ENERGY)
+    gen = arc.duration * _arc_generator(arc)
+    scale = arc.duration / (loop.omega_scale * loop.total_time)
+    return np.stack([_expm_i(ot * scale * energies + gen, -1.0) for ot in omega_tau])
+
+
+class TestClosedFormArcPropagator:
+    @pytest.mark.parametrize("grid", [np.geomspace(1e-6, 240.0, 121), np.array([18.25])],
+                             ids=["1e-6-to-240", "one-point"])
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_LOOPS))
+    def test_matches_the_eigh_exponential(self, name, grid):
+        loop = CLOSED_FORM_LOOPS[name]
+        for i in range(len(loop.arcs)):
+            closed = arc_propagator(loop, i, grid)
+            assert np.abs(closed - eigh_arc_propagator(loop, i, grid)).max() <= 1e-13
+
+    def test_noiseless_curve_runs_no_eigendecomposition(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        for module in [m for k, m in sys.modules.items() if k.startswith("tripod_holonomy")]:
+            if hasattr(module, "exp_i_hermitian"):
+                monkeypatch.setattr(module, "exp_i_hermitian",
+                                    counted("exp_i_hermitian", module.exp_i_hermitian))
+        grid = np.linspace(0.25, 60.25, 241)
+        f = mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.0), omega_tau=grid)
+        assert f.shape == (241,)
+        assert calls == []
+        linalg.exp_i_hermitian(np.eye(2), 1.0)  # the counters see a call
+        assert calls == ["exp_i_hermitian", "eigh"]
 
 
 class TestLoopPropagator:
