@@ -31,7 +31,9 @@ squaring. The large constant coherent part L_arc is thereby taken exactly,
 and the error comes from lambda^2 D alone. Everything in the exponents but
 the loop time and lambda^2 comes from a channel plan (_ChannelPlan), built
 once per Omega, loop shape (the arcs at unit duration), step split and
-rate table; the last plan is kept. Its workspace holds the step
+rate table; the last plan is kept. It also holds the 1-norm of every
+basis row, so each block of steps takes its squaring count from a bound
+and forms its exponents already scaled. Its workspace holds the step
 exponentials and their pairwise tree product, so a process runs one
 channel at a time. The series converges when h ||A||_2 < pi, so a step
 with h ||A||_F >= pi raises StepCountTooSmall before any exponential is
@@ -41,6 +43,7 @@ step size, so only this gate sees an under-resolved run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -70,16 +73,16 @@ _SAME_FREQ = _FREQ[:, None, :, None] == _FREQ[None, :, None, :]
 _EXCITED_ROW = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2.0)
 _TERM_PAIRS = np.triu_indices(DIM)
 
-# Steps exponentiated at once, at most: the six workspace buffers take
-# 12 KB per step, so a block stays in cache and the workspace is bounded
+# Steps exponentiated at once, at most: the eight workspace buffers take
+# 16 KB per step, so a block stays in cache and the workspace is bounded
 # whatever the step count.
 _BLOCK_STEPS = 128
 
-# Gauss-Legendre nodes of the Magnus step, as fractions of the step, and
-# the Taylor coefficients 1/k! of the step exponential with the 1-norm it
-# is used within.
+# Gauss-Legendre nodes of the Magnus step, as fractions of the step, and the
+# Taylor coefficients c_k = 1/k! (c_11 = 0) of the step exponential as rows (c_3j+1,
+# c_3j+2, c_3j) of its stages c_3j I + c_3j+1 X + c_3j+2 X^2, within a 1-norm of 0.2.
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
-_TAYLOR_COEFFS = 1.0 / np.cumprod([1.0, *range(1, 11)])
+_STAGE_COEFFS = np.roll(np.append(1.0 / np.cumprod([1.0, *range(1, 11)]), 0.0).reshape(4, 3), -1, 1)
 _TAYLOR_RADIUS = 0.2
 
 _IDENTITY4 = np.eye(DIM, dtype=complex)
@@ -247,40 +250,35 @@ def _term_weights(arc, local_times: np.ndarray) -> np.ndarray:
     return r[:, p] * r[:, q]
 
 
-def _expm(x: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
-    """exp of each matrix of a real (n, d, d) stack x, which it overwrites,
-    computed in the five (n, d, d) buffers of work and returned in one of
-    them: one power of two scales the stack to a largest 1-norm of at most
-    _TAYLOR_RADIUS, a degree-10 Taylor polynomial (Paterson-Stockmeyer:
-    five products) exponentiates it, and squaring undoes the scaling
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005). The first omitted
-    term is at most 0.2^11 / 11! = 5.1e-16 of the scaled matrix's norm."""
-    x2, x3, out, buf, tmp = work
-    _, squarings = np.frexp(np.abs(x, out=tmp).sum(axis=-2).max() / _TAYLOR_RADIUS)
-    squarings = max(0, int(squarings))
-    np.ldexp(x, -squarings, out=x)
+def _squarings(norm: float) -> int:
+    """Squarings that take a 1-norm of at most norm to _TAYLOR_RADIUS."""
+    return max(0, math.frexp(norm / _TAYLOR_RADIUS)[1])
+
+
+def _expm(powers: np.ndarray, work: np.ndarray, squarings: int) -> np.ndarray:
+    """exp(2^squarings X) of each matrix of the real (n, d, d) stack X =
+    powers[0], powers[2] holding n identities, computed in powers[:2] and
+    the C-contiguous (5, n, d, d) stack work; returned in powers[0] or [1].
+    X's 1-norm is at most _TAYLOR_RADIUS, so the degree-10 Taylor polynomial
+    (Paterson-Stockmeyer: five products) omits at most 0.2^11 / 11! =
+    5.1e-16 of it, and squaring undoes the scaling (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179, 2005)."""
+    x, x2, _ = powers
+    x3, *stages = work
     np.matmul(x, x, out=x2)
     np.matmul(x2, x, out=x3)
-    c = _TAYLOR_COEFFS
-    # sum_k c_k x^k = B0 + x3 (B1 + x3 (B2 + x3 B3)), each Bj of degree
-    # <= 2 in x; products go to two alternating buffers
-    np.multiply(x, c[10], out=out)
-    _diagonal(out)[...] += c[9]
-    for k in (6, 3, 0):
+    # the four stages, in one product of coefficients with [X; X^2; I]
+    np.matmul(_STAGE_COEFFS, powers.reshape(3, -1), out=work[1:].reshape(4, -1))
+    # sum_k c_k X^k = B0 + X^3 (B1 + X^3 (B2 + X^3 B3)), in the free x, x2
+    out = stages[3]
+    for stage, buf in zip(stages[2::-1], (x, x2, x)):
         np.matmul(x3, out, out=buf)
-        out, buf = buf, out
-        out += np.multiply(x, c[k + 1], out=tmp)
-        out += np.multiply(x2, c[k + 2], out=tmp)
-        _diagonal(out)[...] += c[k]
+        out = np.add(buf, stage, out=buf)
+    buf = x2
     for _ in range(squarings):
         np.matmul(out, out, out=buf)
         out, buf = buf, out
     return out
-
-
-def _diagonal(stack: np.ndarray) -> np.ndarray:
-    """Writable (n, d) view of the diagonals of a C-contiguous (n, d, d) stack."""
-    return stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,9 +288,9 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _ChannelPlan:
     """What a channel needs that depends on neither the loop time nor
-    lambda^2: per arc, the Magnus basis rows, the tau-free transport
-    superoperator and the Gram pieces of the convergence gate, plus a
-    step workspace that every integration reuses.
+    lambda^2: per arc, the Magnus basis rows and their 1-norms N, the tau-free
+    transport superoperator and the Gram pieces of the convergence gate,
+    plus a step workspace that every integration reuses.
 
     With D the dissipator at lambda^2 = 1 at a step's two Gauss points,
     Sigma = D1 + D2, Delta = D1 - D2, P = [L_E, Delta], Q = [L_G, Delta]
@@ -321,7 +319,7 @@ class _ChannelPlan:
         e_terms = _commutator(self.l_e, k).reshape(len(k), -1)
         pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
         term_gram = terms @ terms.T
-        self.l_g, self.basis, self.gram = [], [], []
+        self.l_g, self.basis, self.norms, self.gram = [], [], [], []
         for arc, n in zip(arcs, counts):
             l_g = _real_superop(_commutator_superop(_arc_generator(arc)))
             g_terms = _commutator(l_g, k).reshape(len(k), -1)
@@ -333,13 +331,16 @@ class _ChannelPlan:
             np.matmul(w1 - w2, g_terms, out=basis[2])
             np.matmul(w2[:, a] * w1[:, b] - w2[:, b] * w1[:, a], pair_terms, out=basis[3])
             self.basis.append(basis.reshape(4, -1))
+            self.norms.append(np.array([(np.ones(DIM**2) @ np.abs(row)).max(axis=-1)
+                                        for row in basis.reshape(4, n, DIM**2, DIM**2)]))
             # <L_E, D> and ||D||^2 at each Gauss point, and ||L_G||^2
             self.gram.append((
                 np.stack([w @ (terms @ self.l_e.ravel()), np.einsum("ia,ab,ib->i", w, term_gram, w)]),
                 np.vdot(l_g, l_g),
             ))
             self.l_g.append(l_g)
-        self.work = np.empty((6, min(max(counts), _BLOCK_STEPS), DIM**2, DIM**2))
+        self.work = np.empty((8, min(max(counts), _BLOCK_STEPS), DIM**2, DIM**2))
+        self.work[2] = np.eye(DIM**2)
 
     def reach(self, loop: LoopSpec, lambda_sq: float) -> float:
         """Largest h ||A||_F over the Gauss points of every step, from
@@ -353,25 +354,34 @@ class _ChannelPlan:
             reach = max(reach, arc.duration / n * np.sqrt(square))
         return reach
 
-    def propagate(self, loop: LoopSpec, lambda_sq: float) -> np.ndarray:
-        """Phi in real coordinates: each block of at most _BLOCK_STEPS step
-        exponents is one product of coefficients and basis rows plus the
-        arc's coherent part, exponentiated and multiplied in the
-        workspace."""
-        phi = np.eye(DIM**2)
+    def blocks(self, loop: LoopSpec, lambda_sq: float):
+        """Per block of at most _BLOCK_STEPS steps: its basis rows, the
+        coefficients and coherent part of its exponents, and the bound
+        ||h L_E + L_G / n||_1 + max_i sum_j |c_j| N_ij on their 1-norms."""
         c = np.sqrt(3.0) / 12.0
-        for arc, n, basis, l_g in zip(loop.arcs, self.counts, self.basis, self.l_g):
+        for arc, n, basis, norms, l_g in zip(loop.arcs, self.counts, self.basis, self.norms, self.l_g):
             h = arc.duration / n
             coherent = h * self.l_e + l_g / n
             coeffs = lambda_sq * h * np.array([0.5, c * h, c / n, lambda_sq * c * h])
+            bounds = np.abs(coeffs) @ norms + np.abs(coherent).sum(axis=0).max()
             for first in range(0, n, _BLOCK_STEPS):
-                size = min(_BLOCK_STEPS, n - first)
-                x, *work = self.work[:, :size]
-                np.dot(coeffs, basis[:, first * DIM**4:(first + size) * DIM**4],
-                       out=x.reshape(-1))
-                x += coherent
-                # the first buffer, x^2, is free once the exponentials are done
-                phi = _ordered_product(_expm(x, work), work[0]) @ phi
+                last = min(first + _BLOCK_STEPS, n)
+                yield (basis[:, first * DIM**4:last * DIM**4], coeffs, coherent,
+                       bounds[first:last].max())
+
+    def propagate(self, loop: LoopSpec, lambda_sq: float) -> np.ndarray:
+        """Phi in real coordinates: each block's exponents, scaled by its
+        bound's squarings, are one product of coefficients and basis rows
+        plus the coherent part, exponentiated and multiplied in the workspace."""
+        phi = np.eye(DIM**2)
+        for rows, coeffs, coherent, bound in self.blocks(loop, lambda_sq):
+            powers = self.work[:3, :rows.shape[1] // DIM**4]
+            work = self.work[3:].reshape(-1)[:5 * powers[0].size].reshape(5, *powers[0].shape)
+            squarings = _squarings(bound)
+            scale = math.ldexp(1.0, -squarings)
+            np.matmul(coeffs * scale, rows, out=powers[0].reshape(-1))
+            powers[0] += coherent * scale
+            phi = _ordered_product(_expm(powers, work, squarings), work[0]) @ phi
         return phi
 
 

@@ -10,6 +10,7 @@ from tripod_holonomy import (
     ArcKind,
     ArcSegment,
     NoiseModel,
+    adiabatic_gate,
     high_temperature_noise,
     loop_channel,
     loop_propagator,
@@ -23,18 +24,21 @@ from tripod_holonomy.lindblad import (
     _BASIS,
     _BLOCK_STEPS,
     _EXCITED_ROW,
+    _TAYLOR_RADIUS,
     COUPLING,
     FREQUENCY_MULTIPLES,
     _commutator_superop,
     _channel_plan,
     _dissipator_terms,
+    _expm,
     _loop_plan,
     _real_superop,
+    _squarings,
     _term_weights,
     default_step_count,
     noise_from_dict,
 )
-from tripod_holonomy.propagators import _arc_generator
+from tripod_holonomy.propagators import _arc_generator, start_frame
 from tripod_holonomy.tripod import (
     FRAME_ENERGY,
     STATE_EXCITED,
@@ -43,8 +47,8 @@ from tripod_holonomy.tripod import (
     eigenframe,
 )
 
-from conftest import OMEGA_TAU_STAR
-from oracles import reverse_loop, standard_not_loop
+from conftest import OCTAHEDRON, OMEGA_TAU_STAR
+from oracles import lab_channel_phi, power_series_expm, reverse_loop, standard_not_loop
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
@@ -147,18 +151,24 @@ def _arc_pieces(loop, steps):
         yield arc, n, arc.duration / n, _commutator_superop(energies + _arc_generator(arc))
 
 
+def magnus_exponents(a1, a2, h):
+    """The 4th-order Magnus exponents h/2 (A1 + A2) + (sqrt(3) h^2 / 12)
+    [A2, A1] of generators at a step's two Gauss points, or of stacks of
+    them."""
+    return 0.5 * h * (a1 + a2) + np.sqrt(3.0) * h * h / 12.0 * (a2 @ a1 - a1 @ a2)
+
+
 def sequential_magnus_phi(loop, noise):
     """Superoperator propagator by 4th-order Magnus steps taken one at a
-    time at the production step count, each step's exponent
-    h/2 (A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1] from the generators at its
-    two Gauss points, exponentiated by eigendecomposition."""
+    time at the production step count, each step's exponent from the
+    generators at its two Gauss points, exponentiated by
+    eigendecomposition."""
     phi = np.eye(16, dtype=complex)
     for arc, n, h, l_unit in _arc_pieces(loop, default_step_count(loop)):
         for j in range(n):
             gauss = (j + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
             a1, a2 = l_unit + vec_dissipators(arc, gauss, noise)
-            exponent = 0.5 * h * (a1 + a2) + np.sqrt(3.0) * h * h / 12.0 * (a2 @ a1 - a1 @ a2)
-            w, v = np.linalg.eig(exponent)
+            w, v = np.linalg.eig(magnus_exponents(a1, a2, h))
             phi = (v * np.exp(w)) @ np.linalg.solve(v, phi)
     return phi
 
@@ -474,6 +484,19 @@ class TestChannelPlan:
             tracemalloc.stop()
         assert peak < 128 * 1024
 
+    def test_warm_multi_block_channel_allocates_little(self):
+        # blocks after an arc's first read its basis rows at a stride; a
+        # copy of them would take 1 MB here
+        noise = high_temperature_noise(1e-3)
+        loop_channel(MULTI_BLOCK_LOOP, noise)
+        tracemalloc.start()
+        try:
+            loop_channel(MULTI_BLOCK_LOOP, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
     def test_results_do_not_depend_on_earlier_channels(self):
         loop = standard_not_loop(1.0, OMEGA_TAU_STAR[0])
         noise = high_temperature_noise(1e-3)
@@ -493,3 +516,137 @@ class TestChannelPlan:
         _channel_plan.cache_clear()
         optimal_point_table(loop, high_temperature_noise(0.0), list(DEFAULT_FIT_LAMBDAS))
         assert _channel_plan.cache_info().misses == 1
+
+
+def with_one_norm(a, norm):
+    """The stack a, each matrix scaled to the given 1-norm."""
+    return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def assert_matches_power_series(a, extra_squarings=0):
+    """exp of each matrix of the stack a by _expm in a fresh workspace, at
+    the squaring count of the stack's largest 1-norm plus extra_squarings,
+    within 1e-14 of the power series relative to its 1-norm. Each squaring
+    doubles the relative rounding error, so past four squarings (1-norm
+    3.2) the bound doubles with each."""
+    squarings = _squarings(np.abs(a).sum(axis=-2).max()) + extra_squarings
+    powers = np.empty((3, *a.shape))
+    powers[0] = np.ldexp(a, -squarings)
+    powers[2] = np.eye(a.shape[-1])
+    got = _expm(powers, np.empty((5, *a.shape)), squarings)
+    expected = power_series_expm(a)
+    error = np.abs(got - expected).sum(axis=-2).max(axis=-1)
+    bound = 1e-14 * 2.0 ** max(0, squarings - 4)
+    assert np.all(error <= bound * np.abs(expected).sum(axis=-2).max(axis=-1))
+
+
+class TestStepExponential:
+    """_expm against the plain power series of degree 20 in extended
+    precision, on stacks scaled to one 1-norm each, across the squaring
+    boundaries, and on a plan's non-normal exponents."""
+
+    @pytest.mark.parametrize("norm", np.geomspace(1e-4, 8.0, 9))
+    def test_matches_the_power_series(self, rng, norm):
+        assert_matches_power_series(with_one_norm(rng.normal(size=(5, 16, 16)), norm))
+
+    def test_mixed_norms_share_the_largest_ones_squarings(self, rng):
+        assert_matches_power_series(with_one_norm(rng.normal(size=(9, 16, 16)),
+                                                  np.geomspace(1e-4, 8.0, 9)))
+
+    @pytest.mark.parametrize("boundary", _TAYLOR_RADIUS * 2.0 ** np.arange(6))
+    def test_either_side_of_a_squaring_boundary(self, rng, boundary):
+        # one squaring more than the norm needs is what a loose bound costs
+        a = with_one_norm(rng.normal(size=(4, 16, 16)), boundary)
+        below, above = a[:2] * (1 - 1e-12), a[2:] * (1 + 1e-12)
+        norms = [np.abs(stack).sum(axis=-2).max() for stack in (below, above)]
+        assert _squarings(norms[1]) == _squarings(norms[0]) + 1
+        for stack in (below, above):
+            assert_matches_power_series(stack)
+            assert_matches_power_series(stack, extra_squarings=1)
+
+    def test_plan_exponents(self):
+        loop = wedge_loop(2, 1.3, 23.7)
+        noise = UNEQUAL_NOISE.with_lambda_sq(0.05)
+        plan = _loop_plan(loop, noise, default_step_count(loop))
+        for rows, coeffs, coherent, _ in plan.blocks(loop, noise.lambda_sq):
+            a = (coeffs @ rows).reshape(-1, 16, 16) + coherent
+            # the dissipator makes them non-normal: [a, a^T] != 0
+            assert np.abs(a @ a.transpose(0, 2, 1) - a.transpose(0, 2, 1) @ a).max() > 1e-5
+            assert_matches_power_series(a)
+
+
+def direct_exponent_norms(loop, lambda_sqs, noise, steps):
+    """Per arc: the largest 1-norm in real coordinates of each step's Magnus
+    exponent at each coupling in lambda_sqs, one row per coupling, with the
+    exponents formed one superoperator at a time in the vec basis."""
+    unit = noise.with_lambda_sq(1.0)
+    for arc, n, h, l_unit in _arc_pieces(loop, steps):
+        gauss = (np.arange(n)[:, None] + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
+        d = vec_dissipators(arc, gauss.ravel(), unit)
+        rows = []
+        for lambda_sq in lambda_sqs:
+            a1, a2 = l_unit + lambda_sq * d[0::2], l_unit + lambda_sq * d[1::2]
+            real = (_BASIS.conj().T @ magnus_exponents(a1, a2, h) @ _BASIS).real
+            rows.append(np.abs(real).sum(axis=-2).max(axis=-1))
+        yield np.array(rows)
+
+
+class TestSquaringBound:
+    """The plan's bound on each block's exponent norms, which sets its
+    squarings before the exponents are formed."""
+
+    @pytest.mark.parametrize("wedge", [1, 2, 3])
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_bound_holds_and_costs_at_most_one_squaring(self, wedge, noise):
+        lambda_sqs = (0.0, 1e-3, 0.01, 0.05)
+        for omega_tau in (0.25, 18.251, 60.0, 240.0):
+            loop = wedge_loop(wedge, 1.0, omega_tau)
+            steps = default_step_count(loop)
+            plan = _loop_plan(loop, noise, steps)
+            norms = np.concatenate([
+                arc_norms[:, first:first + _BLOCK_STEPS].max(axis=1)[:, None]
+                for arc_norms in direct_exponent_norms(loop, lambda_sqs, noise, steps)
+                for first in range(0, arc_norms.shape[1], _BLOCK_STEPS)
+            ], axis=1)
+            for lambda_sq, exact in zip(lambda_sqs, norms):
+                bounds = [bound for *_, bound in plan.blocks(loop, lambda_sq)]
+                assert len(bounds) == len(exact)
+                for bound, norm in zip(bounds, exact):
+                    # to rounding: at lambda^2 = 0 the bound is the norm
+                    assert bound >= norm * (1 - 1e-14)
+                    assert _squarings(bound) <= _squarings(norm) + 1
+
+
+# wedge:1 and wedge:3 with the flat table, wedge:2 at Omega = 1.3 with
+# uneven rates and Lamb shifts, and the reversed standard loop with the
+# same uneven table
+LAB_CASES = [
+    (standard_not_loop(1.0, 18.251), high_temperature_noise(0.05)),
+    (wedge_loop(2, 1.3, 23.7), UNEQUAL_NOISE.with_lambda_sq(0.05)),
+    (reverse_loop(standard_not_loop(1.0, 18.251)), UNEQUAL_NOISE.with_lambda_sq(0.05)),
+    (wedge_loop(3, 1.0, 30.0), high_temperature_noise(0.05)),
+]
+
+
+class TestLabBasisOracle:
+    """The channel and its mean fidelity against lab_channel_phi, which
+    builds no frame: only the two endpoint frames map the channel to the
+    lab basis. At 1,000 steps the oracle is within 7.1e-10 of itself at
+    4,000 steps, and the channel at default steps is 7e-10 to 1.9e-9 from
+    it. Flipping the sign of one Lamb shift moves Phi by 0.018 or more on
+    the uneven-table cases."""
+
+    @pytest.mark.parametrize(("loop", "noise"), LAB_CASES)
+    def test_channel_matches_the_lab_basis_oracle(self, loop, noise):
+        f0 = eigenframe(loop.start_point()).matrix
+        f1 = eigenframe(loop.end_point()).matrix
+        phi = np.kron(f1, f1.conj()) @ loop_channel(loop, noise).phi @ np.kron(f0.conj().T, f0.T)
+        reference = lab_channel_phi(loop, noise, 1000)
+        assert np.abs(phi - reference).max() <= 1e-8
+        # the exact Bloch average over the octahedron's six dark inputs
+        psi = OCTAHEDRON @ start_frame(loop).dark.T
+        inputs = np.einsum("ni,nj->nij", psi, psi.conj()).reshape(6, 16)
+        out = (inputs @ reference.T).reshape(6, 4, 4)
+        target = psi @ adiabatic_gate(loop).matrix.T
+        fidelity = np.einsum("ni,nij,nj->n", target.conj(), out, target).real.mean()
+        assert abs(fidelity - mean_fidelity(loop, noise)) <= 1e-9
