@@ -138,15 +138,6 @@ class OptimalPoint:
     bracket: tuple[float, float]
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "tau_star": self.tau_star,
-            "f_star": self.f_star,
-            "lambda_sq": self.lambda_sq,
-            "bracket": list(self.bracket),
-            "tolerance": self.tolerance,
-        }
-
 
 def _brent_max(fn, a: float, b: float, points, tol: float) -> tuple[float, float]:
     """Brent's method for the maximum of fn inside the bracket (a, b):
@@ -262,17 +253,6 @@ class FitResult:
             if c.name == name:
                 return c.value
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "intercept": self.intercept,
-            "coefficients": [
-                {"name": c.name, "value": c.value, "stderr": c.stderr}
-                for c in self.coefficients
-            ],
-            "residual_norm": self.residual_norm,
-        }
 
 
 def fit_noise_response(

@@ -342,9 +342,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     doc = {
         "config": _write_run_config(out_dir, cfg, "optimal", extras, noise),
-        "rows": [
-            {**p.to_dict(), "omega_tau_star": loop.omega_scale * p.tau_star} for p in points
-        ],
+        "rows": [{**asdict(p), "omega_tau_star": loop.omega_scale * p.tau_star} for p in points],
     }
     _write(out_dir / "optimal_points.json", _json_dump(doc))
     return EXIT_OK
@@ -392,7 +390,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_doc = {
         "config": _write_run_config(out_dir, cfg, "fit"),
-        "fits": {name: fit.to_dict() for name, fit in fits.items()},
+        "fits": {name: asdict(fit) for name, fit in fits.items()},
         "f_of_tau_slope": slope,
     }
     _write(out_dir / "fit_results.json", _json_dump(out_doc))

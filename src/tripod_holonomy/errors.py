@@ -26,8 +26,9 @@ class UnsupportedLoop(TripodError):
 
 
 class StepCountTooSmall(TripodError):
-    """Integrator resolution too low: a Magnus step with h ||A||_F >= pi,
-    trace drift above 1e-6, or a mean fidelity outside [0, 1]."""
+    """Integrator resolution too low or result unusable: a Magnus step with
+    h ||A||_F >= pi, checked before integrating, or a mean fidelity outside
+    [0, 1], which a NaN also fails."""
 
 
 class NoPeakInWindow(TripodError):

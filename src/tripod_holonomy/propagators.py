@@ -57,10 +57,11 @@ def _arc_generator(arc: ArcSegment) -> np.ndarray:
 
 
 def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
-    """Loop times omega_tau / Omega of a 1-d grid of positive Omega*tau."""
+    """Loop times omega_tau / Omega of a non-empty 1-d grid of positive Omega*tau."""
     omega_tau = np.asarray(omega_tau, dtype=float)
-    if omega_tau.ndim != 1 or not np.all(np.isfinite(omega_tau) & (omega_tau > 0)):
-        raise InvalidDuration("an Omega*tau grid must be a 1-d array of positive times")
+    positive = np.isfinite(omega_tau) & (omega_tau > 0)
+    if omega_tau.ndim != 1 or not omega_tau.size or not positive.all():
+        raise InvalidDuration("an Omega*tau grid must be a non-empty 1-d array of positive times")
     return omega_tau / loop.omega_scale
 
 

@@ -22,6 +22,7 @@ from tripod_holonomy import (
 from tripod_holonomy import analysis
 from tripod_holonomy.analysis import PEAK_TOL, sweep_curve_to_csv
 from tripod_holonomy.errors import (
+    InvalidDuration,
     ModelMismatch,
     NoPeakInWindow,
     StepCountTooSmall,
@@ -145,6 +146,12 @@ class TestBatchedNoiselessCurve:
             assert np.array_equal(batched, per_point)
             assert np.array_equal(mean_fidelity(loop, noise, steps=300, omega_tau=grid[1:2]),
                                   batched[1:2])
+
+    @pytest.mark.parametrize("lambda_sq", [0.0, 0.02], ids=["exact", "channel"])
+    def test_empty_grid_is_rejected_on_either_engine(self, lambda_sq):
+        with pytest.raises(InvalidDuration, match="non-empty"):
+            mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(lambda_sq),
+                          omega_tau=np.array([]))
 
     def test_dissipative_grid_defaults_steps_per_point(self, monkeypatch):
         used = []

@@ -13,6 +13,7 @@ import pytest
 import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
 from tripod_holonomy.cli import main
+from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
 
@@ -325,6 +326,22 @@ class TestSweepCommands:
         ], capsys)
         assert code == 3
         assert "outside [0, 1]" in out.err
+
+    def test_nan_channel_fails_the_range_check(self, tmp_path, capsys, monkeypatch):
+        # the range check is the only gate after integration: a non-finite
+        # Phi must stop both the library call and the command
+        monkeypatch.setattr(lindblad._ChannelPlan, "propagate",
+                            lambda plan, loop, lambda_sq: np.full((16, 16), np.nan))
+        loop = wedge_loop(1, 1.0, OMEGA_TAU_1)
+        with pytest.raises(StepCountTooSmall, match="outside"):
+            analysis.mean_fidelity(loop, high_temperature_noise(0.05))
+        code, out = run([
+            "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
+            "--out", str(tmp_path / "x"),
+        ], capsys)
+        assert code == 3
+        assert out.err.startswith("numerical validation failed: mean fidelity nan outside")
+        assert "Traceback" not in out.err
 
 
 class TestOptimalAndFit:

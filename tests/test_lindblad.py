@@ -73,6 +73,9 @@ CHANNEL_LOOPS = [
 ]
 TEST_NOISES = [high_temperature_noise(0.05), UNEQUAL_NOISE.with_lambda_sq(0.05)]
 
+# The trace functional in real coordinates: trace(sigma) = TRACE_ROW @ x.
+TRACE_ROW = (np.eye(4).reshape(-1) @ _BASIS).real
+
 
 def random_density(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -405,8 +408,10 @@ class TestEvolveDensity:
         assert abs(f_default - f_fine) <= 1e-9
 
     def test_channel_trace_defect_small_at_default_steps(self, not_loop):
-        ch = loop_channel(not_loop, high_temperature_noise(0.03))
-        assert ch.trace_defect() <= 1e-10
+        # worst-case |trace(out) - trace(in)| over unit-Frobenius inputs
+        phi = loop_channel(not_loop, high_temperature_noise(0.03)).phi
+        vec_identity = np.eye(4).reshape(-1)
+        assert np.linalg.norm(vec_identity @ phi - vec_identity) <= 1e-10
 
     def test_stacked_apply_matches_single_apply(self, not_loop, rng):
         ch = loop_channel(not_loop, high_temperature_noise(0.03))
@@ -456,6 +461,19 @@ class TestChannelPlan:
             terms = _dissipator_terms(rng.uniform(0.0, 1.0, 5), rng.normal(size=5))
             for l_g in l_gs:
                 assert not np.any(terms @ l_g.ravel())
+
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_trace_functional_annihilates_every_exponent_row(self, noise):
+        # t L_E = t L_G = 0 and t kills each Magnus basis row, so t kills
+        # every step exponent: each step exponential, and Phi, keeps the
+        # trace up to rounding, and no check after integration is needed
+        loops = [wedge_loop(n, 1.0, 18.251) for n in (1, 2, 3)]
+        for loop in loops + [reverse_loop(loop) for loop in loops]:
+            plan = _loop_plan(loop, noise, default_step_count(loop))
+            assert not np.any(TRACE_ROW @ plan.l_e)
+            for l_g, rows in zip(plan.l_g, plan.basis):
+                assert not np.any(TRACE_ROW @ l_g)
+                assert np.abs(TRACE_ROW @ rows.reshape(-1, 16, 16)).max() <= 1e-14
 
     @pytest.mark.parametrize(("wedge", "omega_tau", "taken"), [(1, 60.25, 144), (2, 18.0, 145)])
     def test_channel_records_the_steps_taken(self, wedge, omega_tau, taken):
