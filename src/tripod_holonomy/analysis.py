@@ -23,6 +23,7 @@ from .errors import (
 )
 from .lindblad import (
     NoiseModel,
+    _step_runs,
     default_step_count,
     high_temperature_noise,
     loop_channel,
@@ -42,7 +43,8 @@ def mean_fidelity(
     loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
 ) -> float | np.ndarray:
     """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)}; one value per
-    point of an Omega*tau grid (one channel per point under dissipative noise).
+    point of an Omega*tau grid (under dissipative noise, one channel pass per
+    run of points that share a step split).
     With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
     the dark block in start-frame coordinates against the target's dark block
     T, the closed-form holonomy, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i])
@@ -54,16 +56,24 @@ def mean_fidelity(
         # f0^dag f_end moves them to the start frame's
         closure = start_frame(loop).matrix.conj().T @ eigenframe(loop.end_point()).matrix
         v = target.conj().T @ closure[:2]
-        runs = [loop] if omega_tau is None else [
-            with_total_time(loop, t) for t in loop_times(loop, omega_tau)
-        ]
-        units = [loop_channel(run, noise, steps).phi.reshape(4, 4, 4, 4)[..., :2, :2]
-                 for run in runs]
-        y = np.einsum("ia,nabkl,jb->nijkl", v, np.array(units), v.conj())
+        if omega_tau is None:
+            phi = loop_channel(loop, noise, steps).phi
+        else:
+            scales = (loop_times(loop, omega_tau) / loop.total_time).tolist()
+            phi = np.concatenate([
+                loop_channel(loop, noise, n, omega_tau[first:stop]).phi
+                for n, _, first, stop in _step_runs(loop, steps, scales)
+            ])
+        units = np.ascontiguousarray(phi.reshape(-1, 4, 4, 4, 4)[..., :2, :2])
+        y = np.einsum("ia,nabkl,jb->nijkl", v, units, v.conj())
     else:
         m = target.conj().T @ dark_block(loop_propagator(loop, omega_tau).matrix, loop)
         y = np.einsum("...ik,...jl->...ijkl", m, m.conj())
     value = (np.einsum("...ijij->...", y) + np.einsum("...jjii->...", y)).real / 6.0
+    broken = np.extract(~np.isfinite(value), value)
+    if broken.size:
+        # the Magnus gate has passed, so more steps cannot mend this
+        raise StepCountTooSmall(f"mean fidelity {broken[0]} is not finite: a numerical fault")
     outside = np.extract(~((value >= -1e-9) & (value <= 1.0 + 1e-9)), value)
     if outside.size:
         raise StepCountTooSmall(f"mean fidelity {outside[0]} outside [0, 1]; increase steps")
@@ -97,7 +107,8 @@ def sweep(
     each entry of lambda_sq_list. Each curve is one `mean_fidelity` call on
     the whole grid, in this process and in list order: a silent curve
     (lambda^2 = 0 or an all-zero table) from the stacked exact propagator,
-    a dissipative one from one channel per grid point.
+    a dissipative one from one channel pass per run of grid points that
+    share a step split.
     """
     grid = np.asarray(omega_tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:

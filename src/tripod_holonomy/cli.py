@@ -10,6 +10,7 @@ family included), 3 numerical-validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -81,7 +82,7 @@ class RunConfig:
         _check_number("gamma0", self.gamma0, minimum=0.0)
         if self.calibrate_f2 is not None:
             _check_number("calibrate_f2", self.calibrate_f2, minimum=0.0, strict=True)
-        # the channel plan keeps 8 KB of basis rows per step: at most 400 MB
+        # the channel plan keeps 6 KB of basis rows per step: at most 300 MB
         if self.steps is not None and not (_is_integer(self.steps) and 3 <= self.steps <= 50_000):
             raise ConfigError(f"steps must be an integer in [3, 50000], got {self.steps!r}")
         if self.grid is not None:
@@ -438,7 +439,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each of its flags costs a help formatter to build."""
     parser = argparse.ArgumentParser(
         prog="tripod-holonomy",
         description="Holonomic tripod gate simulator and analysis toolkit",

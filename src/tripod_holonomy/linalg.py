@@ -4,7 +4,8 @@
 through the spectral decomposition; no engine calls it, as both tripod
 exponentials are closed forms, and it stays for the benchmark harness,
 which binds it. Both take one matrix or a (..., n, n) stack. The ordered
-product of a stack of step maps serves both time-ordered engines.
+product of a stack of step maps, or of each of a batch of them, serves
+both time-ordered engines.
 """
 
 from __future__ import annotations
@@ -47,10 +48,13 @@ def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
 
 
 def _ordered_product(stack: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Product stack[n-1] @ ... @ stack[0] by pairwise tree reduction. The
-    levels alternate between stack and spare, which holds at least
-    ceil(n / 2) matrices; both are overwritten, and the result is a view
-    into one of them."""
+    """Product stack[n-1] @ ... @ stack[0] of an (n, d, d) stack by
+    pairwise tree reduction, or the (b, d, d) products of the stacks of a
+    (b, n, d, d) batch, reduced steps first. The levels alternate between
+    stack and spare, of the same shape but for at least ceil(n / 2) steps;
+    both are overwritten, and the result is a view into one of them."""
+    if stack.ndim == 4:
+        stack, spare = stack.swapaxes(0, 1), spare.swapaxes(0, 1)
     while len(stack) > 1:
         half, odd = divmod(len(stack), 2)
         np.matmul(stack[1 : 2 * half : 2], stack[0 : 2 * half : 2], out=spare[:half])

@@ -33,14 +33,18 @@ the loop time and lambda^2 comes from a channel plan (_ChannelPlan), built
 once per Omega, loop shape (the arcs at unit duration), step split and
 rate table; the last plan is kept. It also holds the 1-norm of every
 basis row, so each block of steps takes its squaring count from a bound
-and forms its exponents already scaled. Its workspace holds the step
-exponentials and their pairwise tree product, so a process runs one
-channel at a time. The series converges when h ||A||_2 < pi, so a step
-with h ||A||_F >= pi raises StepCountTooSmall before any exponential is
-taken; it is the only gate that sees an under-resolved run. Phi preserves
-the trace by construction, not by a check: the trace functional annihilates
-L_E, L_G and every dissipator term, hence every Magnus exponent, and so
-every step exponential fixes it up to rounding.
+and forms its exponents already scaled. One plan serves a whole grid of
+loop times that share a step split: per block, consecutive points with the
+same squarings are formed, exponentiated and multiplied together, and
+each point's Phi is bit for bit that of its own call. Its workspace holds
+the step exponentials and their pairwise tree products, so a process runs
+one channel at a time. The series converges when h ||A||_2 < pi, so a step
+with h ||A||_F >= pi, at any point of the grid, raises StepCountTooSmall
+before any exponential is taken; it is the only gate that sees an
+under-resolved run. Phi preserves the trace by construction, not by a
+check: the trace functional annihilates L_E, L_G and every dissipator
+term, hence every Magnus exponent, and so every step exponential fixes it
+up to rounding.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .linalg import _ordered_product
-from .loops import LoopSpec, _number
-from .propagators import _arc_generator
+from .loops import ArcSegment, LoopSpec, _number
+from .propagators import _arc_generator, loop_times
 from .tripod import DIM, FRAME_ENERGY, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
 FREQUENCY_MULTIPLES = (0, 1, -1, 2, -2)
@@ -75,9 +79,9 @@ _SAME_FREQ = _FREQ[:, None, :, None] == _FREQ[None, :, None, :]
 _EXCITED_ROW = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2.0)
 _TERM_PAIRS = np.triu_indices(DIM)
 
-# Steps exponentiated at once, at most: the eight workspace buffers take
-# 16 KB per step, so a block stays in cache and the workspace is bounded
-# whatever the step count.
+# Steps of an arc per block, and steps exponentiated at once, at most: the
+# eight workspace buffers take 16 KB per step, so a block stays in cache and
+# the workspace is bounded whatever the step count and grid.
 _BLOCK_STEPS = 128
 
 # Gauss-Legendre nodes of the Magnus step, as fractions of the step, and the
@@ -159,6 +163,10 @@ def noise_from_dict(doc: dict) -> NoiseModel:
 # ---------------------------------------------------------------------------
 
 
+def _default_steps(omega: float, total_time: float) -> int:
+    return max(144, int(np.ceil(2.4 * omega * total_time)))
+
+
 def default_step_count(loop: LoopSpec) -> int:
     """Resolution of the Magnus-4 integration: 2.4 steps per unit of
     Omega*tau, at least 144 (48 per arc of a wedge loop), split across
@@ -168,7 +176,7 @@ def default_step_count(loop: LoopSpec) -> int:
     against RK4 at 8 x 60 steps per unit of Omega*tau (at least 8,000),
     the largest error of a Phi entry is 2.2e-9 (RK4 at 60 per unit:
     1.1e-6), and the mean fidelity moves by at most 1.4e-10."""
-    return max(144, int(np.ceil(2.4 * loop.omega_scale * loop.total_time)))
+    return _default_steps(loop.omega_scale, loop.total_time)
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -294,19 +302,21 @@ class _ChannelPlan:
     plus a step workspace that every integration reuses.
 
     With D the dissipator at lambda^2 = 1 at a step's two Gauss points,
-    Sigma = D1 + D2, Delta = D1 - D2, P = [L_E, Delta], Q = [L_G, Delta]
-    and C = [D2, D1], the 4th-order Magnus exponent h/2 (A1 + A2) +
-    (sqrt(3) h^2 / 12) [A2, A1] of A = L_E + L_G / duration + lambda^2 D
-    is exactly h L_E + L_G / n + lambda^2 (h/2 Sigma + c h^2 P + c h/n Q)
-    + lambda^4 c h^2 C, with c = sqrt(3) / 12. L_E is -i[Omega E, .], and
-    L_G is -i[duration G, .], built from the unit arc, since G scales as
-    1 / duration. The Gauss points sit at the fixed fractions
-    u = (j + 1/2 -+ sqrt(3)/6) / n of the arc, so the rows Sigma, P, Q and
-    C are the same for every loop time and coupling. D is a fixed
-    quadratic form w @ K in the frame's |0> row, so each row is one
-    product of the steps' weights with the commutators of the ten terms K.
-    The gate's ||A||^2 leaves out <L_E, L_G>, zero since E is diagonal and
-    G has a zero diagonal, and <L_G, D>, zero term by term.
+    Sigma = D1 + D2, Delta = D1 - D2, Q = [L_G, Delta] and C = [D2, D1],
+    the 4th-order Magnus exponent h/2 (A1 + A2) + (sqrt(3) h^2 / 12)
+    [A2, A1] of A = L_E + L_G / duration + lambda^2 D is exactly
+    h L_E + L_G / n + lambda^2 (h/2 Sigma + c h/n Q) + lambda^4 c h^2 C,
+    with c = sqrt(3) / 12. L_E is -i[Omega E, .], and L_G is
+    -i[duration G, .], built from the unit arc, since G scales as
+    1 / duration. Each A_k keeps the elements of one frequency, so the
+    dissipator commutes with L_E and the term c h^2 [L_E, Delta] is
+    exactly zero. The Gauss points sit at the fixed fractions
+    u = (j + 1/2 -+ sqrt(3)/6) / n of the arc, so the rows Sigma, Q and C
+    are the same for every loop time and coupling. D is a fixed quadratic
+    form w @ K in the frame's |0> row, so each row is one product of the
+    steps' weights with the commutators of the ten terms K. The gate's
+    ||A||^2 leaves out <L_E, L_G>, zero since E is diagonal and G has a
+    zero diagonal, and <L_G, D>, zero term by term.
     """
 
     def __init__(self, omega: float, arcs: tuple, counts: tuple, gamma: tuple,
@@ -317,72 +327,120 @@ class _ChannelPlan:
         self.counts = counts
         self.l_e = _real_superop(_commutator_superop(np.diag(omega * FRAME_ENERGY)))
         self.ee = np.vdot(self.l_e, self.l_e)
-        e_terms = _commutator(self.l_e, k).reshape(len(k), -1)
         pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
         term_gram = terms @ terms.T
         self.l_g, self.basis, self.norms, self.gram = [], [], [], []
-        for arc, n in zip(arcs, counts):
+        for (kind, *angles), n in zip(arcs, counts):
+            arc = ArcSegment(kind, *angles, duration=1.0)
             l_g = _real_superop(_commutator_superop(_arc_generator(arc)))
             g_terms = _commutator(l_g, k).reshape(len(k), -1)
             w = _term_weights(arc, ((np.arange(n)[:, None] + _GAUSS_NODES) / n).ravel())
             w1, w2 = w[0::2], w[1::2]
-            basis = np.empty((4, n, DIM**4))
+            basis = np.empty((3, n, DIM**4))
             np.matmul(w1 + w2, terms, out=basis[0])
-            np.matmul(w1 - w2, e_terms, out=basis[1])
-            np.matmul(w1 - w2, g_terms, out=basis[2])
-            np.matmul(w2[:, a] * w1[:, b] - w2[:, b] * w1[:, a], pair_terms, out=basis[3])
-            self.basis.append(basis.reshape(4, -1))
+            np.matmul(w1 - w2, g_terms, out=basis[1])
+            np.matmul(w2[:, a] * w1[:, b] - w2[:, b] * w1[:, a], pair_terms, out=basis[2])
+            self.basis.append(basis.reshape(3, -1))
             self.norms.append(np.array([(np.ones(DIM**2) @ np.abs(row)).max(axis=-1)
-                                        for row in basis.reshape(4, n, DIM**2, DIM**2)]))
-            # <L_E, D> and ||D||^2 at each Gauss point, and ||L_G||^2
-            self.gram.append((
-                np.stack([w @ (terms @ self.l_e.ravel()), np.einsum("ia,ab,ib->i", w, term_gram, w)]),
-                np.vdot(l_g, l_g),
-            ))
+                                        for row in basis.reshape(3, n, DIM**2, DIM**2)]))
+            # <L_E, D> and ||D||^2 at each Gauss point
+            self.gram.append(np.stack([w @ (terms @ self.l_e.ravel()),
+                                       np.einsum("ia,ab,ib->i", w, term_gram, w)]))
             self.l_g.append(l_g)
-        self.work = np.empty((8, min(max(counts), _BLOCK_STEPS), DIM**2, DIM**2))
+        # the Gauss points of all arcs in one row, each arc's first at arc_starts
+        self.gram = np.concatenate(self.gram, axis=1)
+        self.arc_starts = 2 * np.cumsum((0, *counts[:-1]))
+        # per arc, as columns: the step count, ||L_G||^2, the coherent part
+        # L_G / n of every step and the fixed factors of the coefficients
+        self.steps = np.array(counts)[:, None]
+        self.gg = np.array([np.vdot(l_g, l_g) for l_g in self.l_g])[:, None]
+        self.l_g_step = np.array([l_g.ravel() / n for l_g, n in zip(self.l_g, counts)])[:, None]
+        self.factors = np.array([[0.5, np.sqrt(3.0) / 12.0 / n, 0.0] for n in counts])[:, None]
+        # room for as many whole points' blocks as fit in _BLOCK_STEPS steps
+        sizes = {min(n - first, _BLOCK_STEPS) for n in counts
+                 for first in range(0, n, _BLOCK_STEPS)}
+        width = max(m * max(1, _BLOCK_STEPS // m) for m in sizes)
+        self.work = np.empty((8, width, DIM**2, DIM**2))
         self.work[2] = np.eye(DIM**2)
+        self.flat_work = self.work[3:].reshape(-1)
 
-    def reach(self, loop: LoopSpec, lambda_sq: float) -> float:
-        """Largest h ||A||_F over the Gauss points of every step, from
-        ||A||^2 = ||L_E||^2 + ||L_G||^2 / duration^2 + 2 lambda^2 <L_E, D>
-        + lambda^4 ||D||^2."""
-        reach = 0.0
-        weights = np.array([2.0 * lambda_sq, lambda_sq**2])
-        for arc, n, (gram, gg) in zip(loop.arcs, self.counts, self.gram):
-            inv = 1.0 / arc.duration
-            square = self.ee + gg * inv * inv + (weights @ gram).max()
-            reach = max(reach, arc.duration / n * np.sqrt(square))
-        return reach
+    def reach(self, durations: np.ndarray, lambda_sq: float) -> np.ndarray:
+        """Largest h ||A||_F over the Gauss points of every step, at each
+        column of the arcs' durations (arcs, points): with h = duration / n
+        and ||A||^2 = ||L_E||^2 + ||L_G||^2 / duration^2 + 2 lambda^2
+        <L_E, D> + lambda^4 ||D||^2, the largest
+        sqrt(duration^2 (||L_E||^2 + max(...)) + ||L_G||^2) / n."""
+        worst = np.maximum.reduceat(np.array([2.0 * lambda_sq, lambda_sq**2]) @ self.gram,
+                                    self.arc_starts)[:, None]
+        square = durations * durations * (self.ee + worst) + self.gg
+        return (np.sqrt(square) / self.steps).max(axis=0)
 
-    def blocks(self, loop: LoopSpec, lambda_sq: float):
-        """Per block of at most _BLOCK_STEPS steps: its basis rows, the
-        coefficients and coherent part of its exponents, and the bound
-        ||h L_E + L_G / n||_1 + max_i sum_j |c_j| N_ij on their 1-norms."""
+    def blocks(self, durations: np.ndarray, lambda_sq: float):
+        """Per block of at most _BLOCK_STEPS steps: its basis rows, and at
+        each column of the arcs' durations (arcs, points) the coefficients
+        (points + 1, 3; the last row zero) and coherent parts (points, 256)
+        of its exponents and the bound ||h L_E + L_G / n||_1 +
+        max_i sum_j c_j N_ij on their 1-norms (no c_j is negative)."""
         c = np.sqrt(3.0) / 12.0
-        for arc, n, basis, norms, l_g in zip(loop.arcs, self.counts, self.basis, self.norms, self.l_g):
-            h = arc.duration / n
-            coherent = h * self.l_e + l_g / n
-            coeffs = lambda_sq * h * np.array([0.5, c * h, c / n, lambda_sq * c * h])
-            bounds = np.abs(coeffs) @ norms + np.abs(coherent).sum(axis=0).max()
+        h = durations / self.steps
+        coherent = h[:, :, None] * self.l_e.ravel() + self.l_g_step
+        # a spare zero row after the last point's
+        coeffs = np.zeros((len(h), h.shape[1] + 1, 3))
+        np.multiply(lambda_sq * h[:, :, None], self.factors, out=coeffs[:, :-1])
+        coeffs[:, :-1, 2] = lambda_sq * h * (lambda_sq * c * h)
+        coherent_norms = np.abs(coherent).reshape(*h.shape, DIM**2, DIM**2).sum(axis=2).max(axis=2)
+        for n, basis, norms, *arc in zip(self.counts, self.basis, self.norms, coeffs, coherent,
+                                         coherent_norms):
+            arc_coeffs, arc_coherent, coherent_norm = arc
+            bounds = (arc_coeffs[:-1, :, None] * norms).sum(axis=1) + coherent_norm[:, None]
             for first in range(0, n, _BLOCK_STEPS):
                 last = min(first + _BLOCK_STEPS, n)
-                yield (basis[:, first * DIM**4:last * DIM**4], coeffs, coherent,
-                       bounds[first:last].max())
+                yield (basis[:, first * DIM**4:last * DIM**4], arc_coeffs, arc_coherent,
+                       bounds[:, first:last].max(axis=1))
 
-    def propagate(self, loop: LoopSpec, lambda_sq: float) -> np.ndarray:
-        """Phi in real coordinates: each block's exponents, scaled by its
-        bound's squarings, are one product of coefficients and basis rows
-        plus the coherent part, exponentiated and multiplied in the workspace."""
-        phi = np.eye(DIM**2)
-        for rows, coeffs, coherent, bound in self.blocks(loop, lambda_sq):
-            powers = self.work[:3, :rows.shape[1] // DIM**4]
-            work = self.work[3:].reshape(-1)[:5 * powers[0].size].reshape(5, *powers[0].shape)
-            squarings = _squarings(bound)
-            scale = math.ldexp(1.0, -squarings)
-            np.matmul(coeffs * scale, rows, out=powers[0].reshape(-1))
-            powers[0] += coherent * scale
-            phi = _ordered_product(_expm(powers, work, squarings), work[0]) @ phi
+    def propagate(self, loop: LoopSpec, lambda_sq: float, scales: np.ndarray) -> np.ndarray:
+        """Phi in real coordinates at each duration scale of the loop, once
+        the Magnus gate has passed at every one. Per block, consecutive
+        points that share the squarings of their bounds go together, as many
+        as the workspace holds: their exponents, already scaled, are one
+        product of coefficients and basis rows plus the coherent parts,
+        exponentiated in one call and multiplied point by point."""
+        points = len(scales)
+        durations = np.array([arc.duration for arc in loop.arcs])[:, None] * scales
+        reach = self.reach(durations, lambda_sq)
+        if not (reach < np.pi).all():
+            first_failed = reach[~(reach < np.pi)][0]
+            raise StepCountTooSmall(
+                f"Magnus step h*|A|_F = {first_failed:.4g} not below pi; increase steps"
+            )
+        phi = np.empty((points, DIM**2, DIM**2))
+        for block, (rows, coeffs, coherent, bounds) in enumerate(self.blocks(durations, lambda_sq)):
+            m = rows.shape[1] // DIM**4
+            fit = len(self.work[0]) // m
+            squarings = [_squarings(bound) for bound in bounds.tolist()]
+            first = 0
+            while first < points:
+                s, stop = squarings[first], first + 1
+                while stop < min(first + fit, points) and squarings[stop] == s:
+                    stop += 1
+                scale, size = math.ldexp(1.0, -s), (stop - first) * m
+                # a one-row product takes another BLAS kernel, which rounds
+                # differently: where points can share a product, a lone one
+                # takes a spare row, so that it rounds as it does beside another
+                rows_used = max(stop - first, min(2, fit))
+                exps = self.work[0, :rows_used * m].reshape(rows_used, m, DIM**4)
+                np.matmul(coeffs[first:first + rows_used] * scale, rows,
+                          out=exps.reshape(rows_used, -1))
+                exps[:stop - first] += (coherent[first:stop] * scale)[:, None]
+                powers = self.work[:3, :size]
+                work = self.flat_work[:5 * powers[0].size].reshape(5, *powers[0].shape)
+                steps = _expm(powers, work, s)
+                if stop - first > 1:
+                    steps = steps.reshape(-1, m, DIM**2, DIM**2)
+                product = _ordered_product(steps, work[0].reshape(steps.shape))
+                # the first block's product is Phi so far: a product with I is exact
+                phi[first:stop] = product @ phi[first:stop] if block else product
+                first = stop
         return phi
 
 
@@ -390,23 +448,41 @@ class _ChannelPlan:
 _channel_plan = lru_cache(maxsize=1)(_ChannelPlan)
 
 
-def _loop_plan(loop: LoopSpec, noise: NoiseModel, steps: int) -> _ChannelPlan:
-    """The channel plan of a loop at a total step count, split across arcs
-    by duration."""
-    total = loop.total_time
-    arcs = tuple(replace(arc, duration=1.0) for arc in loop.arcs)
-    counts = tuple(max(1, int(round(steps * arc.duration / total))) for arc in loop.arcs)
+def _loop_plan(loop: LoopSpec, noise: NoiseModel, counts: tuple) -> _ChannelPlan:
+    """The channel plan of a loop's shape, its arcs without their
+    durations, at per-arc step counts."""
+    arcs = tuple((arc.kind, arc.fixed_angle, arc.start_angle, arc.end_angle) for arc in loop.arcs)
     rates = (tuple(get(k) for k in range(-2, 3)) for get in (noise.rate, noise.shift))
     return _channel_plan(loop.omega_scale, arcs, counts, *rates)
 
 
+def _step_runs(loop: LoopSpec, steps: int | None, scales) -> list:
+    """Runs of consecutive duration scales of the loop at which it takes the
+    same per-arc step counts: [steps, counts, first, stop] each, with steps
+    the total of the run's first point. Every point takes steps, by default
+    its default step count, split across arcs by duration."""
+    runs = []
+    for i, scale in enumerate(scales):
+        durations = [arc.duration * scale for arc in loop.arcs]
+        total = float(sum(durations))
+        n = _default_steps(loop.omega_scale, total) if steps is None else steps
+        counts = tuple(max(1, int(round(n * d / total))) for d in durations)
+        if runs and runs[-1][1] == counts:
+            runs[-1][3] = i + 1
+        else:
+            runs.append([n, counts, i, i + 1])
+    return runs
+
+
 @dataclass(frozen=True)
 class LoopChannel:
-    """Propagated quantum channel of a full loop at fixed noise.
+    """Propagated quantum channel of a full loop at fixed noise, or of the
+    loop at each time of an Omega*tau grid.
 
     phi is the 16x16 superoperator propagator in start-frame coordinates,
-    trace-preserving to rounding by construction (see the module docstring);
-    steps is the number of Magnus steps taken, the per-arc counts summed;
+    or the (n, 16, 16) stack over the grid, trace-preserving to rounding
+    by construction (see the module docstring); steps is the number of
+    Magnus steps taken, the per-arc counts summed over arcs and points;
     apply() maps initial lab-frame density matrices to the final ones.
     """
 
@@ -416,26 +492,31 @@ class LoopChannel:
 
     def apply(self, sigma0_lab: np.ndarray) -> np.ndarray:
         """Map a 4x4 density matrix, or a stack of shape (..., 4, 4), to
-        the final state(s); both frames are built once per call."""
+        the final state(s), with a leading grid axis for a grid's channel;
+        both frames are built once per call."""
         f_start = eigenframe(self.loop.start_point()).matrix
         f_end = eigenframe(self.loop.end_point()).matrix
         sigma_frame = f_start.conj().T @ sigma0_lab @ f_start
-        vec = sigma_frame.reshape(*sigma_frame.shape[:-2], DIM * DIM)
-        final_frame = (vec @ self.phi.T).reshape(sigma_frame.shape)
+        vec = sigma_frame.reshape(-1, DIM * DIM)
+        final_frame = (vec @ np.swapaxes(self.phi, -1, -2)).reshape(
+            *self.phi.shape[:-2], *sigma_frame.shape)
         return f_end @ final_frame @ f_end.conj().T
 
 
-def loop_channel(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> LoopChannel:
-    """Integrate the transport-picture master equation over the loop; each
-    arc hands the next its end frame."""
-    if steps is None:
-        steps = default_step_count(loop)
-    if steps < len(loop.arcs):
+def loop_channel(
+    loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
+) -> LoopChannel:
+    """Integrate the transport-picture master equation over the loop, or
+    over the loop at each time of a 1-d Omega*tau grid (one pass for each
+    run of points that share a step split); each arc hands the next its
+    end frame. Each point takes steps, by default its own default count."""
+    if steps is not None and steps < len(loop.arcs):
         raise StepCountTooSmall(f"need at least one step per arc, got {steps}")
-    plan = _loop_plan(loop, noise, steps)
-    # the Magnus series converges when h ||A||_2 < pi; ||A||_F bounds ||A||_2
-    reach = plan.reach(loop, noise.lambda_sq)
-    if not reach < np.pi:
-        raise StepCountTooSmall(f"Magnus step h*|A|_F = {reach:.4g} not below pi; increase steps")
-    phi = plan.propagate(loop, noise.lambda_sq)
-    return LoopChannel(loop=loop, steps=sum(plan.counts), phi=_BASIS @ phi @ _BASIS.conj().T)
+    scales = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
+    phi, taken = [], 0
+    for _, counts, first, stop in _step_runs(loop, steps, scales.tolist()):
+        plan = _loop_plan(loop, noise, counts)
+        phi.append(plan.propagate(loop, noise.lambda_sq, scales[first:stop]))
+        taken += sum(counts) * (stop - first)
+    phi = _BASIS @ (phi[0] if len(phi) == 1 else np.concatenate(phi)) @ _BASIS.conj().T
+    return LoopChannel(loop=loop, steps=taken, phi=phi[0] if omega_tau is None else phi)

@@ -85,13 +85,16 @@ def _frame_columns(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    z = np.zeros_like(st)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    d0 = np.stack([cp, -sp, z, z], axis=-1)
-    d1 = np.stack([ct * sp, ct * cp, -st, z], axis=-1)
-    dp = inv_sqrt2 * np.stack([st * sp, st * cp, ct, z + 1.0], axis=-1)
-    dm = inv_sqrt2 * np.stack([st * sp, st * cp, ct, z - 1.0], axis=-1)
-    return np.stack([d0, d1, dp, dm], axis=-1)
+    # columns (D0, D1, D+, D-); D+ and D- differ only in their |e> entry
+    f = np.zeros(st.shape + (DIM, DIM))
+    f[..., 0, 0], f[..., 1, 0] = cp, -sp
+    f[..., 0, 1], f[..., 1, 1], f[..., 2, 1] = ct * sp, ct * cp, -st
+    f[..., 0, 2] = f[..., 0, 3] = inv_sqrt2 * (st * sp)
+    f[..., 1, 2] = f[..., 1, 3] = inv_sqrt2 * (st * cp)
+    f[..., 2, 2] = f[..., 2, 3] = inv_sqrt2 * ct
+    f[..., 3, 2], f[..., 3, 3] = inv_sqrt2, -inv_sqrt2
+    return f
 
 
 def eigenframe(p: SphericalPoint) -> EigenFrame:

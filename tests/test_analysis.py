@@ -156,9 +156,9 @@ class TestBatchedNoiselessCurve:
     def test_dissipative_grid_defaults_steps_per_point(self, monkeypatch):
         used = []
 
-        def recording(run, noise, steps=None):
+        def recording(run, noise, steps=None, omega_tau=None):
             used.append(default_step_count(run) if steps is None else steps)
-            return loop_channel(run, noise, steps)
+            return loop_channel(run, noise, steps, omega_tau)
 
         monkeypatch.setattr(analysis, "loop_channel", recording)
         grid = np.array([6.0, 120.0])
@@ -168,9 +168,9 @@ class TestBatchedNoiselessCurve:
     def test_range_check_applies_to_each_point(self, monkeypatch):
         # the middle point's map is scaled by 1.5^2 in both engines, so its
         # fidelity leaves [0, 1]
-        def scaled_channel(run, noise, steps=None):
-            channel = loop_channel(run, noise, 200)
-            return replace(channel, phi=next(scales) ** 2 * channel.phi)
+        def scaled_channel(run, noise, steps=None, omega_tau=None):
+            channel = loop_channel(run, noise, 200, omega_tau)
+            return replace(channel, phi=scales[:, None, None] ** 2 * channel.phi)
 
         def scaled_propagator(loop, omega_tau):
             stack = loop_propagator(loop, omega_tau).matrix
@@ -179,8 +179,8 @@ class TestBatchedNoiselessCurve:
         monkeypatch.setattr(analysis, "loop_channel", scaled_channel)
         monkeypatch.setattr(analysis, "loop_propagator", scaled_propagator)
         grid = np.array([17.0, OMEGA_TAU_1, 19.0])
+        scales = np.array([1.0, 1.5, 1.0])
         for noise in (high_temperature_noise(0.0), high_temperature_noise(0.02)):
-            scales = iter([1.0, 1.5, 1.0])
             with pytest.raises(StepCountTooSmall, match="outside"):
                 mean_fidelity(wedge_loop(1, 1.0, 1.0), noise, omega_tau=grid)
 

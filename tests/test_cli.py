@@ -12,7 +12,7 @@ import pytest
 
 import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
-from tripod_holonomy.cli import main
+from tripod_holonomy.cli import build_parser, main
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
@@ -315,8 +315,8 @@ class TestSweepCommands:
 
     def test_out_of_range_fidelity_exits_3(self, tmp_path, capsys, monkeypatch):
         # a channel scaled by 1.5^2 gives a fidelity above 1
-        def scaled_channel(run, noise, steps=None):
-            channel = lindblad.loop_channel(run, noise, steps)
+        def scaled_channel(run, noise, steps=None, omega_tau=None):
+            channel = lindblad.loop_channel(run, noise, steps, omega_tau)
             return dataclasses.replace(channel, phi=1.5 ** 2 * channel.phi)
 
         monkeypatch.setattr(analysis, "loop_channel", scaled_channel)
@@ -329,19 +329,23 @@ class TestSweepCommands:
 
     def test_nan_channel_fails_the_range_check(self, tmp_path, capsys, monkeypatch):
         # the range check is the only gate after integration: a non-finite
-        # Phi must stop both the library call and the command
+        # Phi must stop both the library call and the command, and must not
+        # be blamed on the step count, which the Magnus gate has passed
         monkeypatch.setattr(lindblad._ChannelPlan, "propagate",
-                            lambda plan, loop, lambda_sq: np.full((16, 16), np.nan))
+                            lambda plan, loop, lambda_sq, scales:
+                            np.full((len(scales), 16, 16), np.nan))
         loop = wedge_loop(1, 1.0, OMEGA_TAU_1)
-        with pytest.raises(StepCountTooSmall, match="outside"):
+        with pytest.raises(StepCountTooSmall, match="not finite"):
             analysis.mean_fidelity(loop, high_temperature_noise(0.05))
         code, out = run([
             "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
             "--out", str(tmp_path / "x"),
         ], capsys)
         assert code == 3
-        assert out.err.startswith("numerical validation failed: mean fidelity nan outside")
-        assert "Traceback" not in out.err
+        assert out.err == (
+            "numerical validation failed: mean fidelity nan is not finite: a numerical fault\n"
+        )
+        assert "increase steps" not in out.err
 
 
 class TestOptimalAndFit:
@@ -642,6 +646,28 @@ class TestCalibration:
 
 
 class TestDeterminismAndRoundTrip:
+    def test_parser_built_once_serves_every_call_alike(self, tmp_path):
+        # a rejected flag, then two commands, in one process on the cached
+        # parser and again on a parser built afresh for each call
+        assert build_parser() is build_parser()
+        out = tmp_path / "out"
+        calls = [
+            ["ideal-sweep", "--grid", "6:42:13", "--bogus", "--out", str(out / "bad")],
+            ["ideal-sweep", "--grid", "6:42:13", "--out", str(out / "ideal")],
+            ["optimal", "--lambda-sq", "1e-3", "--out", str(out / "opt")],
+        ]
+        written = []
+        for fresh in (False, True):
+            for argv, code in zip(calls, (2, 0, 0)):
+                if fresh:
+                    build_parser.cache_clear()
+                assert main(argv) == code
+            written.append({p.relative_to(out): p.read_bytes()
+                            for p in out.rglob("*") if p.is_file()})
+            shutil.rmtree(out)
+        assert written[0] == written[1]
+        assert len(written[0]) == 5
+
     def test_identical_config_identical_bytes(self, tmp_path):
         args = ["ideal-sweep", "--grid", "17:20:4"]
         a, b = tmp_path / "a", tmp_path / "b"

@@ -18,6 +18,7 @@ from tripod_holonomy import (
     wedge_loop,
     with_total_time,
 )
+from tripod_holonomy import lindblad
 from tripod_holonomy.analysis import DEFAULT_FIT_LAMBDAS, optimal_point_table
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import (
@@ -34,6 +35,7 @@ from tripod_holonomy.lindblad import (
     _loop_plan,
     _real_superop,
     _squarings,
+    _step_runs,
     _term_weights,
     default_step_count,
     noise_from_dict,
@@ -422,6 +424,13 @@ class TestEvolveDensity:
             np.testing.assert_allclose(got, ch.apply(sigma), rtol=0, atol=1e-14)
 
 
+def plan_of(loop, noise, steps):
+    """The channel plan of the loop at a total step count, and the
+    durations of its arcs as one column (arcs, 1)."""
+    (_, counts, _, _), = _step_runs(loop, steps, [1.0])
+    return _loop_plan(loop, noise, counts), np.array([[arc.duration] for arc in loop.arcs])
+
+
 def direct_reach(loop, noise, steps):
     """Largest h ||A||_F over every Gauss point, with A = L_arc + lambda^2 D
     formed one superoperator at a time in the vec basis, where the
@@ -445,7 +454,8 @@ class TestChannelPlan:
             loop = wedge_loop(wedge, 1.0, omega_tau)
             steps = default_step_count(loop)
             expected = direct_reach(loop, noise, steps)
-            got = _loop_plan(loop, noise, steps).reach(loop, noise.lambda_sq)
+            plan, durations = plan_of(loop, noise, steps)
+            (got,) = plan.reach(durations, noise.lambda_sq)
             assert abs(got - expected) <= 1e-12 * expected
 
     def test_dropped_gram_terms_are_exactly_zero(self, rng):
@@ -462,6 +472,16 @@ class TestChannelPlan:
             for l_g in l_gs:
                 assert not np.any(terms @ l_g.ravel())
 
+    def test_dissipator_terms_commute_with_the_frame_energy(self, rng):
+        # each A_k keeps the elements of one frequency, so [L_E, K_pq] is
+        # exactly 0.0 and the plan keeps no Magnus row [L_E, Delta]
+        for _ in range(50):
+            omega = rng.uniform(0.1, 5.0)
+            l_e = _real_superop(_commutator_superop(np.diag(omega * FRAME_ENERGY)))
+            terms = _dissipator_terms(rng.uniform(0.0, 1.0, 5), rng.normal(size=5))
+            k = terms.reshape(-1, 16, 16)
+            assert not np.any(l_e @ k - k @ l_e)
+
     @pytest.mark.parametrize("noise", TEST_NOISES)
     def test_trace_functional_annihilates_every_exponent_row(self, noise):
         # t L_E = t L_G = 0 and t kills each Magnus basis row, so t kills
@@ -469,7 +489,7 @@ class TestChannelPlan:
         # trace up to rounding, and no check after integration is needed
         loops = [wedge_loop(n, 1.0, 18.251) for n in (1, 2, 3)]
         for loop in loops + [reverse_loop(loop) for loop in loops]:
-            plan = _loop_plan(loop, noise, default_step_count(loop))
+            plan, _ = plan_of(loop, noise, default_step_count(loop))
             assert not np.any(TRACE_ROW @ plan.l_e)
             for l_g, rows in zip(plan.l_g, plan.basis):
                 assert not np.any(TRACE_ROW @ l_g)
@@ -536,6 +556,110 @@ class TestChannelPlan:
         assert _channel_plan.cache_info().misses == 1
 
 
+def per_point_phis(loop, noise, grid, steps=None):
+    """Phi of one loop_channel call per point of an Omega*tau grid."""
+    return np.array([
+        loop_channel(with_total_time(loop, ot / loop.omega_scale), noise, steps).phi
+        for ot in grid
+    ])
+
+
+class TestGridPass:
+    """One loop_channel call over an Omega*tau grid gives each point's Phi
+    bit for bit as its own call does, in one pass per run of points that
+    share a step split."""
+
+    @pytest.mark.parametrize("wedge", [1, 2, 3])
+    @pytest.mark.parametrize("noise", TEST_NOISES)
+    def test_grid_matches_per_point_calls(self, wedge, noise):
+        loop, grid = wedge_loop(wedge, 1.0, 1.0), np.linspace(0.25, 60.25, 13)
+        channel = loop_channel(loop, noise, omega_tau=grid)
+        expected = per_point_phis(loop, noise, grid)
+        assert channel.phi.shape == (13, 16, 16)
+        assert np.array_equal(channel.phi, expected)
+        single = [loop_channel(with_total_time(loop, ot), noise).steps for ot in grid]
+        assert channel.steps == sum(single)
+
+    def test_mixed_split_grid(self):
+        loop, noise = wedge_loop(1, 1.0, 1.0), UNEQUAL_NOISE.with_lambda_sq(0.05)
+        grid = np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])
+        runs = _step_runs(loop, None, (grid / loop.total_time).tolist())
+        assert [(first, stop) for *_, first, stop in runs] == [(0, 3), (3, 4), (4, 5), (5, 6)]
+        channel = loop_channel(loop, noise, omega_tau=grid)
+        assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
+        assert channel.steps == sum(default_step_count(with_total_time(loop, ot)) for ot in grid)
+
+    def test_multi_block_grid(self):
+        # every arc spans three full blocks and a partial one, one point per chunk
+        loop, noise = MULTI_BLOCK_LOOP, high_temperature_noise(0.05)
+        steps = default_step_count(loop)
+        grid = loop.omega_scale * loop.total_time * np.array([0.99, 1.0])
+        channel = loop_channel(loop, noise, steps, omega_tau=grid)
+        assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid, steps))
+
+    def test_points_astride_a_squaring_boundary(self):
+        # at lambda^2 = 0.05 the blocks of Omega*tau 10.5 take no squaring
+        # and those of 11.0 one (24.5 and 25.0: one and two): each point of
+        # a pair that could share an exponential keeps its own squarings
+        loop, noise = wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.05)
+        grid = np.array([10.5, 11.0, 24.5, 25.0])
+        plan, durations = plan_of(loop, noise, 144)
+        for rows, _, _, bounds in plan.blocks(durations * grid, noise.lambda_sq):
+            assert len(plan.work[0]) // (rows.shape[1] // 256) >= 2
+            assert [_squarings(b) for b in bounds] == [0, 1, 1, 2]
+        channel = loop_channel(loop, noise, omega_tau=grid)
+        assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
+
+    def test_a_lone_point_rounds_as_one_of_a_pair(self):
+        # here a point's exponents from a one-row product differ from those
+        # of a two-row one in a few last bits; the call at Omega*tau 30
+        # alone must match the grid, where it shares its products with 42
+        loop, noise = wedge_loop(3, 1.0, 1.0), high_temperature_noise(0.3)
+        grid = np.array([30.0, 42.0])
+        channel = loop_channel(loop, noise, omega_tau=grid)
+        assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
+
+    def test_gate_reads_the_failing_point_before_any_exponential(self, monkeypatch):
+        # 20 steps per arc pass the gate at Omega*tau 18.25 and 30 (h*|A|_F
+        # 1.26 and 2.02), not at 2000, the grid's last point: the message
+        # reads that point's reach
+        loop, noise = standard_not_loop(1.0, 1.0), high_temperature_noise(0.05)
+        with pytest.raises(StepCountTooSmall) as alone:
+            loop_channel(with_total_time(loop, 2000.0), noise, steps=60)
+        assert "133.4" in str(alone.value)
+        taken = []
+        monkeypatch.setattr(lindblad, "_expm", lambda *args: taken.append(args))
+        with pytest.raises(StepCountTooSmall) as grid:
+            loop_channel(loop, noise, steps=60, omega_tau=np.array([18.25, 30.0, 2000.0]))
+        assert str(grid.value) == str(alone.value)
+        assert not taken
+
+    def test_warm_grid_allocates_little(self):
+        # one plan and its workspace serve all 13 points; what the call
+        # allocates is the (13, 16, 16) Phi stacks and per-point coefficients
+        loop, noise = wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.05)
+        grid = np.linspace(0.25, 60.25, 13)
+        loop_channel(loop, noise, omega_tau=grid)
+        tracemalloc.start()
+        try:
+            loop_channel(loop, noise, omega_tau=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 384 * 1024
+
+    def test_grid_channel_applies_per_point(self, rng):
+        loop, noise = wedge_loop(2, 1.0, 1.0), high_temperature_noise(0.03)
+        grid = np.array([6.0, 18.0])
+        channel = loop_channel(loop, noise, omega_tau=grid)
+        sigma = np.array([random_density(rng) for _ in range(3)])
+        out = channel.apply(sigma)
+        assert out.shape == (2, 3, 4, 4)
+        for ot, got in zip(grid, out):
+            alone = loop_channel(with_total_time(loop, ot), noise).apply(sigma)
+            np.testing.assert_allclose(got, alone, rtol=0, atol=1e-14)
+
+
 def with_one_norm(a, norm):
     """The stack a, each matrix scaled to the given 1-norm."""
     return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
@@ -585,9 +709,9 @@ class TestStepExponential:
     def test_plan_exponents(self):
         loop = wedge_loop(2, 1.3, 23.7)
         noise = UNEQUAL_NOISE.with_lambda_sq(0.05)
-        plan = _loop_plan(loop, noise, default_step_count(loop))
-        for rows, coeffs, coherent, _ in plan.blocks(loop, noise.lambda_sq):
-            a = (coeffs @ rows).reshape(-1, 16, 16) + coherent
+        plan, durations = plan_of(loop, noise, default_step_count(loop))
+        for rows, coeffs, coherent, _ in plan.blocks(durations, noise.lambda_sq):
+            a = (coeffs[0] @ rows).reshape(-1, 16, 16) + coherent[0].reshape(16, 16)
             # the dissipator makes them non-normal: [a, a^T] != 0
             assert np.abs(a @ a.transpose(0, 2, 1) - a.transpose(0, 2, 1) @ a).max() > 1e-5
             assert_matches_power_series(a)
@@ -620,14 +744,14 @@ class TestSquaringBound:
         for omega_tau in (0.25, 18.251, 60.0, 240.0):
             loop = wedge_loop(wedge, 1.0, omega_tau)
             steps = default_step_count(loop)
-            plan = _loop_plan(loop, noise, steps)
+            plan, durations = plan_of(loop, noise, steps)
             norms = np.concatenate([
                 arc_norms[:, first:first + _BLOCK_STEPS].max(axis=1)[:, None]
                 for arc_norms in direct_exponent_norms(loop, lambda_sqs, noise, steps)
                 for first in range(0, arc_norms.shape[1], _BLOCK_STEPS)
             ], axis=1)
             for lambda_sq, exact in zip(lambda_sqs, norms):
-                bounds = [bound for *_, bound in plan.blocks(loop, lambda_sq)]
+                bounds = [bound for *_, (bound,) in plan.blocks(durations, lambda_sq)]
                 assert len(bounds) == len(exact)
                 for bound, norm in zip(bounds, exact):
                     # to rounding: at lambda^2 = 0 the bound is the norm
