@@ -23,14 +23,13 @@ from .errors import (
 )
 from .lindblad import (
     NoiseModel,
-    _step_runs,
     default_step_count,
     high_temperature_noise,
     loop_channel,
 )
 from .loops import LoopSpec, optimal_time, wedge_order, with_total_time
 from .parallel import ordered_map
-from .propagators import adiabatic_holonomy, dark_block, loop_propagator, loop_times, start_frame
+from .propagators import adiabatic_holonomy, dark_block, loop_propagator, start_frame
 from .propagators import adiabatic_gate  # noqa: F401  (perfbench/selftest.py checks this binding)
 from .tripod import eigenframe
 
@@ -43,8 +42,8 @@ def mean_fidelity(
     loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
 ) -> float | np.ndarray:
     """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)}; one value per
-    point of an Omega*tau grid (under dissipative noise, one channel pass per
-    run of points that share a step split).
+    point of an Omega*tau grid (under dissipative noise, from one
+    `loop_channel` call on the whole grid, which splits it into runs).
     With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
     the dark block in start-frame coordinates against the target's dark block
     T, the closed-form holonomy, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i])
@@ -56,14 +55,7 @@ def mean_fidelity(
         # f0^dag f_end moves them to the start frame's
         closure = start_frame(loop).matrix.conj().T @ eigenframe(loop.end_point()).matrix
         v = target.conj().T @ closure[:2]
-        if omega_tau is None:
-            phi = loop_channel(loop, noise, steps).phi
-        else:
-            scales = (loop_times(loop, omega_tau) / loop.total_time).tolist()
-            phi = np.concatenate([
-                loop_channel(loop, noise, n, omega_tau[first:stop]).phi
-                for n, _, first, stop in _step_runs(loop, steps, scales)
-            ])
+        phi = loop_channel(loop, noise, steps, omega_tau).phi
         units = np.ascontiguousarray(phi.reshape(-1, 4, 4, 4, 4)[..., :2, :2])
         y = np.einsum("ia,nabkl,jb->nijkl", v, units, v.conj())
     else:
@@ -107,8 +99,7 @@ def sweep(
     each entry of lambda_sq_list. Each curve is one `mean_fidelity` call on
     the whole grid, in this process and in list order: a silent curve
     (lambda^2 = 0 or an all-zero table) from the stacked exact propagator,
-    a dissipative one from one channel pass per run of grid points that
-    share a step split.
+    a dissipative one from one `loop_channel` call on the whole grid.
     """
     grid = np.asarray(omega_tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -190,12 +181,12 @@ def find_optimal_point(
     window: tuple[float, float] | None = None,
 ) -> OptimalPoint:
     """Locate the first fidelity peak (or the one inside `window`, in
-    Omega*tau). The search starts at the window centre and its neighbours
-    at +-(hi - lo)/40 and climbs uphill, each step the golden ratio longer
-    than the last, until the middle of three points is the highest: it
-    takes the maximum the centre sits on (wedge:n windows with n >= 2 hold
-    several). Brent's method refines that bracket to PEAK_TOL. A climb
-    that would leave the window raises NoPeakInWindow."""
+    Omega*tau). The search evaluates the window centre and its neighbours
+    at +-(hi - lo)/40 as one grid and climbs uphill, each step the golden
+    ratio longer than the last, until the middle of three points is the
+    highest: it takes the maximum the centre sits on (wedge:n windows with
+    n >= 2 hold several). Brent's method refines that bracket to PEAK_TOL.
+    A climb that would leave the window raises NoPeakInWindow."""
     omega = loop.omega_scale
     if window is None:
         tau1 = omega * optimal_time(1, wedge_order(loop), omega)
@@ -210,7 +201,8 @@ def find_optimal_point(
     def f(omega_tau: float) -> float:
         return mean_fidelity(with_total_time(loop, omega_tau / omega), noise, steps=steps)
 
-    pts = [(x, f(x)) for x in (centre - h, centre, centre + h)]
+    opening = [centre - h, centre, centre + h]
+    pts = list(zip(opening, mean_fidelity(loop, noise, steps, opening).tolist()))
     while pts[1][1] < max(pts[0][1], pts[2][1]):
         h /= _GOLDEN
         up = 1 if pts[2][1] > pts[0][1] else -1

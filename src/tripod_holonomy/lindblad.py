@@ -458,19 +458,19 @@ def _loop_plan(loop: LoopSpec, noise: NoiseModel, counts: tuple) -> _ChannelPlan
 
 def _step_runs(loop: LoopSpec, steps: int | None, scales) -> list:
     """Runs of consecutive duration scales of the loop at which it takes the
-    same per-arc step counts: [steps, counts, first, stop] each, with steps
-    the total of the run's first point. Every point takes steps, by default
-    its default step count, split across arcs by duration."""
+    same per-arc step counts, as [counts, first, stop]: the one place that
+    splits a grid. Every point takes steps, by default its default step
+    count, split across arcs by duration."""
     runs = []
     for i, scale in enumerate(scales):
         durations = [arc.duration * scale for arc in loop.arcs]
         total = float(sum(durations))
         n = _default_steps(loop.omega_scale, total) if steps is None else steps
         counts = tuple(max(1, int(round(n * d / total))) for d in durations)
-        if runs and runs[-1][1] == counts:
-            runs[-1][3] = i + 1
+        if runs and runs[-1][0] == counts:
+            runs[-1][2] = i + 1
         else:
-            runs.append([n, counts, i, i + 1])
+            runs.append([counts, i, i + 1])
     return runs
 
 
@@ -507,14 +507,15 @@ def loop_channel(
     loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
 ) -> LoopChannel:
     """Integrate the transport-picture master equation over the loop, or
-    over the loop at each time of a 1-d Omega*tau grid (one pass for each
-    run of points that share a step split); each arc hands the next its
-    end frame. Each point takes steps, by default its own default count."""
+    over the loop at each time of a 1-d Omega*tau grid, one pass per run of
+    points that share a step split (`_step_runs`, the only grid split); each
+    arc hands the next its end frame. Each point takes steps, by default its
+    own default count."""
     if steps is not None and steps < len(loop.arcs):
         raise StepCountTooSmall(f"need at least one step per arc, got {steps}")
     scales = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
     phi, taken = [], 0
-    for _, counts, first, stop in _step_runs(loop, steps, scales.tolist()):
+    for counts, first, stop in _step_runs(loop, steps, scales.tolist()):
         plan = _loop_plan(loop, noise, counts)
         phi.append(plan.propagate(loop, noise.lambda_sq, scales[first:stop]))
         taken += sum(counts) * (stop - first)

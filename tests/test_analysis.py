@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy import analysis
-from tripod_holonomy.analysis import PEAK_TOL, sweep_curve_to_csv
+from tripod_holonomy.analysis import PEAK_TOL, PEAK_WINDOW, sweep_curve_to_csv
 from tripod_holonomy.errors import (
     InvalidDuration,
     ModelMismatch,
@@ -135,16 +136,22 @@ class TestBatchedNoiselessCurve:
             assert abs(f - (np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / 6) <= 1e-12
 
     def test_dissipative_grid_matches_per_point_calls(self):
-        noise, grid = high_temperature_noise(0.02), np.array([6.0, 13.3, 18.25, 30.1])
-        for loop in (wedge_loop(1, 1.0, 1.0), wedge_loop(2, 1.3, 1.0)):
-            batched = mean_fidelity(loop, noise, steps=300, omega_tau=grid)
+        noise = high_temperature_noise(0.02)
+        loops = (wedge_loop(1, 1.0, 1.0), wedge_loop(2, 1.3, 1.0))
+        inputs = [
+            (300, np.array([6.0, 13.3, 18.25, 30.1])),
+            # default steps change the step split past Omega*tau 60: several runs
+            (None, np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])),
+        ]
+        for (steps, grid), loop in itertools.product(inputs, loops):
+            batched = mean_fidelity(loop, noise, steps=steps, omega_tau=grid)
             per_point = [
-                mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=300)
+                mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=steps)
                 for ot in grid
             ]
             assert batched.shape == grid.shape
             assert np.array_equal(batched, per_point)
-            assert np.array_equal(mean_fidelity(loop, noise, steps=300, omega_tau=grid[1:2]),
+            assert np.array_equal(mean_fidelity(loop, noise, steps=steps, omega_tau=grid[1:2]),
                                   batched[1:2])
 
     @pytest.mark.parametrize("lambda_sq", [0.0, 0.02], ids=["exact", "channel"])
@@ -154,16 +161,21 @@ class TestBatchedNoiselessCurve:
                           omega_tau=np.array([]))
 
     def test_dissipative_grid_defaults_steps_per_point(self, monkeypatch):
-        used = []
+        calls = []
 
         def recording(run, noise, steps=None, omega_tau=None):
-            used.append(default_step_count(run) if steps is None else steps)
-            return loop_channel(run, noise, steps, omega_tau)
+            channel = loop_channel(run, noise, steps, omega_tau)
+            calls.append((steps, omega_tau, channel.steps))
+            return channel
 
         monkeypatch.setattr(analysis, "loop_channel", recording)
-        grid = np.array([6.0, 120.0])
-        mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.02), omega_tau=grid)
-        assert used == [144, 288]
+        loop, grid = wedge_loop(1, 1.0, 1.0), np.array([6.0, 120.0])
+        mean_fidelity(loop, high_temperature_noise(0.02), omega_tau=grid)
+        (steps, omega_tau, taken), = calls
+        assert steps is None and omega_tau is grid
+        defaults = [default_step_count(with_total_time(loop, ot)) for ot in grid]
+        assert defaults == [144, 288]
+        assert taken == sum(defaults)
 
     def test_range_check_applies_to_each_point(self, monkeypatch):
         # the middle point's map is scaled by 1.5^2 in both engines, so its
@@ -271,16 +283,22 @@ class TestFindOptimalPoint:
         assert edge > pt.f_star
 
     def test_standard_search_makes_at_most_12_integrations(self, monkeypatch):
-        seen = []
+        seen, grids = [], []
 
-        def recording(loop, noise, steps=None):
+        def recording(loop, noise, steps=None, omega_tau=None):
             seen.append(steps)
-            return loop_channel(loop, noise, steps)
+            grids.append(omega_tau)
+            return loop_channel(loop, noise, steps, omega_tau)
 
         monkeypatch.setattr(analysis, "loop_channel", recording)
         find_optimal_point(standard_not_loop(1.0, 1.0), high_temperature_noise(1e-3))
         assert 1 <= len(seen) <= 12
         assert len(set(seen)) == 1
+        # the opening bracket's three points are the first call, one grid
+        tau1 = optimal_time(1, 1, 1.0)
+        centre, h = tau1, (PEAK_WINDOW[1] - PEAK_WINDOW[0]) * tau1 / 40
+        assert grids[0] == pytest.approx([centre - h, centre, centre + h], rel=1e-12)
+        assert all(grid is None for grid in grids[1:])
 
     @pytest.mark.parametrize("n, lam, window", [
         (1, 1e-3, (0.9, 1.05)),
@@ -417,9 +435,9 @@ class TestRobustness:
     def test_every_integration_uses_the_given_steps(self, monkeypatch):
         seen = []
 
-        def recording(loop, noise, steps=None):
+        def recording(loop, noise, steps=None, omega_tau=None):
             seen.append(steps)
-            return loop_channel(loop, noise, steps)
+            return loop_channel(loop, noise, steps, omega_tau)
 
         monkeypatch.setattr(analysis, "loop_channel", recording)
         robustness_at(standard_not_loop(1.0, 1.0), high_temperature_noise(0.02), steps=400)

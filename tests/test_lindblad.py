@@ -427,7 +427,7 @@ class TestEvolveDensity:
 def plan_of(loop, noise, steps):
     """The channel plan of the loop at a total step count, and the
     durations of its arcs as one column (arcs, 1)."""
-    (_, counts, _, _), = _step_runs(loop, steps, [1.0])
+    (counts, _, _), = _step_runs(loop, steps, [1.0])
     return _loop_plan(loop, noise, counts), np.array([[arc.duration] for arc in loop.arcs])
 
 
