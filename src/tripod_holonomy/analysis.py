@@ -182,11 +182,12 @@ def find_optimal_point(
 ) -> OptimalPoint:
     """Locate the first fidelity peak (or the one inside `window`, in
     Omega*tau). The search evaluates the window centre and its neighbours
-    at +-(hi - lo)/40 as one grid and climbs uphill, each step the golden
-    ratio longer than the last, until the middle of three points is the
-    highest: it takes the maximum the centre sits on (wedge:n windows with
-    n >= 2 hold several). Brent's method refines that bracket to PEAK_TOL.
-    A climb that would leave the window raises NoPeakInWindow."""
+    at +-(hi - lo)/40 as one grid, each later point as a grid of one, and
+    climbs uphill, each step the golden ratio longer than the last, until
+    the middle of three points is the highest: it takes the maximum the
+    centre sits on (wedge:n windows with n >= 2 hold several). Brent's
+    method refines that bracket to PEAK_TOL. A climb that would leave the
+    window raises NoPeakInWindow."""
     omega = loop.omega_scale
     if window is None:
         tau1 = omega * optimal_time(1, wedge_order(loop), omega)
@@ -199,7 +200,7 @@ def find_optimal_point(
         steps = default_step_count(with_total_time(loop, centre / omega))
 
     def f(omega_tau: float) -> float:
-        return mean_fidelity(with_total_time(loop, omega_tau / omega), noise, steps=steps)
+        return mean_fidelity(loop, noise, steps, [omega_tau]).item()
 
     opening = [centre - h, centre, centre + h]
     pts = list(zip(opening, mean_fidelity(loop, noise, steps, opening).tolist()))

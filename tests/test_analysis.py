@@ -155,6 +155,16 @@ class TestBatchedNoiselessCurve:
                                   batched[1:2])
 
     @pytest.mark.parametrize("lambda_sq", [0.0, 0.02], ids=["exact", "channel"])
+    def test_grid_matches_one_point_grids(self, lambda_sq):
+        # the peak search mixes a three-point opening grid with one-point
+        # grids, so both must give the same bits
+        noise, grid = high_temperature_noise(lambda_sq), np.array([17.5, 18.25, 19.0])
+        for loop in (wedge_loop(1, 1.0, 1.0), wedge_loop(3, 1.7, 1.0)):
+            batched = mean_fidelity(loop, noise, steps=300, omega_tau=grid)
+            single = [mean_fidelity(loop, noise, steps=300, omega_tau=[ot]) for ot in grid]
+            assert np.array_equal(batched, np.concatenate(single))
+
+    @pytest.mark.parametrize("lambda_sq", [0.0, 0.02], ids=["exact", "channel"])
     def test_empty_grid_is_rejected_on_either_engine(self, lambda_sq):
         with pytest.raises(InvalidDuration, match="non-empty"):
             mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(lambda_sq),
@@ -292,13 +302,15 @@ class TestFindOptimalPoint:
 
         monkeypatch.setattr(analysis, "loop_channel", recording)
         find_optimal_point(standard_not_loop(1.0, 1.0), high_temperature_noise(1e-3))
-        assert 1 <= len(seen) <= 12
+        # every call is a grid; the bound counts the points integrated
+        assert 1 <= sum(len(grid) for grid in grids) <= 12
         assert len(set(seen)) == 1
-        # the opening bracket's three points are the first call, one grid
+        # the opening bracket's three points are the first call, one grid;
+        # each later point is a grid of one
         tau1 = optimal_time(1, 1, 1.0)
         centre, h = tau1, (PEAK_WINDOW[1] - PEAK_WINDOW[0]) * tau1 / 40
         assert grids[0] == pytest.approx([centre - h, centre, centre + h], rel=1e-12)
-        assert all(grid is None for grid in grids[1:])
+        assert all(len(grid) == 1 for grid in grids[1:])
 
     @pytest.mark.parametrize("n, lam, window", [
         (1, 1e-3, (0.9, 1.05)),
