@@ -48,13 +48,11 @@ def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
 
 
 def _ordered_product(stack: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Product stack[n-1] @ ... @ stack[0] of an (n, d, d) stack by
-    pairwise tree reduction, or the (b, d, d) products of the stacks of a
-    (b, n, d, d) batch, reduced steps first. The levels alternate between
-    stack and spare, of the same shape but for at least ceil(n / 2) steps;
-    both are overwritten, and the result is a view into one of them."""
-    if stack.ndim == 4:
-        stack, spare = stack.swapaxes(0, 1), spare.swapaxes(0, 1)
+    """Product stack[n-1] @ ... @ stack[0] along the first axis of an
+    (n, ..., d, d) stack, by pairwise tree reduction. The levels alternate
+    between stack and spare, of the same shape but for at least
+    ceil(n / 2) steps; both are overwritten, and the result is a view into
+    one of them."""
     while len(stack) > 1:
         half, odd = divmod(len(stack), 2)
         np.matmul(stack[1 : 2 * half : 2], stack[0 : 2 * half : 2], out=spare[:half])

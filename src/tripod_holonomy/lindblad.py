@@ -434,10 +434,9 @@ class _ChannelPlan:
                 exps[:stop - first] += (coherent[first:stop] * scale)[:, None]
                 powers = self.work[:3, :size]
                 work = self.flat_work[:5 * powers[0].size].reshape(5, *powers[0].shape)
-                steps = _expm(powers, work, s)
-                if stop - first > 1:
-                    steps = steps.reshape(-1, m, DIM**2, DIM**2)
-                product = _ordered_product(steps, work[0].reshape(steps.shape))
+                steps = _expm(powers, work, s).reshape(-1, m, DIM**2, DIM**2)
+                product = _ordered_product(steps.swapaxes(0, 1),
+                                           work[0].reshape(steps.shape).swapaxes(0, 1))
                 # the first block's product is Phi so far: a product with I is exact
                 phi[first:stop] = product @ phi[first:stop] if block else product
                 first = stop
@@ -519,5 +518,5 @@ def loop_channel(
         plan = _loop_plan(loop, noise, counts)
         phi.append(plan.propagate(loop, noise.lambda_sq, scales[first:stop]))
         taken += sum(counts) * (stop - first)
-    phi = _BASIS @ (phi[0] if len(phi) == 1 else np.concatenate(phi)) @ _BASIS.conj().T
+    phi = _BASIS @ np.concatenate(phi) @ _BASIS.conj().T
     return LoopChannel(loop=loop, steps=taken, phi=phi[0] if omega_tau is None else phi)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tripod_holonomy import (
+    NoiseModel,
     adiabatic_gate,
     hamiltonian,
     high_temperature_noise,
@@ -29,6 +30,13 @@ UNEVEN_LOOP_DOC = {"omega_scale": 1.3, "arcs": [
     {"kind": "meridian", "fixed_angle": np.pi / 6, "start_angle": np.pi / 2,
      "end_angle": 0.0, "duration": 0.3},
 ]}
+
+# Unequal rates on all five frequencies and non-zero Lamb shifts.
+UNEQUAL_NOISE = NoiseModel(
+    lambda_sq=1.0,
+    gamma={0: 0.31, 1: 0.47, -1: 0.22, 2: 0.13, -2: 0.58},
+    lamb_shift={0: 0.05, 1: -0.07, -1: 0.11, 2: 0.02, -2: -0.03},
+)
 
 # Two wedges, at phi = 0 and phi = pi, joined near the pole: the third arc
 # stops 1e-10 short of it, close enough for the fourth arc's start to meet

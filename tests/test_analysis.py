@@ -33,7 +33,7 @@ from tripod_holonomy.lindblad import NoiseModel, default_step_count
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.propagators import dark_block, start_frame
 
-from conftest import UNEVEN_LOOP_DOC, per_point_fidelity, six_state_fidelities
+from conftest import UNEQUAL_NOISE, UNEVEN_LOOP_DOC, per_point_fidelity, six_state_fidelities
 from oracles import fit_residuals, standard_not_loop
 
 OMEGA_TAU_1 = optimal_time(1, 1, 1.0)
@@ -136,14 +136,16 @@ class TestBatchedNoiselessCurve:
             assert abs(f - (np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / 6) <= 1e-12
 
     def test_dissipative_grid_matches_per_point_calls(self):
-        noise = high_temperature_noise(0.02)
+        flat = high_temperature_noise(0.02)
         loops = (wedge_loop(1, 1.0, 1.0), wedge_loop(2, 1.3, 1.0))
         inputs = [
-            (300, np.array([6.0, 13.3, 18.25, 30.1])),
+            (flat, 300, np.array([6.0, 13.3, 18.25, 30.1])),
             # default steps change the step split past Omega*tau 60: several runs
-            (None, np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])),
+            (flat, None, np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])),
+            # unequal rates with Lamb shifts, across the split after 60
+            (UNEQUAL_NOISE.with_lambda_sq(0.05), None, np.array([59.0, 60.0, 61.0])),
         ]
-        for (steps, grid), loop in itertools.product(inputs, loops):
+        for (noise, steps, grid), loop in itertools.product(inputs, loops):
             batched = mean_fidelity(loop, noise, steps=steps, omega_tau=grid)
             per_point = [
                 mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=steps)

@@ -199,6 +199,15 @@ class TestSweepCommands:
             b"omega_tau,mean_fidelity\n18.25,0.999999996718\n"
         )
 
+    @pytest.mark.parametrize("grid", ["1e-6:1e-3:4", "240:240:1"],
+                             ids=["near-zero-times", "omega-tau-240"])
+    def test_ideal_sweep_at_the_grid_edges_writes_fidelities_in_range(self, tmp_path, grid):
+        out = tmp_path / "run"
+        assert main(["ideal-sweep", "--grid", grid, "--out", str(out)]) == 0
+        table = np.loadtxt(out / "sweep_lambda2_0.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert len(table) == int(grid.split(":")[-1])
+        assert np.all((table[:, 1] >= 0.0) & (table[:, 1] <= 1.0))
+
     def test_ideal_sweep_rejects_nonzero_lambda(self, tmp_path):
         code = main([
             "ideal-sweep", "--grid", "18:18:1", "--lambda-sq", "0.01",
@@ -365,6 +374,15 @@ class TestOptimalAndFit:
             "loop", "loop_file", "omega", "out", "lambda_sq", "gamma0", "noise_file",
             "steps", "calibrate_f2", "provenance",
         }
+
+    def test_optimal_row_does_not_depend_on_the_rows_before_it(self, tmp_path):
+        rows = []
+        for lambda_sq in ("1e-4,1e-3", "1e-3"):
+            out = tmp_path / lambda_sq
+            assert main(["optimal", "--lambda-sq", lambda_sq, "--out", str(out)]) == 0
+            rows.append(json.loads((out / "optimal_points.json").read_text())["rows"][-1])
+        keys = ("lambda_sq", "f_star", "omega_tau_star", "bracket")
+        assert [rows[0][k] for k in keys] == [rows[1][k] for k in keys]
 
     def test_optimal_takes_omega_from_loop_file(self, tmp_path):
         # The loop file's omega_scale is Omega, whatever --omega says.

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tripod_holonomy import exp_i_hermitian
 from tripod_holonomy.errors import DimensionMismatch, NonHermitianInput
+from tripod_holonomy.linalg import _ordered_product
 
 from conftest import random_hermitian
 
@@ -91,3 +92,18 @@ class TestStackedExponential:
     def test_rejects_stacks_of_non_square_matrices(self):
         with pytest.raises(DimensionMismatch):
             exp_i_hermitian(np.zeros((5, 2, 3)), 1.0)
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 4), (5, 4, 4), (8, 4, 4), (5, 3, 4, 4)],
+                             ids=["n1", "n2", "n5", "n8", "batch"])
+    def test_matches_a_plain_loop(self, rng, shape):
+        # orthogonal steps: every partial product keeps norm 1
+        stack = np.linalg.qr(rng.normal(size=shape))[0]
+        phi = np.broadcast_to(np.eye(4), shape[1:])
+        for m in stack:
+            phi = m @ phi
+        spare = np.empty((-(-shape[0] // 2), *shape[1:]))
+        product = _ordered_product(stack.copy(), spare)
+        assert product.shape == phi.shape
+        assert np.abs(product - phi).max() <= 1e-13

@@ -49,18 +49,11 @@ from tripod_holonomy.tripod import (
     eigenframe,
 )
 
-from conftest import OCTAHEDRON, OMEGA_TAU_STAR
+from conftest import OCTAHEDRON, OMEGA_TAU_STAR, UNEQUAL_NOISE
 from oracles import lab_channel_phi, power_series_expm, reverse_loop, standard_not_loop
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
-
-# Unequal rates on all five frequencies and non-zero Lamb shifts.
-UNEQUAL_NOISE = NoiseModel(
-    lambda_sq=1.0,
-    gamma={0: 0.31, 1: 0.47, -1: 0.22, 2: 0.13, -2: 0.58},
-    lamb_shift={0: 0.05, 1: -0.07, -1: 0.11, 2: 0.02, -2: -0.03},
-)
 
 # 2.4*Omega*tau / 3 = 3.5 * _BLOCK_STEPS steps per arc, above the 144-step
 # floor: each arc is three full blocks and a partial one.
