@@ -38,8 +38,22 @@ from .errors import (
     UnderdeterminedFit,
     UnsupportedLoop,
 )
-from .lindblad import DEFAULT_GAMMA0, NoiseModel, high_temperature_noise, noise_from_dict
-from .loops import LoopSpec, _is_number, loop_from_dict, optimal_time, wedge_loop, wedge_order
+from .lindblad import (
+    DEFAULT_GAMMA0,
+    NoiseModel,
+    default_step_count,
+    high_temperature_noise,
+    noise_from_dict,
+)
+from .loops import (
+    LoopSpec,
+    _is_number,
+    loop_from_dict,
+    optimal_time,
+    wedge_loop,
+    wedge_order,
+    with_total_time,
+)
 from .propagators import adiabatic_holonomy
 
 EXIT_OK = 0
@@ -47,6 +61,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_LAMBDA_LIST = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)
+# Most channel steps per loop, given or default: the channel plan keeps 6 KB
+# of basis rows per step, so at most 300 MB.
+STEP_CEILING = 50_000
 
 
 @dataclass(frozen=True)
@@ -82,9 +99,10 @@ class RunConfig:
         _check_number("gamma0", self.gamma0, minimum=0.0)
         if self.calibrate_f2 is not None:
             _check_number("calibrate_f2", self.calibrate_f2, minimum=0.0, strict=True)
-        # the channel plan keeps 6 KB of basis rows per step: at most 300 MB
-        if self.steps is not None and not (_is_integer(self.steps) and 3 <= self.steps <= 50_000):
-            raise ConfigError(f"steps must be an integer in [3, 50000], got {self.steps!r}")
+        if self.steps is not None and not (
+            _is_integer(self.steps) and 3 <= self.steps <= STEP_CEILING
+        ):
+            raise ConfigError(f"steps must be an integer in [3, {STEP_CEILING}], got {self.steps!r}")
         if self.grid is not None:
             if len(self.grid) != 3:
                 raise ConfigError(f"grid must be [START, STOP, POINTS], got {list(self.grid)}")
@@ -321,6 +339,11 @@ def cmd_ideal_sweep(cfg: RunConfig) -> int:
 
 def cmd_noisy_sweep(cfg: RunConfig) -> int:
     loop, grid, noise = build_loop(cfg), cfg.grid_values(), build_noise(cfg)
+    # the grid's last point is its longest loop
+    needed = default_step_count(with_total_time(loop, grid[-1] / loop.omega_scale))
+    if cfg.steps is None and needed > STEP_CEILING:
+        raise ConfigError(f"Omega*tau {grid[-1]:g} takes {needed} default steps, above "
+                          f"the ceiling of {STEP_CEILING} that --steps keeps too")
     curves = sweep(loop, grid, _lambdas(cfg), steps=cfg.steps, noise=noise)
     return _write_sweep(cfg, "noisy-sweep", curves, noise)
 

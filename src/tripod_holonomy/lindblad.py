@@ -23,28 +23,31 @@ F(t)^dag A F(t) = r e^T + e r^T, with r the |0> row of the frame and e its
 constant |e> row, so the dissipator is a fixed quadratic form in the four
 entries of r: ten fixed terms per rate table.
 
-Each step is a 4th-order Magnus step (Blanes, Casas, Oteo and Ros, Phys.
-Rep. 470, 151, 2009): the exponent h/2 (A1 + A2) + (sqrt(3) h^2 / 12)
-[A2, A1] from the generator A = L_arc + lambda^2 D at the step's two Gauss
-points, exponentiated by a batched Taylor polynomial with scaling and
-squaring. The large constant coherent part L_arc is thereby taken exactly,
-and the error comes from lambda^2 D alone. Everything in the exponents but
-the loop time and lambda^2 comes from a channel plan (_ChannelPlan), built
-once per Omega, loop shape (the arcs at unit duration), step split and
-rate table; the last plan is kept. It also holds the 1-norm of every
-basis row, so each block of steps takes its squaring count from a bound
-and forms its exponents already scaled. One plan serves a whole grid of
-loop times that share a step split: per block, consecutive points with the
-same squarings are formed, exponentiated and multiplied together, and
-each point's Phi is bit for bit that of its own call. Its workspace holds
-the step exponentials and their pairwise tree products, so a process runs
-one channel at a time. The series converges when h ||A||_2 < pi, so a step
-with h ||A||_F >= pi, at any point of the grid, raises StepCountTooSmall
-before any exponential is taken; it is the only gate that sees an
-under-resolved run. Phi preserves the trace by construction, not by a
-check: the trace functional annihilates L_E, L_G and every dissipator
-term, hence every Magnus exponent, and so every step exponential fixes it
-up to rounding.
+Each step is a 4th-order Magnus step (Blanes, Casas, Oteo and Ros,
+Phys. Rep. 470, 151, 2009): the exponent h/2 (A1 + A2) + (sqrt(3) h^2 /
+12) [A2, A1] from the generator A = L_arc + lambda^2 D at the step's two
+Gauss points, exponentiated by a batched Taylor polynomial with scaling
+and squaring. The large constant coherent part L_arc is thereby taken
+exactly, and the error comes from lambda^2 D alone. On a stationary arc,
+where the frame's |0> row does not move (the polar meridian at phi = 0 of
+a wedge loop), D and so A are constant, the series is the one term h A for
+any h, and the arc takes one step: its exact exponential. Everything in
+the exponents but the loop time and lambda^2 comes from a channel plan
+(_ChannelPlan), built once per Omega, loop shape (the arcs at unit
+duration), step split and rate table; the last plan is kept. It also holds
+the 1-norm of every basis row, so each block of steps takes its squaring
+count from a bound and forms its exponents already scaled. One plan serves
+a whole grid of loop times that share a step split: per block, consecutive
+points with the same squarings are formed, exponentiated and multiplied
+together, and each point's Phi is bit for bit that of its own call. Its
+workspace holds the step exponentials and their pairwise tree products, so
+a process runs one channel at a time. The series converges when
+h ||A||_2 < pi, so a step with h ||A||_F >= pi, at any point of the grid,
+raises StepCountTooSmall before any exponential is taken; it is the only
+gate that sees an under-resolved run, and it reads only the arcs that
+move. Phi preserves the trace by construction, not by a check: the trace
+functional annihilates L_E, L_G and every dissipator term, hence every
+Magnus exponent, and so every step exponential fixes it up to rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .errors import StepCountTooSmall
 from .linalg import _ordered_product
-from .loops import ArcSegment, LoopSpec, _number
+from .loops import ArcKind, ArcSegment, LoopSpec, _number
 from .propagators import _arc_generator, loop_times
 from .tripod import DIM, FRAME_ENERGY, STATE_0, STATE_EXCITED, _frame_columns, eigenframe
 
@@ -170,8 +173,11 @@ def _default_steps(omega: float, total_time: float) -> int:
 def default_step_count(loop: LoopSpec) -> int:
     """Resolution of the Magnus-4 integration: 2.4 steps per unit of
     Omega*tau, at least 144 (48 per arc of a wedge loop), split across
-    arcs by duration. On wedge loops 1-3 over Omega*tau 0.25-240 at
-    lambda^2 = 0.05 the steps stay at h*|A|_F <= 1.7, inside the pi gate.
+    arcs by duration; a stationary arc takes one step instead of its
+    share, its exact exponential, so the standard loop takes 1 + 48 + 48
+    at the floor (LoopChannel.steps counts the exponentials taken). On
+    wedge loops 1-3 over Omega*tau 0.25-240 at lambda^2 = 0.05 the steps
+    stay at h*|A|_F <= 1.7, inside the pi gate.
     On the standard loop at lambda^2 <= 0.05 over Omega*tau 6-60.25,
     against RK4 at 8 x 60 steps per unit of Omega*tau (at least 8,000),
     the largest error of a Phi entry is 2.2e-9 (RK4 at 60 per unit:
@@ -251,6 +257,14 @@ def _dissipator_terms(gamma, shift) -> np.ndarray:
     return _real_superop(terms).reshape(len(p), -1)
 
 
+def _stationary(arc) -> bool:
+    """True iff the frame's |0> row does not move along the arc: on a
+    meridian at sin(phi0) == 0.0 it is exactly (cos phi0, 0, 0, 0), so D and
+    the whole generator A are constant there, and the Magnus series of any
+    step is the one term h A."""
+    return arc.kind is ArcKind.MERIDIAN and math.sin(arc.fixed_angle) == 0.0
+
+
 def _term_weights(arc, local_times: np.ndarray) -> np.ndarray:
     """Weights r_p r_q of _dissipator_terms' K at local arc times, one row
     per time, with r the |0> row of the frame there."""
@@ -316,7 +330,9 @@ class _ChannelPlan:
     form w @ K in the frame's |0> row, so each row is one product of the
     steps' weights with the commutators of the ten terms K. The gate's
     ||A||^2 leaves out <L_E, L_G>, zero since E is diagonal and G has a
-    zero diagonal, and <L_G, D>, zero term by term.
+    zero diagonal, and <L_G, D>, zero term by term. On a stationary arc
+    w1 = w2 exactly, so its Q and C rows are exactly 0.0, and its one
+    step (n = 1) has the exponent duration * A; the gate leaves it out.
     """
 
     def __init__(self, omega: float, arcs: tuple, counts: tuple, gamma: tuple,
@@ -329,9 +345,10 @@ class _ChannelPlan:
         self.ee = np.vdot(self.l_e, self.l_e)
         pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
         term_gram = terms @ terms.T
-        self.l_g, self.basis, self.norms, self.gram = [], [], [], []
+        self.l_g, self.basis, self.norms, self.gram, moving = [], [], [], [], []
         for (kind, *angles), n in zip(arcs, counts):
             arc = ArcSegment(kind, *angles, duration=1.0)
+            moving.append(not _stationary(arc))
             l_g = _real_superop(_commutator_superop(_arc_generator(arc)))
             g_terms = _commutator(l_g, k).reshape(len(k), -1)
             w = _term_weights(arc, ((np.arange(n)[:, None] + _GAUSS_NODES) / n).ravel())
@@ -351,7 +368,9 @@ class _ChannelPlan:
         self.gram = np.concatenate(self.gram, axis=1)
         self.arc_starts = 2 * np.cumsum((0, *counts[:-1]))
         # per arc, as columns: the step count, ||L_G||^2, the coherent part
-        # L_G / n of every step and the fixed factors of the coefficients
+        # L_G / n of every step and the fixed factors of the coefficients;
+        # the gate reads only the arcs that move
+        self.moving = np.array(moving)
         self.steps = np.array(counts)[:, None]
         self.gg = np.array([np.vdot(l_g, l_g) for l_g in self.l_g])[:, None]
         self.l_g_step = np.array([l_g.ravel() / n for l_g, n in zip(self.l_g, counts)])[:, None]
@@ -365,15 +384,16 @@ class _ChannelPlan:
         self.flat_work = self.work[3:].reshape(-1)
 
     def reach(self, durations: np.ndarray, lambda_sq: float) -> np.ndarray:
-        """Largest h ||A||_F over the Gauss points of every step, at each
-        column of the arcs' durations (arcs, points): with h = duration / n
-        and ||A||^2 = ||L_E||^2 + ||L_G||^2 / duration^2 + 2 lambda^2
-        <L_E, D> + lambda^4 ||D||^2, the largest
-        sqrt(duration^2 (||L_E||^2 + max(...)) + ||L_G||^2) / n."""
+        """Largest h ||A||_F over the Gauss points of every step of an arc
+        that moves, at each column of the arcs' durations (arcs, points), 0
+        if none moves: with h = duration / n and ||A||^2 = ||L_E||^2 +
+        ||L_G||^2 / duration^2 + 2 lambda^2 <L_E, D> + lambda^4 ||D||^2, the
+        largest sqrt(duration^2 (||L_E||^2 + max(...)) + ||L_G||^2) / n. A
+        stationary arc's exponent is its whole series, at any step size."""
         worst = np.maximum.reduceat(np.array([2.0 * lambda_sq, lambda_sq**2]) @ self.gram,
                                     self.arc_starts)[:, None]
         square = durations * durations * (self.ee + worst) + self.gg
-        return (np.sqrt(square) / self.steps).max(axis=0)
+        return (np.sqrt(square) / self.steps)[self.moving].max(axis=0, initial=0.0)
 
     def blocks(self, durations: np.ndarray, lambda_sq: float):
         """Per block of at most _BLOCK_STEPS steps: its basis rows, and at
@@ -459,13 +479,16 @@ def _step_runs(loop: LoopSpec, steps: int | None, scales) -> list:
     """Runs of consecutive duration scales of the loop at which it takes the
     same per-arc step counts, as [counts, first, stop]: the one place that
     splits a grid. Every point takes steps, by default its default step
-    count, split across arcs by duration."""
+    count, split across arcs by duration; a stationary arc takes one step,
+    its exact exponential, and the others keep their share."""
+    stationary = [_stationary(arc) for arc in loop.arcs]
     runs = []
     for i, scale in enumerate(scales):
         durations = [arc.duration * scale for arc in loop.arcs]
         total = float(sum(durations))
         n = _default_steps(loop.omega_scale, total) if steps is None else steps
-        counts = tuple(max(1, int(round(n * d / total))) for d in durations)
+        counts = tuple(1 if still else max(1, int(round(n * d / total)))
+                       for still, d in zip(stationary, durations))
         if runs and runs[-1][0] == counts:
             runs[-1][2] = i + 1
         else:
@@ -481,7 +504,8 @@ class LoopChannel:
     phi is the 16x16 superoperator propagator in start-frame coordinates,
     or the (n, 16, 16) stack over the grid, trace-preserving to rounding
     by construction (see the module docstring); steps is the number of
-    Magnus steps taken, the per-arc counts summed over arcs and points;
+    step exponentials taken, the per-arc counts summed over arcs and
+    points, one for each stationary arc;
     apply() maps initial lab-frame density matrices to the final ones.
     """
 

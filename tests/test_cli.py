@@ -295,6 +295,23 @@ class TestSweepCommands:
         assert "steps must be an integer in [3, 50000], got 50001" in streams.err
         assert not out.exists()
 
+    def test_default_steps_above_the_ceiling_is_config_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Omega*tau 1e6 would take 2,400,000 default steps, about 14 GB of
+        # plan: the run stops before any plan is built
+        def no_plan(*args):
+            raise AssertionError("a channel plan was built")
+
+        monkeypatch.setattr(lindblad, "_loop_plan", no_plan)
+        out = tmp_path / "x"
+        code, streams = run([
+            "noisy-sweep", "--grid", "100:1e6:3", "--lambda-sq", "0,0.05", "--out", str(out),
+        ], capsys)
+        assert code == 2
+        assert "Omega*tau 1e+06 takes 2400000 default steps, above the ceiling of 50000" in (
+            streams.err)
+        assert not out.exists()
+
     def test_overflowed_run_reports_only_the_exit_3_message(self, tmp_path, capsys):
         # steps this long would overflow Phi; the Magnus gate rejects them
         # first, and numpy must not warn on the way

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tripod_holonomy import (
     ArcKind,
     ArcSegment,
+    LoopSpec,
     NoiseModel,
     adiabatic_gate,
     high_temperature_noise,
@@ -35,6 +37,7 @@ from tripod_holonomy.lindblad import (
     _loop_plan,
     _real_superop,
     _squarings,
+    _stationary,
     _step_runs,
     _term_weights,
     default_step_count,
@@ -139,14 +142,22 @@ def apply_superop(superop, sigma):
 # ---------------------------------------------------------------------------
 
 
-def _arc_pieces(loop, steps):
+def _arc_pieces(loop, steps, counts=None):
     """Per arc: the arc, its step count and size, and its coherent
-    superoperator on row-major vec(sigma), at the production split of
-    steps across arcs."""
+    superoperator on row-major vec(sigma), at the split of steps across
+    arcs by duration, or at the given per-arc counts."""
     energies = np.diag(loop.omega_scale * FRAME_ENERGY)
-    for arc in loop.arcs:
-        n = max(1, int(round(steps * arc.duration / loop.total_time)))
+    if counts is None:
+        counts = [max(1, int(round(steps * arc.duration / loop.total_time))) for arc in loop.arcs]
+    for arc, n in zip(loop.arcs, counts):
         yield arc, n, arc.duration / n, _commutator_superop(energies + _arc_generator(arc))
+
+
+def production_pieces(loop, steps):
+    """_arc_pieces at the channel's own split of steps, in which an arc
+    whose dissipator does not move takes one step."""
+    (counts, _, _), = _step_runs(loop, steps, [1.0])
+    return _arc_pieces(loop, steps, counts)
 
 
 def magnus_exponents(a1, a2, h):
@@ -156,38 +167,57 @@ def magnus_exponents(a1, a2, h):
     return 0.5 * h * (a1 + a2) + np.sqrt(3.0) * h * h / 12.0 * (a2 @ a1 - a1 @ a2)
 
 
+def tree_product(stack):
+    """stack[n-1] @ ... @ stack[0] of an (n, d, d) stack, by pairwise
+    products: an identity on top evens out a level of odd length."""
+    while len(stack) > 1:
+        if len(stack) % 2:
+            stack = np.concatenate([stack, np.eye(stack.shape[-1])[None]])
+        stack = stack[1::2] @ stack[0::2]
+    return stack[0]
+
+
 def sequential_magnus_phi(loop, noise):
-    """Superoperator propagator by 4th-order Magnus steps taken one at a
-    time at the production step count, each step's exponent from the
-    generators at its two Gauss points, exponentiated by
-    eigendecomposition."""
-    phi = np.eye(16, dtype=complex)
+    """Superoperator propagator by 4th-order Magnus steps at the production
+    step count, split across arcs by duration, each step's exponent from
+    the generators at its two Gauss points: all exponents of an arc
+    exponentiated by one stacked eigendecomposition, then multiplied by
+    tree_product."""
+    maps = []
     for arc, n, h, l_unit in _arc_pieces(loop, default_step_count(loop)):
-        for j in range(n):
-            gauss = (j + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
-            a1, a2 = l_unit + vec_dissipators(arc, gauss, noise)
-            w, v = np.linalg.eig(magnus_exponents(a1, a2, h))
-            phi = (v * np.exp(w)) @ np.linalg.solve(v, phi)
-    return phi
+        gauss = (np.arange(n)[:, None] + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
+        a = l_unit + vec_dissipators(arc, gauss.ravel(), noise)
+        w, v = np.linalg.eig(magnus_exponents(a[0::2], a[1::2], h))
+        maps.append((v * np.exp(w)[:, None, :]) @ np.linalg.inv(v))
+    return tree_product(np.concatenate(maps))
+
+
+# Steps of an arc that sequential_rk4_phi forms at once, to bound its memory.
+_RK4_CHUNK = 512
 
 
 def sequential_rk4_phi(loop, noise, steps):
-    """Superoperator propagator by the classical RK4 stages k1..k4 applied
-    to Phi step by step, with the generators at step starts, midpoints and
-    ends."""
-    phi = np.eye(16, dtype=complex)
+    """Superoperator propagator by classical RK4 steps, split across arcs by
+    duration, with the generators La, Lb, Lc at step starts, midpoints and
+    ends. On Phi' = L Phi a step is Phi <- M Phi with M = I + h/6 (K1 + 2 K2
+    + 2 K3 + K4), K1 = La, K2 = Lb (I + h/2 K1), K3 = Lb (I + h/2 K2) and
+    K4 = Lc (I + h K3): the stages k_i = K_i Phi. Every M of a chunk of
+    steps is formed at once and the chunks multiplied by tree_product."""
+    eye = np.eye(16)
+    maps = []
     for arc, n, h, l_unit in _arc_pieces(loop, steps):
-        local = np.arange(2 * n + 1) * (h / 2.0)
-        local[-1] = arc.duration
-        l_all = l_unit[None, :, :] + vec_dissipators(arc, local, noise)
-        for j in range(n):
-            la, lb, lc = l_all[2 * j], l_all[2 * j + 1], l_all[2 * j + 2]
-            k1 = la @ phi
-            k2 = lb @ (phi + (0.5 * h) * k1)
-            k3 = lb @ (phi + (0.5 * h) * k2)
-            k4 = lc @ (phi + h * k3)
-            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
+        for first in range(0, n, _RK4_CHUNK):
+            last = min(first + _RK4_CHUNK, n)
+            local = np.arange(2 * first, 2 * last + 1) * (h / 2.0)
+            if last == n:
+                local[-1] = arc.duration
+            l_all = l_unit + vec_dissipators(arc, local, noise)
+            la, lb, lc = l_all[0:-1:2], l_all[1::2], l_all[2::2]
+            k2 = lb @ (eye + (0.5 * h) * la)
+            k3 = lb @ (eye + (0.5 * h) * k2)
+            k4 = lc @ (eye + h * k3)
+            maps.append(tree_product(eye + (h / 6.0) * (la + 2.0 * k2 + 2.0 * k3 + k4)))
+    return tree_product(np.array(maps))
 
 
 class TestNoiseModel:
@@ -425,13 +455,17 @@ def plan_of(loop, noise, steps):
 
 
 def direct_reach(loop, noise, steps):
-    """Largest h ||A||_F over every Gauss point, with A = L_arc + lambda^2 D
-    formed one superoperator at a time in the vec basis, where the
-    Frobenius norm is the same as in real coordinates."""
+    """Largest h ||A||_F over every Gauss point of the production split,
+    with A = L_arc + lambda^2 D formed one superoperator at a time in the
+    vec basis, where the Frobenius norm is the same as in real coordinates.
+    An arc whose A is the same at every Gauss point is left out: its
+    Magnus series is the one term h A, exact at any step size."""
     reach = 0.0
-    for arc, n, h, l_unit in _arc_pieces(loop, steps):
+    for arc, n, h, l_unit in production_pieces(loop, steps):
         gauss = (np.arange(n)[:, None] + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
         a = l_unit + vec_dissipators(arc, gauss.ravel(), noise)
+        if np.all(a == a[0]):
+            continue
         reach = max(reach, h * np.sqrt(np.square(np.abs(a)).sum(axis=(1, 2)).max()))
     return reach
 
@@ -488,10 +522,11 @@ class TestChannelPlan:
                 assert not np.any(TRACE_ROW @ l_g)
                 assert np.abs(TRACE_ROW @ rows.reshape(-1, 16, 16)).max() <= 1e-14
 
-    @pytest.mark.parametrize(("wedge", "omega_tau", "taken"), [(1, 60.25, 144), (2, 18.0, 145)])
+    @pytest.mark.parametrize(("wedge", "omega_tau", "taken"), [(1, 60.25, 97), (2, 18.0, 88)])
     def test_channel_records_the_steps_taken(self, wedge, omega_tau, taken):
-        # default_step_count asks for 145 and 144 here; rounding the split
-        # across arcs gives 48 x 3 and 58 + 29 + 58
+        # default_step_count asks for 145 and 144 here; the first arc, which
+        # does not move, takes one exponential and the others their shares
+        # of the duration split: 1 + 48 + 48 and 1 + 29 + 58
         loop = wedge_loop(wedge, 1.0, omega_tau)
         assert default_step_count(loop) != taken
         assert loop_channel(loop, high_temperature_noise(0.05)).steps == taken
@@ -580,7 +615,9 @@ class TestGridPass:
         assert [(first, stop) for *_, first, stop in runs] == [(0, 3), (3, 4), (4, 5), (5, 6)]
         channel = loop_channel(loop, noise, omega_tau=grid)
         assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
-        assert channel.steps == sum(default_step_count(with_total_time(loop, ot)) for ot in grid)
+        # default counts 144 x 3, 147, 192 and 288, less 47 x 3, 48, 63 and
+        # 95 on the first arc, which does not move and takes one exponential
+        assert channel.steps == 712
 
     def test_multi_block_grid(self):
         # every arc spans three full blocks and a partial one, one point per chunk
@@ -591,15 +628,19 @@ class TestGridPass:
         assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid, steps))
 
     def test_points_astride_a_squaring_boundary(self):
-        # at lambda^2 = 0.05 the blocks of Omega*tau 10.5 take no squaring
-        # and those of 11.0 one (24.5 and 25.0: one and two): each point of
-        # a pair that could share an exponential keeps its own squarings
+        # at lambda^2 = 0.05 the blocks of the moving arcs take no squaring
+        # at Omega*tau 10.5 and one at 11.0 (24.5 and 25.0: one and two):
+        # each point of a pair that could share an exponential keeps its
+        # own squarings; one block per arc here
         loop, noise = wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.05)
         grid = np.array([10.5, 11.0, 24.5, 25.0])
         plan, durations = plan_of(loop, noise, 144)
-        for rows, _, _, bounds in plan.blocks(durations * grid, noise.lambda_sq):
+        blocks = list(plan.blocks(durations * grid, noise.lambda_sq))
+        assert len(blocks) == len(loop.arcs) and list(plan.moving) == [False, True, True]
+        for moving, (rows, _, _, bounds) in zip(plan.moving, blocks):
             assert len(plan.work[0]) // (rows.shape[1] // 256) >= 2
-            assert [_squarings(b) for b in bounds] == [0, 1, 1, 2]
+            if moving:
+                assert [_squarings(b) for b in bounds] == [0, 1, 1, 2]
         channel = loop_channel(loop, noise, omega_tau=grid)
         assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
 
@@ -651,6 +692,86 @@ class TestGridPass:
         for ot, got in zip(grid, out):
             alone = loop_channel(with_total_time(loop, ot), noise).apply(sigma)
             np.testing.assert_allclose(got, alone, rtol=0, atol=1e-14)
+
+
+# A meridian at any fixed angle, exact multiples of pi/2 among them, an
+# equator arc, or an arc of a wedge loop or of its reverse.
+_QUARTERS = [0.0, -0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2 * np.pi]
+_COLATITUDES = st.floats(min_value=0.0, max_value=np.pi / 2)
+ARC_ANGLES = st.one_of(
+    st.tuples(st.just(ArcKind.MERIDIAN),
+              st.one_of(st.sampled_from(_QUARTERS), st.floats(1e-3, 2 * np.pi - 1e-3)),
+              _COLATITUDES, _COLATITUDES),
+    st.tuples(st.just(ArcKind.EQUATOR), st.sampled_from([0.0, np.pi / 2]), phases, phases),
+    st.builds(lambda n, reverse, i: (reverse_loop if reverse else lambda loop: loop)(
+        wedge_loop(n, 1.0, 1.0)).arcs[i], st.integers(1, 4), st.booleans(), st.integers(0, 2)
+    ).map(lambda arc: (arc.kind, arc.fixed_angle, arc.start_angle, arc.end_angle)),
+)
+
+
+class TestStationaryArc:
+    """An arc whose frame |0> row does not move, a meridian at
+    sin(phi0) == 0.0, has a constant generator A, so its Magnus series is
+    the one term duration * A at any step size: the channel takes it as
+    one exponential, which the gate does not read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles=ARC_ANGLES)
+    def test_rows_are_constant_exactly_where_the_arc_is_stationary(self, angles):
+        kind, fixed, start, end = angles
+        assume(abs(end - start) >= 1e-2)
+        arc, n = ArcSegment(kind, fixed, start, end, duration=1.0), 4
+        rates = ([get(k) for k in range(-2, 3)] for get in (UNEQUAL_NOISE.rate, UNEQUAL_NOISE.shift))
+        plan = lindblad._ChannelPlan(1.0, (angles,), (n,), *rates)
+        sigma, q, c = plan.basis[0].reshape(3, n, -1)
+        assert list(plan.moving) == [not _stationary(arc)]
+        if _stationary(arc):
+            assert kind is ArcKind.MERIDIAN
+            assert np.all(sigma == sigma[0]) and not q.any() and not c.any()
+        else:
+            weights = _term_weights(arc, np.linspace(0.0, 1.0, 5))
+            assert not np.all(weights == weights[0])
+
+    @pytest.mark.parametrize("wedge", [1, 2, 3])
+    def test_wedge_loops_take_one_step_on_their_polar_meridian(self, wedge):
+        loop = wedge_loop(wedge, 1.0, 42.0)
+        for loop, moving in ((loop, [False, True, True]), (reverse_loop(loop), [True, True, False])):
+            (counts, _, _), = _step_runs(loop, None, [1.0])
+            assert [n == 1 for n in counts] == [not m for m in moving]
+            assert list(_loop_plan(loop, UNEQUAL_NOISE, counts).moving) == moving
+
+    @pytest.mark.parametrize(("grid", "squarings"), [
+        ([17.5, 18.0, 18.5, 19.0], [7, 7, 7, 7]),
+        ([6.0, 18.0, 19.0, 42.0], [5, 7, 7, 8]),
+    ])
+    def test_grid_matches_per_point_calls(self, grid, squarings):
+        # the stationary arc's exponentials share one squaring count and so
+        # one _expm call, or 6.0 and 42.0 each go alone with a spare row
+        loop, noise = wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.05)
+        grid = np.array(grid)
+        (counts, _, _), = _step_runs(loop, None, (grid / loop.total_time).tolist())
+        plan = _loop_plan(loop, noise, counts)
+        durations = np.array([[arc.duration] for arc in loop.arcs]) * grid
+        rows, _, _, bounds = next(plan.blocks(durations, noise.lambda_sq))
+        assert rows.shape[1] == 256 and [_squarings(b) for b in bounds] == squarings
+        channel = loop_channel(loop, noise, omega_tau=grid)
+        assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
+
+    def test_a_loop_with_no_stationary_arc_is_unchanged(self):
+        # the standard loop turned by phi0 = 0.3: every arc moves, so its
+        # steps and Phi are bit for bit those recorded before stationary
+        # arcs took one exponential (numpy 2.4, OpenBLAS, x86-64)
+        half = np.pi / 2
+        loop = LoopSpec(omega_scale=1.0, arcs=(
+            ArcSegment(ArcKind.MERIDIAN, 0.3, 0.0, half, 1.0),
+            ArcSegment(ArcKind.EQUATOR, half, 0.3, 0.3 + half, 1.0),
+            ArcSegment(ArcKind.MERIDIAN, 0.3 + half, half, 0.0, 1.0),
+        ))
+        channel = loop_channel(loop, high_temperature_noise(0.05),
+                               omega_tau=np.array([6.0, 18.251, 42.0]))
+        assert channel.steps == 3 * 144
+        assert hashlib.sha256(channel.phi.tobytes()).hexdigest() == (
+            "bf7575514592ccd3799365f5d73fa735dbd304e0c22e53a3202117da7488e86a")
 
 
 def with_one_norm(a, norm):
@@ -711,11 +832,12 @@ class TestStepExponential:
 
 
 def direct_exponent_norms(loop, lambda_sqs, noise, steps):
-    """Per arc: the largest 1-norm in real coordinates of each step's Magnus
-    exponent at each coupling in lambda_sqs, one row per coupling, with the
-    exponents formed one superoperator at a time in the vec basis."""
+    """Per arc of the production split: the largest 1-norm in real
+    coordinates of each step's Magnus exponent at each coupling in
+    lambda_sqs, one row per coupling, with the exponents formed one
+    superoperator at a time in the vec basis."""
     unit = noise.with_lambda_sq(1.0)
-    for arc, n, h, l_unit in _arc_pieces(loop, steps):
+    for arc, n, h, l_unit in production_pieces(loop, steps):
         gauss = (np.arange(n)[:, None] + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
         d = vec_dissipators(arc, gauss.ravel(), unit)
         rows = []
