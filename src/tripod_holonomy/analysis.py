@@ -47,8 +47,8 @@ def mean_fidelity(
     With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
     the dark block in start-frame coordinates against the target's dark block
     T, the closed-form holonomy, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i])
-    / 6; for a unitary, the (|Tr M|^2 + Tr M M^dag) / 6 of Nielsen (PLA 303,
-    249, 2002), M = T^dag U."""
+    / 6; for a unitary with dark block d, Nielsen's (|Tr M|^2 + Tr M M^dag) / 6
+    (PLA 303, 249, 2002), M = T^dag d: Tr M = sum conj(T) d, Tr M M^dag = Tr d d^dag."""
     target = adiabatic_holonomy(loop)
     if noise.dissipative:
         # the channel's outputs are in end-frame coordinates; the closure
@@ -58,10 +58,11 @@ def mean_fidelity(
         phi = loop_channel(loop, noise, steps, omega_tau).phi
         units = np.ascontiguousarray(phi.reshape(-1, 4, 4, 4, 4)[..., :2, :2])
         y = np.einsum("ia,nabkl,jb->nijkl", v, units, v.conj())
+        value = (np.einsum("...ijij->...", y) + np.einsum("...jjii->...", y)).real / 6.0
     else:
-        m = target.conj().T @ dark_block(loop_propagator(loop, omega_tau).matrix, loop)
-        y = np.einsum("...ik,...jl->...ijkl", m, m.conj())
-    value = (np.einsum("...ijij->...", y) + np.einsum("...jjii->...", y)).real / 6.0
+        d = dark_block(loop_propagator(loop, omega_tau).matrix, loop)
+        trace = (target.conj() * d).sum(axis=(-2, -1))
+        value = (trace.real**2 + trace.imag**2 + (d.real**2 + d.imag**2).sum(axis=(-2, -1))) / 6.0
     broken = np.extract(~np.isfinite(value), value)
     if broken.size:
         # the Magnus gate has passed, so more steps cannot mend this
@@ -120,7 +121,7 @@ def sweep(
 def sweep_curve_to_csv(curve: SweepCurve) -> str:
     """CSV rendering: header plus one row per sample, 12 significant digits."""
     lines = ["omega_tau,mean_fidelity"]
-    for ot, mf in zip(curve.omega_tau, curve.mean_fidelity):
+    for ot, mf in zip(curve.omega_tau.tolist(), curve.mean_fidelity.tolist()):
         lines.append(f"{ot:.12g},{mf:.12g}")
     return "\n".join(lines) + "\n"
 

@@ -7,9 +7,10 @@ which is constant on each meridian and equator arc. So each arc evolves
 by one exponential, exp(-i dt (Omega E + G)), and consecutive arcs share
 the frame at their joint: the loop's lab-basis propagator is
 F(end) x_n ... x_1 F(0)^T. Each exponential is a closed form in H and H^2,
-and G scales as the inverse arc time, so a whole grid of loop times takes
-one stacked closed form per arc. A brute-force midpoint integrator, with
-closed-form steps too, provides an independent cross-check.
+and G scales as the inverse arc time, so on a grid of loop times an arc is
+six fixed matrices with per-point weights and the frames are one 16x16 matrix,
+each product one (1, k) @ (k, m) kernel per point. A brute-force midpoint
+integrator, with closed-form steps too, provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -67,29 +68,36 @@ def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
 
 def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
     """Exact propagator of one arc in frame coordinates, F(end)^T U F(start):
-    exp(-iH), H = dt Omega E + duration G; with a 1-d Omega*tau grid, the
-    (n, 4, 4) stack at loop times omega_tau / Omega. H has eigenvalues
-    {0, 0, +-w}, w^2 = (dt Omega)^2 + span^2 > 0, so H^3 = w^2 H and
-    exp(-iH) = I - 2 (sin(w/2) / w)^2 H^2 - i (sin(w) / w) H."""
+    exp(-iH), H = a E + G0 with a = dt Omega and G0 = duration G; with a 1-d
+    Omega*tau grid, the (n, 4, 4) stack at loop times omega_tau / Omega. H has
+    eigenvalues {0, 0, +-w}, w^2 = a^2 + span^2 > 0, so H^3 = w^2 H and
+    exp(-iH) = I - 2 s^2 (a^2 E^2 + a (E G0 + G0 E) + G0^2) - i c (a E + G0),
+    s = sin(w/2) / w, c = sin(w) / w: one (n, 1, 6) @ (6, 16) product."""
     arc = loop.arcs[arc_index]
     dt = arc.duration
     if omega_tau is not None:
-        dt = dt * (loop_times(loop, omega_tau) / loop.total_time)[:, None, None]
-    a = dt * loop.omega_scale
-    h = a * np.diag(FRAME_ENERGY) + arc.duration * _arc_generator(arc)
+        dt = dt * (loop_times(loop, omega_tau) / loop.total_time)
+    a = np.reshape(dt * loop.omega_scale, (-1, 1))
+    e, g = np.diag(FRAME_ENERGY), arc.duration * _arc_generator(arc)
+    anti = (FRAME_ENERGY[:, None] + FRAME_ENERGY) * g  # E G0 + G0 E, as E is diagonal
+    basis = np.array([np.eye(DIM), e * e, anti, g @ g, e, g]).reshape(6, DIM**2)
     w = np.sqrt(a**2 + (arc.end_angle - arc.start_angle) ** 2)
-    return np.eye(DIM) - 2.0 * (np.sin(w / 2.0) / w) ** 2 * (h @ h) - 1j * (np.sin(w) / w) * h
+    even, odd = -2.0 * (np.sin(w / 2.0) / w) ** 2, -1j * (np.sin(w) / w)
+    coeffs = np.concatenate([np.ones_like(a), even * a**2, even * a, even, odd * a, odd], axis=1)
+    return (coeffs[:, None] @ basis).reshape(np.shape(dt) + (DIM, DIM))
 
 
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
-    """Exact lab-basis propagator of the whole loop (arc 1 applied first);
-    with a 1-d Omega*tau grid, the (n, 4, 4) stack of them over that grid.
-    Each arc hands the next its end frame."""
+    """Exact lab-basis propagator of the whole loop (arc 1 applied first); with
+    a 1-d Omega*tau grid, the (n, 4, 4) stack of them. Each arc hands the next its
+    end frame, and vec(F(end) X F(0)^dag) = vec(X) @ kron(F(end), conj F(0))^T."""
     x = arc_propagator(loop, 0, omega_tau)
     for i in range(1, len(loop.arcs)):
         x = arc_propagator(loop, i, omega_tau) @ x
-    f_end = eigenframe(loop.end_point()).matrix
-    return GatePropagator(matrix=f_end @ x @ start_frame(loop).matrix.conj().T)
+    f_end, f0 = eigenframe(loop.end_point()).matrix, start_frame(loop).matrix
+    frames = np.einsum("ik,jl->klij", f_end, f0.conj()).reshape(DIM**2, DIM**2)
+    lab = x.reshape(x.shape[:-2] + (1, DIM**2)) @ frames
+    return GatePropagator(matrix=lab.reshape(x.shape))
 
 
 def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:
@@ -115,9 +123,10 @@ def adiabatic_gate(loop: LoopSpec) -> GatePropagator:
 
 def dark_block(u: np.ndarray, loop: LoopSpec) -> np.ndarray:
     """2x2 block of a lab-basis operator, or of each in a (..., 4, 4)
-    stack, on span{D0(0), D1(0)}."""
+    stack, on span{D0(0), D1(0)}: vec(U) @ kron(f0^dag, f0^T)[dark rows]^T."""
     f0 = start_frame(loop).matrix
-    return (f0.conj().T @ u @ f0)[..., :2, :2]
+    rows = np.einsum("ki,lj->klij", f0[:, :2].conj(), f0[:, :2]).reshape(DIM**2, 4)
+    return (u.reshape(u.shape[:-2] + (1, DIM**2)) @ rows).reshape(u.shape[:-2] + (2, 2))
 
 
 def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:

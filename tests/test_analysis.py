@@ -271,6 +271,16 @@ class TestSweep:
         for row in lines[1:]:
             float(row.split(",")[0]), float(row.split(",")[1])
 
+    def test_csv_rows_match_numpy_scalar_formatting(self):
+        # the rows format Python floats; the text must be what np.float64
+        # scalars give on values with long or borderline 12-digit forms
+        awkward = np.array([1e-05, 60.25, 0.1 + 0.2, 1 - 1e-13, 1 / 3])
+        curve = analysis.SweepCurve(0.0, awkward, awkward[::-1].copy())
+        rows = [f"{ot:.12g},{mf:.12g}" for ot, mf in zip(awkward, awkward[::-1])]
+        assert isinstance(awkward[0], np.float64)
+        assert sweep_curve_to_csv(curve) == "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
+        assert rows[2:4] == ["0.3,0.3", "1,60.25"]
+
 
 class TestFindOptimalPoint:
     def test_noiseless_peak_matches_closed_form(self, no_noise):

@@ -874,14 +874,15 @@ class TestSquaringBound:
                     assert _squarings(bound) <= _squarings(norm) + 1
 
 
-# wedge:1 and wedge:3 with the flat table, wedge:2 at Omega = 1.3 with
-# uneven rates and Lamb shifts, and the reversed standard loop with the
-# same uneven table
+# wedge:1 and wedge:3 with the flat table, wedge:2 at Omega = 1.3 and
+# wedge:3 at Omega = 1.7 with uneven rates and Lamb shifts, and the
+# reversed standard loop with the same uneven table
 LAB_CASES = [
     (standard_not_loop(1.0, 18.251), high_temperature_noise(0.05)),
     (wedge_loop(2, 1.3, 23.7), UNEQUAL_NOISE.with_lambda_sq(0.05)),
     (reverse_loop(standard_not_loop(1.0, 18.251)), UNEQUAL_NOISE.with_lambda_sq(0.05)),
     (wedge_loop(3, 1.0, 30.0), high_temperature_noise(0.05)),
+    (wedge_loop(3, 1.7, 19.0), UNEQUAL_NOISE.with_lambda_sq(0.05)),
 ]
 
 

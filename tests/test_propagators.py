@@ -254,6 +254,40 @@ class TestStackedPropagator:
         with pytest.raises(ValueError):
             GatePropagator(matrix=stack)
 
+    @pytest.mark.parametrize("omega", [1.0, 1.3, 1.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_matches_one_point_grids_bitwise(self, n, omega):
+        # every product is one (1, k) @ (k, m) kernel per point, so a point
+        # rounds the same alone as inside a grid
+        loop, grid = wedge_loop(n, omega, 1.0), np.array([0.25, 6.0, 17.5, 18.25, 42.0, 60.25])
+        stack = loop_propagator(loop, grid).matrix
+        single = [loop_propagator(loop, [ot]).matrix for ot in grid]
+        assert np.array_equal(stack, np.concatenate(single))
+
+
+class TestDarkBlock:
+    @staticmethod
+    def random_unitaries(rng, n):
+        z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        return np.linalg.qr(z)[0]
+
+    # a wedge starts on the phi = 0 meridian, where f0 is real and
+    # symmetric, so a transposed kron shows only on loops that start on
+    # another meridian: phi = pi/2 (reversed) and phi = 0.2 (pinned arc)
+    @pytest.mark.parametrize("loop", [wedge_loop(3, 1.3, 7.0),
+                                      reverse_loop(standard_not_loop(1.0, 18.25)),
+                                      pinned_arc_loop()],
+                             ids=["wedge3", "reversed", "pinned-arc"])
+    def test_matches_the_explicit_frame_change(self, loop, rng):
+        # (n, 4, 4) stacks and a lone matrix; a transposed or misordered
+        # kron picks other entries of f0^dag U f0 and misses by O(1)
+        f0 = start_frame(loop).matrix
+        for u in (self.random_unitaries(rng, 7), self.random_unitaries(rng, 1)[0]):
+            explicit = (f0.conj().T @ u @ f0)[..., :2, :2]
+            block = dark_block(u, loop)
+            assert block.shape == explicit.shape
+            assert np.abs(block - explicit).max() <= 1e-15
+
 
 class TestHolonomy:
     def test_standard_loop_is_not_gate(self):
