@@ -34,7 +34,6 @@ from .propagators import (
     GatePropagator,
     adiabatic_gate,
     adiabatic_holonomy,
-    arc_propagator,
     loop_propagator,
     schrodinger_oracle,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "SweepCurve",
     "adiabatic_gate",
     "adiabatic_holonomy",
-    "arc_propagator",
     "calibrate_noise",
     "eigenframe",
     "exp_i_hermitian",

@@ -31,6 +31,10 @@ class StepCountTooSmall(TripodError):
     [0, 1], which a NaN also fails."""
 
 
+class NotUnitary(TripodError, ValueError):
+    """A computed propagator fails its unitarity check (an overflow makes NaN)."""
+
+
 class NoPeakInWindow(TripodError):
     """Peak search climbed out of its window without finding a maximum."""
 

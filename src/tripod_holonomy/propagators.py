@@ -3,14 +3,12 @@
 The exact propagator works in the transport picture: in the coordinates of
 the analytic eigenframe F(t) the Hamiltonian is Omega diag(FRAME_ENERGY)
 and the frame's own motion adds the transport generator G = -i F^T dF/dt,
-which is constant on each meridian and equator arc. So each arc evolves
-by one exponential, exp(-i dt (Omega E + G)), and consecutive arcs share
-the frame at their joint: the loop's lab-basis propagator is
-F(end) x_n ... x_1 F(0)^T. Each exponential is a closed form in H and H^2,
-and G scales as the inverse arc time, so on a grid of loop times an arc is
-six fixed matrices with per-point weights and the frames are one 16x16 matrix,
-each product one (1, k) @ (k, m) kernel per point. A brute-force midpoint
-integrator, with closed-form steps too, provides an independent cross-check.
+constant on each meridian and equator arc. So each arc evolves by one
+closed-form exponential, exp(-i dt (Omega E + G)), and the loop's
+lab-basis propagator is F(end) x_n ... x_1 F(0)^T. The engine runs in
+float64 on the real 8x8 embeddings [[Re, -Im], [Im, Re]], one kernel per
+point for each product, so a point rounds alike in any grid. A midpoint
+integrator gives an independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDuration
+from .errors import InvalidDuration, NotUnitary
 from .linalg import _ordered_product, is_unitary
 from .loops import ArcKind, ArcSegment, LoopSpec, solid_angle
 from .tripod import DIM, FRAME_ENERGY, EigenFrame, eigenframe, hamiltonian
@@ -34,7 +32,7 @@ class GatePropagator:
 
     def __post_init__(self) -> None:
         if not is_unitary(self.matrix):
-            raise ValueError("propagator is not unitary to tolerance")
+            raise NotUnitary("propagator is not unitary to tolerance")
 
 
 def start_frame(loop: LoopSpec) -> EigenFrame:
@@ -66,38 +64,48 @@ def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
     return omega_tau / loop.omega_scale
 
 
-def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
-    """Exact propagator of one arc in frame coordinates, F(end)^T U F(start):
-    exp(-iH), H = a E + G0 with a = dt Omega and G0 = duration G; with a 1-d
-    Omega*tau grid, the (n, 4, 4) stack at loop times omega_tau / Omega. H has
-    eigenvalues {0, 0, +-w}, w^2 = a^2 + span^2 > 0, so H^3 = w^2 H and
-    exp(-iH) = I - 2 s^2 (a^2 E^2 + a (E G0 + G0 E) + G0^2) - i c (a E + G0),
-    s = sin(w/2) / w, c = sin(w) / w: one (n, 1, 6) @ (6, 16) product."""
-    arc = loop.arcs[arc_index]
-    dt = arc.duration
-    if omega_tau is not None:
-        dt = dt * (loop_times(loop, omega_tau) / loop.total_time)
-    a = np.reshape(dt * loop.omega_scale, (-1, 1))
-    e, g = np.diag(FRAME_ENERGY), arc.duration * _arc_generator(arc)
-    anti = (FRAME_ENERGY[:, None] + FRAME_ENERGY) * g  # E G0 + G0 E, as E is diagonal
-    basis = np.array([np.eye(DIM), e * e, anti, g @ g, e, g]).reshape(6, DIM**2)
-    w = np.sqrt(a**2 + (arc.end_angle - arc.start_angle) ** 2)
-    even, odd = -2.0 * (np.sin(w / 2.0) / w) ** 2, -1j * (np.sin(w) / w)
-    coeffs = np.concatenate([np.ones_like(a), even * a**2, even * a, even, odd * a, odd], axis=1)
-    return (coeffs[:, None] @ basis).reshape(np.shape(dt) + (DIM, DIM))
+def _arc_tables(kind: ArcKind) -> tuple[np.ndarray, np.ndarray]:
+    """Real embeddings of I, E^2, E G1 + G1 E, G1^2, -iE and -iG1, G1 of a unit-span
+    arc, as (6, k) rows: their left four columns (for a first arc), and all eight."""
+    g, e = _arc_generator(ArcSegment(kind, 0.0, 0.0, 1.0, 1.0)), np.diag(FRAME_ENERGY)
+    anti = (FRAME_ENERGY[:, None] + FRAME_ENERGY) * g  # E G1 + G1 E, as E is diagonal
+    m = np.array([np.eye(DIM), e * e, anti, g @ g, -1j * e, -1j * g])
+    t = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    return t[..., :DIM].reshape(6, -1), t.reshape(6, -1)
+
+
+_ARC_TABLES = {kind: _arc_tables(kind) for kind in ArcKind}
+
+
+def _arc_weights(loop: LoopSpec, ratio: np.ndarray) -> np.ndarray:
+    """(arcs, n, 1, 6) table weights of each arc at loop times `ratio` (n,) times the
+    loop's own. H = a E + span G1 (a = dt Omega) has H^3 = w^2 H, w^2 = a^2 + span^2,
+    so exp(-iH) = I - 2 (sin(w/2) / w)^2 H^2 - i (sin(w) / w) H."""
+    a = np.multiply.outer([arc.duration for arc in loop.arcs], ratio)[..., None] * loop.omega_scale
+    span = np.array([arc.end_angle - arc.start_angle for arc in loop.arcs])[:, None, None]
+    # past Omega*tau ~ 1e154 a^2 overflows; the unitarity check rejects the NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sqrt(a**2 + span**2)
+        even, odd = -2.0 * (np.sin(w / 2.0) / w) ** 2, np.sin(w) / w
+        return np.stack([np.ones_like(a), even * a**2, even * (a * span), even * span**2,
+                         odd * a, odd * span], axis=-1)
 
 
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
     """Exact lab-basis propagator of the whole loop (arc 1 applied first); with
-    a 1-d Omega*tau grid, the (n, 4, 4) stack of them. Each arc hands the next its
-    end frame, and vec(F(end) X F(0)^dag) = vec(X) @ kron(F(end), conj F(0))^T."""
-    x = arc_propagator(loop, 0, omega_tau)
-    for i in range(1, len(loop.arcs)):
-        x = arc_propagator(loop, i, omega_tau) @ x
+    a 1-d Omega*tau grid, the (n, 4, 4) stack of them. Each arc is its weights
+    @ its kind's table, as (n, 8, 8) real embeddings, a first arc's (n, 8, 4).
+    vec(F(end) X F(0)^dag) = vec(X) @ kron(F(end), conj F(0))^T."""
+    ratio = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
+    weights = _arc_weights(loop, ratio)
+    x = (weights[0] @ _ARC_TABLES[loop.arcs[0].kind][0]).reshape(len(ratio), 2 * DIM, DIM)
+    for arc, weight in zip(loop.arcs[1:], weights[1:]):
+        x = (weight @ _ARC_TABLES[arc.kind][1]).reshape(len(ratio), 2 * DIM, 2 * DIM) @ x
     f_end, f0 = eigenframe(loop.end_point()).matrix, start_frame(loop).matrix
     frames = np.einsum("ik,jl->klij", f_end, f0.conj()).reshape(DIM**2, DIM**2)
-    lab = x.reshape(x.shape[:-2] + (1, DIM**2)) @ frames
-    return GatePropagator(matrix=lab.reshape(x.shape))
+    # as floats, row q of F is (Re, Im) of F[q], and of i F it is (-Im, Re)
+    lab = x.reshape(len(x), 1, -1) @ np.concatenate([frames, 1j * frames]).view(float)
+    return GatePropagator(matrix=lab.view(complex).reshape(np.shape(omega_tau) + (DIM, DIM)))
 
 
 def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:

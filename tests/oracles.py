@@ -12,13 +12,24 @@ import numpy as np
 from tripod_holonomy.analysis import FIT_MODELS, FitResult
 from tripod_holonomy.lindblad import COUPLING
 from tripod_holonomy.loops import ArcSegment, LoopSpec, wedge_loop
-from tripod_holonomy.propagators import start_frame
+from tripod_holonomy.propagators import _ARC_TABLES, _arc_weights, loop_times, start_frame
 from tripod_holonomy.tripod import _frame_columns, hamiltonian
 
 
 def standard_not_loop(omega: float, tau: float) -> LoopSpec:
     """The pi/2-wedge NOT loop: three arcs of equal duration tau/3."""
     return wedge_loop(1, omega, tau)
+
+
+def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray:
+    """One arc's exact propagator in frame coordinates, F(end)^T U F(start),
+    as the complex matrix Re + i Im of the engine's real embedding
+    [[Re, -Im], [Im, Re]]; with a 1-d Omega*tau grid, the (n, 4, 4) stack."""
+    ratio = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
+    table = _ARC_TABLES[loop.arcs[arc_index].kind][min(arc_index, 1)]
+    x = (_arc_weights(loop, ratio)[arc_index] @ table).reshape(len(ratio), 8, -1)
+    u = x[:, :4, :4] + 1j * x[:, 4:, :4]
+    return u[0] if omega_tau is None else u
 
 
 def reverse_loop(loop: LoopSpec) -> LoopSpec:

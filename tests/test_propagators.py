@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from tripod_holonomy import (
     LoopSpec,
     adiabatic_gate,
     adiabatic_holonomy,
-    arc_propagator,
     loop_propagator,
     mean_fidelity,
     optimal_time,
@@ -18,7 +18,7 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy import linalg
-from tripod_holonomy.errors import InvalidDuration, UnsupportedLoop
+from tripod_holonomy.errors import InvalidDuration, NotUnitary, TripodError, UnsupportedLoop
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block, start_frame
@@ -27,7 +27,7 @@ from tripod_holonomy.tripod import (
 )
 
 from conftest import UNEVEN_LOOP_DOC, _expm_i, per_point_propagator
-from oracles import holonomy_path_ordered, reverse_loop, standard_not_loop
+from oracles import arc_propagator, holonomy_path_ordered, reverse_loop, standard_not_loop
 
 NOT_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -253,6 +253,15 @@ class TestStackedPropagator:
         stack[2, 3, 3] = 1.0 + 1e-6
         with pytest.raises(ValueError):
             GatePropagator(matrix=stack)
+
+    def test_overflowed_loop_time_fails_the_unitarity_check(self):
+        # a^2 overflows past Omega*tau ~ 1e154; the error is a package error
+        # and, as before, a ValueError
+        assert issubclass(NotUnitary, TripodError) and issubclass(NotUnitary, ValueError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary):
+                loop_propagator(wedge_loop(1, 1.0, 1.0), [18.25, 1e300])
 
     @pytest.mark.parametrize("omega", [1.0, 1.3, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 3])
