@@ -65,7 +65,8 @@ def mean_fidelity(
         value = (trace.real**2 + trace.imag**2 + (d.real**2 + d.imag**2).sum(axis=(-2, -1))) / 6.0
     broken = np.extract(~np.isfinite(value), value)
     if broken.size:
-        # the Magnus gate has passed, so more steps cannot mend this
+        # the Magnus gate has passed, or the exact engine overflowed (past
+        # Omega*tau ~ 1e154): more steps cannot mend this
         raise StepCountTooSmall(f"mean fidelity {broken[0]} is not finite: a numerical fault")
     outside = np.extract(~((value >= -1e-9) & (value <= 1.0 + 1e-9)), value)
     if outside.size:

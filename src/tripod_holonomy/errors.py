@@ -27,12 +27,9 @@ class UnsupportedLoop(TripodError):
 
 class StepCountTooSmall(TripodError):
     """Integrator resolution too low or result unusable: a Magnus step with
-    h ||A||_F >= pi, checked before integrating, or a mean fidelity outside
-    [0, 1], which a NaN also fails."""
-
-
-class NotUnitary(TripodError, ValueError):
-    """A computed propagator fails its unitarity check (an overflow makes NaN)."""
+    h ||A||_F >= pi, checked before integrating, or a mean fidelity that is
+    not finite (as from an exact propagator past an overflowed loop time)
+    or lies outside [0, 1]."""
 
 
 class NoPeakInWindow(TripodError):

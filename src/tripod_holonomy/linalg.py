@@ -1,11 +1,12 @@
 """Dense linear algebra for the small matrices used here.
 
-`is_unitary` checks every exact propagator, in real arithmetic.
-`exp_i_hermitian` goes through the spectral decomposition; no engine
-calls it, as both tripod exponentials are closed forms, and it stays for
-the benchmark harness, which binds it. Both take one matrix or a
-(..., n, n) stack. The ordered product of a stack of step maps, or of
-each of a batch of them, serves both time-ordered engines.
+`exp_i_hermitian` goes through the spectral decomposition, for one
+matrix or a (..., n, n) stack; no engine calls it, as both tripod
+exponentials are closed forms, and it stays for the benchmark harness,
+which binds it. No propagator is checked for unitarity at run time: the
+exact engine's closed form is unitary by construction, which the tests
+check. The ordered product of a stack of step maps, or of each of a
+batch of them, serves both time-ordered engines.
 """
 
 from __future__ import annotations
@@ -16,25 +17,6 @@ from .errors import DimensionMismatch, NonHermitianInput
 
 # Pre-check tolerance for Hermiticity of inputs.
 HERMITIAN_TOL = 1e-10
-# Tolerance on the unitarity of computed propagators.
-UNITARY_TOL = 1e-10
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    """True iff ||U^dag U - I||_F <= UNITARY_TOL for every matrix U."""
-    return bool(np.all(_unitary_defect(u) <= UNITARY_TOL))
-
-
-def _unitary_defect(u: np.ndarray) -> np.ndarray:
-    """||U^dag U - I||_F of each U. Read as complex, the even and odd rows of V^T V,
-    V the (re, im) floats of U, are Re(U)^T U and Im(U)^T U: U^dag U = even - i odd."""
-    v = np.ascontiguousarray(u, dtype=complex).view(float)
-    d, odd = ((np.ascontiguousarray(v[..., p::2].swapaxes(-1, -2)) @ v).view(complex)
-              for p in (0, 1))
-    d -= np.multiply(odd, 1j, out=odd)
-    d -= np.eye(d.shape[-1])
-    sq = np.multiply(np.conjugate(d, out=odd), d, out=odd).real  # as np.linalg.norm sums it
-    return np.sqrt(np.add.reduce(sq, axis=(-2, -1)))
 
 
 def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:

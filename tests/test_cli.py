@@ -329,14 +329,16 @@ class TestSweepCommands:
 
     def test_overflowed_loop_time_exits_3_without_a_traceback(self, tmp_path, capsys):
         # past Omega*tau ~ 1e154 the closed form's a^2 overflows; the NaN
-        # propagator fails its unitarity check, and numpy must not warn
+        # propagator fails mean_fidelity's finite check, and numpy must not warn
         out = tmp_path / "x"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, streams = run(["ideal-sweep", "--grid", "1e300:1e300:1", "--out", str(out)],
                                 capsys)
         assert code == 3
-        assert streams.err == "error: propagator is not unitary to tolerance\n"
+        assert streams.err == (
+            "numerical validation failed: mean fidelity nan is not finite: a numerical fault\n"
+        )
         assert not out.exists()
 
     def test_under_resolved_standard_loop_exits_3(self, tmp_path, capsys):

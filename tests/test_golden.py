@@ -8,7 +8,8 @@ Regenerate the golden files, from the repository root, with
     PYTHONPATH=src python tests/test_golden.py
 
 and list the largest shift per file in CHANGES.md when a change moves a
-value past its bound.
+value past its bound. The same run counts the work of each command
+against LEDGER.
 """
 
 import csv
@@ -17,12 +18,13 @@ import json
 import math
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from tripod_holonomy import cli
+from tripod_holonomy import analysis, cli, lindblad
 from tripod_holonomy.analysis import PEAK_TOL
 
 from conftest import UNEQUAL_NOISE
@@ -48,6 +50,22 @@ UNEVEN_RUNS = (
     ["optimal", "--lambda-sq", "0.001,0.05"],
 )
 
+# The work of each command of write_outputs, by output directory, starting
+# from no channel plan: loop_channel calls, channel points, step
+# exponentials, channel plan builds, exact-engine calls and exact-engine
+# points. A change to any of them is a change to what the commands do; the
+# change that makes it states it in CHANGES.md.
+LEDGER = {
+    "quick/ideal": (0, 0, 0, 0, 1, 61),
+    "quick/optimal": (93, 119, 11_543, 1, 4, 6),
+    "quick/noisy": (6, 366, 35_502, 0, 0, 0),
+    "quick/robustness": (13, 13, 1_261, 0, 1, 1),
+    "quick/fit_all": (0, 0, 0, 0, 0, 0),
+    "quick/fit_small": (0, 0, 0, 0, 0, 0),
+    "uneven/noisy-sweep": (2, 26, 2_522, 1, 0, 0),
+    "uneven/optimal": (16, 20, 1_940, 0, 0, 0),
+}
+
 
 def write_outputs(out: Path) -> None:
     """The `--quick` figure set in out/quick, and the uneven-table runs in
@@ -63,6 +81,53 @@ def write_outputs(out: Path) -> None:
         run = uneven / argv[0]
         assert cli.main([*argv, "--noise-file", str(uneven / "uneven_noise.json"),
                          "--out", str(run)]) == 0
+
+
+@contextmanager
+def counting(root: Path):
+    """Yield the ledger of the commands run meanwhile with outputs under
+    root, as LEDGER counts it, filled in as they run."""
+    ledger, row = {}, None
+
+    def add(*counts):
+        for i, count in enumerate(counts):
+            row[i] += count
+
+    def per_command(main):
+        def counted(argv):
+            nonlocal row
+            out = Path(argv[argv.index("--out") + 1]).relative_to(root).as_posix()
+            row = ledger.setdefault(out, [0] * 6)
+            return main(argv)
+        return counted
+
+    def channel(loop_channel):
+        def counted(*args, **kwargs):
+            result = loop_channel(*args, **kwargs)
+            add(1, len(result.phi.reshape(-1, 16, 16)), result.steps)
+            return result
+        return counted
+
+    def exact(loop_propagator):
+        def counted(*args, **kwargs):
+            result = loop_propagator(*args, **kwargs)
+            add(0, 0, 0, 0, 1, len(result.matrix.reshape(-1, 4, 4)))
+            return result
+        return counted
+
+    build = lindblad._ChannelPlan.__init__
+
+    def counted_build(plan, *args):
+        add(0, 0, 0, 1)
+        build(plan, *args)
+
+    lindblad._channel_plan.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "main", per_command(cli.main))
+        patch.setattr(analysis, "loop_channel", channel(analysis.loop_channel))
+        patch.setattr(analysis, "loop_propagator", exact(analysis.loop_propagator))
+        patch.setattr(lindblad._ChannelPlan, "__init__", counted_build)
+        yield ledger
 
 
 def output_files(root: Path) -> list:
@@ -203,14 +268,24 @@ def compare_file(name: str, golden_root: Path, got_root: Path) -> float:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def counted_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    write_outputs(out)
-    return out
+    with counting(out) as ledger:
+        write_outputs(out)
+    return out, ledger
+
+
+@pytest.fixture(scope="module")
+def outputs(counted_outputs):
+    return counted_outputs[0]
 
 
 def test_the_same_files_are_written(outputs):
     assert output_files(outputs) == output_files(GOLDEN)
+
+
+def test_each_command_does_the_work_in_the_ledger(counted_outputs):
+    assert {out: tuple(row) for out, row in counted_outputs[1].items()} == LEDGER
 
 
 @pytest.mark.parametrize("name", output_files(GOLDEN))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tripod_holonomy import exp_i_hermitian
 from tripod_holonomy.errors import DimensionMismatch, NonHermitianInput
-from tripod_holonomy.linalg import _ordered_product, _unitary_defect, is_unitary
+from tripod_holonomy.linalg import _ordered_product
 
 from conftest import random_hermitian
 
@@ -107,43 +107,3 @@ class TestOrderedProduct:
         product = _ordered_product(stack.copy(), spare)
         assert product.shape == phi.shape
         assert np.abs(product - phi).max() <= 1e-13
-
-
-def direct_defect(u):
-    """||U^dag U - I||_F from the complex product, as the check once took it."""
-    return np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
-
-
-class TestUnitaryDefect:
-    @staticmethod
-    def random_complex(rng, shape):
-        # columns of about unit norm: the defect is O(1), so the 1e-15 bound
-        # is a few ulps of it in whatever order a BLAS sums
-        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(8.0)
-
-    # general complex matrices, far from unitary, so a sign or a transpose
-    # slip in the imaginary part of U^dag U shows at O(1)
-    @pytest.mark.parametrize("shape", [(7, 4, 4), (4, 4), (2, 3, 4, 4)],
-                             ids=["stack", "lone", "batch"])
-    def test_matches_the_complex_product(self, rng, shape):
-        u = self.random_complex(rng, shape)
-        defect = _unitary_defect(u)
-        assert defect.shape == shape[:-2]
-        assert np.abs(defect - direct_defect(u)).max() <= 1e-15
-
-    def test_real_orthogonal_input(self, rng):
-        q = np.linalg.qr(rng.normal(size=(5, 4, 4)))[0]
-        assert np.abs(_unitary_defect(q) - direct_defect(q)).max() <= 1e-15
-        assert is_unitary(q)
-
-    def test_non_contiguous_slice(self, rng):
-        u = self.random_complex(rng, (6, 4, 8))[::2, :, 1::2]
-        assert not u.flags.c_contiguous
-        assert np.abs(_unitary_defect(u) - direct_defect(u)).max() <= 1e-15
-
-    def test_one_member_off_by_1e_9_rejects_the_stack(self, rng):
-        stack = np.linalg.qr(self.random_complex(rng, (5, 4, 4)))[0]
-        assert is_unitary(stack)
-        stack[3, 1, 2] += 1e-9
-        assert _unitary_defect(stack)[3] > 1e-9
-        assert not is_unitary(stack)

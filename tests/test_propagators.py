@@ -18,10 +18,12 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy import linalg
-from tripod_holonomy.errors import InvalidDuration, NotUnitary, TripodError, UnsupportedLoop
+from tripod_holonomy.errors import InvalidDuration, StepCountTooSmall, UnsupportedLoop
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.lindblad import high_temperature_noise
-from tripod_holonomy.propagators import GatePropagator, _arc_generator, dark_block, start_frame
+from tripod_holonomy.propagators import (
+    _ARC_TABLES, _arc_generator, _arc_weights, dark_block, loop_times, start_frame,
+)
 from tripod_holonomy.tripod import (
     FRAME_ENERGY, SphericalPoint, _frame_columns, eigenframe, hamiltonian,
 )
@@ -213,10 +215,6 @@ class TestLoopPropagator:
         f_rev = mean_fidelity(rev, high_temperature_noise(0.0))
         assert abs(f_fwd - f_rev) <= 1e-9
 
-    def test_non_unitary_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            GatePropagator(matrix=np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex))
-
 
 class TestStackedPropagator:
     @pytest.mark.parametrize("grid", [np.linspace(0.25, 60.25, 61), np.array([18.25])],
@@ -248,21 +246,6 @@ class TestStackedPropagator:
         with pytest.raises(InvalidDuration):
             loop_propagator(wedge_loop(1, 1.0, 1.0), grid)
 
-    def test_one_non_unitary_member_rejects_the_stack(self):
-        stack = np.stack([np.eye(4, dtype=complex)] * 3)
-        stack[2, 3, 3] = 1.0 + 1e-6
-        with pytest.raises(ValueError):
-            GatePropagator(matrix=stack)
-
-    def test_overflowed_loop_time_fails_the_unitarity_check(self):
-        # a^2 overflows past Omega*tau ~ 1e154; the error is a package error
-        # and, as before, a ValueError
-        assert issubclass(NotUnitary, TripodError) and issubclass(NotUnitary, ValueError)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotUnitary):
-                loop_propagator(wedge_loop(1, 1.0, 1.0), [18.25, 1e300])
-
     @pytest.mark.parametrize("omega", [1.0, 1.3, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_grid_matches_one_point_grids_bitwise(self, n, omega):
@@ -272,6 +255,62 @@ class TestStackedPropagator:
         stack = loop_propagator(loop, grid).matrix
         single = [loop_propagator(loop, [ot]).matrix for ot in grid]
         assert np.array_equal(stack, np.concatenate(single))
+
+
+def embedding(m):
+    """Real embedding [[Re, -Im], [Im, Re]] of a complex matrix."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+class TestUnitaryByConstruction:
+    """No propagator is checked at run time; the closed form is unitary part
+    by part. The tables embed -iH = a (-iE) + span (-iG1), Hermitian H with
+    H^3 = w^2 H, w^2 = a^2 + span^2, and its square; with that,
+    U = I + even H^2 - i odd H has U^dag U = I + c H^2 / w^2, where
+    c = 2 (p1 + p3) + (p1 + p3)^2 + p4^2 + p5^2 in the weights p0..p5 of
+    the rows I, E^2, E G1 + G1 E, G1^2, -iE, -iG1, and the weights make c
+    vanish."""
+
+    @pytest.mark.parametrize("kind", list(ArcKind))
+    def test_tables_embed_a_generator_with_the_cubic_identity(self, kind):
+        first, full = _ARC_TABLES[kind]
+        t = full.reshape(6, 8, 8)
+        g1 = _arc_generator(ArcSegment(kind, 0.0, 0.0, 1.0, 1.0))
+        assert np.array_equal(first.reshape(6, 8, 4), t[..., :4])
+        assert np.array_equal(t[0], np.eye(8))
+        assert np.array_equal(t[4], embedding(-1j * np.diag(FRAME_ENERGY)))
+        assert np.array_equal(t[5], embedding(-1j * g1))
+        for a in np.geomspace(1e-3, 1e6, 37):
+            for span in (-np.pi / 2, -np.pi / 6, 0.3, np.pi / 2, 2.0):
+                k, w2 = a * t[4] + span * t[5], a * a + span * span
+                # -iH is anti-Hermitian, so its embedding is antisymmetric
+                assert np.array_equal(k, -k.T)
+                square = a * a * t[1] + a * span * t[2] + span * span * t[3]
+                assert np.abs(square + k @ k).max() <= 1e-15 * w2
+                assert np.abs(k @ k @ k + w2 * k).max() <= 1e-15 * w2**1.5
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3, 1.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_weights_and_propagators_are_unitary_up_to_the_overflow(self, n, omega):
+        loop, grid = wedge_loop(n, omega, 1.0), np.geomspace(0.01, 1e150, 4001)
+        p0, p1, _, p3, p4, p5 = np.moveaxis(
+            _arc_weights(loop, loop_times(loop, grid) / loop.total_time), -1, 0)
+        even_w2 = p1 + p3
+        assert np.all(p0 == 1.0)
+        assert np.abs(2.0 * even_w2 + even_w2 * even_w2 + p4 * p4 + p5 * p5).max() <= 1e-14
+        # 1e-13 leaves room for other BLAS kernels' rounding (7.8e-15 seen)
+        u = loop_propagator(loop, grid).matrix
+        defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(4), axis=(-2, -1))
+        assert defect.max() <= 1e-13
+
+    def test_an_overflowed_loop_time_fails_the_fidelity_check(self):
+        # past Omega*tau ~ 1e154 a^2 overflows and the propagator is NaN;
+        # mean_fidelity's finite check rejects it, and numpy must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepCountTooSmall, match="nan is not finite"):
+                mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.0),
+                              omega_tau=[18.25, 1e300])
 
 
 class TestDarkBlock:
