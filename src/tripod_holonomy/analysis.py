@@ -43,7 +43,7 @@ def mean_fidelity(
 ) -> float | np.ndarray:
     """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)}; one value per
     point of an Omega*tau grid (under dissipative noise, from one
-    `loop_channel` call on the whole grid, which splits it into runs).
+    `loop_channel` call on the whole grid, at its longest loop's count).
     With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
     the dark block in start-frame coordinates against the target's dark block
     T, the closed-form holonomy, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i])

@@ -37,17 +37,18 @@ the exponents but the loop time and lambda^2 comes from a channel plan
 duration), step split and rate table; the last plan is kept. It also holds
 the 1-norm of every basis row, so each block of steps takes its squaring
 count from a bound and forms its exponents already scaled. One plan serves
-a whole grid of loop times that share a step split: per block, consecutive
-points with the same squarings are formed, exponentiated and multiplied
-together, and each point's Phi is bit for bit that of its own call. Its
-workspace holds the step exponentials and their pairwise tree products, so
-a process runs one channel at a time. The series converges when
-h ||A||_2 < pi, so a step with h ||A||_F >= pi, at any point of the grid,
-raises StepCountTooSmall before any exponential is taken; it is the only
-gate that sees an under-resolved run, and it reads only the arcs that
-move. Phi preserves the trace by construction, not by a check: the trace
-functional annihilates L_E, L_G and every dissipator term, hence every
-Magnus exponent, and so every step exponential fixes it up to rounding.
+a whole grid of loop times, all at the step split of its longest loop:
+per block, consecutive points with the same squarings are formed,
+exponentiated and multiplied together, and each point's Phi is bit for
+bit that of its own call at that split. Its workspace holds the step
+exponentials and their pairwise tree products, so a process runs one
+channel at a time. The series converges when h ||A||_2 < pi, so a step
+with h ||A||_F >= pi, at any point of the grid, raises StepCountTooSmall
+before any exponential is taken; it is the only gate that sees an
+under-resolved run, and it reads only the arcs that move. Phi preserves
+the trace by construction, not by a check: the trace functional
+annihilates L_E, L_G and every dissipator term, hence every Magnus
+exponent, and so every step exponential fixes it up to rounding.
 """
 
 from __future__ import annotations
@@ -175,9 +176,11 @@ def default_step_count(loop: LoopSpec) -> int:
     Omega*tau, at least 144 (48 per arc of a wedge loop), split across
     arcs by duration; a stationary arc takes one step instead of its
     share, its exact exponential, so the standard loop takes 1 + 48 + 48
-    at the floor (LoopChannel.steps counts the exponentials taken). On
-    wedge loops 1-3 over Omega*tau 0.25-240 at lambda^2 = 0.05 the steps
-    stay at h*|A|_F <= 1.7, inside the pi gate.
+    at the floor (LoopChannel.steps counts the exponentials taken). Every
+    point of an Omega*tau grid takes the count of the grid's longest loop,
+    on the standard loop 1 + 48 + 48 up to Omega*tau 60.4. On wedge loops
+    1-3 over Omega*tau 0.25-240 at lambda^2 = 0.05 the steps stay at
+    h*|A|_F <= 1.7, inside the pi gate.
     On the standard loop at lambda^2 <= 0.05 over Omega*tau 6-60.25,
     against RK4 at 8 x 60 steps per unit of Omega*tau (at least 8,000),
     the largest error of a Phi entry is 2.2e-9 (RK4 at 60 per unit:
@@ -475,25 +478,14 @@ def _loop_plan(loop: LoopSpec, noise: NoiseModel, counts: tuple) -> _ChannelPlan
     return _channel_plan(loop.omega_scale, arcs, counts, *rates)
 
 
-def _step_runs(loop: LoopSpec, steps: int | None, scales) -> list:
-    """Runs of consecutive duration scales of the loop at which it takes the
-    same per-arc step counts, as [counts, first, stop]: the one place that
-    splits a grid. Every point takes steps, by default its default step
-    count, split across arcs by duration; a stationary arc takes one step,
-    its exact exponential, and the others keep their share."""
-    stationary = [_stationary(arc) for arc in loop.arcs]
-    runs = []
-    for i, scale in enumerate(scales):
-        durations = [arc.duration * scale for arc in loop.arcs]
-        total = float(sum(durations))
-        n = _default_steps(loop.omega_scale, total) if steps is None else steps
-        counts = tuple(1 if still else max(1, int(round(n * d / total)))
-                       for still, d in zip(stationary, durations))
-        if runs and runs[-1][0] == counts:
-            runs[-1][2] = i + 1
-        else:
-            runs.append([counts, i, i + 1])
-    return runs
+def _step_counts(loop: LoopSpec, steps: int | None, scale: float) -> tuple:
+    """Per-arc step counts at duration scale `scale`: steps, by default the
+    loop's default count there, split by duration; one on a stationary arc."""
+    durations = [arc.duration * scale for arc in loop.arcs]
+    total = float(sum(durations))
+    n = _default_steps(loop.omega_scale, total) if steps is None else steps
+    return tuple(1 if _stationary(arc) else max(1, int(round(n * d / total)))
+                 for arc, d in zip(loop.arcs, durations))
 
 
 @dataclass(frozen=True)
@@ -530,17 +522,15 @@ def loop_channel(
     loop: LoopSpec, noise: NoiseModel, steps: int | None = None, omega_tau=None
 ) -> LoopChannel:
     """Integrate the transport-picture master equation over the loop, or
-    over the loop at each time of a 1-d Omega*tau grid, one pass per run of
-    points that share a step split (`_step_runs`, the only grid split); each
-    arc hands the next its end frame. Each point takes steps, by default its
-    own default count."""
+    over the loop at each time of a 1-d Omega*tau grid, in one pass at one
+    step split; each arc hands the next its end frame. Every point takes
+    steps, by default the default count of the grid's longest loop, so a
+    grid's shorter loops take its longest loop's count."""
     if steps is not None and steps < len(loop.arcs):
         raise StepCountTooSmall(f"need at least one step per arc, got {steps}")
     scales = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
-    phi, taken = [], 0
-    for counts, first, stop in _step_runs(loop, steps, scales.tolist()):
-        plan = _loop_plan(loop, noise, counts)
-        phi.append(plan.propagate(loop, noise.lambda_sq, scales[first:stop]))
-        taken += sum(counts) * (stop - first)
-    phi = _BASIS @ np.concatenate(phi) @ _BASIS.conj().T
-    return LoopChannel(loop=loop, steps=taken, phi=phi[0] if omega_tau is None else phi)
+    counts = _step_counts(loop, steps, scales.max())
+    plan = _loop_plan(loop, noise, counts)
+    phi = _BASIS @ plan.propagate(loop, noise.lambda_sq, scales) @ _BASIS.conj().T
+    return LoopChannel(loop=loop, steps=sum(counts) * len(scales),
+                       phi=phi[0] if omega_tau is None else phi)

@@ -1,10 +1,11 @@
 """Reference helpers that only tests compare against.
 
 Each one is an independent path to a value the package computes another
-way: the path-ordered holonomy checks the closed-form one, the fit
-residuals check the fitted noise-response laws against their data, the
-plain power series checks the channel's step exponential, and the
-lab-basis channel checks the transport-picture one.
+way: the path-ordered holonomy checks the closed-form one, the lab-basis
+Magnus propagator checks the exact engine, the fit residuals check the
+fitted noise-response laws against their data, the plain power series
+checks the channel's step exponential, and the lab-basis channel checks
+the transport-picture one.
 """
 
 import numpy as np
@@ -62,6 +63,27 @@ def holonomy_path_ordered(loop: LoopSpec, steps: int = 2000) -> np.ndarray:
     f_end = _frame_columns(np.asarray(th_end), np.asarray(ph_end))
     closure = (f_start.conj().T @ f_end)[:2, :2]
     return closure @ w
+
+
+def magnus_propagator(loop: LoopSpec, steps: int) -> np.ndarray:
+    """The loop's propagator in the lab basis by 4th-order Magnus steps on
+    tripod.hamiltonian alone, with no frame: each step's exponent is -i K,
+    K = h/2 (H1 + H2) - i (sqrt(3) h^2 / 12) [H2, H1] from the Hamiltonians
+    at its two Gauss points, Hermitian, and exponentiated by eigh. steps
+    are split across arcs by duration."""
+    u = np.eye(4, dtype=complex)
+    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+    for arc in loop.arcs:
+        n = max(1, int(round(steps * arc.duration / loop.total_time)))
+        h = arc.duration / n
+        hams = hamiltonian(*arc.angles(((np.arange(n)[:, None] + nodes) * h).ravel()),
+                           loop.omega_scale)
+        h1, h2 = hams[0::2], hams[1::2]
+        k = 0.5 * h * (h1 + h2) - 1j * np.sqrt(3.0) * h * h / 12.0 * (h2 @ h1 - h1 @ h2)
+        w, v = np.linalg.eigh(k)
+        for step in (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2):
+            u = step @ u
+    return u
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:

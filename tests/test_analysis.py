@@ -140,20 +140,23 @@ class TestBatchedNoiselessCurve:
         loops = (wedge_loop(1, 1.0, 1.0), wedge_loop(2, 1.3, 1.0))
         inputs = [
             (flat, 300, np.array([6.0, 13.3, 18.25, 30.1])),
-            # default steps change the step split past Omega*tau 60: several runs
+            # past Omega*tau 60.4 the points' own default counts differ; by
+            # default each takes the count of the grid's longest loop
             (flat, None, np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])),
-            # unequal rates with Lamb shifts, across the split after 60
+            # unequal rates with Lamb shifts, across that boundary
             (UNEQUAL_NOISE.with_lambda_sq(0.05), None, np.array([59.0, 60.0, 61.0])),
         ]
         for (noise, steps, grid), loop in itertools.product(inputs, loops):
             batched = mean_fidelity(loop, noise, steps=steps, omega_tau=grid)
+            longest = with_total_time(loop, grid[-1] / loop.omega_scale)
+            count = default_step_count(longest) if steps is None else steps
             per_point = [
-                mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=steps)
+                mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=count)
                 for ot in grid
             ]
             assert batched.shape == grid.shape
             assert np.array_equal(batched, per_point)
-            assert np.array_equal(mean_fidelity(loop, noise, steps=steps, omega_tau=grid[1:2]),
+            assert np.array_equal(mean_fidelity(loop, noise, steps=count, omega_tau=grid[1:2]),
                                   batched[1:2])
 
     @pytest.mark.parametrize("lambda_sq", [0.0, 0.02], ids=["exact", "channel"])
@@ -172,7 +175,7 @@ class TestBatchedNoiselessCurve:
             mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(lambda_sq),
                           omega_tau=np.array([]))
 
-    def test_dissipative_grid_defaults_steps_per_point(self, monkeypatch):
+    def test_dissipative_grid_defaults_to_its_longest_loops_steps(self, monkeypatch):
         calls = []
 
         def recording(run, noise, steps=None, omega_tau=None):
@@ -187,9 +190,9 @@ class TestBatchedNoiselessCurve:
         assert steps is None and omega_tau is grid
         defaults = [default_step_count(with_total_time(loop, ot)) for ot in grid]
         assert defaults == [144, 288]
-        # the first arc does not move and takes one exponential at each
-        # point, the others their shares: 1 + 48 + 48 and 1 + 96 + 96
-        assert taken == 290
+        # both points take 288 steps; the first arc does not move and takes
+        # one exponential at each, the others their shares: 1 + 96 + 96
+        assert taken == 2 * 193
 
     def test_range_check_applies_to_each_point(self, monkeypatch):
         # the middle point's map is scaled by 1.5^2 in both engines, so its

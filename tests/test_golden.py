@@ -66,6 +66,19 @@ LEDGER = {
     "uneven/optimal": (16, 20, 1_940, 0, 0, 0),
 }
 
+# Commands of the benchmark's three workloads, by output directory, run in
+# this order from one cleared plan cache, with their work as LEDGER counts
+# it; the last grid lies past Omega*tau 60.4, where each point's own default
+# count would differ, and takes one plan at its longest loop's count.
+BENCHMARK_RUNS = {
+    "ideal": (["ideal-sweep", "--grid", "0.25:60.25:961"], (0, 0, 0, 0, 1, 961)),
+    "noisy": (["noisy-sweep", "--grid", "0.25:60.25:13", "--lambda-sq", "0,0.005,0.05"],
+              (2, 26, 2_522, 1, 1, 13)),
+    "optimal": (["optimal", "--lambda-sq", "0.001"], (6, 8, 776, 0, 0, 0)),
+    "noisy-long": (["noisy-sweep", "--grid", "60.25:120.25:13", "--lambda-sq", "0.05"],
+                   (1, 13, 2_509, 1, 0, 0)),
+}
+
 
 def write_outputs(out: Path) -> None:
     """The `--quick` figure set in out/quick, and the uneven-table runs in
@@ -286,6 +299,14 @@ def test_the_same_files_are_written(outputs):
 
 def test_each_command_does_the_work_in_the_ledger(counted_outputs):
     assert {out: tuple(row) for out, row in counted_outputs[1].items()} == LEDGER
+
+
+def test_the_benchmark_commands_do_the_work_in_their_ledger(tmp_path):
+    with counting(tmp_path) as ledger:
+        for out, (argv, _) in BENCHMARK_RUNS.items():
+            assert cli.main([*argv, "--out", str(tmp_path / out)]) == 0
+    assert {out: tuple(row) for out, row in ledger.items()} == {
+        out: counts for out, (_, counts) in BENCHMARK_RUNS.items()}
 
 
 @pytest.mark.parametrize("name", output_files(GOLDEN))

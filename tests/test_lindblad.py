@@ -37,7 +37,7 @@ from tripod_holonomy.lindblad import (
     _real_superop,
     _squarings,
     _stationary,
-    _step_runs,
+    _step_counts,
     _term_weights,
     default_step_count,
     noise_from_dict,
@@ -155,8 +155,7 @@ def _arc_pieces(loop, steps, counts=None):
 def production_pieces(loop, steps):
     """_arc_pieces at the channel's own split of steps, in which an arc
     whose dissipator does not move takes one step."""
-    (counts, _, _), = _step_runs(loop, steps, [1.0])
-    return _arc_pieces(loop, steps, counts)
+    return _arc_pieces(loop, steps, _step_counts(loop, steps, 1.0))
 
 
 def magnus_exponents(a1, a2, h):
@@ -449,8 +448,8 @@ class TestEvolveDensity:
 def plan_of(loop, noise, steps):
     """The channel plan of the loop at a total step count, and the
     durations of its arcs as one column (arcs, 1)."""
-    (counts, _, _), = _step_runs(loop, steps, [1.0])
-    return _loop_plan(loop, noise, counts), np.array([[arc.duration] for arc in loop.arcs])
+    plan = _loop_plan(loop, noise, _step_counts(loop, steps, 1.0))
+    return plan, np.array([[arc.duration] for arc in loop.arcs])
 
 
 def direct_reach(loop, noise, steps):
@@ -591,10 +590,16 @@ def per_point_phis(loop, noise, grid, steps=None):
     ])
 
 
+# wedge:1 over a grid whose points have four default splits between them
+MIXED_SPLIT = (wedge_loop(1, 1.0, 1.0), UNEQUAL_NOISE.with_lambda_sq(0.05))
+MIXED_SPLIT_GRID = np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])
+
+
 class TestGridPass:
-    """One loop_channel call over an Omega*tau grid gives each point's Phi
-    bit for bit as its own call does, in one pass per run of points that
-    share a step split."""
+    """One loop_channel call over an Omega*tau grid takes one step split,
+    by default that of the grid's longest loop, and one pass from one plan;
+    each point's Phi is bit for bit that of its own call at that count,
+    which up to Omega*tau 60.4 is its own default count."""
 
     @pytest.mark.parametrize("wedge", [1, 2, 3])
     @pytest.mark.parametrize("noise", TEST_NOISES)
@@ -608,15 +613,23 @@ class TestGridPass:
         assert channel.steps == sum(single)
 
     def test_mixed_split_grid(self):
-        loop, noise = wedge_loop(1, 1.0, 1.0), UNEQUAL_NOISE.with_lambda_sq(0.05)
-        grid = np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])
-        runs = _step_runs(loop, None, (grid / loop.total_time).tolist())
-        assert [(first, stop) for *_, first, stop in runs] == [(0, 3), (3, 4), (4, 5), (5, 6)]
-        channel = loop_channel(loop, noise, omega_tau=grid)
-        assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
-        # default counts 144 x 3, 147, 192 and 288, less 47 x 3, 48, 63 and
-        # 95 on the first arc, which does not move and takes one exponential
-        assert channel.steps == 712
+        # the points' own default counts are 144 x 3, 147, 192 and 288, so
+        # four splits; every point takes 288 of the longest loop, 1 + 96 + 96
+        # with the first arc, which does not move, as one exponential
+        loop, noise = MIXED_SPLIT
+        steps = default_step_count(with_total_time(loop, MIXED_SPLIT_GRID[-1]))
+        assert steps == 288
+        _channel_plan.cache_clear()
+        channel = loop_channel(loop, noise, omega_tau=MIXED_SPLIT_GRID)
+        assert _channel_plan.cache_info().misses == 1
+        assert channel.steps == 6 * 193
+        assert np.array_equal(channel.phi, per_point_phis(loop, noise, MIXED_SPLIT_GRID, steps))
+
+    def test_mixed_split_grid_resolves_the_fidelity(self):
+        loop, noise = MIXED_SPLIT
+        f = mean_fidelity(loop, noise, omega_tau=MIXED_SPLIT_GRID)
+        f_fine = mean_fidelity(loop, noise, 4 * 288, omega_tau=MIXED_SPLIT_GRID)
+        assert np.abs(f - f_fine).max() <= 1e-11
 
     def test_multi_block_grid(self):
         # every arc spans three full blocks and a partial one, one point per chunk
@@ -735,7 +748,7 @@ class TestStationaryArc:
     def test_wedge_loops_take_one_step_on_their_polar_meridian(self, wedge):
         loop = wedge_loop(wedge, 1.0, 42.0)
         for loop, moving in ((loop, [False, True, True]), (reverse_loop(loop), [True, True, False])):
-            (counts, _, _), = _step_runs(loop, None, [1.0])
+            counts = _step_counts(loop, None, 1.0)
             assert [n == 1 for n in counts] == [not m for m in moving]
             assert list(_loop_plan(loop, UNEQUAL_NOISE, counts).moving) == moving
 
@@ -748,8 +761,7 @@ class TestStationaryArc:
         # one _expm call, or 6.0 and 42.0 each go alone with a spare row
         loop, noise = wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.05)
         grid = np.array(grid)
-        (counts, _, _), = _step_runs(loop, None, (grid / loop.total_time).tolist())
-        plan = _loop_plan(loop, noise, counts)
+        plan = _loop_plan(loop, noise, _step_counts(loop, None, grid.max() / loop.total_time))
         durations = np.array([[arc.duration] for arc in loop.arcs]) * grid
         rows, _, _, bounds = next(plan.blocks(durations, noise.lambda_sq))
         assert rows.shape[1] == 256 and [_squarings(b) for b in bounds] == squarings
