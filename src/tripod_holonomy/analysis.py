@@ -43,7 +43,7 @@ def mean_fidelity(
 ) -> float | np.ndarray:
     """Exact Bloch-sphere average of Tr{sigma_ad sigma(tau)}; one value per
     point of an Omega*tau grid (under dissipative noise, from one
-    `loop_channel` call on the whole grid, at its longest loop's count).
+    `loop_channel` call on the whole grid, at its largest Omega*tau's count).
     With y[i, j, k, l] = <D_i| T^dag Phi(|D_k><D_l|) T |D_j>, the loop's map on
     the dark block in start-frame coordinates against the target's dark block
     T, the closed-form holonomy, it is (sum_ij y[i,j,i,j] + sum_ij y[j,j,i,i])
@@ -199,7 +199,7 @@ def find_optimal_point(
         raise ValueError(f"invalid search window {window}")
     centre, h = 0.5 * (lo + hi), (hi - lo) / 40
     if steps is None:
-        steps = default_step_count(with_total_time(loop, centre / omega))
+        steps = default_step_count(centre)
 
     def f(omega_tau: float) -> float:
         return mean_fidelity(loop, noise, steps, [omega_tau]).item()

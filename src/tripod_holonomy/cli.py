@@ -40,8 +40,8 @@ from .errors import (
 )
 from .lindblad import (
     DEFAULT_GAMMA0,
+    STEP_CEILING,
     NoiseModel,
-    default_step_count,
     high_temperature_noise,
     noise_from_dict,
 )
@@ -52,7 +52,6 @@ from .loops import (
     optimal_time,
     wedge_loop,
     wedge_order,
-    with_total_time,
 )
 from .propagators import adiabatic_holonomy
 
@@ -61,9 +60,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_LAMBDA_LIST = (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)
-# Most channel steps per loop, given or default: the channel plan keeps 6 KB
-# of basis rows per step, so at most 300 MB.
-STEP_CEILING = 50_000
 
 
 @dataclass(frozen=True)
@@ -339,11 +335,6 @@ def cmd_ideal_sweep(cfg: RunConfig) -> int:
 
 def cmd_noisy_sweep(cfg: RunConfig) -> int:
     loop, grid, noise = build_loop(cfg), cfg.grid_values(), build_noise(cfg)
-    # the grid's last point is its longest loop
-    needed = default_step_count(with_total_time(loop, grid[-1] / loop.omega_scale))
-    if cfg.steps is None and needed > STEP_CEILING:
-        raise ConfigError(f"Omega*tau {grid[-1]:g} takes {needed} default steps, above "
-                          f"the ceiling of {STEP_CEILING} that --steps keeps too")
     curves = sweep(loop, grid, _lambdas(cfg), steps=cfg.steps, noise=noise)
     return _write_sweep(cfg, "noisy-sweep", curves, noise)
 

@@ -37,11 +37,11 @@ the exponents but the loop time and lambda^2 comes from a channel plan
 duration), step split and rate table; the last plan is kept. It also holds
 the 1-norm of every basis row, so each block of steps takes its squaring
 count from a bound and forms its exponents already scaled. One plan serves
-a whole grid of loop times, all at the step split of its longest loop:
-per block, consecutive points with the same squarings are formed,
-exponentiated and multiplied together, and each point's Phi is bit for
-bit that of its own call at that split. Its workspace holds the step
-exponentials and their pairwise tree products, so a process runs one
+a whole grid of loop times at the one step split that _step_counts forms
+and bounds: per block, consecutive points with the same squarings are
+formed, exponentiated and multiplied together, and each point's Phi is
+bit for bit that of its own call at that split. Its workspace holds the
+step exponentials and their pairwise tree products, so a process runs one
 channel at a time. The series converges when h ||A||_2 < pi, so a step
 with h ||A||_F >= pi, at any point of the grid, raises StepCountTooSmall
 before any exponential is taken; it is the only gate that sees an
@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StepCountTooSmall
+from .errors import ConfigError, StepCountTooSmall
 from .linalg import _ordered_product
 from .loops import ArcKind, ArcSegment, LoopSpec, _number
 from .propagators import _arc_generator, loop_times
@@ -87,6 +87,10 @@ _TERM_PAIRS = np.triu_indices(DIM)
 # eight workspace buffers take 16 KB per step, so a block stays in cache and
 # the workspace is bounded whatever the step count and grid.
 _BLOCK_STEPS = 128
+
+# Most channel steps per loop, given or default: the channel plan keeps 6 KB
+# of basis rows per step, so at most 300 MB.
+STEP_CEILING = 50_000
 
 # Gauss-Legendre nodes of the Magnus step, as fractions of the step, and the
 # Taylor coefficients c_k = 1/k! (c_11 = 0) of the step exponential as rows (c_3j+1,
@@ -167,25 +171,20 @@ def noise_from_dict(doc: dict) -> NoiseModel:
 # ---------------------------------------------------------------------------
 
 
-def _default_steps(omega: float, total_time: float) -> int:
-    return max(144, int(np.ceil(2.4 * omega * total_time)))
-
-
-def default_step_count(loop: LoopSpec) -> int:
-    """Resolution of the Magnus-4 integration: 2.4 steps per unit of
-    Omega*tau, at least 144 (48 per arc of a wedge loop), split across
-    arcs by duration; a stationary arc takes one step instead of its
-    share, its exact exponential, so the standard loop takes 1 + 48 + 48
-    at the floor (LoopChannel.steps counts the exponentials taken). Every
-    point of an Omega*tau grid takes the count of the grid's longest loop,
-    on the standard loop 1 + 48 + 48 up to Omega*tau 60.4. On wedge loops
-    1-3 over Omega*tau 0.25-240 at lambda^2 = 0.05 the steps stay at
-    h*|A|_F <= 1.7, inside the pi gate.
+def default_step_count(omega_tau: float) -> int:
+    """Resolution of the Magnus-4 integration at Omega*tau: 2.4 steps per
+    unit, at least 144 (48 per arc of a wedge loop), split across arcs by
+    duration; a stationary arc takes one step instead of its share, its
+    exact exponential, so the standard loop takes 1 + 48 + 48 up to
+    Omega*tau 60.4 (LoopChannel.steps counts the exponentials taken). A
+    grid takes the count of its largest Omega*tau. On wedge loops 1-3 over
+    Omega*tau 0.25-240 at lambda^2 = 0.05 the steps stay at h*|A|_F <= 1.7,
+    inside the pi gate.
     On the standard loop at lambda^2 <= 0.05 over Omega*tau 6-60.25,
     against RK4 at 8 x 60 steps per unit of Omega*tau (at least 8,000),
     the largest error of a Phi entry is 2.2e-9 (RK4 at 60 per unit:
     1.1e-6), and the mean fidelity moves by at most 1.4e-10."""
-    return _default_steps(loop.omega_scale, loop.total_time)
+    return max(144, math.ceil(2.4 * omega_tau))
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -478,14 +477,20 @@ def _loop_plan(loop: LoopSpec, noise: NoiseModel, counts: tuple) -> _ChannelPlan
     return _channel_plan(loop.omega_scale, arcs, counts, *rates)
 
 
-def _step_counts(loop: LoopSpec, steps: int | None, scale: float) -> tuple:
-    """Per-arc step counts at duration scale `scale`: steps, by default the
-    loop's default count there, split by duration; one on a stationary arc."""
-    durations = [arc.duration * scale for arc in loop.arcs]
-    total = float(sum(durations))
-    n = _default_steps(loop.omega_scale, total) if steps is None else steps
-    return tuple(1 if _stationary(arc) else max(1, int(round(n * d / total)))
-                 for arc, d in zip(loop.arcs, durations))
+def _step_counts(loop: LoopSpec, steps: int | None, omega_tau: float) -> tuple:
+    """Per-arc step counts of a channel at Omega*tau: steps, by default
+    default_step_count(omega_tau), split by duration; one on a stationary
+    arc. The only place a channel's count is formed: fewer steps than arcs
+    raise StepCountTooSmall, more than STEP_CEILING raise ConfigError."""
+    n = default_step_count(omega_tau) if steps is None else steps
+    if n < len(loop.arcs):
+        raise StepCountTooSmall(f"need at least one step per arc, got {n}")
+    if n > STEP_CEILING:
+        what = "default steps" if steps is None else "steps"
+        raise ConfigError(f"Omega*tau {omega_tau:g} takes {n} {what}, above the ceiling "
+                          f"of {STEP_CEILING}")
+    return tuple(1 if _stationary(arc) else max(1, int(round(n * arc.duration / loop.total_time)))
+                 for arc in loop.arcs)
 
 
 @dataclass(frozen=True)
@@ -524,12 +529,11 @@ def loop_channel(
     """Integrate the transport-picture master equation over the loop, or
     over the loop at each time of a 1-d Omega*tau grid, in one pass at one
     step split; each arc hands the next its end frame. Every point takes
-    steps, by default the default count of the grid's longest loop, so a
-    grid's shorter loops take its longest loop's count."""
-    if steps is not None and steps < len(loop.arcs):
-        raise StepCountTooSmall(f"need at least one step per arc, got {steps}")
+    steps, by default the default count of the grid's largest Omega*tau,
+    as _step_counts forms and bounds it before any plan is built."""
     scales = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
-    counts = _step_counts(loop, steps, scales.max())
+    largest = loop.omega_scale * loop.total_time if omega_tau is None else np.max(omega_tau)
+    counts = _step_counts(loop, steps, largest)
     plan = _loop_plan(loop, noise, counts)
     phi = _BASIS @ plan.propagate(loop, noise.lambda_sq, scales) @ _BASIS.conj().T
     return LoopChannel(loop=loop, steps=sum(counts) * len(scales),

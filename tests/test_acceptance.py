@@ -149,7 +149,8 @@ def test_master_equation_sanity():
     # step-halving stability of the fidelity
     noise = high_temperature_noise(0.01, gamma0=DEFAULT_GAMMA0)
     f_default = mean_fidelity(loop, noise)
-    f_fine = mean_fidelity(loop, noise, steps=2 * default_step_count(loop))
+    steps = 2 * default_step_count(loop.omega_scale * loop.total_time)
+    f_fine = mean_fidelity(loop, noise, steps=steps)
     richardson = abs(f_default - f_fine)
     _report(
         "master-equation sanity (unitary limit, trace, ordering, convergence)",

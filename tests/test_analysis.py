@@ -29,7 +29,7 @@ from tripod_holonomy.errors import (
     StepCountTooSmall,
     UnderdeterminedFit,
 )
-from tripod_holonomy.lindblad import NoiseModel, default_step_count
+from tripod_holonomy.lindblad import NoiseModel, _channel_plan, default_step_count
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.propagators import dark_block, start_frame
 
@@ -141,15 +141,14 @@ class TestBatchedNoiselessCurve:
         inputs = [
             (flat, 300, np.array([6.0, 13.3, 18.25, 30.1])),
             # past Omega*tau 60.4 the points' own default counts differ; by
-            # default each takes the count of the grid's longest loop
+            # default each takes the count of the grid's largest Omega*tau
             (flat, None, np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])),
             # unequal rates with Lamb shifts, across that boundary
             (UNEQUAL_NOISE.with_lambda_sq(0.05), None, np.array([59.0, 60.0, 61.0])),
         ]
         for (noise, steps, grid), loop in itertools.product(inputs, loops):
             batched = mean_fidelity(loop, noise, steps=steps, omega_tau=grid)
-            longest = with_total_time(loop, grid[-1] / loop.omega_scale)
-            count = default_step_count(longest) if steps is None else steps
+            count = default_step_count(grid[-1]) if steps is None else steps
             per_point = [
                 mean_fidelity(with_total_time(loop, ot / loop.omega_scale), noise, steps=count)
                 for ot in grid
@@ -188,7 +187,7 @@ class TestBatchedNoiselessCurve:
         mean_fidelity(loop, high_temperature_noise(0.02), omega_tau=grid)
         (steps, omega_tau, taken), = calls
         assert steps is None and omega_tau is grid
-        defaults = [default_step_count(with_total_time(loop, ot)) for ot in grid]
+        defaults = [default_step_count(ot) for ot in grid]
         assert defaults == [144, 288]
         # both points take 288 steps; the first arc does not move and takes
         # one exponential at each, the others their shares: 1 + 96 + 96
@@ -329,6 +328,25 @@ class TestFindOptimalPoint:
         assert grids[0] == pytest.approx([centre - h, centre, centre + h], rel=1e-12)
         assert all(len(grid) == 1 for grid in grids[1:])
 
+    def test_search_past_omega_tau_60_holds_one_count(self, monkeypatch):
+        # wedge:5's window centre Omega*tau 69.0 takes 166 default steps; the
+        # points it visits would take 160-169 of their own, and one plan
+        # serves every call at the centre's count
+        seen, grids = [], []
+
+        def recording(loop, noise, steps=None, omega_tau=None):
+            seen.append(steps)
+            grids.append(omega_tau)
+            return loop_channel(loop, noise, steps, omega_tau)
+
+        monkeypatch.setattr(analysis, "loop_channel", recording)
+        _channel_plan.cache_clear()
+        find_optimal_point(wedge_loop(5, 1.0, 1.0), high_temperature_noise(0.005))
+        assert seen == [166] * 12
+        assert _channel_plan.cache_info().misses == 1
+        own = [default_step_count(ot) for grid in grids for ot in grid]
+        assert (min(own), max(own)) == (160, 169)
+
     @pytest.mark.parametrize("n, lam, window", [
         (1, 1e-3, (0.9, 1.05)),
         (1, 0.05, (0.9, 1.05)),
@@ -338,7 +356,7 @@ class TestFindOptimalPoint:
         # Each window holds one maximum, the one the search starts on.
         loop, noise = wedge_loop(n, 1.0, 1.0), high_temperature_noise(lam)
         tau1 = optimal_time(1, n, 1.0)
-        steps = default_step_count(with_total_time(loop, tau1))
+        steps = default_step_count(tau1)
         x_ref, f_ref = golden_section_peak(
             lambda x: mean_fidelity(with_total_time(loop, x), noise, steps=steps),
             window[0] * tau1,

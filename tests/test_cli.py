@@ -96,6 +96,10 @@ def bad_rows(key, value):
     return rows
 
 
+def no_plan(*args):
+    raise AssertionError("a channel plan was built")
+
+
 def run(argv, capsys=None):
     code = main(argv)
     if capsys is not None:
@@ -580,6 +584,33 @@ class TestOptimalAndFit:
         assert a["rows"] == b["rows"]
         for d in "ab":
             assert (tmp_path / d / "noise.json").read_bytes() == (opt / "noise.json").read_bytes()
+
+    def test_optimal_default_steps_above_the_ceiling_is_config_error(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # wedge:2000's window centre, Omega*tau 25,139, takes 60,334 default steps
+        monkeypatch.setattr(lindblad, "_loop_plan", no_plan)
+        out = tmp_path / "x"
+        code, streams = run([
+            "optimal", "--loop", "wedge:2000", "--lambda-sq", "0.001", "--out", str(out),
+        ], capsys)
+        assert code == 2
+        assert "takes 60334 steps, above the ceiling of 50000" in streams.err
+        assert not out.exists()
+
+    def test_robustness_default_steps_above_the_ceiling_is_config_error(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # wedge:700's third revival, Omega*tau 26,408, takes 63,380 default steps
+        monkeypatch.setattr(lindblad, "_loop_plan", no_plan)
+        table = tmp_path / "table.json"
+        rows = [{"lambda_sq": 1e-3, "f_star": 0.99, "omega_tau_star": 8802.0}]
+        config = {**TABLE_CONFIG, "loop": "wedge:700"}
+        table.write_text(json.dumps({"rows": rows, "config": config}))
+        (tmp_path / "noise.json").write_text(json.dumps(FLAT_NOISE))
+        out = tmp_path / "rob"
+        code, streams = run(["robustness", "--table", str(table), "--out", str(out)], capsys)
+        assert code == 2
+        assert "takes 63380 default steps, above the ceiling of 50000" in streams.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rows, config, noise, message", [
         (bad_rows(key, value), TABLE_CONFIG, FLAT_NOISE, key) for key, value in BAD_ROW_VALUES

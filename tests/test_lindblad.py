@@ -21,7 +21,7 @@ from tripod_holonomy import (
 )
 from tripod_holonomy import lindblad
 from tripod_holonomy.analysis import DEFAULT_FIT_LAMBDAS, optimal_point_table
-from tripod_holonomy.errors import StepCountTooSmall
+from tripod_holonomy.errors import ConfigError, StepCountTooSmall
 from tripod_holonomy.lindblad import (
     _BASIS,
     _BLOCK_STEPS,
@@ -29,6 +29,7 @@ from tripod_holonomy.lindblad import (
     _TAYLOR_RADIUS,
     COUPLING,
     FREQUENCY_MULTIPLES,
+    STEP_CEILING,
     _commutator_superop,
     _channel_plan,
     _dissipator_terms,
@@ -155,7 +156,7 @@ def _arc_pieces(loop, steps, counts=None):
 def production_pieces(loop, steps):
     """_arc_pieces at the channel's own split of steps, in which an arc
     whose dissipator does not move takes one step."""
-    return _arc_pieces(loop, steps, _step_counts(loop, steps, 1.0))
+    return _arc_pieces(loop, steps, _step_counts(loop, steps, loop.omega_scale * loop.total_time))
 
 
 def magnus_exponents(a1, a2, h):
@@ -182,7 +183,8 @@ def sequential_magnus_phi(loop, noise):
     exponentiated by one stacked eigendecomposition, then multiplied by
     tree_product."""
     maps = []
-    for arc, n, h, l_unit in _arc_pieces(loop, default_step_count(loop)):
+    steps = default_step_count(loop.omega_scale * loop.total_time)
+    for arc, n, h, l_unit in _arc_pieces(loop, steps):
         gauss = (np.arange(n)[:, None] + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0) * h
         a = l_unit + vec_dissipators(arc, gauss.ravel(), noise)
         w, v = np.linalg.eig(magnus_exponents(a[0::2], a[1::2], h))
@@ -386,6 +388,24 @@ class TestEvolveDensity:
         with pytest.raises(StepCountTooSmall):
             loop_channel(loop, high_temperature_noise(0.05), steps=3)
 
+    @pytest.mark.parametrize(("steps", "omega_tau", "error", "message"), [
+        (2, None, StepCountTooSmall, "need at least one step per arc, got 2"),
+        (50_001, None, ConfigError, "takes 50001 steps, above the ceiling of 50000"),
+        (None, [18.25, 1e6], ConfigError,
+         "Omega*tau 1e+06 takes 2400000 default steps, above the ceiling of 50000"),
+    ], ids=["floor", "given-ceiling", "default-ceiling"])
+    def test_step_bounds_hold_before_any_plan(self, monkeypatch, steps, omega_tau, error,
+                                              message):
+        def no_plan(*args):
+            raise AssertionError("a channel plan was built")
+
+        monkeypatch.setattr(lindblad, "_loop_plan", no_plan)
+        assert STEP_CEILING == 50_000
+        loop = standard_not_loop(1.0, 18.25)
+        with pytest.raises(error) as raised:
+            loop_channel(loop, high_temperature_noise(0.05), steps, omega_tau)
+        assert message in str(raised.value)
+
     @pytest.mark.parametrize("wedge", [1, 2, 3])
     @pytest.mark.parametrize("noise", TEST_NOISES)
     def test_default_steps_pass_the_magnus_gate(self, wedge, noise):
@@ -416,7 +436,7 @@ class TestEvolveDensity:
 
     def test_multi_block_loop_ends_in_a_partial_block(self):
         loop = MULTI_BLOCK_LOOP
-        steps = default_step_count(loop)
+        steps = default_step_count(loop.omega_scale * loop.total_time)
         for arc in loop.arcs:
             n = int(round(steps * arc.duration / loop.total_time))
             assert n > _BLOCK_STEPS and n % _BLOCK_STEPS
@@ -427,7 +447,7 @@ class TestEvolveDensity:
         loop = standard_not_loop(1.0, omega_tau)
         noise = high_temperature_noise(lambda_sq)
         f_default = mean_fidelity(loop, noise)
-        f_fine = mean_fidelity(loop, noise, steps=4 * default_step_count(loop))
+        f_fine = mean_fidelity(loop, noise, steps=4 * default_step_count(omega_tau))
         assert abs(f_default - f_fine) <= 1e-9
 
     def test_channel_trace_defect_small_at_default_steps(self, not_loop):
@@ -448,7 +468,7 @@ class TestEvolveDensity:
 def plan_of(loop, noise, steps):
     """The channel plan of the loop at a total step count, and the
     durations of its arcs as one column (arcs, 1)."""
-    plan = _loop_plan(loop, noise, _step_counts(loop, steps, 1.0))
+    plan = _loop_plan(loop, noise, _step_counts(loop, steps, loop.omega_scale * loop.total_time))
     return plan, np.array([[arc.duration] for arc in loop.arcs])
 
 
@@ -477,7 +497,7 @@ class TestChannelPlan:
     def test_gram_gate_matches_the_direct_norms(self, wedge, noise):
         for omega_tau in (0.25, 18.251, 60.0, 240.0):
             loop = wedge_loop(wedge, 1.0, omega_tau)
-            steps = default_step_count(loop)
+            steps = default_step_count(omega_tau)
             expected = direct_reach(loop, noise, steps)
             plan, durations = plan_of(loop, noise, steps)
             (got,) = plan.reach(durations, noise.lambda_sq)
@@ -514,7 +534,7 @@ class TestChannelPlan:
         # trace up to rounding, and no check after integration is needed
         loops = [wedge_loop(n, 1.0, 18.251) for n in (1, 2, 3)]
         for loop in loops + [reverse_loop(loop) for loop in loops]:
-            plan, _ = plan_of(loop, noise, default_step_count(loop))
+            plan, _ = plan_of(loop, noise, default_step_count(loop.omega_scale * loop.total_time))
             assert not np.any(TRACE_ROW @ plan.l_e)
             for l_g, rows in zip(plan.l_g, plan.basis):
                 assert not np.any(TRACE_ROW @ l_g)
@@ -526,7 +546,7 @@ class TestChannelPlan:
         # does not move, takes one exponential and the others their shares
         # of the duration split: 1 + 48 + 48 and 1 + 29 + 58
         loop = wedge_loop(wedge, 1.0, omega_tau)
-        assert default_step_count(loop) != taken
+        assert default_step_count(omega_tau) != taken
         assert loop_channel(loop, high_temperature_noise(0.05)).steps == taken
 
     def test_under_resolved_message_reads_the_largest_step(self):
@@ -597,7 +617,7 @@ MIXED_SPLIT_GRID = np.array([6.0, 30.0, 59.0, 61.0, 80.0, 120.0])
 
 class TestGridPass:
     """One loop_channel call over an Omega*tau grid takes one step split,
-    by default that of the grid's longest loop, and one pass from one plan;
+    by default that of the grid's largest Omega*tau, and one pass from one plan;
     each point's Phi is bit for bit that of its own call at that count,
     which up to Omega*tau 60.4 is its own default count."""
 
@@ -614,16 +634,47 @@ class TestGridPass:
 
     def test_mixed_split_grid(self):
         # the points' own default counts are 144 x 3, 147, 192 and 288, so
-        # four splits; every point takes 288 of the longest loop, 1 + 96 + 96
+        # four splits; every point takes the 288 of Omega*tau 120, 1 + 96 + 96
         # with the first arc, which does not move, as one exponential
         loop, noise = MIXED_SPLIT
-        steps = default_step_count(with_total_time(loop, MIXED_SPLIT_GRID[-1]))
+        steps = default_step_count(MIXED_SPLIT_GRID[-1])
         assert steps == 288
         _channel_plan.cache_clear()
         channel = loop_channel(loop, noise, omega_tau=MIXED_SPLIT_GRID)
         assert _channel_plan.cache_info().misses == 1
         assert channel.steps == 6 * 193
         assert np.array_equal(channel.phi, per_point_phis(loop, noise, MIXED_SPLIT_GRID, steps))
+
+    # (wedge, Omega, total time, Omega*tau): templates whose loop times at
+    # these points of np.arange(60, 300, 5 / 12), where 2.4 Omega*tau is an
+    # integer, once rounded 2.4 Omega tau to the other side of it
+    @pytest.mark.parametrize(("wedge", "omega", "total", "omega_tau"), [
+        (1, 0.7, 7.0, 60.416666666666664),
+        (1, 1.0, 7.0, 60.416666666666664),
+        (1, 1.3, 7.0, 60.416666666666664),
+        (2, 1.7, 7.0, 60.83333333333333),
+        (2, 2.9, 1.0, 60.83333333333333),
+        (2, 2.9, 7.0, 60.83333333333333),
+        (3, 0.7, 3.0, 60.416666666666664),
+        (3, 1.7, 3.0, 60.416666666666664),
+        (3, 2.9, 1.0, 60.416666666666664),
+        (3, 2.9, 3.0, 60.416666666666664),
+    ])
+    def test_split_depends_only_on_the_largest_omega_tau(self, monkeypatch, wedge, omega,
+                                                         total, omega_tau):
+        class PlanAsked(Exception):
+            pass
+
+        def asked(loop, noise, counts):
+            raise PlanAsked(counts)
+
+        def counts(template):
+            with pytest.raises(PlanAsked) as plan:
+                loop_channel(template, high_temperature_noise(0.05), omega_tau=[omega_tau])
+            return plan.value.args[0]
+
+        monkeypatch.setattr(lindblad, "_loop_plan", asked)
+        assert counts(wedge_loop(wedge, omega, total)) == counts(wedge_loop(wedge, 1.0, 1.0))
 
     def test_mixed_split_grid_resolves_the_fidelity(self):
         loop, noise = MIXED_SPLIT
@@ -634,7 +685,7 @@ class TestGridPass:
     def test_multi_block_grid(self):
         # every arc spans three full blocks and a partial one, one point per chunk
         loop, noise = MULTI_BLOCK_LOOP, high_temperature_noise(0.05)
-        steps = default_step_count(loop)
+        steps = default_step_count(loop.omega_scale * loop.total_time)
         grid = loop.omega_scale * loop.total_time * np.array([0.99, 1.0])
         channel = loop_channel(loop, noise, steps, omega_tau=grid)
         assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid, steps))
@@ -748,7 +799,7 @@ class TestStationaryArc:
     def test_wedge_loops_take_one_step_on_their_polar_meridian(self, wedge):
         loop = wedge_loop(wedge, 1.0, 42.0)
         for loop, moving in ((loop, [False, True, True]), (reverse_loop(loop), [True, True, False])):
-            counts = _step_counts(loop, None, 1.0)
+            counts = _step_counts(loop, None, 42.0)
             assert [n == 1 for n in counts] == [not m for m in moving]
             assert list(_loop_plan(loop, UNEQUAL_NOISE, counts).moving) == moving
 
@@ -761,7 +812,7 @@ class TestStationaryArc:
         # one _expm call, or 6.0 and 42.0 each go alone with a spare row
         loop, noise = wedge_loop(1, 1.0, 1.0), high_temperature_noise(0.05)
         grid = np.array(grid)
-        plan = _loop_plan(loop, noise, _step_counts(loop, None, grid.max() / loop.total_time))
+        plan = _loop_plan(loop, noise, _step_counts(loop, None, grid.max()))
         durations = np.array([[arc.duration] for arc in loop.arcs]) * grid
         rows, _, _, bounds = next(plan.blocks(durations, noise.lambda_sq))
         assert rows.shape[1] == 256 and [_squarings(b) for b in bounds] == squarings
@@ -835,7 +886,8 @@ class TestStepExponential:
     def test_plan_exponents(self):
         loop = wedge_loop(2, 1.3, 23.7)
         noise = UNEQUAL_NOISE.with_lambda_sq(0.05)
-        plan, durations = plan_of(loop, noise, default_step_count(loop))
+        steps = default_step_count(loop.omega_scale * loop.total_time)
+        plan, durations = plan_of(loop, noise, steps)
         for rows, coeffs, coherent, _ in plan.blocks(durations, noise.lambda_sq):
             a = (coeffs[0] @ rows).reshape(-1, 16, 16) + coherent[0].reshape(16, 16)
             # the dissipator makes them non-normal: [a, a^T] != 0
@@ -870,7 +922,7 @@ class TestSquaringBound:
         lambda_sqs = (0.0, 1e-3, 0.01, 0.05)
         for omega_tau in (0.25, 18.251, 60.0, 240.0):
             loop = wedge_loop(wedge, 1.0, omega_tau)
-            steps = default_step_count(loop)
+            steps = default_step_count(omega_tau)
             plan, durations = plan_of(loop, noise, steps)
             norms = np.concatenate([
                 arc_norms[:, first:first + _BLOCK_STEPS].max(axis=1)[:, None]
