@@ -120,11 +120,10 @@ def sweep(
 
 
 def sweep_curve_to_csv(curve: SweepCurve) -> str:
-    """CSV rendering: header plus one row per sample, 12 significant digits."""
-    lines = ["omega_tau,mean_fidelity"]
-    for ot, mf in zip(curve.omega_tau.tolist(), curve.mean_fidelity.tolist()):
-        lines.append(f"{ot:.12g},{mf:.12g}")
-    return "\n".join(lines) + "\n"
+    """CSV rendering: header plus one row per sample, 12 significant digits,
+    all rows in one format pass."""
+    values = np.column_stack([curve.omega_tau, curve.mean_fidelity]).ravel().tolist()
+    return "omega_tau,mean_fidelity\n" + "%.12g,%.12g\n" * len(curve.omega_tau) % tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ and the frame's own motion adds the transport generator G = -i F^T dF/dt,
 constant on each meridian and equator arc. So each arc evolves by one
 closed-form exponential, exp(-i dt (Omega E + G)), and the loop's
 lab-basis propagator is F(end) x_n ... x_1 F(0)^T. The engine runs in
-float64 on the real 8x8 embeddings [[Re, -Im], [Im, Re]], one kernel per
-point for each product, so a point rounds alike in any grid. A midpoint
+float64 on the real 8x8 embeddings [[Re, -Im], [Im, Re]]. Every map shared
+by all points of a grid is one GEMM of a single shape, over chunks of
+CHUNK points, the last one padded by repeating a point; only the per-point
+arc products are one (8, 8) @ (8, 4) kernel per point. So a point rounds
+alike in any grid, and a lone point costs a full chunk. A midpoint
 integrator gives an independent cross-check.
 """
 
@@ -73,13 +76,32 @@ def _arc_tables(kind: ArcKind) -> tuple[np.ndarray, np.ndarray]:
 
 _ARC_TABLES = {kind: _arc_tables(kind) for kind in ArcKind}
 
+# Grid points per GEMM: the row count of every product shared by a grid's points.
+CHUNK = 128
+
+
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """rows with the last one repeated up to a whole number of CHUNKs."""
+    return np.concatenate([rows, np.repeat(rows[-1:], -len(rows) % CHUNK, axis=0)])
+
+
+def _chunked_product(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """rows @ table for (m, k) rows, as one (CHUNK, k) @ (k, j) GEMM per chunk,
+    the last one padded: a row gives the same bits in any stack."""
+    out = np.empty((len(rows) + -len(rows) % CHUNK, table.shape[1]))
+    for s in range(0, len(rows), CHUNK):
+        chunk = rows[s : s + CHUNK]
+        np.matmul(chunk if len(chunk) == CHUNK else _padded(chunk), table,
+                  out=out[s : s + CHUNK])
+    return out[: len(rows)]
+
 
 def _arc_weights(loop: LoopSpec, ratio: np.ndarray) -> np.ndarray:
-    """(arcs, n, 1, 6) table weights of each arc at loop times `ratio` (n,) times the
+    """(arcs, n, 6) table weights of each arc at loop times `ratio` (n,) times the
     loop's own. H = a E + span G1 (a = dt Omega) has H^3 = w^2 H, w^2 = a^2 + span^2,
     so exp(-iH) = I - 2 (sin(w/2) / w)^2 H^2 - i (sin(w) / w) H."""
-    a = np.multiply.outer([arc.duration for arc in loop.arcs], ratio)[..., None] * loop.omega_scale
-    span = np.array([arc.end_angle - arc.start_angle for arc in loop.arcs])[:, None, None]
+    a = np.multiply.outer([arc.duration for arc in loop.arcs], ratio) * loop.omega_scale
+    span = np.array([arc.end_angle - arc.start_angle for arc in loop.arcs])[:, None]
     # past Omega*tau ~ 1e154 a^2 overflows; mean_fidelity rejects the NaN propagator
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.sqrt(a**2 + span**2)
@@ -90,19 +112,27 @@ def _arc_weights(loop: LoopSpec, ratio: np.ndarray) -> np.ndarray:
 
 def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
     """Exact lab-basis propagator of the whole loop (arc 1 applied first); with
-    a 1-d Omega*tau grid, the (n, 4, 4) stack of them. Each arc is its weights
-    @ its kind's table, as (n, 8, 8) real embeddings, a first arc's (n, 8, 4).
+    a 1-d Omega*tau grid, the (n, 4, 4) stack of them. The grid is padded to
+    whole CHUNKs, and per chunk each arc is its (CHUNK, 6) weights @ its kind's
+    table, as (CHUNK, 8, 8) real embeddings, a first arc's (CHUNK, 8, 4).
     vec(F(end) X F(0)^dag) = vec(X) @ kron(F(end), conj F(0))^T."""
     ratio = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
-    weights = _arc_weights(loop, ratio)
-    x = (weights[0] @ _ARC_TABLES[loop.arcs[0].kind][0]).reshape(len(ratio), 2 * DIM, DIM)
-    for arc, weight in zip(loop.arcs[1:], weights[1:]):
-        x = (weight @ _ARC_TABLES[arc.kind][1]).reshape(len(ratio), 2 * DIM, 2 * DIM) @ x
+    weights = _arc_weights(loop, _padded(ratio))
+    first = _ARC_TABLES[loop.arcs[0].kind][0]
+    later = [_ARC_TABLES[arc.kind][1] for arc in loop.arcs[1:]]
     f_end, f0 = eigenframe(loop.end_point()).matrix, start_frame(loop).matrix
     frames = np.einsum("ik,jl->klij", f_end, f0.conj()).reshape(DIM**2, DIM**2)
     # as floats, row q of F is (Re, Im) of F[q], and of i F it is (-Im, Re)
-    lab = x.reshape(len(x), 1, -1) @ np.concatenate([frames, 1j * frames]).view(float)
-    return GatePropagator(matrix=lab.view(complex).reshape(np.shape(omega_tau) + (DIM, DIM)))
+    lab_map = np.concatenate([frames, 1j * frames]).view(float)
+    lab = np.empty((weights.shape[1], 2 * DIM**2))
+    for s in range(0, len(lab), CHUNK):
+        chunk = weights[:, s : s + CHUNK]
+        x = (chunk[0] @ first).reshape(CHUNK, 2 * DIM, DIM)
+        for weight, table in zip(chunk[1:], later):
+            x = (weight @ table).reshape(CHUNK, 2 * DIM, 2 * DIM) @ x
+        np.matmul(x.reshape(CHUNK, -1), lab_map, out=lab[s : s + CHUNK])
+    lab = lab[: len(ratio)].view(complex)
+    return GatePropagator(matrix=lab.reshape(np.shape(omega_tau) + (DIM, DIM)))
 
 
 def adiabatic_holonomy(loop: LoopSpec) -> np.ndarray:
@@ -128,10 +158,16 @@ def adiabatic_gate(loop: LoopSpec) -> GatePropagator:
 
 def dark_block(u: np.ndarray, loop: LoopSpec) -> np.ndarray:
     """2x2 block of a lab-basis operator, or of each in a (..., 4, 4)
-    stack, on span{D0(0), D1(0)}: vec(U) @ kron(f0^dag, f0^T)[dark rows]^T."""
+    stack, on span{D0(0), D1(0)}: vec(U) @ kron(f0^dag, f0^T)[dark rows]^T,
+    taken on the interleaved (re, im) floats of vec(U) as one real
+    (CHUNK, 32) @ (32, 8) GEMM per chunk, so a member of a stack gives the
+    bits it gives alone, and a lone operator costs a full chunk."""
     f0 = start_frame(loop).matrix
     rows = np.einsum("ki,lj->klij", f0[:, :2].conj(), f0[:, :2]).reshape(DIM**2, 4)
-    return (u.reshape(u.shape[:-2] + (1, DIM**2)) @ rows).reshape(u.shape[:-2] + (2, 2))
+    # as floats, Re U[q] meets row q of the dark rows and Im U[q] meets i times it
+    read = np.stack([rows, 1j * rows], axis=1).reshape(2 * DIM**2, 4).view(float)
+    vec = np.ascontiguousarray(u, dtype=complex).reshape(-1, DIM**2).view(float)
+    return _chunked_product(vec, read).view(complex).reshape(np.shape(u)[:-2] + (2, 2))
 
 
 def schrodinger_oracle(loop: LoopSpec, steps: int = 100_000) -> GatePropagator:

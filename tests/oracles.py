@@ -28,7 +28,7 @@ def arc_propagator(loop: LoopSpec, arc_index: int, omega_tau=None) -> np.ndarray
     [[Re, -Im], [Im, Re]]; with a 1-d Omega*tau grid, the (n, 4, 4) stack."""
     ratio = np.ones(1) if omega_tau is None else loop_times(loop, omega_tau) / loop.total_time
     table = _ARC_TABLES[loop.arcs[arc_index].kind][min(arc_index, 1)]
-    x = (_arc_weights(loop, ratio)[arc_index] @ table).reshape(len(ratio), 8, -1)
+    x = (_arc_weights(loop, ratio)[arc_index][:, None] @ table).reshape(len(ratio), 8, -1)
     u = x[:, :4, :4] + 1j * x[:, 4:, :4]
     return u[0] if omega_tau is None else u
 

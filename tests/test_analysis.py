@@ -283,6 +283,20 @@ class TestSweep:
         assert sweep_curve_to_csv(curve) == "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
         assert rows[2:4] == ["0.3,0.3", "1,60.25"]
 
+    @pytest.mark.parametrize("values", [[1e-05, 2.5e16, 1.0, 60.0, 999999999999.5, 0.5],
+                                        [18.25]], ids=["awkward", "one-row"])
+    def test_csv_matches_per_value_formatting(self, values):
+        # exponent forms, integral floats and 999999999999.5, a tie at the
+        # 12th digit that rounds to even, 1e+12, in the one-pass rendering
+        ot = np.array(values)
+        curve = analysis.SweepCurve(0.0, ot, ot[::-1].copy())
+        rows = [format(a, ".12g") + "," + format(b, ".12g")
+                for a, b in zip(ot.tolist(), ot[::-1].tolist())]
+        assert sweep_curve_to_csv(curve) == "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
+        if len(values) > 1:
+            assert rows[:2] == ["1e-05,0.5", "2.5e+16,1e+12"]
+            assert rows[2:4] == ["1,60", "60,1"]
+
 
 class TestFindOptimalPoint:
     def test_noiseless_peak_matches_closed_form(self, no_noise):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from tripod_holonomy.errors import InvalidDuration, StepCountTooSmall, Unsupport
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.propagators import (
-    _ARC_TABLES, _arc_generator, _arc_weights, dark_block, loop_times, start_frame,
+    _ARC_TABLES, CHUNK, _arc_generator, _arc_weights, dark_block, loop_times, start_frame,
 )
 from tripod_holonomy.tripod import (
     FRAME_ENERGY, SphericalPoint, _frame_columns, eigenframe, hamiltonian,
@@ -249,12 +250,56 @@ class TestStackedPropagator:
     @pytest.mark.parametrize("omega", [1.0, 1.3, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_grid_matches_one_point_grids_bitwise(self, n, omega):
-        # every product is one (1, k) @ (k, m) kernel per point, so a point
-        # rounds the same alone as inside a grid
+        # every shared product is one (CHUNK, k) @ (k, m) GEMM and every arc
+        # product one kernel per point, so a point rounds alike in any grid
         loop, grid = wedge_loop(n, omega, 1.0), np.array([0.25, 6.0, 17.5, 18.25, 42.0, 60.25])
         stack = loop_propagator(loop, grid).matrix
         single = [loop_propagator(loop, [ot]).matrix for ot in grid]
         assert np.array_equal(stack, np.concatenate(single))
+
+
+class TestFixedShapeChunks:
+    """Every product a grid's points share is one GEMM of one shape, over
+    CHUNK points with the last chunk padded, so no point's bits depend on
+    where a chunk edge falls; some BLAS kernels (Nehalem's) round a GEMM
+    row differently with the row count."""
+
+    @pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("omega", [1.0, 1.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chunk_edges_match_one_point_grids_bitwise(self, n, omega, size):
+        loop, grid = wedge_loop(n, omega, 1.0), np.linspace(0.25, 60.25, size)
+        stack = loop_propagator(loop, grid).matrix
+        single = np.concatenate([loop_propagator(loop, [ot]).matrix for ot in grid])
+        assert np.array_equal(stack, single)
+        blocks = dark_block(stack, loop)
+        assert np.array_equal(blocks, np.stack([dark_block(u, loop) for u in stack]))
+
+    @pytest.mark.parametrize("omega", [1.0, 1.7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_grid_is_the_one_point_grid_bitwise(self, n, omega):
+        loop = wedge_loop(n, omega, 18.25)
+        own = loop.omega_scale * loop.total_time
+        assert loop_times(loop, [own])[0] == loop.total_time  # the same loop time
+        one = loop_propagator(loop, [own]).matrix
+        assert np.array_equal(loop_propagator(loop).matrix, one[0])
+        assert np.array_equal(dark_block(one, loop)[0], dark_block(one[0], loop))
+
+    def test_noiseless_fidelity_allocation_bound(self):
+        # 961 points take 8 chunks: the (1024, 32) lab floats and the
+        # (3, 1024, 6) arc weights, 410 KB, and one chunk's temporaries (551 KB
+        # peak measured). A kernel per point for every product peaks at
+        # 1,106 KB, and one more (n, 32) float table, 262 KB, breaks the bound.
+        loop, grid = wedge_loop(1, 1.0, 1.0), np.linspace(0.25, 60.25, 961)
+        noise = high_temperature_noise(0.0)
+        mean_fidelity(loop, noise, omega_tau=grid)
+        tracemalloc.start()
+        try:
+            mean_fidelity(loop, noise, omega_tau=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 700 * 1024
 
 
 def embedding(m):
