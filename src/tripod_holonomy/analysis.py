@@ -142,26 +142,26 @@ class OptimalPoint:
     tolerance: float
 
 
-def _brent_max(fn, a: float, b: float, points, tol: float) -> tuple[float, float]:
+def _brent_max(fn, a: float, b: float, points) -> tuple[float, float]:
     """Brent's method for the maximum of fn inside the bracket (a, b):
     parabolic steps with a golden-section fallback (Brent 1973, ch. 5).
     `points` are three evaluated (x, fn(x)) pairs in [a, b]; returns the
-    best point once it is known to within tol."""
+    best point once it is known to within PEAK_TOL."""
     (x, fx), (w, fw), (v, fv) = sorted(points, key=lambda pt: -pt[1])
     d = e = b - a
-    while max(x - a, b - x) > tol:
+    while max(x - a, b - x) > PEAK_TOL:
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
         p, q = (x - w) * r - (x - v) * q, 2.0 * (q - r)
         p, q = (-p, -q) if q < 0 else (p, q)
         e_prev, e = e, d
         if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
             d = p / q
-            if min(x + d - a, b - x - d) < tol:
-                d = math.copysign(tol / 2, a + b - 2 * x)
+            if min(x + d - a, b - x - d) < PEAK_TOL:
+                d = math.copysign(PEAK_TOL / 2, a + b - 2 * x)
         else:
             e = (a if 2 * x >= a + b else b) - x
             d = (1.0 - _GOLDEN) * e
-        u = x + math.copysign(max(abs(d), tol / 2), d)
+        u = x + math.copysign(max(abs(d), PEAK_TOL / 2), d)
         fu = fn(u)
         if fu >= fx:
             a, b = (x, b) if u >= x else (a, x)
@@ -175,27 +175,22 @@ def _brent_max(fn, a: float, b: float, points, tol: float) -> tuple[float, float
     return x, fx
 
 
-def find_optimal_point(
-    loop: LoopSpec,
-    noise: NoiseModel,
-    steps: int | None = None,
-    window: tuple[float, float] | None = None,
-) -> OptimalPoint:
-    """Locate the first fidelity peak (or the one inside `window`, in
-    Omega*tau). The search evaluates the window centre and its neighbours
-    at +-(hi - lo)/40 as one grid, each later point as a grid of one, and
-    climbs uphill, each step the golden ratio longer than the last, until
-    the middle of three points is the highest: it takes the maximum the
-    centre sits on (wedge:n windows with n >= 2 hold several). Brent's
-    method refines that bracket to PEAK_TOL. A climb that would leave the
-    window raises NoPeakInWindow."""
+def find_optimal_point(loop: LoopSpec, noise: NoiseModel, steps: int | None = None) -> OptimalPoint:
+    """Locate the first fidelity peak, inside the window (lo, hi) =
+    PEAK_WINDOW times Omega*tau*_1 in Omega*tau. The search evaluates the
+    window centre and its neighbours at +-(hi - lo)/40 as one grid, each
+    later point as a grid of one, and climbs uphill, each step the golden
+    ratio longer than the last, until the middle of three points is the
+    highest: it takes the maximum the centre sits on (wedge:n windows with
+    n >= 2 hold several). Brent's method refines that bracket to PEAK_TOL.
+    A climb that would leave the window raises NoPeakInWindow, and so does
+    an empty window, where Omega*tau*_1 overflows to inf or underflows to
+    0 at an extreme Omega."""
     omega = loop.omega_scale
-    if window is None:
-        tau1 = omega * optimal_time(1, wedge_order(loop), omega)
-        window = (PEAK_WINDOW[0] * tau1, PEAK_WINDOW[1] * tau1)
-    lo, hi = window
+    tau1 = omega * optimal_time(1, wedge_order(loop), omega)
+    lo, hi = PEAK_WINDOW[0] * tau1, PEAK_WINDOW[1] * tau1
     if not (hi > lo > 0):
-        raise ValueError(f"invalid search window {window}")
+        raise NoPeakInWindow(f"empty search window ({lo}, {hi}) at Omega {omega:g}")
     centre, h = 0.5 * (lo + hi), (hi - lo) / 40
     if steps is None:
         steps = default_step_count(centre)
@@ -213,7 +208,7 @@ def find_optimal_point(
             raise NoPeakInWindow(f"no maximum uphill of the centre of window ({lo}, {hi})")
         pts = pts[1:] + [(x, f(x))] if up > 0 else [(x, f(x))] + pts[:2]
     bracket = (pts[0][0], pts[2][0])
-    x_star, f_star = _brent_max(f, *bracket, pts, PEAK_TOL)
+    x_star, f_star = _brent_max(f, *bracket, pts)
     return OptimalPoint(
         tau_star=x_star / omega,
         f_star=f_star,

@@ -46,6 +46,7 @@ from .lindblad import (
     noise_from_dict,
 )
 from .loops import (
+    ANGLE_TOL,
     LoopSpec,
     _is_number,
     loop_from_dict,
@@ -111,6 +112,8 @@ class RunConfig:
                     f"invalid grid {list(self.grid)}: need 0 < START < STOP and an integer "
                     "POINTS >= 1 (START = STOP only with one point)"
                 )
+            if points > 1 and not (np.diff(self.grid_values()) > 0).all():
+                raise ConfigError(f"grid {list(self.grid)} repeats a point: STOP is too near START")
         if self.lambda_sq is not None:
             if not self.lambda_sq:
                 raise ConfigError("lambda_sq must list at least one coupling")
@@ -197,8 +200,9 @@ def parse_loop_kind(text: str) -> int:
             n = int(text.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad wedge order in loop spec {text!r}") from None
-        if n < 1:
-            raise ConfigError(f"wedge order must be >= 1, got {n}")
+        # from N ~ 1.57e9 on, the equator arc's opening pi/(2N) is at most ANGLE_TOL
+        if not 1 <= n < math.pi / (2 * ANGLE_TOL):
+            raise ConfigError(f"wedge order {n} is not in [1, {math.pi / (2 * ANGLE_TOL):.4g})")
         return n
     raise ConfigError(f"unknown loop kind {text!r} (expected standard or wedge:N)")
 

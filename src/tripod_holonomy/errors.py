@@ -33,7 +33,7 @@ class StepCountTooSmall(TripodError):
 
 
 class NoPeakInWindow(TripodError):
-    """Peak search climbed out of its window without finding a maximum."""
+    """Peak search found no maximum: it climbed out of its window, or the window is empty."""
 
 
 class CalibrationFailed(TripodError):

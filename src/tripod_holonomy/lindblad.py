@@ -171,7 +171,7 @@ def noise_from_dict(doc: dict) -> NoiseModel:
 # ---------------------------------------------------------------------------
 
 
-def default_step_count(omega_tau: float) -> int:
+def default_step_count(omega_tau: float) -> int | float:
     """Resolution of the Magnus-4 integration at Omega*tau: 2.4 steps per
     unit, at least 144 (48 per arc of a wedge loop), split across arcs by
     duration; a stationary arc takes one step instead of its share, its
@@ -183,8 +183,10 @@ def default_step_count(omega_tau: float) -> int:
     On the standard loop at lambda^2 <= 0.05 over Omega*tau 6-60.25,
     against RK4 at 8 x 60 steps per unit of Omega*tau (at least 8,000),
     the largest error of a Phi entry is 2.2e-9 (RK4 at 60 per unit:
-    1.1e-6), and the mean fidelity moves by at most 1.4e-10."""
-    return max(144, math.ceil(2.4 * omega_tau))
+    1.1e-6), and the mean fidelity moves by at most 1.4e-10. Past Omega*tau
+    7.5e307 the count is inf, as a Python float product overflows without a warning."""
+    count = 2.4 * float(omega_tau)
+    return max(144, math.ceil(count)) if count < math.inf else count
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -377,11 +379,8 @@ class _ChannelPlan:
         self.gg = np.array([np.vdot(l_g, l_g) for l_g in self.l_g])[:, None]
         self.l_g_step = np.array([l_g.ravel() / n for l_g, n in zip(self.l_g, counts)])[:, None]
         self.factors = np.array([[0.5, np.sqrt(3.0) / 12.0 / n, 0.0] for n in counts])[:, None]
-        # room for as many whole points' blocks as fit in _BLOCK_STEPS steps
-        sizes = {min(n - first, _BLOCK_STEPS) for n in counts
-                 for first in range(0, n, _BLOCK_STEPS)}
-        width = max(m * max(1, _BLOCK_STEPS // m) for m in sizes)
-        self.work = np.empty((8, width, DIM**2, DIM**2))
+        # room for _BLOCK_STEPS steps: a block of m steps runs _BLOCK_STEPS // m points at once
+        self.work = np.empty((8, _BLOCK_STEPS, DIM**2, DIM**2))
         self.work[2] = np.eye(DIM**2)
         self.flat_work = self.work[3:].reshape(-1)
 
@@ -392,7 +391,7 @@ class _ChannelPlan:
         ||L_G||^2 / duration^2 + 2 lambda^2 <L_E, D> + lambda^4 ||D||^2, the
         largest sqrt(duration^2 (||L_E||^2 + max(...)) + ||L_G||^2) / n. A
         stationary arc's exponent is its whole series, at any step size."""
-        worst = np.maximum.reduceat(np.array([2.0 * lambda_sq, lambda_sq**2]) @ self.gram,
+        worst = np.maximum.reduceat(np.array([2.0 * lambda_sq, lambda_sq * lambda_sq]) @ self.gram,
                                     self.arc_starts)[:, None]
         square = durations * durations * (self.ee + worst) + self.gg
         return (np.sqrt(square) / self.steps)[self.moving].max(axis=0, initial=0.0)
@@ -438,7 +437,7 @@ class _ChannelPlan:
         phi = np.empty((points, DIM**2, DIM**2))
         for block, (rows, coeffs, coherent, bounds) in enumerate(self.blocks(durations, lambda_sq)):
             m = rows.shape[1] // DIM**4
-            fit = len(self.work[0]) // m
+            fit = _BLOCK_STEPS // m
             squarings = [_squarings(bound) for bound in bounds.tolist()]
             first = 0
             while first < points:

@@ -24,6 +24,7 @@ from tripod_holonomy import (
     wedge_loop,
     with_total_time,
 )
+from tripod_holonomy import analysis
 from tripod_holonomy.analysis import optimal_point_table
 from tripod_holonomy.lindblad import DEFAULT_GAMMA0, default_step_count
 from tripod_holonomy.propagators import dark_block
@@ -52,7 +53,7 @@ def default_noise_table():
     return optimal_point_table(loop, noise, list(FIT_LAMBDAS))
 
 
-def test_revival_exactness():
+def test_revival_exactness(monkeypatch):
     loop = standard_not_loop(1.0, 1.0)
     noise = high_temperature_noise(0.0)
     worst_f, worst_tau = 0.0, 0.0
@@ -60,9 +61,10 @@ def test_revival_exactness():
         tau_k = optimal_time(k, 1, 1.0)
         f = mean_fidelity(with_total_time(loop, tau_k), noise)
         worst_f = max(worst_f, abs(f - 1.0))
-        point = find_optimal_point(
-            loop, noise, window=(0.9 * tau_k, 1.1 * tau_k)
-        )
+        # the search window is PEAK_WINDOW times tau*_1: centre it on tau*_k, +-10%
+        ratio = tau_k / optimal_time(1, 1, 1.0)
+        monkeypatch.setattr(analysis, "PEAK_WINDOW", (0.9 * ratio, 1.1 * ratio))
+        point = find_optimal_point(loop, noise)
         worst_tau = max(worst_tau, abs(point.tau_star - tau_k))
     _report(
         "revival exactness (k=1,2,3)",

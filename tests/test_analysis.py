@@ -381,11 +381,11 @@ class TestFindOptimalPoint:
         assert abs(pt.tau_star - x_ref) <= PEAK_TOL <= 1e-5
         assert abs(pt.f_star - f_ref) <= 1e-12
 
-    def test_monotone_window_raises(self, no_noise):
+    def test_monotone_window_raises(self, no_noise, monkeypatch):
+        # Omega*tau 10-14, below the first revival at 18.25, holds no maximum
+        monkeypatch.setattr(analysis, "PEAK_WINDOW", (10.0 / OMEGA_TAU_1, 14.0 / OMEGA_TAU_1))
         with pytest.raises(NoPeakInWindow):
-            find_optimal_point(
-                standard_not_loop(1.0, 1.0), no_noise, window=(10.0, 14.0)
-            )
+            find_optimal_point(standard_not_loop(1.0, 1.0), no_noise)
 
 
 class TestFitEngine:

@@ -392,6 +392,37 @@ class TestSweepCommands:
         assert "increase steps" not in out.err
 
 
+HUGE_WEDGE = "wedge:1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # linspace repeats a point: STOP is within a few floats of START
+    (["ideal-sweep", "--grid", "1:1.0000000000000002:3"], 2),
+    (["noisy-sweep", "--grid", "5:5.000000000000001:10", "--lambda-sq", "0.05"], 2),
+    # lambda^4 overflows to inf, which the Magnus gate rejects
+    (["noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "1e300"], 3),
+    # 2.4 Omega*tau default steps overflow to inf, above the step ceiling
+    (["noisy-sweep", "--grid", "1e308:1e308:1", "--lambda-sq", "0.05"], 2),
+    # the opening pi/(2N) of a wedge order past 1.57e9 is within ANGLE_TOL of 0
+    (["holonomy", "--loop", HUGE_WEDGE], 2),
+    (["ideal-sweep", "--loop", HUGE_WEDGE, "--grid", "1:2:3"], 2),
+    (["optimal", "--loop", "wedge:2000000000", "--lambda-sq", "0"], 2),
+    # Omega*tau*_1 overflows to inf or underflows to 0: the search window is empty
+    (["optimal", "--omega", "1e-308", "--lambda-sq", "0.001"], 3),
+    (["optimal", "--omega", "1e308", "--lambda-sq", "0"], 3),
+], ids=["ideal-repeated-grid", "noisy-repeated-grid", "huge-lambda-sq", "huge-default-steps",
+        "holonomy-huge-wedge", "sweep-huge-wedge", "optimal-wedge-past-angle-tol",
+        "omega-1e-308", "omega-1e308"])
+def test_extreme_input_exits_with_one_line(tmp_path, capsys, argv, expected):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, streams = run(argv if argv[0] == "holonomy" else [*argv, "--out", str(out)], capsys)
+    assert code == expected
+    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert not out.exists()
+
+
 class TestOptimalAndFit:
     def test_optimal_single_lambda(self, tmp_path):
         out = tmp_path / "opt"

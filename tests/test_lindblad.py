@@ -772,6 +772,14 @@ ARC_ANGLES = st.one_of(
 )
 
 
+# the standard loop turned by phi0 = 0.3, which has no stationary arc
+TURNED_LOOP = LoopSpec(omega_scale=1.0, arcs=(
+    ArcSegment(ArcKind.MERIDIAN, 0.3, 0.0, np.pi / 2, 1.0),
+    ArcSegment(ArcKind.EQUATOR, np.pi / 2, 0.3, 0.3 + np.pi / 2, 1.0),
+    ArcSegment(ArcKind.MERIDIAN, 0.3 + np.pi / 2, np.pi / 2, 0.0, 1.0),
+))
+
+
 class TestStationaryArc:
     """An arc whose frame |0> row does not move, a meridian at
     sin(phi0) == 0.0, has a constant generator A, so its Magnus series is
@@ -820,21 +828,29 @@ class TestStationaryArc:
         assert np.array_equal(channel.phi, per_point_phis(loop, noise, grid))
 
     def test_a_loop_with_no_stationary_arc_is_unchanged(self):
-        # the standard loop turned by phi0 = 0.3: every arc moves, so it
-        # takes every step of its count, and Phi is the sequential Magnus
-        # product at that count (within 1.2e-14 on three BLAS kernels)
-        half = np.pi / 2
-        loop = LoopSpec(omega_scale=1.0, arcs=(
-            ArcSegment(ArcKind.MERIDIAN, 0.3, 0.0, half, 1.0),
-            ArcSegment(ArcKind.EQUATOR, half, 0.3, 0.3 + half, 1.0),
-            ArcSegment(ArcKind.MERIDIAN, 0.3 + half, half, 0.0, 1.0),
-        ))
+        # every arc of the turned loop moves, so it takes every step of its
+        # count, and Phi is the sequential Magnus product at that count
+        # (within 1.2e-14 on three BLAS kernels)
+        loop = TURNED_LOOP
         noise, grid = high_temperature_noise(0.05), np.array([6.0, 18.251, 42.0])
         channel = loop_channel(loop, noise, omega_tau=grid)
         assert channel.steps == 3 * 144
         for omega_tau, phi in zip(grid, channel.phi):
             reference = sequential_magnus_phi(with_total_time(loop, omega_tau), noise)
             assert np.abs(phi - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.005, 0.05])
+    @pytest.mark.parametrize("grid", [[6.0, 18.251, 42.0], np.linspace(0.25, 60.25, 13),
+                                      [10.5, 11.0, 24.5, 25.0]], ids=["spread", "even", "pairs"])
+    def test_a_workspace_of_block_steps_keeps_the_grid_bitwise(self, lam, grid):
+        # the turned loop's blocks are 48 steps each: two points share a
+        # product, as many as a workspace of _BLOCK_STEPS steps holds
+        noise, grid = high_temperature_noise(lam), np.array(grid)
+        steps = default_step_count(grid.max())
+        channel = loop_channel(TURNED_LOOP, noise, omega_tau=grid)
+        plan = _loop_plan(TURNED_LOOP, noise, _step_counts(TURNED_LOOP, None, grid.max()))
+        assert plan.work.shape[1] == _BLOCK_STEPS and plan.counts == (48, 48, 48)
+        assert np.array_equal(channel.phi, per_point_phis(TURNED_LOOP, noise, grid, steps))
 
 
 def with_one_norm(a, norm):
