@@ -362,9 +362,10 @@ def calibrate_noise(
     noise: NoiseModel,
     target_f2: float = 6.34,
     steps: int | None = None,
-) -> tuple[float, FitResult]:
+) -> tuple[float, FitResult, list[OptimalPoint]]:
     """Factor c such that the F2 fitted over DEFAULT_FIT_LAMBDAS with
-    noise.scaled(c) matches target_f2 to 2%; returns c and that fit.
+    noise.scaled(c) matches target_f2 to 2%; returns c, that fit and the
+    optimal_point_table at noise.scaled(c) that it was fitted to.
 
     lambda^2 D is linear in the rate and shift table, so the leading
     fidelity loss is linear in c and one proportional update per round
@@ -383,7 +384,7 @@ def calibrate_noise(
         fit = fit_noise_response([(p.lambda_sq, p.f_star) for p in table], "f_linear")
         f2 = fit.coefficient("F2")
         if abs(f2 - target_f2) <= _CALIBRATION_REL_TOL * target_f2:
-            return scale, fit
+            return scale, fit, table
         if not f2 > 0:
             raise CalibrationFailed(
                 f"fitted F2 = {f2:g}: no scale of this noise table reaches {target_f2:g}"

@@ -352,12 +352,15 @@ def _write_sweep(cfg: RunConfig, command: str, curves, noise: NoiseModel | None 
 
 
 def cmd_optimal(cfg: RunConfig) -> int:
-    loop, noise, extras = build_loop(cfg), build_noise(cfg), {}
+    loop, noise, extras, known = build_loop(cfg), build_noise(cfg), {}, {}
     if cfg.calibrate_f2 is not None:
-        scale, fit = calibrate_noise(loop, noise, cfg.calibrate_f2, steps=cfg.steps)
-        noise = noise.scaled(scale)
+        scale, fit, table = calibrate_noise(loop, noise, cfg.calibrate_f2, steps=cfg.steps)
+        noise, known = noise.scaled(scale), {p.lambda_sq: p for p in table}
         extras = {"noise_scale": scale, "calibrated_f2": fit.coefficient("F2")}
-    points = optimal_point_table(loop, noise, _lambdas(cfg), steps=cfg.steps)
+    # the converged round's rows are this noise table's rows: search only the others
+    new = [lam for lam in _lambdas(cfg) if lam not in known]
+    known.update(zip(new, optimal_point_table(loop, noise, new, steps=cfg.steps)))
+    points = [known[lam] for lam in _lambdas(cfg)]
     out_dir = Path(cfg.out)
     doc = {
         "config": _write_run_config(out_dir, cfg, "optimal", extras, noise),

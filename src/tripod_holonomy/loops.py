@@ -180,7 +180,7 @@ def optimal_time(k: int, n: int, omega: float) -> float:
         raise InvalidOrder(f"revival index k must be an integer >= 1, got {k!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidOrder(f"wedge order n must be an integer >= 1, got {n!r}")
-    return (2 * n + 1) * np.pi / (2 * n * omega) * np.sqrt(16.0 * k * k * n * n - 1.0)
+    return (2 * n + 1) * math.pi / (2 * n * omega) * math.sqrt(16.0 * k * k * n * n - 1.0)
 
 
 def _is_number(value) -> bool:

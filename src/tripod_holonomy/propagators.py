@@ -56,11 +56,13 @@ def _arc_generator(arc: ArcSegment) -> np.ndarray:
 
 
 def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
-    """Loop times omega_tau / Omega of a non-empty 1-d grid of positive Omega*tau."""
+    """Finite loop times omega_tau / Omega of a non-empty 1-d grid of positive Omega*tau."""
     omega_tau = np.asarray(omega_tau, dtype=float)
     positive = np.isfinite(omega_tau) & (omega_tau > 0)
     if omega_tau.ndim != 1 or not omega_tau.size or not positive.all():
         raise InvalidDuration("an Omega*tau grid must be a non-empty 1-d array of positive times")
+    if float(omega_tau.max()) / float(loop.omega_scale) == np.inf:  # as floats: no warning
+        raise InvalidDuration(f"loop time {omega_tau.max():g} / {loop.omega_scale:g} overflows")
     return omega_tau / loop.omega_scale
 
 

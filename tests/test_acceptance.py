@@ -182,7 +182,7 @@ def test_noise_response_laws(default_noise_table):
     # calibration mode: pick gamma0 so the fitted F2 lands on the reference value
     loop = standard_not_loop(1.0, 1.0)
     seed_gamma0 = DEFAULT_GAMMA0 * 6.34 / f2
-    scale, cal_fit = calibrate_noise(loop, high_temperature_noise(0.0, gamma0=seed_gamma0), 6.34)
+    scale, cal_fit, _ = calibrate_noise(loop, high_temperature_noise(0.0, gamma0=seed_gamma0), 6.34)
     gamma0 = seed_gamma0 * scale
     cal_f2 = cal_fit.coefficient("F2")
     cal_ok = abs(cal_f2 - 6.34) <= 0.05 * 6.34

@@ -12,7 +12,7 @@ import pytest
 
 import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
-from tripod_holonomy.cli import build_parser, main
+from tripod_holonomy.cli import DEFAULT_LAMBDA_LIST, build_parser, main
 from tripod_holonomy.errors import StepCountTooSmall
 from tripod_holonomy.lindblad import high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
@@ -423,6 +423,27 @@ def test_extreme_input_exits_with_one_line(tmp_path, capsys, argv, expected):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # Omega*tau / Omega overflows in loop_times, before any step-count or window guard
+    ["noisy-sweep", "--grid", "1e308:1e308:1", "--lambda-sq", "0.05", "--omega", "0.5"],
+    ["ideal-sweep", "--grid", "1e308:1e308:1", "--omega", "0.5"],
+    ["noisy-sweep", "--grid", "0.5:60.5:2", "--lambda-sq", "1e-300", "--omega", "5e-324"],
+    # Omega*tau*_1 overflows in optimal_time, before the empty-window guard
+    ["optimal", "--omega", "2.2e-308", "--loop", "wedge:2", "--lambda-sq", "0.05",
+     "--gamma0", "0"],
+], ids=["noisy-loop-time", "ideal-loop-time", "noisy-loop-time-subnormal-omega",
+        "optimal-revival-time"])
+def test_overflowing_time_exits_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, streams = run([*argv, "--out", str(out)], capsys)
+    assert code == 3
+    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert "overflows" in streams.err or "empty search window" in streams.err
+    assert not out.exists()
+
+
 class TestOptimalAndFit:
     def test_optimal_single_lambda(self, tmp_path):
         out = tmp_path / "opt"
@@ -754,6 +775,56 @@ class TestCalibration:
         assert run_with(a / "noise.json", b) == 0
         assert (a / "noise.json").read_bytes() == (b / "noise.json").read_bytes()
         assert json.loads((a / "noise.json").read_text()) == {**table, "lambda_sq": 0.0}
+
+
+# The couplings of the figure set's optimal command: 0, the fit grid and the large ones.
+FIGURE_LAMBDAS = ",".join(repr(float(x)) for x in
+                          (0.0, *analysis.DEFAULT_FIT_LAMBDAS, *DEFAULT_LAMBDA_LIST[1:]))
+
+
+def point_bits(point) -> list[str]:
+    """Every float of an optimal point, exactly."""
+    fields = (point["tau_star"], point["f_star"], point["lambda_sq"], *point["bracket"],
+              point["tolerance"])
+    return [float(x).hex() for x in fields]
+
+
+class TestCalibratedTable:
+    @pytest.fixture(scope="class")
+    def calibrated(self, tmp_path_factory):
+        """The figure set's calibrated optimal run, with the (noise table,
+        steps) of each peak search it made."""
+        searches, search = [], analysis.find_optimal_point
+
+        def counted(loop, noise, steps=None):
+            searches.append((json.dumps(dataclasses.asdict(noise), sort_keys=True), steps))
+            return search(loop, noise, steps)
+
+        out = tmp_path_factory.mktemp("calibrated") / "optimal"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "find_optimal_point", counted)
+            assert main(["optimal", "--lambda-sq", FIGURE_LAMBDAS, "--calibrate-f2", "6.34",
+                         "--out", str(out)]) == 0
+        return out, searches
+
+    def test_each_row_is_searched_once(self, calibrated):
+        # 14 searches in the two calibration rounds, then only the 7 couplings
+        # off the fit grid: the converged round's 7 rows are reused (28 before)
+        _, searches = calibrated
+        assert len(searches) == 21
+        assert len(set(searches)) == 21
+
+    def test_reused_rows_equal_fresh_searches(self, calibrated):
+        out, _ = calibrated
+        rows = json.loads((out / "optimal_points.json").read_text())["rows"]
+        noise = lindblad.noise_from_dict(json.loads((out / "noise.json").read_text()))
+        loop = wedge_loop(1, 1.0, 1.0)
+        reused = [r for r in rows if r["lambda_sq"] in analysis.DEFAULT_FIT_LAMBDAS]
+        assert len(reused) == len(analysis.DEFAULT_FIT_LAMBDAS)
+        lindblad._channel_plan.cache_clear()
+        for row in reused:
+            fresh = analysis.find_optimal_point(loop, noise.with_lambda_sq(row["lambda_sq"]))
+            assert point_bits(row) == point_bits(dataclasses.asdict(fresh))
 
 
 class TestDeterminismAndRoundTrip:
