@@ -39,7 +39,6 @@ from .propagators import (
 )
 from .tripod import (
     EigenFrame,
-    SphericalPoint,
     eigenframe,
     hamiltonian,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "LoopSpec",
     "NoiseModel",
     "OptimalPoint",
-    "SphericalPoint",
     "SweepCurve",
     "adiabatic_gate",
     "adiabatic_holonomy",

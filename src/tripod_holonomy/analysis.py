@@ -53,7 +53,7 @@ def mean_fidelity(
     if noise.dissipative:
         # the channel's outputs are in end-frame coordinates; the closure
         # f0^dag f_end moves them to the start frame's
-        closure = start_frame(loop).matrix.conj().T @ eigenframe(loop.end_point()).matrix
+        closure = start_frame(loop).matrix.conj().T @ eigenframe(*loop.end_point()).matrix
         v = target.conj().T @ closure[:2]
         phi = loop_channel(loop, noise, steps, omega_tau).phi
         units = np.ascontiguousarray(phi.reshape(-1, 4, 4, 4, 4)[..., :2, :2])

@@ -513,8 +513,8 @@ class LoopChannel:
         """Map a 4x4 density matrix, or a stack of shape (..., 4, 4), to
         the final state(s), with a leading grid axis for a grid's channel;
         both frames are built once per call."""
-        f_start = eigenframe(self.loop.start_point()).matrix
-        f_end = eigenframe(self.loop.end_point()).matrix
+        f_start = eigenframe(*self.loop.start_point()).matrix
+        f_end = eigenframe(*self.loop.end_point()).matrix
         sigma_frame = f_start.conj().T @ sigma0_lab @ f_start
         vec = sigma_frame.reshape(-1, DIM * DIM)
         final_frame = (vec @ np.swapaxes(self.phi, -1, -2)).reshape(

@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidDuration, InvalidOrder, UnsupportedLoop
-from .tripod import SphericalPoint
 
 # Absolute tolerance on theta and on phi mod 2 pi at each joint, so loop
 # files with angles rounded to 10 digits still close.
@@ -105,14 +104,14 @@ class LoopSpec:
     def total_time(self) -> float:
         return float(sum(arc.duration for arc in self.arcs))
 
-    def start_point(self) -> SphericalPoint:
-        th, ph = self.arcs[0].angles(0.0)
-        return SphericalPoint(theta=th, phi=ph)
+    def start_point(self) -> tuple:
+        """(theta, phi) at t = 0."""
+        return self.arcs[0].angles(0.0)
 
-    def end_point(self) -> SphericalPoint:
+    def end_point(self) -> tuple:
+        """(theta, phi) at the end of the last arc."""
         last = self.arcs[-1]
-        th, ph = last.angles(last.duration)
-        return SphericalPoint(theta=th, phi=ph)
+        return last.angles(last.duration)
 
 
 def wedge_loop(n: int, omega: float, tau: float) -> LoopSpec:

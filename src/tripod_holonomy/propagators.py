@@ -37,7 +37,7 @@ class GatePropagator:
 
 def start_frame(loop: LoopSpec) -> EigenFrame:
     """Eigenframe at the loop's start point (t = 0)."""
-    return eigenframe(loop.start_point())
+    return eigenframe(*loop.start_point())
 
 
 def _arc_generator(arc: ArcSegment) -> np.ndarray:
@@ -122,7 +122,7 @@ def loop_propagator(loop: LoopSpec, omega_tau=None) -> GatePropagator:
     weights = _arc_weights(loop, _padded(ratio))
     first = _ARC_TABLES[loop.arcs[0].kind][0]
     later = [_ARC_TABLES[arc.kind][1] for arc in loop.arcs[1:]]
-    f_end, f0 = eigenframe(loop.end_point()).matrix, start_frame(loop).matrix
+    f_end, f0 = eigenframe(*loop.end_point()).matrix, start_frame(loop).matrix
     frames = np.einsum("ik,jl->klij", f_end, f0.conj()).reshape(DIM**2, DIM**2)
     # as floats, row q of F is (Re, Im) of F[q], and of i F it is (-Im, Re)
     lab_map = np.concatenate([frames, 1j * frames]).view(float)

@@ -31,18 +31,6 @@ FRAME_ENERGY = np.array([0, 0, 1, -1])
 
 
 @dataclass(frozen=True)
-class SphericalPoint:
-    """Direction on the control sphere: theta in [0, pi], phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
-
-
-@dataclass(frozen=True)
 class EigenFrame:
     """Instantaneous eigenbasis, columns ordered (D0, D1, D+, D-).
 
@@ -97,6 +85,8 @@ def _frame_columns(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return f
 
 
-def eigenframe(p: SphericalPoint) -> EigenFrame:
-    """Analytic eigenframe at a control point (fixed gauge)."""
-    return EigenFrame(matrix=_frame_columns(p.theta, p.phi).astype(complex))
+def eigenframe(theta: float, phi: float) -> EigenFrame:
+    """Analytic eigenframe at the control point (theta, phi) (fixed gauge)."""
+    if not (np.isfinite(theta) and np.isfinite(phi)):
+        raise ValueError("angles must be finite")
+    return EigenFrame(matrix=_frame_columns(theta, phi).astype(complex))

@@ -47,7 +47,6 @@ from tripod_holonomy.propagators import _arc_generator, start_frame
 from tripod_holonomy.tripod import (
     FRAME_ENERGY,
     STATE_EXCITED,
-    SphericalPoint,
     _frame_columns,
     eigenframe,
 )
@@ -92,11 +91,11 @@ def pure(psi):
 # ---------------------------------------------------------------------------
 
 
-def jump_operators(p):
+def jump_operators(theta, phi):
     """Lab-basis eigenoperators {k: A_k} of the coupling at a path point,
     A_k = sum over energies E of P(E) COUPLING P(E + k Omega), with P(E) the
     eigenprojector of the Hamiltonian there."""
-    f = eigenframe(p).matrix
+    f = eigenframe(theta, phi).matrix
     proj = {e: f[:, FRAME_ENERGY == e] @ f[:, FRAME_ENERGY == e].conj().T for e in (-1, 0, 1)}
     return {
         k: sum(proj[e] @ COUPLING @ proj[e + k] for e in proj if e + k in proj)
@@ -262,21 +261,20 @@ class TestJumpOperators:
     @given(theta=angles, phi=phases)
     @settings(max_examples=100, deadline=None)
     def test_completeness(self, theta, phi):
-        ops = jump_operators(SphericalPoint(theta, phi))
+        ops = jump_operators(theta, phi)
         assert np.linalg.norm(sum(ops.values()) - COUPLING) <= 1e-11
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=100, deadline=None)
     def test_adjoint_pairing(self, theta, phi):
-        ops = jump_operators(SphericalPoint(theta, phi))
+        ops = jump_operators(theta, phi)
         for k in (1, 2):
             assert np.linalg.norm(ops[k].conj().T - ops[-k]) <= 1e-12
 
     def test_pole_operators_explicit(self):
         # at the pole the coupling only connects |0> (dark) with D+/- via |e>
-        p = SphericalPoint(0.0, 0.0)
-        ops = jump_operators(p)
-        f = eigenframe(p).matrix
+        ops = jump_operators(0.0, 0.0)
+        f = eigenframe(0.0, 0.0).matrix
         ket0, dplus, dminus = np.eye(4)[0], f[:, 2], f[:, 3]
         np.testing.assert_allclose(ops[0], np.zeros((4, 4)), atol=1e-14)
         expected_plus = (
@@ -300,9 +298,8 @@ class TestDissipator:
             times = np.linspace(0.0, arc.duration, 5)
             superops = vec_dissipators(arc, times, UNEQUAL_NOISE)
             for t, superop in zip(times, superops):
-                p = SphericalPoint(*arc.angles(t))
-                f = eigenframe(p).matrix
-                ops = jump_operators(p)
+                f = eigenframe(*arc.angles(t)).matrix
+                ops = jump_operators(*arc.angles(t))
                 expected = np.stack([
                     (f.conj().T @ dissipator_lab(ops, UNEQUAL_NOISE, f @ e @ f.conj().T) @ f)
                     .reshape(-1)
@@ -976,8 +973,8 @@ class TestLabBasisOracle:
 
     @pytest.mark.parametrize(("loop", "noise"), LAB_CASES)
     def test_channel_matches_the_lab_basis_oracle(self, loop, noise):
-        f0 = eigenframe(loop.start_point()).matrix
-        f1 = eigenframe(loop.end_point()).matrix
+        f0 = eigenframe(*loop.start_point()).matrix
+        f1 = eigenframe(*loop.end_point()).matrix
         phi = np.kron(f1, f1.conj()) @ loop_channel(loop, noise).phi @ np.kron(f0.conj().T, f0.T)
         reference = lab_channel_phi(loop, noise, 1000)
         assert np.abs(phi - reference).max() <= 1e-8

@@ -26,7 +26,7 @@ from tripod_holonomy.propagators import (
     _ARC_TABLES, CHUNK, _arc_generator, _arc_weights, dark_block, loop_times, start_frame,
 )
 from tripod_holonomy.tripod import (
-    FRAME_ENERGY, SphericalPoint, _frame_columns, eigenframe, hamiltonian,
+    FRAME_ENERGY, _frame_columns, eigenframe, hamiltonian,
 )
 
 from conftest import UNEVEN_LOOP_DOC, _expm_i, per_point_propagator
@@ -416,7 +416,7 @@ class TestHolonomy:
         # so mean_fidelity's v = target^dag closure[:2] is exactly [I | 0]
         loop = wedge_loop(n, omega, 3.0)
         loop = reverse_loop(loop) if reverse else loop
-        closure = start_frame(loop).matrix.conj().T @ eigenframe(loop.end_point()).matrix
+        closure = start_frame(loop).matrix.conj().T @ eigenframe(*loop.end_point()).matrix
         expected = np.eye(4, dtype=complex)
         expected[:2, :2] = adiabatic_holonomy(loop)
         np.testing.assert_allclose(closure, expected, rtol=0, atol=1e-15)
@@ -432,7 +432,7 @@ class TestHolonomy:
     def test_bright_phases_present_in_adiabatic_gate(self):
         loop = standard_not_loop(1.0, 9.0)
         u = adiabatic_gate(loop).matrix
-        f = eigenframe(SphericalPoint(0.0, 0.0)).matrix
+        f = eigenframe(0.0, 0.0).matrix
         block = f.conj().T @ u @ f
         assert block[2, 2] == pytest.approx(np.exp(-9.0j), abs=1e-12)
         assert block[3, 3] == pytest.approx(np.exp(+9.0j), abs=1e-12)

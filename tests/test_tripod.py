@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripod_holonomy import eigenframe, exp_i_hermitian, hamiltonian
-from tripod_holonomy.tripod import FRAME_ENERGY, SphericalPoint
+from tripod_holonomy.tripod import FRAME_ENERGY
 
 angles = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True, allow_nan=False)
@@ -32,7 +32,7 @@ def rabi(theta, phi, omega):
 
 def test_point_validation():
     with pytest.raises(ValueError):
-        SphericalPoint(np.nan, 0.0)
+        eigenframe(np.nan, 0.0)
 
 
 class TestRabiFromAngles:
@@ -100,20 +100,20 @@ class TestHamiltonian:
 
 class TestEigenframe:
     def test_pole_frame(self):
-        f = eigenframe(SphericalPoint(0.0, 0.0)).matrix
+        f = eigenframe(0.0, 0.0).matrix
         np.testing.assert_allclose(f[:, 0], KET[0], atol=1e-15)
         np.testing.assert_allclose(f[:, 1], KET[1], atol=1e-15)
         np.testing.assert_allclose(f[:, 2], (KET[3] + KET[2]) / np.sqrt(2), atol=1e-15)
         np.testing.assert_allclose(f[:, 3], (-KET[3] + KET[2]) / np.sqrt(2), atol=1e-15)
 
     def test_equator_d1_is_minus_ancilla(self):
-        f = eigenframe(SphericalPoint(np.pi / 2, 0.0)).matrix
+        f = eigenframe(np.pi / 2, 0.0).matrix
         np.testing.assert_allclose(f[:, 1], -KET[2], atol=1e-15)
 
     @given(theta=angles, phi=phases, omega=st.floats(0.1, 5.0))
     @settings(max_examples=60, deadline=None)
     def test_frame_diagonalizes_hamiltonian(self, theta, phi, omega):
-        f = eigenframe(SphericalPoint(theta, phi)).matrix
+        f = eigenframe(theta, phi).matrix
         assert np.linalg.norm(f.conj().T @ f - np.eye(4)) <= 1e-12
         h = hamiltonian(theta, phi, omega)
         resid = h @ f - f @ np.diag(omega * FRAME_ENERGY)
@@ -122,9 +122,8 @@ class TestEigenframe:
     @given(theta=angles, phi=phases)
     @settings(max_examples=40, deadline=None)
     def test_dark_subspace_annihilated(self, theta, phi):
-        p = SphericalPoint(theta, phi)
         h = hamiltonian(theta, phi)
-        dark = eigenframe(p).dark
+        dark = eigenframe(theta, phi).dark
         # any unit vector in span(D0, D1)
         v = (0.6 * dark[:, 0] + 0.8j * dark[:, 1])
         assert np.linalg.norm(h @ v) <= 1e-11
@@ -135,7 +134,7 @@ class TestEigenframe:
             t = np.linspace(0.0, 1.0, n)
             thetas = 0.5 * np.pi * t
             phis = 0.4 * np.pi * t**2
-            frames = [eigenframe(SphericalPoint(th, ph)).matrix for th, ph in zip(thetas, phis)]
+            frames = [eigenframe(th, ph).matrix for th, ph in zip(thetas, phis)]
             return max(
                 np.linalg.norm(b - a) for a, b in zip(frames[:-1], frames[1:])
             )
