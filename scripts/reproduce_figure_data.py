@@ -27,6 +27,7 @@ from pathlib import Path
 from tripod_holonomy import cli
 from tripod_holonomy.analysis import DEFAULT_FIT_LAMBDAS
 from tripod_holonomy.cli import DEFAULT_LAMBDA_LIST
+from tripod_holonomy.lindblad import DEFAULT_GAMMA0
 
 
 def parse_args(argv=None):
@@ -34,7 +35,7 @@ def parse_args(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--gamma0", type=float, default=0.5, help="flat high-T rate")
+    p.add_argument("--gamma0", type=float, default=DEFAULT_GAMMA0, help="flat high-T rate")
     p.add_argument("--calibrate", action="store_true",
                    help="scale the noise table so the fitted F2 matches 6.34")
     p.add_argument("--quick", action="store_true", help="61-point curves instead of 241")

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .lindblad import (
     NoiseModel,
+    _step_counts,
     default_step_count,
     high_temperature_noise,
     loop_channel,
@@ -193,6 +194,8 @@ def find_optimal_point(loop: LoopSpec, noise: NoiseModel, steps: int | None = No
         raise NoPeakInWindow(f"empty search window ({lo}, {hi}) at Omega {omega:g}")
     centre, h = 0.5 * (lo + hi), (hi - lo) / 40
     if steps is None:
+        # the ceiling is checked, and named, at the count's own Omega*tau
+        _step_counts(loop, None, centre)
         steps = default_step_count(centre)
 
     def f(omega_tau: float) -> float:

@@ -54,6 +54,7 @@ exponent, and so every step exponential fixes it up to rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -222,6 +223,17 @@ def _commutator_superop(h: np.ndarray) -> np.ndarray:
     return -1j * product.reshape(DIM * DIM, DIM * DIM)
 
 
+# L_E at Omega = 1 in real coordinates, and its Frobenius norm 4: L_E is Omega
+# times it, so its norm takes no square of Omega.
+_L_E1 = _real_superop(_commutator_superop(np.diag(FRAME_ENERGY)))
+_L_E1_NORM = float(np.linalg.norm(_L_E1))
+
+# The plan forms the dissipator terms from the raw rates and Lamb shifts: no
+# entry on the way exceeds 12 times the largest of them, nor 48 times after the
+# change of basis, which keeps the Frobenius norm of each 16x16 term.
+_RATE_HEADROOM = 64.0
+
+
 def _dissipator_terms(gamma, shift) -> np.ndarray:
     """K of shape (10, 256): the dissipator at lambda^2 = 1 at a path point
     is sum over p <= q of r_p r_q K_pq, reshaped to 16x16 real coordinates,
@@ -316,8 +328,8 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _ChannelPlan:
     """What a channel needs that depends on neither the loop time nor
     lambda^2: per arc, the Magnus basis rows and their 1-norms N, the tau-free
-    transport superoperator and the Gram pieces of the convergence gate,
-    plus a step workspace that every integration reuses.
+    transport superoperator and the pieces of the convergence gate, plus
+    a step workspace that every integration reuses.
 
     With D the dissipator at lambda^2 = 1 at a step's two Gauss points,
     Sigma = D1 + D2, Delta = D1 - D2, Q = [L_G, Delta] and C = [D2, D1],
@@ -332,7 +344,9 @@ class _ChannelPlan:
     u = (j + 1/2 -+ sqrt(3)/6) / n of the arc, so the rows Sigma, Q and C
     are the same for every loop time and coupling. D is a fixed quadratic
     form w @ K in the frame's |0> row, so each row is one product of the
-    steps' weights with the commutators of the ten terms K. The gate's
+    steps' weights with the commutators of the ten terms K, taken over
+    rate_unit, a power of two, while the coefficients read lambda^2
+    rate_unit: the same products, to the bit. The gate's
     ||A||^2 leaves out <L_E, L_G>, zero since E is diagonal and G has a
     zero diagonal, and <L_G, D>, zero term by term. On a stationary arc
     w1 = w2 exactly, so its Q and C rows are exactly 0.0, and its one
@@ -341,13 +355,21 @@ class _ChannelPlan:
 
     def __init__(self, omega: float, arcs: tuple, counts: tuple, gamma: tuple,
                  shift: tuple) -> None:
+        # the rows hold D over rate_unit, the power of two just above its
+        # largest term entry, and each coupling is lambda^2 rate_unit: both
+        # exact, so no product in the plan, an exponent or the gate depends on
+        # how lambda^2 D splits into lambda^2 and the rates
         terms = _dissipator_terms(gamma, shift)
+        largest = float(np.abs(terms).max())
+        self.rate_unit = 2.0 ** math.frexp(largest)[1] if largest else 1.0
+        terms = terms / self.rate_unit
         k = terms.reshape(-1, DIM**2, DIM**2)
         a, b = np.triu_indices(len(k), 1)
         self.counts = counts
         self.l_e = _real_superop(_commutator_superop(np.diag(omega * FRAME_ENERGY)))
-        self.ee = np.vdot(self.l_e, self.l_e)
+        self.e_norm = float(omega) * _L_E1_NORM
         pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
+        along_e = terms @ _L_E1.ravel() / _L_E1_NORM
         term_gram = terms @ terms.T
         self.l_g, self.basis, self.norms, self.gram, moving = [], [], [], [], []
         for (kind, *angles), n in zip(arcs, counts):
@@ -364,19 +386,18 @@ class _ChannelPlan:
             self.basis.append(basis.reshape(3, -1))
             self.norms.append(np.array([(np.ones(DIM**2) @ np.abs(row)).max(axis=-1)
                                         for row in basis.reshape(3, n, DIM**2, DIM**2)]))
-            # <L_E, D> and ||D||^2 at each Gauss point
-            self.gram.append(np.stack([w @ (terms @ self.l_e.ravel()),
-                                       np.einsum("ia,ab,ib->i", w, term_gram, w)]))
+            # <L_E, D> / (||L_E|| rate_unit) and ||D||^2 / rate_unit^2 at each Gauss point
+            self.gram.append(np.stack([w @ along_e, np.einsum("ia,ab,ib->i", w, term_gram, w)]))
             self.l_g.append(l_g)
         # the Gauss points of all arcs in one row, each arc's first at arc_starts
         self.gram = np.concatenate(self.gram, axis=1)
         self.arc_starts = 2 * np.cumsum((0, *counts[:-1]))
-        # per arc, as columns: the step count, ||L_G||^2, the coherent part
+        # per arc, as columns: the step count, ||L_G|| / n, the coherent part
         # L_G / n of every step and the fixed factors of the coefficients;
         # the gate reads only the arcs that move
         self.moving = np.array(moving)
         self.steps = np.array(counts)[:, None]
-        self.gg = np.array([np.vdot(l_g, l_g) for l_g in self.l_g])[:, None]
+        self.g_step = np.array([np.linalg.norm(l_g) / n for l_g, n in zip(self.l_g, counts)])[:, None]
         self.l_g_step = np.array([l_g.ravel() / n for l_g, n in zip(self.l_g, counts)])[:, None]
         self.factors = np.array([[0.5, np.sqrt(3.0) / 12.0 / n, 0.0] for n in counts])[:, None]
         # room for _BLOCK_STEPS steps: a block of m steps runs _BLOCK_STEPS // m points at once
@@ -387,14 +408,24 @@ class _ChannelPlan:
     def reach(self, durations: np.ndarray, lambda_sq: float) -> np.ndarray:
         """Largest h ||A||_F over the Gauss points of every step of an arc
         that moves, at each column of the arcs' durations (arcs, points), 0
-        if none moves: with h = duration / n and ||A||^2 = ||L_E||^2 +
-        ||L_G||^2 / duration^2 + 2 lambda^2 <L_E, D> + lambda^4 ||D||^2, the
-        largest sqrt(duration^2 (||L_E||^2 + max(...)) + ||L_G||^2) / n. A
-        stationary arc's exponent is its whole series, at any step size."""
-        worst = np.maximum.reduceat(np.array([2.0 * lambda_sq, lambda_sq * lambda_sq]) @ self.gram,
-                                    self.arc_starts)[:, None]
-        square = durations * durations * (self.ee + worst) + self.gg
-        return (np.sqrt(square) / self.steps)[self.moving].max(axis=0, initial=0.0)
+        if none moves: with h = duration / n and ||A||^2 = ||L_E + lambda^2
+        D||^2 + ||L_G||^2 / duration^2, the largest hypot(duration ||L_E +
+        lambda^2 D|| / n, ||L_G|| / n). Nothing overflows or underflows into
+        inf * 0: ||L_E + lambda^2 D|| is squared only over the larger of
+        ||L_E|| and lambda^2 rate_unit, `top`, where a square that underflows
+        is below 1e-308 of the other, and a product past half the float
+        range is inf, selected rather than formed. A stationary arc's
+        exponent is its whole series, at any step size."""
+        mu = float(lambda_sq) * self.rate_unit
+        top = max(self.e_norm, mu)
+        e, m = (self.e_norm / top, mu / top) if top < math.inf else (0.0, 1.0)
+        worst = np.maximum.reduceat(np.array([2.0 * e * m, m * m]) @ self.gram, self.arc_starts)
+        per_time = [top * math.sqrt(max(e * e + w, 0.0)) / n
+                    for w, n in zip(worst.tolist(), self.counts)]
+        fits = durations < [[0.5 * sys.float_info.max / p if p else math.inf] for p in per_time]
+        scaled = np.multiply(durations, np.array(per_time)[:, None], where=fits,
+                             out=np.full(durations.shape, math.inf))
+        return np.hypot(scaled, self.g_step)[self.moving].max(axis=0, initial=0.0)
 
     def blocks(self, durations: np.ndarray, lambda_sq: float):
         """Per block of at most _BLOCK_STEPS steps: its basis rows, and at
@@ -403,6 +434,7 @@ class _ChannelPlan:
         of its exponents and the bound ||h L_E + L_G / n||_1 +
         max_i sum_j c_j N_ij on their 1-norms (no c_j is negative)."""
         c = np.sqrt(3.0) / 12.0
+        lambda_sq = float(lambda_sq) * self.rate_unit
         h = durations / self.steps
         coherent = h[:, :, None] * self.l_e.ravel() + self.l_g_step
         # a spare zero row after the last point's
@@ -470,9 +502,18 @@ _channel_plan = lru_cache(maxsize=1)(_ChannelPlan)
 
 def _loop_plan(loop: LoopSpec, noise: NoiseModel, counts: tuple) -> _ChannelPlan:
     """The channel plan of a loop's shape, its arcs without their
-    durations, at per-arc step counts."""
+    durations, at per-arc step counts. Omega and the rates are checked
+    first, as Python floats: an Omega whose ||L_E|| = 4 Omega overflows, or
+    a rate or Lamb shift whose dissipator terms would, raises ConfigError."""
     arcs = tuple((arc.kind, arc.fixed_angle, arc.start_angle, arc.end_angle) for arc in loop.arcs)
-    rates = (tuple(get(k) for k in range(-2, 3)) for get in (noise.rate, noise.shift))
+    rates = [tuple(get(k) for k in range(-2, 3)) for get in (noise.rate, noise.shift)]
+    if float(loop.omega_scale) * _L_E1_NORM == math.inf:
+        raise ConfigError(f"Omega {loop.omega_scale:g} is too large for a channel: "
+                          "||L_E|| = 4 Omega overflows")
+    for value in rates[0] + rates[1]:
+        if abs(value) * _RATE_HEADROOM == math.inf:
+            raise ConfigError(f"noise rate or Lamb shift {value:g} is too large for a channel: "
+                              "its dissipator terms overflow")
     return _channel_plan(loop.omega_scale, arcs, counts, *rates)
 
 

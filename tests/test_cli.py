@@ -444,6 +444,40 @@ def test_overflowing_time_exits_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    # the Magnus gate's h |A|_F from a duration near 1e301, past what its square holds
+    (["optimal", "--omega", "1e-300", "--lambda-sq", "0.05"], 3),
+    # lambda^2 1e155 with rates near 1e-300: lambda^4 overflows, ||D||^2 underflows
+    (["optimal", "--omega", "18.25", "--lambda-sq", "1e155", "--gamma0", "1e-300"], 0),
+    # a duration near 1e-301 against ||L_E|| near 4e300: the first squares to 0, the second to inf
+    (["noisy-sweep", "--omega", "1e300", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05"], 0),
+    # rates of 1e300: the plan holds D over a power of two, and the gate reads lambda^2 D
+    (["noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "1e-12", "--gamma0", "1e300"], 3),
+    # ||L_E|| = 4 Omega overflows: refused before the plan is built
+    (["noisy-sweep", "--omega", "1e308", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05"], 2),
+], ids=["omega-1e-300", "lambda-sq-1e155-gamma0-1e-300", "noisy-omega-1e300", "gamma0-1e300",
+        "noisy-omega-1e308"])
+def test_extreme_channel_input_exits_with_one_line(tmp_path, capsys, argv, expected):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, streams = run([*argv, "--out", str(out)], capsys)
+    assert code == expected
+    assert len(streams.err.splitlines()) == (1 if code else 0) and "Traceback" not in streams.err
+    assert out.exists() == (code == 0)
+
+
+def test_ideal_sweep_at_omega_1e308_is_unchanged(tmp_path, capsys):
+    # the channel plan's bound on Omega does not reach the exact engine
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, streams = run(["ideal-sweep", "--omega", "1e308", "--grid", "18.25:18.25:1",
+                             "--out", str(out)], capsys)
+    assert code == 0 and streams.err == ""
+    assert (out / "sweep_lambda2_0.csv").read_text() == "omega_tau,mean_fidelity\n18.25,0.999999996718\n"
+
+
 class TestOptimalAndFit:
     def test_optimal_single_lambda(self, tmp_path):
         out = tmp_path / "opt"
@@ -646,7 +680,8 @@ class TestOptimalAndFit:
             "optimal", "--loop", "wedge:2000", "--lambda-sq", "0.001", "--out", str(out),
         ], capsys)
         assert code == 2
-        assert "takes 60334 steps, above the ceiling of 50000" in streams.err
+        assert streams.err == (
+            "error: Omega*tau 25139 takes 60334 default steps, above the ceiling of 50000\n")
         assert not out.exists()
 
     def test_robustness_default_steps_above_the_ceiling_is_config_error(self, tmp_path, capsys,

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,46 @@ class TestChannelPlan:
             plan, durations = plan_of(loop, noise, steps)
             (got,) = plan.reach(durations, noise.lambda_sq)
             assert abs(got - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize(("omega", "lambda_sq", "gamma0"), [
+        (1e300, 0.05e300, 0.5),  # durations square to 0 and ||L_E|| to inf
+        (1e-300, 0.05e-300, 0.5),  # durations square to inf
+        (1.0, 0.05e160, 0.5e-160),  # lambda^4 overflows and ||D||^2 underflows
+    ], ids=["omega-1e300", "omega-1e-300", "lambda-sq-1e158"])
+    def test_gate_forms_no_square(self, omega, lambda_sq, gamma0):
+        # h ||A||_F reads only Omega*tau, lambda^2 / Omega and lambda^2 gamma0:
+        # each split takes the value of the standard one, with no warning
+        loop, noise = wedge_loop(2, 1.0, 18.251), high_temperature_noise(0.05)
+        plan, durations = plan_of(loop, noise, None)
+        (expected,) = plan.reach(durations, noise.lambda_sq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise = high_temperature_noise(lambda_sq, gamma0)
+            plan, durations = plan_of(wedge_loop(2, omega, 18.251 / omega), noise, None)
+            (got,) = plan.reach(durations, noise.lambda_sq)
+        assert abs(got - expected) <= 1e-13 * expected
+
+    def test_channel_reads_lambda_sq_times_the_rates(self):
+        # the plan holds D over a power of two and takes lambda^2 times it, so a
+        # table scaled by 2^-600 at lambda^2 scaled by 2^600 gives the same bits
+        loop = wedge_loop(2, 1.3, 23.7)
+        expected = loop_channel(loop, UNEQUAL_NOISE.with_lambda_sq(0.05)).phi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = UNEQUAL_NOISE.scaled(2.0**-600).with_lambda_sq(0.05 * 2.0**600)
+            assert np.array_equal(loop_channel(loop, split).phi, expected)
+
+    @pytest.mark.parametrize(("omega", "gamma0", "named"), [
+        (1e308, 0.5, "Omega 1e+308 is too large"),
+        (1.0, 1e307, "rate or Lamb shift 1e+307 is too large"),
+    ], ids=["omega", "rate"])
+    def test_plan_refuses_what_it_cannot_hold(self, omega, gamma0, named):
+        loop = wedge_loop(1, omega, 18.25 / omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as refused:
+                loop_channel(loop, high_temperature_noise(1e-300, gamma0))
+        assert named in str(refused.value)
 
     def test_dropped_gram_terms_are_exactly_zero(self, rng):
         # the gate leaves out <L_E, L_G> and <L_G, D>: both must stay 0.0
