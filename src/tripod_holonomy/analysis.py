@@ -194,8 +194,7 @@ def find_optimal_point(loop: LoopSpec, noise: NoiseModel, steps: int | None = No
         raise NoPeakInWindow(f"empty search window ({lo}, {hi}) at Omega {omega:g}")
     centre, h = 0.5 * (lo + hi), (hi - lo) / 40
     if steps is None:
-        # the ceiling is checked, and named, at the count's own Omega*tau
-        _step_counts(loop, None, centre)
+        _step_counts(loop, None, centre)  # the ceiling, named at the centre
         steps = default_step_count(centre)
 
     def f(omega_tau: float) -> float:
@@ -307,14 +306,11 @@ def fit_noise_response(
         for name, c, e in zip(names, coef, stderr)
     ]
     if free_intercept:
-        intercept_value = float(coef[-1])
-        fitted.append(FitCoefficient("intercept", intercept_value, float(stderr[-1])))
-        intercept_out = intercept_value
-    else:
-        intercept_out = float(intercept)
+        intercept = coef[-1]
+        fitted.append(FitCoefficient("intercept", float(intercept), float(stderr[-1])))
     return FitResult(
         model=model,
-        intercept=intercept_out,
+        intercept=float(intercept),
         coefficients=tuple(fitted),
         residual_norm=float(np.linalg.norm(resid)),
     )

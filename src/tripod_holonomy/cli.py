@@ -281,8 +281,7 @@ def build_loop(cfg: RunConfig) -> LoopSpec:
     """Loop template with unit total time; commands rescale per tau."""
     if cfg.loop_file is not None:
         return _read_json(cfg.loop_file, "loop file", loop_from_dict)
-    n = parse_loop_kind(cfg.loop)
-    return wedge_loop(n, cfg.omega, 1.0)
+    return wedge_loop(parse_loop_kind(cfg.loop), cfg.omega, 1.0)
 
 
 def build_noise(cfg: RunConfig) -> NoiseModel:

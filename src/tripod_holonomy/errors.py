@@ -49,4 +49,4 @@ class ModelMismatch(TripodError):
 
 
 class ConfigError(TripodError):
-    """Invalid or inconsistent run configuration, or a channel step count above STEP_CEILING."""
+    """Invalid run configuration, or a channel past STEP_CEILING or its plan's float range."""

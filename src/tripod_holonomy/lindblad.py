@@ -54,7 +54,6 @@ exponent, and so every step exponential fixes it up to rounding.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -223,17 +222,6 @@ def _commutator_superop(h: np.ndarray) -> np.ndarray:
     return -1j * product.reshape(DIM * DIM, DIM * DIM)
 
 
-# L_E at Omega = 1 in real coordinates, and its Frobenius norm 4: L_E is Omega
-# times it, so its norm takes no square of Omega.
-_L_E1 = _real_superop(_commutator_superop(np.diag(FRAME_ENERGY)))
-_L_E1_NORM = float(np.linalg.norm(_L_E1))
-
-# The plan forms the dissipator terms from the raw rates and Lamb shifts: no
-# entry on the way exceeds 12 times the largest of them, nor 48 times after the
-# change of basis, which keeps the Frobenius norm of each 16x16 term.
-_RATE_HEADROOM = 64.0
-
-
 def _dissipator_terms(gamma, shift) -> np.ndarray:
     """K of shape (10, 256): the dissipator at lambda^2 = 1 at a path point
     is sum over p <= q of r_p r_q K_pq, reshaped to 16x16 real coordinates,
@@ -344,9 +332,7 @@ class _ChannelPlan:
     u = (j + 1/2 -+ sqrt(3)/6) / n of the arc, so the rows Sigma, Q and C
     are the same for every loop time and coupling. D is a fixed quadratic
     form w @ K in the frame's |0> row, so each row is one product of the
-    steps' weights with the commutators of the ten terms K, taken over
-    rate_unit, a power of two, while the coefficients read lambda^2
-    rate_unit: the same products, to the bit. The gate's
+    steps' weights with the commutators of the ten terms K. The gate's
     ||A||^2 leaves out <L_E, L_G>, zero since E is diagonal and G has a
     zero diagonal, and <L_G, D>, zero term by term. On a stationary arc
     w1 = w2 exactly, so its Q and C rows are exactly 0.0, and its one
@@ -355,21 +341,24 @@ class _ChannelPlan:
 
     def __init__(self, omega: float, arcs: tuple, counts: tuple, gamma: tuple,
                  shift: tuple) -> None:
-        # the rows hold D over rate_unit, the power of two just above its
-        # largest term entry, and each coupling is lambda^2 rate_unit: both
-        # exact, so no product in the plan, an exponent or the gate depends on
-        # how lambda^2 D splits into lambda^2 and the rates
+        # first, as Python floats: ||L_E|| = 4 Omega, and the dissipator terms,
+        # below 48 times the largest rate or Lamb shift, so rate_unit <= 2^1023
+        self.e_norm, largest = 4.0 * float(omega), max(map(abs, (*gamma, *shift)))
+        if self.e_norm == math.inf:
+            raise ConfigError(f"Omega {omega:g} is too large for a channel: ||L_E|| overflows")
+        if 128.0 * largest == math.inf:
+            raise ConfigError(f"noise rate or Lamb shift {largest:g} is too large for a channel")
+        # the rows hold D over rate_unit, the power of two just above its largest
+        # term entry, and lambda^2 enters times rate_unit: the same bits, exactly
         terms = _dissipator_terms(gamma, shift)
-        largest = float(np.abs(terms).max())
-        self.rate_unit = 2.0 ** math.frexp(largest)[1] if largest else 1.0
+        self.rate_unit = 2.0 ** math.frexp(float(np.abs(terms).max()))[1]  # 1.0 if D is 0
         terms = terms / self.rate_unit
         k = terms.reshape(-1, DIM**2, DIM**2)
         a, b = np.triu_indices(len(k), 1)
         self.counts = counts
         self.l_e = _real_superop(_commutator_superop(np.diag(omega * FRAME_ENERGY)))
-        self.e_norm = float(omega) * _L_E1_NORM
         pair_terms = _commutator(k[a], k[b]).reshape(len(a), -1)
-        along_e = terms @ _L_E1.ravel() / _L_E1_NORM
+        along_e = terms @ (self.l_e.ravel() / self.e_norm)
         term_gram = terms @ terms.T
         self.l_g, self.basis, self.norms, self.gram, moving = [], [], [], [], []
         for (kind, *angles), n in zip(arcs, counts):
@@ -397,8 +386,8 @@ class _ChannelPlan:
         # the gate reads only the arcs that move
         self.moving = np.array(moving)
         self.steps = np.array(counts)[:, None]
-        self.g_step = np.array([np.linalg.norm(l_g) / n for l_g, n in zip(self.l_g, counts)])[:, None]
         self.l_g_step = np.array([l_g.ravel() / n for l_g, n in zip(self.l_g, counts)])[:, None]
+        self.g_step = np.linalg.norm(self.l_g_step, axis=-1)
         self.factors = np.array([[0.5, np.sqrt(3.0) / 12.0 / n, 0.0] for n in counts])[:, None]
         # room for _BLOCK_STEPS steps: a block of m steps runs _BLOCK_STEPS // m points at once
         self.work = np.empty((8, _BLOCK_STEPS, DIM**2, DIM**2))
@@ -410,19 +399,16 @@ class _ChannelPlan:
         that moves, at each column of the arcs' durations (arcs, points), 0
         if none moves: with h = duration / n and ||A||^2 = ||L_E + lambda^2
         D||^2 + ||L_G||^2 / duration^2, the largest hypot(duration ||L_E +
-        lambda^2 D|| / n, ||L_G|| / n). Nothing overflows or underflows into
-        inf * 0: ||L_E + lambda^2 D|| is squared only over the larger of
-        ||L_E|| and lambda^2 rate_unit, `top`, where a square that underflows
-        is below 1e-308 of the other, and a product past half the float
-        range is inf, selected rather than formed. A stationary arc's
-        exponent is its whole series, at any step size."""
+        lambda^2 D|| / n, ||L_G|| / n), squared only over top, the larger of
+        ||L_E|| and lambda^2 rate_unit, so nothing over- or underflows into inf
+        * 0; past half the float range it is inf. A stationary arc's exponent
+        is its whole series."""
         mu = float(lambda_sq) * self.rate_unit
         top = max(self.e_norm, mu)
         e, m = (self.e_norm / top, mu / top) if top < math.inf else (0.0, 1.0)
         worst = np.maximum.reduceat(np.array([2.0 * e * m, m * m]) @ self.gram, self.arc_starts)
-        per_time = [top * math.sqrt(max(e * e + w, 0.0)) / n
-                    for w, n in zip(worst.tolist(), self.counts)]
-        fits = durations < [[0.5 * sys.float_info.max / p if p else math.inf] for p in per_time]
+        per_time = [top * math.sqrt(max(e * e + w, 0.0)) / n for w, n in zip(worst, self.counts)]
+        fits = durations < [[math.ldexp(1.0, 1023) / p if p else math.inf] for p in per_time]
         scaled = np.multiply(durations, np.array(per_time)[:, None], where=fits,
                              out=np.full(durations.shape, math.inf))
         return np.hypot(scaled, self.g_step)[self.moving].max(axis=0, initial=0.0)
@@ -502,18 +488,9 @@ _channel_plan = lru_cache(maxsize=1)(_ChannelPlan)
 
 def _loop_plan(loop: LoopSpec, noise: NoiseModel, counts: tuple) -> _ChannelPlan:
     """The channel plan of a loop's shape, its arcs without their
-    durations, at per-arc step counts. Omega and the rates are checked
-    first, as Python floats: an Omega whose ||L_E|| = 4 Omega overflows, or
-    a rate or Lamb shift whose dissipator terms would, raises ConfigError."""
+    durations, at per-arc step counts."""
     arcs = tuple((arc.kind, arc.fixed_angle, arc.start_angle, arc.end_angle) for arc in loop.arcs)
-    rates = [tuple(get(k) for k in range(-2, 3)) for get in (noise.rate, noise.shift)]
-    if float(loop.omega_scale) * _L_E1_NORM == math.inf:
-        raise ConfigError(f"Omega {loop.omega_scale:g} is too large for a channel: "
-                          "||L_E|| = 4 Omega overflows")
-    for value in rates[0] + rates[1]:
-        if abs(value) * _RATE_HEADROOM == math.inf:
-            raise ConfigError(f"noise rate or Lamb shift {value:g} is too large for a channel: "
-                              "its dissipator terms overflow")
+    rates = (tuple(get(k) for k in range(-2, 3)) for get in (noise.rate, noise.shift))
     return _channel_plan(loop.omega_scale, arcs, counts, *rates)
 
 

@@ -80,7 +80,7 @@ class LoopSpec:
         if not self.arcs:
             raise InvalidDuration("loop needs at least one arc")
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        if self.arcs[0].angles(0.0)[0] != 0.0:
+        if self.start_point()[0] != 0.0:
             raise UnsupportedLoop("loop must start at the pole (theta = 0)")
         for arc in self.arcs:
             if arc.kind is ArcKind.MERIDIAN and (
@@ -96,8 +96,7 @@ class LoopSpec:
                 raise ValueError("arcs are not contiguous")
             if dphi > ANGLE_TOL:
                 raise UnsupportedLoop(f"gauge frame jumps by {dphi:.3g} rad of phi at a joint")
-        last = self.arcs[-1]
-        if last.angles(last.duration)[0] > ANGLE_TOL:
+        if self.end_point()[0] > ANGLE_TOL:
             raise ValueError("loop is not closed")
 
     @property
@@ -105,11 +104,9 @@ class LoopSpec:
         return float(sum(arc.duration for arc in self.arcs))
 
     def start_point(self) -> tuple:
-        """(theta, phi) at t = 0."""
         return self.arcs[0].angles(0.0)
 
     def end_point(self) -> tuple:
-        """(theta, phi) at the end of the last arc."""
         last = self.arcs[-1]
         return last.angles(last.duration)
 

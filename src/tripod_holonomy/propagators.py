@@ -149,12 +149,11 @@ def adiabatic_gate(loop: LoopSpec) -> GatePropagator:
     """Full 4x4 adiabatic-limit gate: holonomy on the dark block plus the
     bright dynamical phases exp(-+ i omega tau), in the lab basis."""
     f0 = start_frame(loop).matrix
-    tau = loop.total_time
-    omega = loop.omega_scale
+    phase = loop.omega_scale * loop.total_time
     block = np.zeros((4, 4), dtype=complex)
     block[:2, :2] = adiabatic_holonomy(loop)
-    block[2, 2] = np.exp(-1j * omega * tau)
-    block[3, 3] = np.exp(+1j * omega * tau)
+    block[2, 2] = np.exp(-1j * phase)
+    block[3, 3] = np.exp(+1j * phase)
     return GatePropagator(matrix=f0 @ block @ f0.conj().T)
 
 
