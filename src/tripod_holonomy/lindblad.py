@@ -399,17 +399,17 @@ class _ChannelPlan:
         that moves, at each column of the arcs' durations (arcs, points), 0
         if none moves: with h = duration / n and ||A||^2 = ||L_E + lambda^2
         D||^2 + ||L_G||^2 / duration^2, the largest hypot(duration ||L_E +
-        lambda^2 D|| / n, ||L_G|| / n), squared only over top, the larger of
-        ||L_E|| and lambda^2 rate_unit, so nothing over- or underflows into inf
-        * 0; past half the float range it is inf. A stationary arc's exponent
-        is its whole series."""
+        lambda^2 D|| / n, ||L_G|| / n). ||L_E + lambda^2 D|| is squared only
+        over top, the larger of ||L_E|| and lambda^2 rate_unit, so nothing
+        over- or underflows into inf * 0, and a product past half the float
+        range is inf. A stationary arc's exponent is its whole series."""
         mu = float(lambda_sq) * self.rate_unit
         top = max(self.e_norm, mu)
         e, m = (self.e_norm / top, mu / top) if top < math.inf else (0.0, 1.0)
         worst = np.maximum.reduceat(np.array([2.0 * e * m, m * m]) @ self.gram, self.arc_starts)
-        per_time = [top * math.sqrt(max(e * e + w, 0.0)) / n for w, n in zip(worst, self.counts)]
-        fits = durations < [[math.ldexp(1.0, 1023) / p if p else math.inf] for p in per_time]
-        scaled = np.multiply(durations, np.array(per_time)[:, None], where=fits,
+        slope = [top * max(e * e + w, 0.0) ** 0.5 / n for w, n in zip(worst.tolist(), self.counts)]
+        fits = durations < [[math.ldexp(1.0, 1023) / p if p else math.inf] for p in slope]
+        scaled = np.multiply(durations, np.array(slope)[:, None], where=fits,
                              out=np.full(durations.shape, math.inf))
         return np.hypot(scaled, self.g_step)[self.moving].max(axis=0, initial=0.0)
 
