@@ -505,7 +505,7 @@ class TestChannelPlan:
         (1e300, 0.05e300, 0.5),  # durations square to 0 and ||L_E|| to inf
         (1e-300, 0.05e-300, 0.5),  # durations square to inf
         (1.0, 0.05e160, 0.5e-160),  # lambda^4 overflows and ||D||^2 underflows
-    ], ids=["omega-1e300", "omega-1e-300", "lambda-sq-1e158"])
+    ], ids=["omega-1e300", "omega-1e-300", "lambda-sq-5e158"])
     def test_gate_forms_no_square(self, omega, lambda_sq, gamma0):
         # h ||A||_F reads only Omega*tau, lambda^2 / Omega and lambda^2 gamma0:
         # each split takes the value of the standard one, with no warning
