@@ -475,7 +475,8 @@ def test_ideal_sweep_at_omega_1e308_is_unchanged(tmp_path, capsys):
         code, streams = run(["ideal-sweep", "--omega", "1e308", "--grid", "18.25:18.25:1",
                              "--out", str(out)], capsys)
     assert code == 0 and streams.err == ""
-    assert (out / "sweep_lambda2_0.csv").read_text() == "omega_tau,mean_fidelity\n18.25,0.999999996718\n"
+    csv = (out / "sweep_lambda2_0.csv").read_text()
+    assert csv == "omega_tau,mean_fidelity\n18.25,0.999999996718\n"
 
 
 class TestOptimalAndFit:
