@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .analysis import (
     FitResult,
     OptimalPoint,
-    SweepCurve,
     calibrate_noise,
     f_of_tau_relation,
     find_optimal_point,
@@ -52,7 +51,6 @@ __all__ = [
     "LoopSpec",
     "NoiseModel",
     "OptimalPoint",
-    "SweepCurve",
     "adiabatic_gate",
     "adiabatic_holonomy",
     "calibrate_noise",

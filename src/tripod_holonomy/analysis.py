@@ -80,51 +80,30 @@ def mean_fidelity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepCurve:
-    """Sampled (Omega*tau, <F>) curve at fixed noise strength."""
-
-    lambda_sq: float
-    omega_tau: np.ndarray
-    mean_fidelity: np.ndarray
-
-
 def sweep(
     loop: LoopSpec,
     omega_tau_grid: np.ndarray,
     lambda_sq_list: list[float],
     steps: int | None = None,
     noise: NoiseModel | None = None,
-) -> list[SweepCurve]:
-    """One fidelity curve per coupling strength over a shared time grid.
+) -> list[np.ndarray]:
+    """One mean-fidelity array per coupling strength, in list order, over a
+    shared Omega*tau grid.
 
     `noise` supplies the rate tables; its lambda_sq field is overridden by
-    each entry of lambda_sq_list. Each curve is one `mean_fidelity` call on
-    the whole grid, in this process and in list order: a silent curve
-    (lambda^2 = 0 or an all-zero table) from the stacked exact propagator,
-    a dissipative one from one `loop_channel` call on the whole grid.
+    each entry of lambda_sq_list. Each array is one `mean_fidelity` call on
+    the whole grid, in this process: a silent curve (lambda^2 = 0 or an
+    all-zero table) from the stacked exact propagator, a dissipative one
+    from one `loop_channel` call on the whole grid. Either engine raises
+    InvalidDuration for a grid that is not a non-empty 1-d array of
+    positive times.
     """
-    grid = np.asarray(omega_tau_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("omega_tau grid must be a non-empty 1-d array")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("omega_tau grid must be strictly increasing")
     if noise is None:
         noise = high_temperature_noise(0.0)
-    values = ordered_map(
-        lambda lam: mean_fidelity(loop, noise.with_lambda_sq(lam), steps, grid), lambda_sq_list
+    return ordered_map(
+        lambda lam: mean_fidelity(loop, noise.with_lambda_sq(lam), steps, omega_tau_grid),
+        lambda_sq_list,
     )
-    return [
-        SweepCurve(lambda_sq=float(lam), omega_tau=grid.copy(), mean_fidelity=f)
-        for lam, f in zip(lambda_sq_list, values)
-    ]
-
-
-def sweep_curve_to_csv(curve: SweepCurve) -> str:
-    """CSV rendering: header plus one row per sample, 12 significant digits,
-    all rows in one format pass."""
-    values = np.column_stack([curve.omega_tau, curve.mean_fidelity]).ravel().tolist()
-    return "omega_tau,mean_fidelity\n" + "%.12g,%.12g\n" * len(curve.omega_tau) % tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .analysis import (
     optimal_point_table,
     robustness,
     sweep,
-    sweep_curve_to_csv,
 )
 from .errors import (
     ConfigError,
@@ -112,7 +111,11 @@ class RunConfig:
                     f"invalid grid {list(self.grid)}: need 0 < START < STOP and an integer "
                     "POINTS >= 1 (START = STOP only with one point)"
                 )
-            if points > 1 and not (np.diff(self.grid_values()) > 0).all():
+            try:
+                repeats = points > 1 and not (np.diff(self.grid_values()) > 0).all()
+            except ValueError as exc:  # numpy cannot size an array of that many points
+                raise ConfigError(f"grid of {points} points: {exc}") from None
+            if repeats:
                 raise ConfigError(f"grid {list(self.grid)} repeats a point: STOP is too near START")
         if self.lambda_sq is not None:
             if not self.lambda_sq:
@@ -327,26 +330,34 @@ def _sweep_file_name(lambda_sq: float) -> str:
     return f"sweep_lambda2_{lambda_sq:.12g}.csv"
 
 
+def _sweep_csv(grid: np.ndarray, fidelity: np.ndarray) -> str:
+    """Header plus one row per sample, 12 significant digits, all rows in
+    one format pass."""
+    values = np.column_stack([grid, fidelity]).ravel().tolist()
+    return "omega_tau,mean_fidelity\n" + "%.12g,%.12g\n" * len(grid) % tuple(values)
+
+
 def _lambdas(cfg: RunConfig) -> list[float]:
     return list(cfg.lambda_sq if cfg.lambda_sq is not None else DEFAULT_LAMBDA_LIST)
 
 
 def cmd_ideal_sweep(cfg: RunConfig) -> int:
-    curves = sweep(build_loop(cfg), cfg.grid_values(), [0.0])
-    return _write_sweep(cfg, "ideal-sweep", curves)
+    loop, grid = build_loop(cfg), cfg.grid_values()
+    return _write_sweep(cfg, "ideal-sweep", grid, [0.0], sweep(loop, grid, [0.0]))
 
 
 def cmd_noisy_sweep(cfg: RunConfig) -> int:
-    loop, grid, noise = build_loop(cfg), cfg.grid_values(), build_noise(cfg)
-    curves = sweep(loop, grid, _lambdas(cfg), steps=cfg.steps, noise=noise)
-    return _write_sweep(cfg, "noisy-sweep", curves, noise)
+    loop, grid, noise, lambdas = build_loop(cfg), cfg.grid_values(), build_noise(cfg), _lambdas(cfg)
+    curves = sweep(loop, grid, lambdas, steps=cfg.steps, noise=noise)
+    return _write_sweep(cfg, "noisy-sweep", grid, lambdas, curves, noise)
 
 
-def _write_sweep(cfg: RunConfig, command: str, curves, noise: NoiseModel | None = None) -> int:
+def _write_sweep(cfg: RunConfig, command: str, grid: np.ndarray, lambdas: list[float],
+                 curves: list[np.ndarray], noise: NoiseModel | None = None) -> int:
     out_dir = Path(cfg.out)
     _write_run_config(out_dir, cfg, command, noise=noise)
-    for curve in curves:
-        _write(out_dir / _sweep_file_name(curve.lambda_sq), sweep_curve_to_csv(curve))
+    for lam, fidelity in zip(lambdas, curves):
+        _write(out_dir / _sweep_file_name(lam), _sweep_csv(grid, fidelity))
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ for the pi/2 wedge (the NOT gate) means equal arc times.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -180,9 +181,12 @@ def optimal_time(k: int, n: int, omega: float) -> float:
 
 
 def _is_number(value) -> bool:
-    """An int or float, not a bool: the only type of number that config,
-    loop and noise files may hold. Finiteness and range are the reader's."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int (not a bool) that a float can hold: the only type
+    of number that config, loop and noise files may hold, though a JSON
+    integer has no size limit. Finiteness and range are the reader's."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
 def _number(value, name: str) -> float:

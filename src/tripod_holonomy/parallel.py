@@ -5,7 +5,7 @@ a millisecond, less than a worker pool costs to start and feed. The map
 stays a module of its own only because `perfbench/` hooks
 `parallel.ordered_map` and `analysis.ordered_map` by name and expects one
 call per sweep. Deleting this module waits for the change that lets
-`perfbench/` drop that binding (ROADMAP items 1 and 4).
+`perfbench/` drop that binding (ROADMAP items 7 and 9).
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def test_master_equation_sanity():
         standard_not_loop(1.0, 1.0), grid, list(CURVE_LAMBDAS),
         noise=high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0),
     )
-    values = np.stack([c.mean_fidelity for c in curves])
+    values = np.stack(curves)
     ordered = bool(np.all(np.diff(values, axis=0) <= 1e-12))
     # step-halving stability of the fidelity
     noise = high_temperature_noise(0.01, gamma0=DEFAULT_GAMMA0)

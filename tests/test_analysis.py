@@ -21,7 +21,8 @@ from tripod_holonomy import (
     with_total_time,
 )
 from tripod_holonomy import analysis
-from tripod_holonomy.analysis import PEAK_TOL, PEAK_WINDOW, sweep_curve_to_csv
+from tripod_holonomy.analysis import PEAK_TOL, PEAK_WINDOW
+from tripod_holonomy.cli import _sweep_csv
 from tripod_holonomy.errors import (
     InvalidDuration,
     ModelMismatch,
@@ -238,35 +239,30 @@ class TestSweep:
         assert len(handed) == 1 and len(handed[0]) == len(lambdas)
         assert len(grids) == len(lambdas)
         assert all(np.array_equal(g, grid) for g in grids)
-        assert [c.lambda_sq for c in curves] == lambdas
-        assert all(c.mean_fidelity.shape == grid.shape for c in curves)
+        assert len(curves) == len(lambdas)
+        assert all(c.shape == grid.shape for c in curves)
 
     def test_noiseless_maxima_at_revivals(self, no_noise):
         revivals = [optimal_time(k, 1, 1.0) for k in (1, 2, 3)]
         grid = np.unique(np.concatenate([np.linspace(10, 60, 11), revivals]))
         curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.0])
-        curve = curves[0]
         for r in revivals:
-            idx = int(np.argmin(np.abs(curve.omega_tau - r)))
-            assert curve.mean_fidelity[idx] >= 1.0 - 1e-6
+            idx = int(np.argmin(np.abs(grid - r)))
+            assert curves[0][idx] >= 1.0 - 1e-6
 
     def test_pointwise_ordering_in_coupling(self):
         grid = np.linspace(14.0, 22.0, 5)
         noise = high_temperature_noise(0.0, gamma0=0.5)
         curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.005, 0.01], noise=noise)
-        assert np.all(curves[1].mean_fidelity <= curves[0].mean_fidelity + 1e-12)
+        assert np.all(curves[1] <= curves[0] + 1e-12)
 
     def test_empty_lambda_list(self):
         out = sweep(standard_not_loop(1.0, 1.0), np.array([10.0, 12.0]), [])
         assert out == []
 
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            sweep(standard_not_loop(1.0, 1.0), np.array([12.0, 10.0]), [0.0])
-
     def test_csv_format(self, no_noise):
-        curves = sweep(standard_not_loop(1.0, 1.0), np.array([18.0, 19.0]), [0.0])
-        text = sweep_curve_to_csv(curves[0])
+        grid = np.array([18.0, 19.0])
+        text = _sweep_csv(grid, sweep(standard_not_loop(1.0, 1.0), grid, [0.0])[0])
         lines = text.strip().split("\n")
         assert lines[0] == "omega_tau,mean_fidelity"
         assert len(lines) == 3
@@ -277,10 +273,10 @@ class TestSweep:
         # the rows format Python floats; the text must be what np.float64
         # scalars give on values with long or borderline 12-digit forms
         awkward = np.array([1e-05, 60.25, 0.1 + 0.2, 1 - 1e-13, 1 / 3])
-        curve = analysis.SweepCurve(0.0, awkward, awkward[::-1].copy())
         rows = [f"{ot:.12g},{mf:.12g}" for ot, mf in zip(awkward, awkward[::-1])]
         assert isinstance(awkward[0], np.float64)
-        assert sweep_curve_to_csv(curve) == "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
+        expected = "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
+        assert _sweep_csv(awkward, awkward[::-1]) == expected
         assert rows[2:4] == ["0.3,0.3", "1,60.25"]
 
     @pytest.mark.parametrize("values", [[1e-05, 2.5e16, 1.0, 60.0, 999999999999.5, 0.5],
@@ -289,10 +285,9 @@ class TestSweep:
         # exponent forms, integral floats and 999999999999.5, a tie at the
         # 12th digit that rounds to even, 1e+12, in the one-pass rendering
         ot = np.array(values)
-        curve = analysis.SweepCurve(0.0, ot, ot[::-1].copy())
         rows = [format(a, ".12g") + "," + format(b, ".12g")
                 for a, b in zip(ot.tolist(), ot[::-1].tolist())]
-        assert sweep_curve_to_csv(curve) == "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
+        assert _sweep_csv(ot, ot[::-1]) == "\n".join(["omega_tau,mean_fidelity", *rows]) + "\n"
         if len(values) > 1:
             assert rows[:2] == ["1e-05,0.5", "2.5e+16,1e+12"]
             assert rows[2:4] == ["1,60", "60,1"]

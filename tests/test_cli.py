@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
@@ -399,7 +404,7 @@ HUGE_WEDGE = "wedge:1" + "0" * 400
     # linspace repeats a point: STOP is within a few floats of START
     (["ideal-sweep", "--grid", "1:1.0000000000000002:3"], 2),
     (["noisy-sweep", "--grid", "5:5.000000000000001:10", "--lambda-sq", "0.05"], 2),
-    # lambda^4 overflows to inf, which the Magnus gate rejects
+    # lambda^2 D reads h |A|_F = 2.004e+299, far past what the Magnus gate takes
     (["noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "1e300"], 3),
     # 2.4 Omega*tau default steps overflow to inf, above the step ceiling
     (["noisy-sweep", "--grid", "1e308:1e308:1", "--lambda-sq", "0.05"], 2),
@@ -465,6 +470,76 @@ def test_extreme_channel_input_exits_with_one_line(tmp_path, capsys, argv, expec
     assert code == expected
     assert len(streams.err.splitlines()) == (1 if code else 0) and "Traceback" not in streams.err
     assert out.exists() == (code == 0)
+
+
+# A JSON integer has no size limit; this one is past the float range.
+BIG_INT = 10**400
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["noisy-sweep", "--config"], {"grid": [1, 2, 3], "lambda_sq": [BIG_INT]}),
+    (["noisy-sweep", "--config"], {"grid": [1, 2, 3], "omega": BIG_INT}),
+    (["noisy-sweep", "--config"], {"grid": [1, BIG_INT, 3]}),
+    # numpy cannot size a grid of that many points
+    (["ideal-sweep", f"--grid=1:2:{BIG_INT}"], None),
+    (["ideal-sweep", "--grid=1:2:3", "--loop-file"], typed_loop_doc("duration", BIG_INT)),
+    (["noisy-sweep", "--grid=1:2:3", "--noise-file"], {"lambda_sq": 0.0, "gamma": {"0": BIG_INT}}),
+], ids=["config-lambda-sq", "config-omega", "config-grid-stop", "grid-points", "loop-file-duration",
+        "noise-file-gamma"])
+def test_number_past_float_range_exits_with_one_line(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    out = tmp_path / "x"
+    code, streams = run([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert not out.exists()
+
+
+# IEEE extremes and ordinary values for Omega, the grid ends and gamma0
+EXTREMES = [0.0, 5e-324, 2.2e-308, 1e-300, 1e-12, 0.5, 1.0, 1.3, 18.25, 60.5, 1e4, 1e154, 1e155,
+            1e300, 1.7976931348623157e308, -1.0]
+# the flags each command reads, less --config, --loop-file, --noise-file and --calibrate-f2
+COMMAND_FLAGS = {
+    "ideal-sweep": ("loop", "omega", "grid"),
+    "noisy-sweep": ("loop", "omega", "grid", "lambda-sq", "gamma0", "steps"),
+    "optimal": ("loop", "omega", "lambda-sq", "gamma0", "steps"),
+    "holonomy": ("loop",),
+}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(sorted(COMMAND_FLAGS)),
+    values=st.fixed_dictionaries({
+        "loop": st.sampled_from(["standard", "wedge:2", "wedge:3"]),
+        "omega": st.sampled_from(EXTREMES),
+        "grid": st.tuples(st.sampled_from(EXTREMES), st.sampled_from(EXTREMES),
+                          st.sampled_from([1, 2, 3])),
+        "lambda-sq": st.sampled_from([0.0, 1e-300, 0.05, 1e154, 1e155, 1.7976931348623157e308,
+                                      -1.0]),
+        "gamma0": st.sampled_from(EXTREMES),
+        "steps": st.sampled_from([None, 3, 5, 144, 300]),
+    }),
+)
+def test_extreme_flags_exit_with_one_line(command, values):
+    # every value flag as --flag=value: argparse reads "--grid -1.0:0.0:1" as a missing value
+    values["grid"] = ":".join(map(repr, values["grid"]))
+    argv = [command] + [f"--{flag}={values[flag]}" for flag in COMMAND_FLAGS[command]
+                        if values[flag] is not None]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, err = Path(tmp) / "x", io.StringIO()
+        if command != "holonomy":
+            argv.append(f"--out={out}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), argv
+        assert len(err.getvalue().splitlines()) == (1 if code else 0), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert out.exists() == (code == 0 and command != "holonomy"), argv
 
 
 def test_ideal_sweep_at_omega_1e308_is_unchanged(tmp_path, capsys):
