@@ -240,37 +240,28 @@ def fit_noise_response(
     points: list[tuple[float, float]],
     model: str,
     intercept: float | None = None,
-    free_intercept: bool = False,
 ) -> FitResult:
     """Least squares in powers of lambda^2 with the intercept held fixed.
 
     For tau models the intercept is the analytic noiseless value and must
-    be supplied (in the same units as the y data). free_intercept releases
-    the constraint for diagnostics; the fitted intercept then appears as an
-    extra coefficient.
+    be supplied (in the same units as the y data).
     """
     if model not in FIT_MODELS:
         raise ModelMismatch(f"unknown fit model {model!r}")
     default_intercept, powers, signs, names = FIT_MODELS[model]
+    intercept = default_intercept if intercept is None else intercept
     if intercept is None:
-        intercept = default_intercept
-    if intercept is None and not free_intercept:
         raise ValueError(f"model {model!r} needs an explicit intercept")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (lambda_sq, y) pairs")
     x, y = pts[:, 0], pts[:, 1]
-    n_free = len(powers) + (1 if free_intercept else 0)
+    n_free = len(powers)
     if len(x) < n_free + 1:
         raise UnderdeterminedFit(f"{model} needs at least {n_free + 1} points, got {len(x)}")
 
-    columns = [s * x**p for p, s in zip(powers, signs)]
-    if free_intercept:
-        columns.append(np.ones_like(x))
-        rhs = y
-    else:
-        rhs = y - intercept
-    design = np.stack(columns, axis=1)
+    design = np.stack([s * x**p for p, s in zip(powers, signs)], axis=1)
+    rhs = y - intercept
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < n_free:
         raise UnderdeterminedFit(f"{model}: lambda^2 values fix {rank} of {n_free} coefficients")
@@ -280,17 +271,13 @@ def fit_noise_response(
     cov = sigma_sq * np.linalg.inv(design.T @ design)
     stderr = np.sqrt(np.diag(cov))
 
-    fitted = [
-        FitCoefficient(name=name, value=float(c), stderr=float(e))
-        for name, c, e in zip(names, coef, stderr)
-    ]
-    if free_intercept:
-        intercept = coef[-1]
-        fitted.append(FitCoefficient("intercept", float(intercept), float(stderr[-1])))
     return FitResult(
         model=model,
         intercept=float(intercept),
-        coefficients=tuple(fitted),
+        coefficients=tuple(
+            FitCoefficient(name=name, value=float(c), stderr=float(e))
+            for name, c, e in zip(names, coef, stderr)
+        ),
         residual_norm=float(np.linalg.norm(resid)),
     )
 

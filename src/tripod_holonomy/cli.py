@@ -80,7 +80,6 @@ class RunConfig:
     steps: int | None = None
     out: str = "out"
     calibrate_f2: float | None = None
-    free_intercept: bool = False
     table: str | None = None
 
     def validate(self) -> None:
@@ -89,8 +88,6 @@ class RunConfig:
             optional = name not in ("loop", "out")
             if not (isinstance(value, str) or (optional and value is None)):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
-        if not isinstance(self.free_intercept, bool):
-            raise ConfigError(f"free_intercept must be true or false, got {self.free_intercept!r}")
         _check_number("omega", self.omega, minimum=0.0, strict=True)
         _check_number("gamma0", self.gamma0, minimum=0.0)
         if self.calibrate_f2 is not None:
@@ -113,8 +110,8 @@ class RunConfig:
                 )
             try:
                 repeats = points > 1 and not (np.diff(self.grid_values()) > 0).all()
-            except ValueError as exc:  # numpy cannot size an array of that many points
-                raise ConfigError(f"grid of {points} points: {exc}") from None
+            except (ValueError, IndexError, MemoryError):  # numpy cannot build that many points
+                raise ConfigError(f"grid of {points} points is more than numpy can build") from None
             if repeats:
                 raise ConfigError(f"grid {list(self.grid)} repeats a point: STOP is too near START")
         if self.lambda_sq is not None:
@@ -156,7 +153,7 @@ _SETTINGS = {
     "ideal-sweep": _LOOP + ("grid",),
     "noisy-sweep": _LOOP + ("grid",) + _NOISE,
     "optimal": _LOOP + _NOISE + ("calibrate_f2",),
-    "fit": ("out", "table", "free_intercept"),
+    "fit": ("out", "table"),
     "robustness": ("out", "table"),
     "holonomy": ("loop", "loop_file"),
 }
@@ -175,8 +172,6 @@ _FLAGS = {
     "calibrate_f2": {"type": float,
                      "help": "scale the noise table so the fitted F2 matches this value"},
     "table": {"help": "optimal-points JSON file, as optimal writes"},
-    "free_intercept": {"action": "store_true", "default": None,
-                       "help": "also report free-intercept diagnostic fits"},
 }
 
 
@@ -305,8 +300,11 @@ def _json_dump(doc: dict) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:  # --out names a file, a path under one or a read-only place
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -413,11 +411,6 @@ def cmd_fit(cfg: RunConfig) -> int:
         fits["f_quartic"] = fit_noise_response(f_pts, "f_quartic")
     if len(t_pts) >= 5:
         fits["tau_cubic"] = fit_noise_response(t_pts, "tau_cubic", intercept=tau1)
-    if cfg.free_intercept:
-        fits["f_linear_free"] = fit_noise_response(f_pts, "f_linear", free_intercept=True)
-        fits["tau_linear_free"] = fit_noise_response(
-            t_pts, "tau_linear", intercept=tau1, free_intercept=True
-        )
     slope = f_of_tau_relation(fits["f_linear"], fits["tau_linear"])
     out_dir = Path(cfg.out)
     out_doc = {

@@ -432,12 +432,6 @@ class TestFitEngine:
         with pytest.raises(ModelMismatch):
             fit_noise_response([(1e-4, 1.0), (2e-4, 0.9)], "cubic-spline")
 
-    def test_free_intercept_reports_extra_coefficient(self):
-        y = 0.998 - 6.0 * LAMBDA_GRID
-        fit = fit_noise_response(list(zip(LAMBDA_GRID, y)), "f_linear", free_intercept=True)
-        assert abs(fit.coefficient("intercept") - 0.998) <= 1e-9
-        assert abs(fit.coefficient("F2") - 6.0) <= 1e-6
-
 
 class TestFOfTauRelation:
     def test_reference_coefficients(self):

@@ -482,10 +482,15 @@ BIG_INT = 10**400
     (["noisy-sweep", "--config"], {"grid": [1, BIG_INT, 3]}),
     # numpy cannot size a grid of that many points
     (["ideal-sweep", f"--grid=1:2:{BIG_INT}"], None),
+    # counts numpy cannot index: its linspace fails before it allocates
+    (["ideal-sweep", f"--grid=1:2:{2**63}"], None),
+    (["ideal-sweep", f"--grid=1:2:{2**63 - 1}"], None),
+    (["noisy-sweep", "--config"], {"grid": [1, 2, 2**63 - 1]}),
     (["ideal-sweep", "--grid=1:2:3", "--loop-file"], typed_loop_doc("duration", BIG_INT)),
     (["noisy-sweep", "--grid=1:2:3", "--noise-file"], {"lambda_sq": 0.0, "gamma": {"0": BIG_INT}}),
-], ids=["config-lambda-sq", "config-omega", "config-grid-stop", "grid-points", "loop-file-duration",
-        "noise-file-gamma"])
+], ids=["config-lambda-sq", "config-omega", "config-grid-stop", "grid-points",
+        "grid-points-2-63", "grid-points-2-63-less-1", "config-grid-points-2-63-less-1",
+        "loop-file-duration", "noise-file-gamma"])
 def test_number_past_float_range_exits_with_one_line(tmp_path, capsys, argv, doc):
     if doc is not None:
         path = tmp_path / "in.json"
@@ -496,6 +501,18 @@ def test_number_past_float_range_exits_with_one_line(tmp_path, capsys, argv, doc
     assert code == 2
     assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["out-is-a-file", "out-under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_with_one_line(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / sub if sub else afile
+    code, streams = run(["ideal-sweep", "--grid", "1:2:3", "--out", str(out)], capsys)
+    assert code == 2
+    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert str(out) in streams.err
+    assert afile.read_text() == "kept\n"
 
 
 # IEEE extremes and ordinary values for Omega, the grid ends and gamma0
@@ -983,7 +1000,6 @@ class TestDeterminismAndRoundTrip:
         ("noisy-sweep", {"lambda_sq": 0.1}, ["--grid", "18:18:1"], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "nan"], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "1:1:3"], "grid"),
-        ("fit", {"free_intercept": "no"}, ["--table", "table.json"], "free_intercept"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", ","], "lambda_sq"),
         ("optimal", {}, ["--lambda-sq", ""], "lambda_sq"),
         ("optimal", {"lambda_sq": []}, [], "lambda_sq"),
@@ -1004,7 +1020,7 @@ class TestDeterminismAndRoundTrip:
         ("optimal", {"gamma0": 0.1}, ["--noise-file", "noise.json", "--lambda-sq", "0"],
          "gamma0 0.1 conflicts with noise_file"),
     ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
-            "grid-not-increasing", "free-intercept-string", "lambda-sq-comma",
+            "grid-not-increasing", "lambda-sq-comma",
             "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string",
             "lambda-sq-repeated-flag", "lambda-sq-repeated-config", "lambda-sq-same-file-name",
             "loop-file-and-omega-flag", "loop-file-and-loop-flag", "loop-file-and-omega-key",
@@ -1024,16 +1040,21 @@ class TestDeterminismAndRoundTrip:
         assert key in out.err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("config, flags", [
-        ({"grid": [17, 20, 4], "typo_key": 1}, []),
-        ({"grid": [17, 20, 4], "states": None}, []),
-        ({"grid": [17, 20, 4]}, ["--states", "30"]),
-    ], ids=["typo-key", "states-key", "states-flag"])
-    def test_unknown_config_key_rejected(self, tmp_path, config, flags):
+    @pytest.mark.parametrize("command, config, flags", [
+        ("ideal-sweep", {"grid": [17, 20, 4], "typo_key": 1}, []),
+        ("ideal-sweep", {"grid": [17, 20, 4], "states": None}, []),
+        ("ideal-sweep", {"grid": [17, 20, 4]}, ["--states", "30"]),
+        # an echo of a fit that still released the intercept
+        ("fit", {"table": "table.json", "free_intercept": False}, []),
+    ], ids=["typo-key", "states-key", "states-flag", "fit-free-intercept-key"])
+    def test_unknown_config_key_rejected(self, tmp_path, monkeypatch, command, config, flags):
+        monkeypatch.chdir(tmp_path)
+        write_synthetic_table(tmp_path / "table.json")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        assert main(["ideal-sweep", "--config", str(cfg), *flags,
+        assert main([command, "--config", str(cfg), *flags,
                      "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command, flag, key, value", [
         ("holonomy", "--steps", "steps", 5),
@@ -1047,9 +1068,11 @@ class TestDeterminismAndRoundTrip:
         ("holonomy", "--out", "out", "x"),
         ("robustness", "--lambda-sq", "lambda_sq", [0.005]),
         ("robustness", "--noise-file", "noise_file", "x"),
+        ("fit", "--free-intercept", "free_intercept", True),
     ], ids=["holonomy-steps", "ideal-sweep-calibrate-f2", "optimal-grid", "fit-gamma0",
             "ideal-sweep-omega-tau", "noisy-sweep-calibrate-f2", "robustness-calibrate-f2",
-            "fit-loop", "holonomy-out", "robustness-lambda-sq", "robustness-noise-file"])
+            "fit-loop", "holonomy-out", "robustness-lambda-sq", "robustness-noise-file",
+            "fit-free-intercept"])
     def test_setting_the_command_does_not_read_is_rejected(
         self, tmp_path, monkeypatch, capsys, command, flag, key, value
     ):
@@ -1089,7 +1112,7 @@ class TestDeterminismAndRoundTrip:
             "optimal": [*optimal, "--out", str(out)],
             "robustness": ["--table", str(tmp_path / "opt" / "optimal_points.json"),
                            "--out", str(out)],
-            "fit": ["--table", str(table), "--free-intercept", "--out", str(out)],
+            "fit": ["--table", str(table), "--out", str(out)],
             "holonomy": ["--loop", "wedge:2"],
         }[command]
         code, first = run([command, *argv], capsys)
