@@ -27,7 +27,6 @@ from pathlib import Path
 from tripod_holonomy import cli
 from tripod_holonomy.analysis import DEFAULT_FIT_LAMBDAS
 from tripod_holonomy.cli import DEFAULT_LAMBDA_LIST
-from tripod_holonomy.lindblad import DEFAULT_GAMMA0
 
 
 def parse_args(argv=None):
@@ -35,7 +34,6 @@ def parse_args(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--gamma0", type=float, default=DEFAULT_GAMMA0, help="flat high-T rate")
     p.add_argument("--calibrate", action="store_true",
                    help="scale the noise table so the fitted F2 matches 6.34")
     p.add_argument("--quick", action="store_true", help="61-point curves instead of 241")
@@ -58,7 +56,7 @@ def plan(args):
 
     yield ["ideal-sweep", "--grid", grid, "--out", str(out / "ideal")]
     yield ["optimal", "--lambda-sq", _lambda_list((0.0,) + DEFAULT_FIT_LAMBDAS + large),
-           "--gamma0", repr(args.gamma0), *calibrate, "--out", str(out / "optimal")]
+           *calibrate, "--out", str(out / "optimal")]
     yield ["noisy-sweep", "--grid", grid, "--lambda-sq", _lambda_list(large),
            "--noise-file", noise, "--out", str(out / "noisy")]
     yield ["robustness", "--table", str(table), "--out", str(out / "robustness")]

@@ -37,13 +37,7 @@ from .errors import (
     UnderdeterminedFit,
     UnsupportedLoop,
 )
-from .lindblad import (
-    DEFAULT_GAMMA0,
-    STEP_CEILING,
-    NoiseModel,
-    high_temperature_noise,
-    noise_from_dict,
-)
+from .lindblad import STEP_CEILING, NoiseModel, high_temperature_noise, noise_from_dict
 from .loops import (
     ANGLE_TOL,
     LoopSpec,
@@ -72,10 +66,8 @@ class RunConfig:
 
     loop: str = "standard"
     loop_file: str | None = None
-    omega: float = 1.0
     grid: tuple[float, float, int] | None = None
     lambda_sq: tuple[float, ...] | None = None
-    gamma0: float = DEFAULT_GAMMA0
     noise_file: str | None = None
     steps: int | None = None
     out: str = "out"
@@ -88,8 +80,6 @@ class RunConfig:
             optional = name not in ("loop", "out")
             if not (isinstance(value, str) or (optional and value is None)):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
-        _check_number("omega", self.omega, minimum=0.0, strict=True)
-        _check_number("gamma0", self.gamma0, minimum=0.0)
         if self.calibrate_f2 is not None:
             _check_number("calibrate_f2", self.calibrate_f2, minimum=0.0, strict=True)
         if self.steps is not None and not (
@@ -125,16 +115,13 @@ class RunConfig:
                     f"lambda_sq lists couplings equal to 12 significant digits, which "
                     f"name one sweep file: {list(self.lambda_sq)}"
                 )
-        # a loop or noise file sets these too, and an echo of a changed one
-        # would record a value that was not used
-        for file_key, keys in (("loop_file", ("loop", "omega")), ("noise_file", ("gamma0",))):
-            for key in keys:
-                value = getattr(self, key)
-                if getattr(self, file_key) is not None and value != getattr(RunConfig, key):
-                    raise ConfigError(f"{key} {value!r} conflicts with {file_key}, which "
-                                      "sets it; give only one")
+        # a loop file sets the loop too, and an echo of a changed one would
+        # record a value that was not used
         if self.loop_file is None:
             parse_loop_kind(self.loop)
+        elif self.loop != RunConfig.loop:
+            raise ConfigError(f"loop {self.loop!r} conflicts with loop_file, which sets it; "
+                              "give only one")
 
     def grid_values(self) -> np.ndarray:
         if self.grid is None:
@@ -143,8 +130,8 @@ class RunConfig:
         return np.linspace(start, stop, points)
 
 
-_LOOP = ("loop", "loop_file", "omega", "out")
-_NOISE = ("lambda_sq", "gamma0", "noise_file", "steps")
+_LOOP = ("loop", "loop_file", "out")
+_NOISE = ("lambda_sq", "noise_file", "steps")
 
 # The RunConfig fields each command reads: its flags, the keys its config
 # file may hold and the keys its config echo writes. Unread fields keep
@@ -162,11 +149,9 @@ _SETTINGS = {
 _FLAGS = {
     "loop": {"help": "standard or wedge:N"},
     "loop_file": {"help": "LoopSpec JSON file; its omega_scale is Omega"},
-    "omega": {"type": float, "help": "energy scale Omega of a --loop loop"},
     "out": {"help": "output directory"},
     "grid": {"help": "Omega*tau grid as START:STOP:POINTS (X:X:1 for one point)"},
     "lambda_sq": {"help": "comma-separated coupling strengths"},
-    "gamma0": {"type": float, "help": "flat high-T decay rate"},
     "noise_file": {"help": "NoiseModel JSON file"},
     "steps": {"type": int, "help": "integrator steps per loop"},
     "calibrate_f2": {"type": float,
@@ -279,13 +264,13 @@ def build_loop(cfg: RunConfig) -> LoopSpec:
     """Loop template with unit total time; commands rescale per tau."""
     if cfg.loop_file is not None:
         return _read_json(cfg.loop_file, "loop file", loop_from_dict)
-    return wedge_loop(parse_loop_kind(cfg.loop), cfg.omega, 1.0)
+    return wedge_loop(parse_loop_kind(cfg.loop), 1.0, 1.0)
 
 
 def build_noise(cfg: RunConfig) -> NoiseModel:
     if cfg.noise_file is not None:
         return _read_json(cfg.noise_file, "noise file", noise_from_dict)
-    return high_temperature_noise(0.0, gamma0=cfg.gamma0)
+    return high_temperature_noise(0.0)
 
 
 def resolved_config_doc(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
@@ -427,7 +412,7 @@ def cmd_robustness(cfg: RunConfig) -> int:
     beside it: the table it used, already scaled by any calibration."""
     f_pts, _, table_cfg = _read_json(
         cfg.table, "table file",
-        lambda doc: _table_from_dict(doc, ("loop", "loop_file", "omega", "steps")),
+        lambda doc: _table_from_dict(doc, ("loop", "loop_file", "steps")),
     )
     loop = build_loop(table_cfg)
     noise = _read_json(str(Path(cfg.table).with_name("noise.json")), "noise file", noise_from_dict)

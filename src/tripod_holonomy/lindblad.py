@@ -155,9 +155,9 @@ class NoiseModel:
         )
 
 
-def high_temperature_noise(lambda_sq: float, gamma0: float = DEFAULT_GAMMA0) -> NoiseModel:
-    """Flat rate table gamma(omega) = gamma0, zero Lamb shifts."""
-    return NoiseModel(lambda_sq=lambda_sq, gamma={k: gamma0 for k in FREQUENCY_MULTIPLES})
+def high_temperature_noise(lambda_sq: float) -> NoiseModel:
+    """Flat rate table gamma(omega) = DEFAULT_GAMMA0, zero Lamb shifts."""
+    return NoiseModel(lambda_sq=lambda_sq, gamma={k: DEFAULT_GAMMA0 for k in FREQUENCY_MULTIPLES})
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:

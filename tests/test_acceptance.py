@@ -49,7 +49,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 def default_noise_table():
     """Optimal points over the small-coupling grid at the default rates."""
     loop = standard_not_loop(1.0, 1.0)
-    noise = high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0)
+    noise = high_temperature_noise(0.0)
     return optimal_point_table(loop, noise, list(FIT_LAMBDAS))
 
 
@@ -138,18 +138,18 @@ def test_master_equation_sanity():
     sigma0 = np.outer(psi, psi.conj())
     unitary_err = np.linalg.norm(channel.apply(sigma0) - u @ sigma0 @ u.conj().T)
     # trace preservation on a noisy run
-    noisy = loop_channel(loop, high_temperature_noise(0.03, gamma0=DEFAULT_GAMMA0))
+    noisy = loop_channel(loop, high_temperature_noise(0.03))
     trace_err = abs(np.trace(noisy.apply(sigma0)) - 1.0)
     # pointwise ordering across the coupling list on a shared grid
     grid = np.array([10.0, 14.0, tau1, 23.0, 30.0, 37.4, 45.0, 56.35])
     curves = sweep(
         standard_not_loop(1.0, 1.0), grid, list(CURVE_LAMBDAS),
-        noise=high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0),
+        noise=high_temperature_noise(0.0),
     )
     values = np.stack(curves)
     ordered = bool(np.all(np.diff(values, axis=0) <= 1e-12))
     # step-halving stability of the fidelity
-    noise = high_temperature_noise(0.01, gamma0=DEFAULT_GAMMA0)
+    noise = high_temperature_noise(0.01)
     f_default = mean_fidelity(loop, noise)
     steps = 2 * default_step_count(loop.omega_scale * loop.total_time)
     f_fine = mean_fidelity(loop, noise, steps=steps)
@@ -182,11 +182,12 @@ def test_noise_response_laws(default_noise_table):
     # calibration mode: pick gamma0 so the fitted F2 lands on the reference value
     loop = standard_not_loop(1.0, 1.0)
     seed_gamma0 = DEFAULT_GAMMA0 * 6.34 / f2
-    scale, cal_fit, _ = calibrate_noise(loop, high_temperature_noise(0.0, gamma0=seed_gamma0), 6.34)
+    seed = high_temperature_noise(0.0).scaled(seed_gamma0 / DEFAULT_GAMMA0)
+    scale, cal_fit, _ = calibrate_noise(loop, seed, 6.34)
     gamma0 = seed_gamma0 * scale
     cal_f2 = cal_fit.coefficient("F2")
     cal_ok = abs(cal_f2 - 6.34) <= 0.05 * 6.34
-    cal_noise = high_temperature_noise(0.005, gamma0=gamma0)
+    cal_noise = high_temperature_noise(0.005).scaled(gamma0 / DEFAULT_GAMMA0)
     peak = find_optimal_point(loop, cal_noise)
     high_f_ok = peak.f_star > 0.9
     _report(
@@ -200,7 +201,7 @@ def test_noise_response_laws(default_noise_table):
 
 def test_robustness_criterion():
     loop = standard_not_loop(1.0, 1.0)
-    base = high_temperature_noise(0.0, gamma0=DEFAULT_GAMMA0)
+    base = high_temperature_noise(0.0)
 
     def r_at(lam):
         noise = base.with_lambda_sq(lam)

@@ -252,7 +252,7 @@ class TestSweep:
 
     def test_pointwise_ordering_in_coupling(self):
         grid = np.linspace(14.0, 22.0, 5)
-        noise = high_temperature_noise(0.0, gamma0=0.5)
+        noise = high_temperature_noise(0.0)
         curves = sweep(standard_not_loop(1.0, 1.0), grid, [0.005, 0.01], noise=noise)
         assert np.all(curves[1] <= curves[0] + 1e-12)
 
@@ -301,7 +301,7 @@ class TestFindOptimalPoint:
         assert pt.lambda_sq == 0.0
 
     def test_noisy_peak_lower_and_earlier(self):
-        noise = high_temperature_noise(0.01, gamma0=0.5)
+        noise = high_temperature_noise(0.01)
         pt = find_optimal_point(standard_not_loop(1.0, 1.0), noise)
         assert pt.tau_star < OMEGA_TAU_1
         assert pt.f_star < 1.0
@@ -478,7 +478,7 @@ class TestRobustness:
         assert abs(r) <= 1e-6
 
     def test_positive_for_noisy_gate(self):
-        noise = high_temperature_noise(0.02, gamma0=0.5)
+        noise = high_temperature_noise(0.02)
         r = robustness_at(standard_not_loop(1.0, 1.0), noise)
         assert r > 0.0
 

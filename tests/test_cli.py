@@ -19,7 +19,7 @@ import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
 from tripod_holonomy.cli import DEFAULT_LAMBDA_LIST, build_parser, main
 from tripod_holonomy.errors import StepCountTooSmall
-from tripod_holonomy.lindblad import high_temperature_noise
+from tripod_holonomy.lindblad import DEFAULT_GAMMA0, high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
 
 from conftest import GAUGE_JUMP_LOOP_DOC
@@ -30,6 +30,22 @@ OMEGA_TAU_1 = 18.251004041881252
 def loop_doc(n=2, omega=1.0):
     """A loop file's content, as a dict."""
     return json.loads(json.dumps(dataclasses.asdict(wedge_loop(n, omega, 1.0))))
+
+
+def flat_noise(gamma0):
+    """A noise file's content: the flat rate table gamma0, as a dict."""
+    return {"lambda_sq": 0.0, "gamma": {str(k): gamma0 for k in (0, 1, -1, 2, -2)}}
+
+
+def with_files(argv, tmp_path):
+    """argv with each dict in it written to a JSON file under tmp_path and
+    replaced by that file's path."""
+    for i, doc in enumerate(argv):
+        if isinstance(doc, dict):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(json.dumps(doc))
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
+    return argv
 
 
 def non_contiguous_loop_doc():
@@ -90,8 +106,8 @@ BAD_ROW_IDS = ["f-star-nan", "f-star-zero", "lambda-sq-negative", "lambda-sq-inf
 # The config block optimal writes for the standard loop, less the keys no
 # table command reads, and the noise.json it writes beside the table for the
 # flat table.
-TABLE_CONFIG = {"loop": "standard", "loop_file": None, "omega": 1.0, "steps": None}
-FLAT_NOISE = {"lambda_sq": 0.0, "gamma": {str(k): 0.5 for k in (0, 1, -1, 2, -2)}}
+TABLE_CONFIG = {"loop": "standard", "loop_file": None, "steps": None}
+FLAT_NOISE = flat_noise(0.5)
 
 
 def bad_rows(key, value):
@@ -241,7 +257,7 @@ class TestSweepCommands:
         out = tmp_path / "n"
         code = main([
             "noisy-sweep", "--grid", "18:19:2", "--lambda-sq", "0,0.01",
-            "--gamma0", "0.5", "--steps", "600", "--out", str(out),
+            "--steps", "600", "--out", str(out),
         ])
         assert code == 0
         assert (out / "sweep_lambda2_0.csv").exists()
@@ -413,8 +429,8 @@ HUGE_WEDGE = "wedge:1" + "0" * 400
     (["ideal-sweep", "--loop", HUGE_WEDGE, "--grid", "1:2:3"], 2),
     (["optimal", "--loop", "wedge:2000000000", "--lambda-sq", "0"], 2),
     # Omega*tau*_1 overflows to inf or underflows to 0: the search window is empty
-    (["optimal", "--omega", "1e-308", "--lambda-sq", "0.001"], 3),
-    (["optimal", "--omega", "1e308", "--lambda-sq", "0"], 3),
+    (["optimal", "--loop-file", loop_doc(1, 1e-308), "--lambda-sq", "0.001"], 3),
+    (["optimal", "--loop-file", loop_doc(1, 1e308), "--lambda-sq", "0"], 3),
 ], ids=["ideal-repeated-grid", "noisy-repeated-grid", "huge-lambda-sq", "huge-default-steps",
         "holonomy-huge-wedge", "sweep-huge-wedge", "optimal-wedge-past-angle-tol",
         "omega-1e-308", "omega-1e308"])
@@ -422,7 +438,8 @@ def test_extreme_input_exits_with_one_line(tmp_path, capsys, argv, expected):
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, streams = run(argv if argv[0] == "holonomy" else [*argv, "--out", str(out)], capsys)
+        argv = with_files(argv if argv[0] == "holonomy" else [*argv, "--out", str(out)], tmp_path)
+        code, streams = run(argv, capsys)
     assert code == expected
     assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
     assert not out.exists()
@@ -430,19 +447,21 @@ def test_extreme_input_exits_with_one_line(tmp_path, capsys, argv, expected):
 
 @pytest.mark.parametrize("argv", [
     # Omega*tau / Omega overflows in loop_times, before any step-count or window guard
-    ["noisy-sweep", "--grid", "1e308:1e308:1", "--lambda-sq", "0.05", "--omega", "0.5"],
-    ["ideal-sweep", "--grid", "1e308:1e308:1", "--omega", "0.5"],
-    ["noisy-sweep", "--grid", "0.5:60.5:2", "--lambda-sq", "1e-300", "--omega", "5e-324"],
+    ["noisy-sweep", "--grid", "1e308:1e308:1", "--lambda-sq", "0.05",
+     "--loop-file", loop_doc(1, 0.5)],
+    ["ideal-sweep", "--grid", "1e308:1e308:1", "--loop-file", loop_doc(1, 0.5)],
+    ["noisy-sweep", "--grid", "0.5:60.5:2", "--lambda-sq", "1e-300",
+     "--loop-file", loop_doc(1, 5e-324)],
     # Omega*tau*_1 overflows in optimal_time, before the empty-window guard
-    ["optimal", "--omega", "2.2e-308", "--loop", "wedge:2", "--lambda-sq", "0.05",
-     "--gamma0", "0"],
+    ["optimal", "--loop-file", loop_doc(2, 2.2e-308), "--lambda-sq", "0.05",
+     "--noise-file", flat_noise(0.0)],
 ], ids=["noisy-loop-time", "ideal-loop-time", "noisy-loop-time-subnormal-omega",
         "optimal-revival-time"])
 def test_overflowing_time_exits_with_one_line(tmp_path, capsys, argv):
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, streams = run([*argv, "--out", str(out)], capsys)
+        code, streams = run(with_files([*argv, "--out", str(out)], tmp_path), capsys)
     assert code == 3
     assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
     assert "overflows" in streams.err or "empty search window" in streams.err
@@ -451,22 +470,26 @@ def test_overflowing_time_exits_with_one_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, expected", [
     # the Magnus gate's h |A|_F from a duration near 1e301, past what its square holds
-    (["optimal", "--omega", "1e-300", "--lambda-sq", "0.05"], 3),
+    (["optimal", "--loop-file", loop_doc(1, 1e-300), "--lambda-sq", "0.05"], 3),
     # lambda^2 1e155 with rates near 1e-300: lambda^4 overflows, ||D||^2 underflows
-    (["optimal", "--omega", "18.25", "--lambda-sq", "1e155", "--gamma0", "1e-300"], 0),
+    (["optimal", "--loop-file", loop_doc(1, 18.25), "--lambda-sq", "1e155",
+      "--noise-file", flat_noise(1e-300)], 0),
     # a duration near 1e-301 against ||L_E|| near 4e300: the first squares to 0, the second to inf
-    (["noisy-sweep", "--omega", "1e300", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05"], 0),
+    (["noisy-sweep", "--loop-file", loop_doc(1, 1e300), "--grid", "18.25:18.25:1",
+      "--lambda-sq", "0.05"], 0),
     # rates of 1e300: the plan holds D over a power of two, and the gate reads lambda^2 D
-    (["noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "1e-12", "--gamma0", "1e300"], 3),
+    (["noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "1e-12",
+      "--noise-file", flat_noise(1e300)], 3),
     # ||L_E|| = 4 Omega overflows: refused before the plan is built
-    (["noisy-sweep", "--omega", "1e308", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05"], 2),
+    (["noisy-sweep", "--loop-file", loop_doc(1, 1e308), "--grid", "18.25:18.25:1",
+      "--lambda-sq", "0.05"], 2),
 ], ids=["omega-1e-300", "lambda-sq-1e155-gamma0-1e-300", "noisy-omega-1e300", "gamma0-1e300",
         "noisy-omega-1e308"])
 def test_extreme_channel_input_exits_with_one_line(tmp_path, capsys, argv, expected):
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, streams = run([*argv, "--out", str(out)], capsys)
+        code, streams = run(with_files([*argv, "--out", str(out)], tmp_path), capsys)
     assert code == expected
     assert len(streams.err.splitlines()) == (1 if code else 0) and "Traceback" not in streams.err
     assert out.exists() == (code == 0)
@@ -478,7 +501,7 @@ BIG_INT = 10**400
 
 @pytest.mark.parametrize("argv, doc", [
     (["noisy-sweep", "--config"], {"grid": [1, 2, 3], "lambda_sq": [BIG_INT]}),
-    (["noisy-sweep", "--config"], {"grid": [1, 2, 3], "omega": BIG_INT}),
+    (["ideal-sweep", "--grid=1:2:3", "--loop-file"], {**loop_doc(), "omega_scale": BIG_INT}),
     (["noisy-sweep", "--config"], {"grid": [1, BIG_INT, 3]}),
     # numpy cannot size a grid of that many points
     (["ideal-sweep", f"--grid=1:2:{BIG_INT}"], None),
@@ -488,7 +511,7 @@ BIG_INT = 10**400
     (["noisy-sweep", "--config"], {"grid": [1, 2, 2**63 - 1]}),
     (["ideal-sweep", "--grid=1:2:3", "--loop-file"], typed_loop_doc("duration", BIG_INT)),
     (["noisy-sweep", "--grid=1:2:3", "--noise-file"], {"lambda_sq": 0.0, "gamma": {"0": BIG_INT}}),
-], ids=["config-lambda-sq", "config-omega", "config-grid-stop", "grid-points",
+], ids=["config-lambda-sq", "loop-file-omega", "config-grid-stop", "grid-points",
         "grid-points-2-63", "grid-points-2-63-less-1", "config-grid-points-2-63-less-1",
         "loop-file-duration", "noise-file-gamma"])
 def test_number_past_float_range_exits_with_one_line(tmp_path, capsys, argv, doc):
@@ -515,14 +538,15 @@ def test_out_that_cannot_be_a_directory_exits_with_one_line(tmp_path, capsys, su
     assert afile.read_text() == "kept\n"
 
 
-# IEEE extremes and ordinary values for Omega, the grid ends and gamma0
+# IEEE extremes and ordinary values for Omega, the grid ends and the flat rate gamma0
 EXTREMES = [0.0, 5e-324, 2.2e-308, 1e-300, 1e-12, 0.5, 1.0, 1.3, 18.25, 60.5, 1e4, 1e154, 1e155,
             1e300, 1.7976931348623157e308, -1.0]
-# the flags each command reads, less --config, --loop-file, --noise-file and --calibrate-f2
+# the flags each command reads, less --config and --calibrate-f2; the loop
+# file holds the drawn loop at the drawn Omega, the noise file gamma0
 COMMAND_FLAGS = {
-    "ideal-sweep": ("loop", "omega", "grid"),
-    "noisy-sweep": ("loop", "omega", "grid", "lambda-sq", "gamma0", "steps"),
-    "optimal": ("loop", "omega", "lambda-sq", "gamma0", "steps"),
+    "ideal-sweep": ("loop-file", "grid"),
+    "noisy-sweep": ("loop-file", "grid", "lambda-sq", "noise-file", "steps"),
+    "optimal": ("loop-file", "lambda-sq", "noise-file", "steps"),
     "holonomy": ("loop",),
 }
 
@@ -544,10 +568,15 @@ COMMAND_FLAGS = {
 def test_extreme_flags_exit_with_one_line(command, values):
     # every value flag as --flag=value: argparse reads "--grid -1.0:0.0:1" as a missing value
     values["grid"] = ":".join(map(repr, values["grid"]))
-    argv = [command] + [f"--{flag}={values[flag]}" for flag in COMMAND_FLAGS[command]
-                        if values[flag] is not None]
+    order = int(values["loop"].partition(":")[2] or 1)
+    loop = {**loop_doc(n=order), "omega_scale": values["omega"]}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
+        for flag, doc in (("loop-file", loop), ("noise-file", flat_noise(values["gamma0"]))):
+            values[flag] = Path(tmp) / f"{flag}.json"
+            values[flag].write_text(json.dumps(doc))
+        argv = [command] + [f"--{flag}={values[flag]}" for flag in COMMAND_FLAGS[command]
+                            if values[flag] is not None]
         out, err = Path(tmp) / "x", io.StringIO()
         if command != "holonomy":
             argv.append(f"--out={out}")
@@ -564,8 +593,9 @@ def test_ideal_sweep_at_omega_1e308_is_unchanged(tmp_path, capsys):
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, streams = run(["ideal-sweep", "--omega", "1e308", "--grid", "18.25:18.25:1",
-                             "--out", str(out)], capsys)
+        argv = ["ideal-sweep", "--loop-file", loop_doc(1, 1e308), "--grid", "18.25:18.25:1",
+                "--out", str(out)]
+        code, streams = run(with_files(argv, tmp_path), capsys)
     assert code == 0 and streams.err == ""
     csv = (out / "sweep_lambda2_0.csv").read_text()
     assert csv == "omega_tau,mean_fidelity\n18.25,0.999999996718\n"
@@ -585,8 +615,8 @@ class TestOptimalAndFit:
         assert abs(row["omega_tau_star"] - OMEGA_TAU_1) <= 1e-3
         assert row["f_star"] >= 1.0 - 1e-6
         assert set(doc["config"]) == {
-            "loop", "loop_file", "omega", "out", "lambda_sq", "gamma0", "noise_file",
-            "steps", "calibrate_f2", "provenance",
+            "loop", "loop_file", "out", "lambda_sq", "noise_file", "steps", "calibrate_f2",
+            "provenance",
         }
 
     def test_optimal_row_does_not_depend_on_the_rows_before_it(self, tmp_path):
@@ -599,7 +629,7 @@ class TestOptimalAndFit:
         assert [rows[0][k] for k in keys] == [rows[1][k] for k in keys]
 
     def test_optimal_takes_omega_from_loop_file(self, tmp_path):
-        # The loop file's omega_scale is Omega, whatever --omega says.
+        # The loop file's omega_scale is Omega.
         loop = tmp_path / "loop.json"
         loop.write_text(json.dumps(loop_doc(n=1, omega=2.0)))
         out = tmp_path / "opt"
@@ -702,7 +732,9 @@ class TestOptimalAndFit:
 
     def test_robustness_reads_the_table_and_searches_no_peak(self, tmp_path, monkeypatch):
         opt = tmp_path / "opt"
-        assert main(["optimal", "--lambda-sq", "0,0.005", "--gamma0", "0.3",
+        bath = tmp_path / "bath.json"
+        bath.write_text(json.dumps(flat_noise(0.3)))
+        assert main(["optimal", "--lambda-sq", "0,0.005", "--noise-file", str(bath),
                      "--out", str(opt)]) == 0
         calls = {"find_optimal_point": 0, "loop_channel": 0}
         for name in calls:
@@ -722,7 +754,7 @@ class TestOptimalAndFit:
         rows = json.loads((out / "robustness.json").read_text())["rows"]
         assert [r["lambda_sq"] for r in rows] == [0.0, 0.005]
         for row in rows:
-            noise = high_temperature_noise(row["lambda_sq"], gamma0=0.3)
+            noise = high_temperature_noise(row["lambda_sq"]).scaled(0.3 / DEFAULT_GAMMA0)
             f_star = analysis.find_optimal_point(loop, noise).f_star
             f_adiab = analysis.mean_fidelity(with_total_time(loop, tau3), noise)
             assert abs(row["robustness"] - (f_star - f_adiab) / f_star) <= 1e-12
@@ -795,15 +827,14 @@ class TestOptimalAndFit:
     @pytest.mark.parametrize("rows, config, noise, message", [
         (bad_rows(key, value), TABLE_CONFIG, FLAT_NOISE, key) for key, value in BAD_ROW_VALUES
     ] + [
-        (synthetic_rows(), {k: v for k, v in TABLE_CONFIG.items() if k != key}, FLAT_NOISE, key)
-        for key in ("omega", "steps")
-    ] + [
+        (synthetic_rows(), {k: v for k, v in TABLE_CONFIG.items() if k != "steps"}, FLAT_NOISE,
+         "steps"),
         (synthetic_rows(), {**TABLE_CONFIG, "steps": 2}, FLAT_NOISE, "steps"),
         (synthetic_rows(), TABLE_CONFIG, None, "noise.json"),
         (synthetic_rows(), TABLE_CONFIG, {"lambda_sq": 0, "gamma": 5}, "AttributeError"),
         (synthetic_rows(), TABLE_CONFIG, {"lambda_sq": 0, "gamma": {"0": -1.0}},
          "decay rates must be finite"),
-    ], ids=[*BAD_ROW_IDS, "config-without-omega", "config-without-steps", "steps-too-few",
+    ], ids=[*BAD_ROW_IDS, "config-without-steps", "steps-too-few",
             "noise-missing", "noise-malformed", "noise-negative-rate"])
     def test_robustness_bad_table_is_config_error(
         self, tmp_path, capsys, rows, config, noise, message
@@ -995,7 +1026,7 @@ class TestDeterminismAndRoundTrip:
         assert (a / "sweep_lambda2_0.csv").read_bytes() == (b / "sweep_lambda2_0.csv").read_bytes()
 
     @pytest.mark.parametrize("command, config, flags, key", [
-        ("noisy-sweep", {"omega": "abc"}, ["--grid", "18:18:1"], "omega"),
+        ("optimal", {"calibrate_f2": "abc"}, ["--lambda-sq", "0"], "calibrate_f2"),
         ("noisy-sweep", {"grid": [1, 2]}, [], "grid"),
         ("noisy-sweep", {"lambda_sq": 0.1}, ["--grid", "18:18:1"], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "nan"], "lambda_sq"),
@@ -1008,23 +1039,14 @@ class TestDeterminismAndRoundTrip:
         ("optimal", {"lambda_sq": [0.01, 0.0, 0.01]}, [], "lambda_sq"),
         ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "0.005,0.0050000000000001"],
          "lambda_sq"),
-        # a loop or noise file beside a setting it replaces
-        ("ideal-sweep", {}, ["--grid", "18:18:1", "--loop-file", "loop.json", "--omega", "2"],
-         "omega 2.0 conflicts with loop_file"),
+        # a loop file beside the setting it replaces
         ("ideal-sweep", {}, ["--grid", "18:18:1", "--loop-file", "loop.json", "--loop", "wedge:3"],
          "loop 'wedge:3' conflicts with loop_file"),
-        ("optimal", {"omega": 2.0}, ["--loop-file", "loop.json", "--lambda-sq", "0"],
-         "omega 2.0 conflicts with loop_file"),
-        ("noisy-sweep", {}, ["--grid", "18:18:1", "--noise-file", "noise.json", "--gamma0", "5"],
-         "gamma0 5.0 conflicts with noise_file"),
-        ("optimal", {"gamma0": 0.1}, ["--noise-file", "noise.json", "--lambda-sq", "0"],
-         "gamma0 0.1 conflicts with noise_file"),
-    ], ids=["omega-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
+    ], ids=["calibrate-f2-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
             "grid-not-increasing", "lambda-sq-comma",
             "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string",
             "lambda-sq-repeated-flag", "lambda-sq-repeated-config", "lambda-sq-same-file-name",
-            "loop-file-and-omega-flag", "loop-file-and-loop-flag", "loop-file-and-omega-key",
-            "noise-file-and-gamma0-flag", "noise-file-and-gamma0-key"])
+            "loop-file-and-loop-flag"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):
@@ -1046,7 +1068,11 @@ class TestDeterminismAndRoundTrip:
         ("ideal-sweep", {"grid": [17, 20, 4]}, ["--states", "30"]),
         # an echo of a fit that still released the intercept
         ("fit", {"table": "table.json", "free_intercept": False}, []),
-    ], ids=["typo-key", "states-key", "states-flag", "fit-free-intercept-key"])
+        # echoes of sweeps and tables that still set Omega or the flat rate
+        ("ideal-sweep", {"grid": [17, 20, 4], "omega": 1.0}, []),
+        ("optimal", {"lambda_sq": [0.0], "gamma0": 0.5}, []),
+    ], ids=["typo-key", "states-key", "states-flag", "fit-free-intercept-key", "omega-key",
+            "gamma0-key"])
     def test_unknown_config_key_rejected(self, tmp_path, monkeypatch, command, config, flags):
         monkeypatch.chdir(tmp_path)
         write_synthetic_table(tmp_path / "table.json")
@@ -1069,10 +1095,12 @@ class TestDeterminismAndRoundTrip:
         ("robustness", "--lambda-sq", "lambda_sq", [0.005]),
         ("robustness", "--noise-file", "noise_file", "x"),
         ("fit", "--free-intercept", "free_intercept", True),
+        ("noisy-sweep", "--omega", "omega", 1.3),
+        ("optimal", "--gamma0", "gamma0", 0.25),
     ], ids=["holonomy-steps", "ideal-sweep-calibrate-f2", "optimal-grid", "fit-gamma0",
             "ideal-sweep-omega-tau", "noisy-sweep-calibrate-f2", "robustness-calibrate-f2",
             "fit-loop", "holonomy-out", "robustness-lambda-sq", "robustness-noise-file",
-            "fit-free-intercept"])
+            "fit-free-intercept", "noisy-sweep-omega", "optimal-gamma0"])
     def test_setting_the_command_does_not_read_is_rejected(
         self, tmp_path, monkeypatch, capsys, command, flag, key, value
     ):
@@ -1101,11 +1129,12 @@ class TestDeterminismAndRoundTrip:
         table = tmp_path / "table.json"
         write_synthetic_table(table, n=2)
         optimal = ["--lambda-sq", "0,1e-3", "--steps", "600"]
+        (tmp_path / "loop.json").write_text(json.dumps(loop_doc(2, 1.5)))
         if command == "robustness":  # it reads a real table and the noise.json beside it
             assert run(["optimal", *optimal, "--out", str(tmp_path / "opt")], capsys)[0] == 0
         out = tmp_path / "a"
         argv = {
-            "ideal-sweep": ["--grid", "17:20:4", "--loop", "wedge:2", "--omega", "1.5",
+            "ideal-sweep": ["--grid", "17:20:4", "--loop-file", str(tmp_path / "loop.json"),
                             "--out", str(out)],
             "noisy-sweep": ["--grid", "17:19:3", "--lambda-sq", "0,0.01", "--steps", "300",
                             "--out", str(out)],

@@ -190,9 +190,9 @@ def compare_rows(golden: list, got: list, bounds: dict, what: str) -> float:
 
 def table_bounds(doc: dict) -> dict:
     """F* within F_TOL, Omega*tau* within TAU_TOL, and tau* = Omega*tau* /
-    Omega within TAU_TOL / Omega."""
-    omega = doc["config"]["omega"]
-    return {"f_star": F_TOL, "omega_tau_star": TAU_TOL, "tau_star": TAU_TOL / omega}
+    Omega within TAU_TOL / Omega, with Omega a row's Omega*tau* / tau*."""
+    return {"f_star": F_TOL, "omega_tau_star": TAU_TOL,
+            "tau_star": lambda row: TAU_TOL * row["tau_star"] / row["omega_tau_star"]}
 
 
 def robustness_bounds(table: dict) -> dict:

@@ -29,6 +29,7 @@ from tripod_holonomy.lindblad import (
     _EXCITED_ROW,
     _TAYLOR_RADIUS,
     COUPLING,
+    DEFAULT_GAMMA0,
     FREQUENCY_MULTIPLES,
     STEP_CEILING,
     _commutator_superop,
@@ -222,7 +223,7 @@ def sequential_rk4_phi(loop, noise, steps):
 
 class TestNoiseModel:
     def test_high_temperature_default_is_flat(self):
-        noise = high_temperature_noise(0.01, gamma0=0.7)
+        noise = high_temperature_noise(0.01).scaled(0.7 / DEFAULT_GAMMA0)
         assert all(noise.rate(k) == 0.7 for k in FREQUENCY_MULTIPLES)
         assert all(noise.shift(k) == 0.0 for k in FREQUENCY_MULTIPLES)
 
@@ -323,12 +324,12 @@ class TestDissipator:
 
     def test_maximally_mixed_is_stationary_for_flat_rates(self):
         # flat high-T rates: sum_k (A_k A_k^dag - A_k^dag A_k) cancels exactly
-        superop = superop_at(1.1, 0.4, high_temperature_noise(0.3, gamma0=0.8))
+        superop = superop_at(1.1, 0.4, high_temperature_noise(0.3).scaled(0.8 / DEFAULT_GAMMA0))
         out = apply_superop(superop, np.eye(4, dtype=complex) / 4.0)
         np.testing.assert_allclose(out, np.zeros((4, 4)), atol=1e-14)
 
     def test_traceless_and_hermitian(self, rng):
-        noise = high_temperature_noise(0.3, gamma0=0.8)
+        noise = high_temperature_noise(0.3).scaled(0.8 / DEFAULT_GAMMA0)
         for _ in range(100):
             theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
             out = apply_superop(superop_at(theta, phi, noise), random_density(rng))
@@ -514,7 +515,7 @@ class TestChannelPlan:
         (expected,) = plan.reach(durations, noise.lambda_sq)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            noise = high_temperature_noise(lambda_sq, gamma0)
+            noise = high_temperature_noise(lambda_sq).scaled(gamma0 / DEFAULT_GAMMA0)
             plan, durations = plan_of(wedge_loop(2, omega, 18.251 / omega), noise, None)
             (got,) = plan.reach(durations, noise.lambda_sq)
         assert abs(got - expected) <= 1e-13 * expected
@@ -538,7 +539,8 @@ class TestChannelPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError) as refused:
-                loop_channel(loop, high_temperature_noise(1e-300, gamma0))
+                noise = NoiseModel(1e-300, gamma=dict.fromkeys(FREQUENCY_MULTIPLES, gamma0))
+                loop_channel(loop, noise)
         assert named in str(refused.value)
 
     def test_dropped_gram_terms_are_exactly_zero(self, rng):

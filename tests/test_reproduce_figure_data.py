@@ -73,9 +73,8 @@ def test_call_plan(script, monkeypatch, tmp_path):
 
 def test_without_calibration_nothing_calibrates(script, monkeypatch, tmp_path):
     calls = stub_cli(monkeypatch)
-    assert script.main(["--out", str(tmp_path), "--gamma0", "0.25"]) == 0
+    assert script.main(["--out", str(tmp_path)]) == 0
     assert not any("--calibrate-f2" in c for c in calls)
-    assert flags_of(calls[1])["--gamma0"] == "0.25"
     assert flags_of(calls[0])["--grid"] == "0.25:60.25:241"
 
 
