@@ -230,20 +230,22 @@ def _read_json(path: str, what: str, parse):
 _FLAG_PARSERS = {"grid": parse_grid_flag, "lambda_sq": parse_lambda_list}
 
 
-def load_config_file(path: str, command: str) -> dict:
-    def settings(doc: dict) -> dict:
-        doc.pop("provenance", None)  # echoed configs carry a provenance block
-        unread = set(doc) - set(_SETTINGS[command])
-        if unread:
-            raise ConfigError(f"config keys {command} does not read: {sorted(unread)}")
-        for key in _FLAG_PARSERS:
-            if doc.get(key) is not None:
-                if not isinstance(doc[key], list):
-                    raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
-                doc[key] = tuple(doc[key])
-        return doc
+def _settings(doc: dict, command: str) -> dict:
+    """A config document's settings; a key command does not read is a ConfigError."""
+    doc.pop("provenance", None)  # echoed configs carry a provenance block
+    unread = set(doc) - set(_SETTINGS[command])
+    if unread:
+        raise ConfigError(f"config keys {command} does not read: {sorted(unread)}")
+    for key in _FLAG_PARSERS:
+        if doc.get(key) is not None:
+            if not isinstance(doc[key], list):
+                raise ConfigError(f"config key {key!r} must be a list, got {doc[key]!r}")
+            doc[key] = tuple(doc[key])
+    return doc
 
-    return _read_json(path, "config file", settings)
+
+def load_config_file(path: str, command: str) -> dict:
+    return _read_json(path, "config file", lambda doc: _settings(doc, command))
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -365,8 +367,8 @@ def cmd_optimal(cfg: RunConfig) -> int:
 
 def _table_from_dict(doc: dict, keys: tuple[str, ...]) -> tuple[list, list, RunConfig]:
     """(F* points, Omega*tau* points, settings) of an optimal table: the
-    given keys of the config block optimal writes beside the rows, checked
-    as a config file's are."""
+    given keys of the config block optimal writes beside the rows, which
+    holds only what optimal reads, checked as a config file's are."""
     rows, config = doc.get("rows"), doc.get("config")
     if not isinstance(rows, list) or not rows:
         raise ConfigError('no non-empty "rows" list, as optimal writes')
@@ -377,6 +379,7 @@ def _table_from_dict(doc: dict, keys: tuple[str, ...]) -> tuple[list, list, RunC
     t_pts = [(r["lambda_sq"], r["omega_tau_star"]) for r in rows]
     if not isinstance(config, dict):
         raise ConfigError('no "config" block, as optimal writes')
+    config = _settings(config, "optimal")
     table_cfg = replace(RunConfig(), **{key: config[key] for key in keys})
     table_cfg.validate()
     return f_pts, t_pts, table_cfg

@@ -161,9 +161,13 @@ def high_temperature_noise(lambda_sq: float) -> NoiseModel:
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:
+    """The rate tables of a noise file, whose lambda_sq must be 0."""
     rates = {key: {int(k): _number(v, f"{key}[{k}]") for k, v in doc.get(key, {}).items()}
              for key in ("gamma", "lamb_shift")}
-    return NoiseModel(lambda_sq=_number(doc["lambda_sq"], "lambda_sq"), **rates)
+    lambda_sq = _number(doc["lambda_sq"], "lambda_sq")
+    if lambda_sq != 0:
+        raise ValueError(f"lambda_sq is {lambda_sq!r}, not 0: the couplings come from lambda_sq")
+    return NoiseModel(lambda_sq=lambda_sq, **rates)
 
 
 # ---------------------------------------------------------------------------

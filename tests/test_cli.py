@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tripod_holonomy
@@ -274,8 +274,9 @@ class TestSweepCommands:
         ({"lambda_sq": True, "gamma": {"0": 0.5}}, "lambda_sq must be a number"),
         ({"lambda_sq": 0, "gamma": {"0": "0.5", "1": "1e-1"}}, "gamma[0] must be a number"),
         ({"lambda_sq": 0, "lamb_shift": {"1": False}}, "lamb_shift[1] must be a number"),
+        ({"lambda_sq": 0.05, "gamma": {"0": 0.5}}, "the couplings come from lambda_sq"),
     ], ids=["missing", "gamma-not-a-table", "nan-rate", "inf-shift", "lambda-sq-bool",
-            "rate-string", "shift-bool"])
+            "rate-string", "shift-bool", "lambda-sq-not-zero"])
     def test_bad_noise_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = "nowhere/missing.json"
         if doc is not None:
@@ -286,7 +287,25 @@ class TestSweepCommands:
             "--out", str(tmp_path / "x"),
         ], capsys)
         assert code == 2
-        assert message in out.err
+        assert message in out.err and len(out.err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_omega_and_the_flat_rate_act_only_through_lambda_sq(self, tmp_path):
+        # F reads Omega, a flat rate gamma0 and lambda^2 only as lambda^2 gamma0 / Omega,
+        # so a loop file or a noise file sets either one through lambda^2
+        def curve(out, *flags):
+            argv = ["noisy-sweep", "--grid", "0.25:60.25:13", *flags, "--out", str(tmp_path / out)]
+            assert main(with_files(argv, tmp_path)) == 0
+            (path,) = (tmp_path / out).glob("*.csv")
+            return path.read_text()
+
+        default = curve("default", "--lambda-sq", "0.05")
+        assert curve("gamma0", "--lambda-sq", "0.1", "--noise-file", flat_noise(0.25)) == default
+        omega = curve("omega", "--lambda-sq", "0.065", "--loop-file", loop_doc(1, 1.3))
+        expected, got = (np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+                         for text in (default, omega))
+        assert np.array_equal(got[:, 0], expected[:, 0])
+        assert np.abs(got[:, 1] - expected[:, 1]).max() <= 1e-12
 
     def test_zero_rate_noise_file_gives_noiseless_fidelity(self, tmp_path):
         # No rate and no Lamb shift: the evolution is unitary at any
@@ -565,9 +584,13 @@ COMMAND_FLAGS = {
         "steps": st.sampled_from([None, 3, 5, 144, 300]),
     }),
 )
+# ||L_E|| = 4 Omega overflows at the largest float: the channel plan's Omega guard
+@example(command="noisy-sweep", values={
+    "loop": "standard", "omega": 1.7976931348623157e308, "grid": (5e-324, 5e-324, 1),
+    "lambda-sq": 1e-300, "gamma0": 5e-324, "steps": None})
 def test_extreme_flags_exit_with_one_line(command, values):
     # every value flag as --flag=value: argparse reads "--grid -1.0:0.0:1" as a missing value
-    values["grid"] = ":".join(map(repr, values["grid"]))
+    values = {**values, "grid": ":".join(map(repr, values["grid"]))}
     order = int(values["loop"].partition(":")[2] or 1)
     loop = {**loop_doc(n=order), "omega_scale": values["omega"]}
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -703,13 +726,16 @@ class TestOptimalAndFit:
          "loop must be a string"),
         (json.dumps({"rows": synthetic_rows(), "config": {"loop": "wedge:0", "loop_file": None}}),
          "wedge order"),
+        # a table written when optimal still read Omega
+        (json.dumps({"rows": synthetic_rows(), "config": {"loop": "standard", "loop_file": None,
+                                                          "omega": 1.3}}), "does not read"),
     ] + [
         (json.dumps({"rows": bad_rows(key, value), "config": {"loop": "standard",
                                                               "loop_file": None}}), key)
         for key, value in BAD_ROW_VALUES
     ], ids=["bare-list", "invalid-json", "row-without-f-star", "no-config",
             "config-without-loop-file", "loop-not-a-string", "bad-wedge-order",
-            *BAD_ROW_IDS])
+            "config-omega-key", *BAD_ROW_IDS])
     def test_fit_bad_table_is_config_error(self, tmp_path, capsys, text, message):
         table = tmp_path / "table.json"
         table.write_text(text)
@@ -830,11 +856,12 @@ class TestOptimalAndFit:
         (synthetic_rows(), {k: v for k, v in TABLE_CONFIG.items() if k != "steps"}, FLAT_NOISE,
          "steps"),
         (synthetic_rows(), {**TABLE_CONFIG, "steps": 2}, FLAT_NOISE, "steps"),
+        (synthetic_rows(), {**TABLE_CONFIG, "omega": 1.3}, FLAT_NOISE, "does not read"),
         (synthetic_rows(), TABLE_CONFIG, None, "noise.json"),
         (synthetic_rows(), TABLE_CONFIG, {"lambda_sq": 0, "gamma": 5}, "AttributeError"),
         (synthetic_rows(), TABLE_CONFIG, {"lambda_sq": 0, "gamma": {"0": -1.0}},
          "decay rates must be finite"),
-    ], ids=[*BAD_ROW_IDS, "config-without-steps", "steps-too-few",
+    ], ids=[*BAD_ROW_IDS, "config-without-steps", "steps-too-few", "config-omega-key",
             "noise-missing", "noise-malformed", "noise-negative-rate"])
     def test_robustness_bad_table_is_config_error(
         self, tmp_path, capsys, rows, config, noise, message
@@ -913,7 +940,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("command", ["noisy-sweep", "optimal", "robustness"])
     def test_noise_json_reruns_the_same_table(self, tmp_path, command):
-        table = {"lambda_sq": 0.3, "gamma": {"0": 0.2, "-2": 0.1}, "lamb_shift": {"1": 0.05}}
+        table = {"lambda_sq": 0.0, "gamma": {"0": 0.2, "-2": 0.1}, "lamb_shift": {"1": 0.05}}
         path = tmp_path / "bath.json"
         path.write_text(json.dumps(table))
 
@@ -933,7 +960,7 @@ class TestCalibration:
         assert run_with(path, a) == 0
         assert run_with(a / "noise.json", b) == 0
         assert (a / "noise.json").read_bytes() == (b / "noise.json").read_bytes()
-        assert json.loads((a / "noise.json").read_text()) == {**table, "lambda_sq": 0.0}
+        assert json.loads((a / "noise.json").read_text()) == table
 
 
 # The couplings of the figure set's optimal command: 0, the fit grid and the large ones.

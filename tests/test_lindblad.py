@@ -241,11 +241,11 @@ class TestNoiseModel:
 
     def test_reads_json_literal(self):
         # Keys the model does not hold, such as an old "label", are ignored.
-        text = """{"lambda_sq": 0.02, "label": "custom",
+        text = """{"lambda_sq": 0.0, "label": "custom",
                    "gamma": {"0": 0.5, "1": 0.4, "-1": 0.4, "2": 0.3, "-2": 0.3},
                    "lamb_shift": {"1": 0.05, "-1": -0.05}}"""
         assert noise_from_dict(json.loads(text)) == NoiseModel(
-            lambda_sq=0.02,
+            lambda_sq=0.0,
             gamma={0: 0.5, 1: 0.4, -1: 0.4, 2: 0.3, -2: 0.3},
             lamb_shift={1: 0.05, -1: -0.05},
         )
