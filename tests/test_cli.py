@@ -40,12 +40,12 @@ def flat_noise(gamma0):
 def with_files(argv, tmp_path):
     """argv with each dict in it written to a JSON file under tmp_path and
     replaced by that file's path."""
-    for i, doc in enumerate(argv):
-        if isinstance(doc, dict):
-            path = tmp_path / f"in{i}.json"
-            path.write_text(json.dumps(doc))
-            argv = [*argv[:i], str(path), *argv[i + 1:]]
-    return argv
+    def path_of(i, doc):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    return [path_of(i, arg) if isinstance(arg, dict) else arg for i, arg in enumerate(argv)]
 
 
 def non_contiguous_loop_doc():
