@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CalibrationFailed,
-    ModelMismatch,
-    NoPeakInWindow,
-    StepCountTooSmall,
-    UnderdeterminedFit,
-)
+from .errors import ConfigError, NumericalError
 from .lindblad import (
     NoiseModel,
     _step_counts,
@@ -68,10 +62,10 @@ def mean_fidelity(
     if broken.size:
         # the Magnus gate has passed, or the exact engine overflowed (past
         # Omega*tau ~ 1e154): more steps cannot mend this
-        raise StepCountTooSmall(f"mean fidelity {broken[0]} is not finite: a numerical fault")
+        raise NumericalError(f"mean fidelity {broken[0]} is not finite: a numerical fault")
     outside = np.extract(~((value >= -1e-9) & (value <= 1.0 + 1e-9)), value)
     if outside.size:
-        raise StepCountTooSmall(f"mean fidelity {outside[0]} outside [0, 1]; increase steps")
+        raise NumericalError(f"mean fidelity {outside[0]} outside [0, 1]; increase steps")
     return value.item() if omega_tau is None else value
 
 
@@ -95,7 +89,7 @@ def sweep(
     the whole grid, in this process: a silent curve (lambda^2 = 0 or an
     all-zero table) from the stacked exact propagator, a dissipative one
     from one `loop_channel` call on the whole grid. Either engine raises
-    InvalidDuration for a grid that is not a non-empty 1-d array of
+    ConfigError for a grid that is not a non-empty 1-d array of
     positive times.
     """
     if noise is None:
@@ -163,14 +157,14 @@ def find_optimal_point(loop: LoopSpec, noise: NoiseModel, steps: int | None = No
     ratio longer than the last, until the middle of three points is the
     highest: it takes the maximum the centre sits on (wedge:n windows with
     n >= 2 hold several). Brent's method refines that bracket to PEAK_TOL.
-    A climb that would leave the window raises NoPeakInWindow, and so does
+    A climb that would leave the window raises NumericalError, and so does
     an empty window, where Omega*tau*_1 overflows to inf or underflows to
     0 at an extreme Omega."""
     omega = loop.omega_scale
     tau1 = omega * optimal_time(1, wedge_order(loop), omega)
     lo, hi = PEAK_WINDOW[0] * tau1, PEAK_WINDOW[1] * tau1
     if not (hi > lo > 0):
-        raise NoPeakInWindow(f"empty search window ({lo}, {hi}) at Omega {omega:g}")
+        raise NumericalError(f"empty search window ({lo}, {hi}) at Omega {omega:g}")
     centre, h = 0.5 * (lo + hi), (hi - lo) / 40
     if steps is None:
         _step_counts(loop, None, centre)  # the ceiling, named at the centre
@@ -186,7 +180,7 @@ def find_optimal_point(loop: LoopSpec, noise: NoiseModel, steps: int | None = No
         up = 1 if pts[2][1] > pts[0][1] else -1
         x = pts[1 + up][0] + up * h
         if not lo <= x <= hi:
-            raise NoPeakInWindow(f"no maximum uphill of the centre of window ({lo}, {hi})")
+            raise NumericalError(f"no maximum uphill of the centre of window ({lo}, {hi})")
         pts = pts[1:] + [(x, f(x))] if up > 0 else [(x, f(x))] + pts[:2]
     bracket = (pts[0][0], pts[2][0])
     x_star, f_star = _brent_max(f, *bracket, pts)
@@ -247,7 +241,7 @@ def fit_noise_response(
     be supplied (in the same units as the y data).
     """
     if model not in FIT_MODELS:
-        raise ModelMismatch(f"unknown fit model {model!r}")
+        raise ConfigError(f"unknown fit model {model!r}")
     default_intercept, powers, signs, names = FIT_MODELS[model]
     intercept = default_intercept if intercept is None else intercept
     if intercept is None:
@@ -258,13 +252,13 @@ def fit_noise_response(
     x, y = pts[:, 0], pts[:, 1]
     n_free = len(powers)
     if len(x) < n_free + 1:
-        raise UnderdeterminedFit(f"{model} needs at least {n_free + 1} points, got {len(x)}")
+        raise ConfigError(f"{model} needs at least {n_free + 1} points, got {len(x)}")
 
     design = np.stack([s * x**p for p, s in zip(powers, signs)], axis=1)
     rhs = y - intercept
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < n_free:
-        raise UnderdeterminedFit(f"{model}: lambda^2 values fix {rank} of {n_free} coefficients")
+        raise ConfigError(f"{model}: lambda^2 values fix {rank} of {n_free} coefficients")
     resid = rhs - design @ coef
     dof = len(x) - n_free
     sigma_sq = float(resid @ resid) / dof if dof > 0 else 0.0
@@ -285,7 +279,7 @@ def fit_noise_response(
 def f_of_tau_relation(f_fit: FitResult, tau_fit: FitResult) -> float:
     """Slope of the linear F*(tau*) relation: F2 / (Omega tau2)."""
     if f_fit.model != "f_linear" or tau_fit.model != "tau_linear":
-        raise ModelMismatch("f_of_tau_relation needs the two linear fits")
+        raise ConfigError("f_of_tau_relation needs the two linear fits")
     return f_fit.coefficient("F2") / tau_fit.coefficient("tau2")
 
 
@@ -300,7 +294,12 @@ def robustness(
     """(F* - F_adiab) / F* for the peak fidelity f_star at this noise, with
     F_adiab at the third revival, where the adiabatic limit is reached."""
     tau3 = optimal_time(3, wedge_order(loop), loop.omega_scale)
-    f_adiab = mean_fidelity(with_total_time(loop, tau3), noise, steps=steps)
+    try:
+        third = with_total_time(loop, tau3)
+    except ConfigError as exc:  # tau3, or an arc of the loop rescaled to it, is inf or 0
+        raise NumericalError(f"third revival time {tau3:g} at Omega {loop.omega_scale:g} "
+                             f"overflows or underflows: {exc}") from exc
+    f_adiab = mean_fidelity(third, noise, steps=steps)
     return (f_star - f_adiab) / f_star
 
 
@@ -334,13 +333,13 @@ def calibrate_noise(
 
     lambda^2 D is linear in the rate and shift table, so the leading
     fidelity loss is linear in c and one proportional update per round
-    converges immediately for small couplings. Raises CalibrationFailed
+    converges immediately for small couplings. Raises NumericalError
     before any peak search when the table has no non-zero rate or shift,
     when no round reaches the tolerance, or when the fitted F2 is not
     positive, so that no scale can reach the target.
     """
     if not noise.with_lambda_sq(1.0).dissipative:
-        raise CalibrationFailed(f"no scale of this noise table reaches {target_f2:g}: all zero")
+        raise NumericalError(f"no scale of this noise table reaches {target_f2:g}: all zero")
     scale = 1.0
     for _ in range(_CALIBRATION_ROUNDS):
         table = optimal_point_table(
@@ -351,11 +350,11 @@ def calibrate_noise(
         if abs(f2 - target_f2) <= _CALIBRATION_REL_TOL * target_f2:
             return scale, fit, table
         if not f2 > 0:
-            raise CalibrationFailed(
+            raise NumericalError(
                 f"fitted F2 = {f2:g}: no scale of this noise table reaches {target_f2:g}"
             )
         scale *= target_f2 / f2
-    raise CalibrationFailed(
+    raise NumericalError(
         f"fitted F2 = {f2:g} after {_CALIBRATION_ROUNDS} rounds, not within "
         f"{_CALIBRATION_REL_TOL:.0%} of {target_f2:g}"
     )

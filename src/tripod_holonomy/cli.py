@@ -28,15 +28,7 @@ from .analysis import (
     robustness,
     sweep,
 )
-from .errors import (
-    ConfigError,
-    ModelMismatch,
-    NoPeakInWindow,
-    StepCountTooSmall,
-    TripodError,
-    UnderdeterminedFit,
-    UnsupportedLoop,
-)
+from .errors import ConfigError, NumericalError
 from .lindblad import STEP_CEILING, NoiseModel, high_temperature_noise, noise_from_dict
 from .loops import (
     ANGLE_TOL,
@@ -222,7 +214,7 @@ def _read_json(path: str, what: str, parse):
         return parse(doc)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    except (TripodError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"invalid {what} {path}: {type(exc).__name__} {exc}") from exc
 
 
@@ -477,14 +469,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, UnderdeterminedFit, ModelMismatch, UnsupportedLoop) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepCountTooSmall, NoPeakInWindow) as exc:
+    except NumericalError as exc:
         print(f"numerical validation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except TripodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput
-
 # Pre-check tolerance for Hermiticity of inputs.
 HERMITIAN_TOL = 1e-10
 
@@ -26,13 +24,13 @@ def exp_i_hermitian(a: np.ndarray, s: float) -> np.ndarray:
         raise ValueError("scale factor must be finite")
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     herm = m.conj().swapaxes(-1, -2)
     residual = float(np.max(np.linalg.norm(m - herm, axis=(-2, -1)), initial=0.0))
     if residual > HERMITIAN_TOL:
-        raise NonHermitianInput(
+        raise ValueError(
             f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
     w, v = np.linalg.eigh(m)

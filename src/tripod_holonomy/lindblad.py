@@ -43,7 +43,7 @@ formed, exponentiated and multiplied together, and each point's Phi is
 bit for bit that of its own call at that split. Its workspace holds the
 step exponentials and their pairwise tree products, so a process runs one
 channel at a time. The series converges when h ||A||_2 < pi, so a step
-with h ||A||_F >= pi, at any point of the grid, raises StepCountTooSmall
+with h ||A||_F >= pi, at any point of the grid, raises NumericalError
 before any exponential is taken; it is the only gate that sees an
 under-resolved run, and it reads only the arcs that move. Phi preserves
 the trace by construction, not by a check: the trace functional
@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, StepCountTooSmall
+from .errors import ConfigError, NumericalError
 from .linalg import _ordered_product
 from .loops import ArcKind, ArcSegment, LoopSpec, _number
 from .propagators import _arc_generator, loop_times
@@ -453,7 +453,7 @@ class _ChannelPlan:
         reach = self.reach(durations, lambda_sq)
         if not (reach < np.pi).all():
             first_failed = reach[~(reach < np.pi)][0]
-            raise StepCountTooSmall(
+            raise NumericalError(
                 f"Magnus step h*|A|_F = {first_failed:.4g} not below pi; increase steps"
             )
         phi = np.empty((points, DIM**2, DIM**2))
@@ -502,10 +502,10 @@ def _step_counts(loop: LoopSpec, steps: int | None, omega_tau: float) -> tuple:
     """Per-arc step counts of a channel at Omega*tau: steps, by default
     default_step_count(omega_tau), split by duration; one on a stationary
     arc. The only place a channel's count is formed: fewer steps than arcs
-    raise StepCountTooSmall, more than STEP_CEILING raise ConfigError."""
+    raise NumericalError, more than STEP_CEILING raise ConfigError."""
     n = default_step_count(omega_tau) if steps is None else steps
     if n < len(loop.arcs):
-        raise StepCountTooSmall(f"need at least one step per arc, got {n}")
+        raise NumericalError(f"need at least one step per arc, got {n}")
     if n > STEP_CEILING:
         what = "default steps" if steps is None else "steps"
         raise ConfigError(f"Omega*tau {omega_tau:g} takes {n} {what}, above the ceiling "

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDuration, InvalidOrder, UnsupportedLoop
+from .errors import ConfigError
 
 # Absolute tolerance on theta and on phi mod 2 pi at each joint, so loop
 # files with angles rounded to 10 digits still close.
@@ -39,7 +39,7 @@ class ArcSegment:
 
     def __post_init__(self) -> None:
         if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise InvalidDuration(f"arc duration must be positive, got {self.duration}")
+            raise ConfigError(f"arc duration must be positive, got {self.duration}")
         for a in (self.fixed_angle, self.start_angle, self.end_angle):
             if not math.isfinite(a):
                 raise ValueError("arc angles must be finite")
@@ -79,16 +79,16 @@ class LoopSpec:
         if not (self.omega_scale > 0 and np.isfinite(self.omega_scale)):
             raise ValueError("omega_scale must be positive")
         if not self.arcs:
-            raise InvalidDuration("loop needs at least one arc")
+            raise ConfigError("loop needs at least one arc")
         object.__setattr__(self, "arcs", tuple(self.arcs))
         if self.start_point()[0] != 0.0:
-            raise UnsupportedLoop("loop must start at the pole (theta = 0)")
+            raise ConfigError("loop must start at the pole (theta = 0)")
         for arc in self.arcs:
             if arc.kind is ArcKind.MERIDIAN and (
                 min(arc.start_angle, arc.end_angle) < 0.0
                 or max(arc.start_angle, arc.end_angle) > np.pi / 2.0 + ANGLE_TOL
             ):
-                raise UnsupportedLoop("meridian arc leaves the northern hemisphere")
+                raise ConfigError("meridian arc leaves the northern hemisphere")
         for a, b in zip(self.arcs, self.arcs[1:]):
             (th1, ph1), (th2, ph2) = a.angles(a.duration), b.angles(0.0)
             dphi = abs(math.remainder(ph2 - ph1, 2.0 * math.pi))
@@ -96,7 +96,7 @@ class LoopSpec:
             if abs(th2 - th1) > ANGLE_TOL or dphi * math.sin(th1) > ANGLE_TOL:
                 raise ValueError("arcs are not contiguous")
             if dphi > ANGLE_TOL:
-                raise UnsupportedLoop(f"gauge frame jumps by {dphi:.3g} rad of phi at a joint")
+                raise ConfigError(f"gauge frame jumps by {dphi:.3g} rad of phi at a joint")
         if self.end_point()[0] > ANGLE_TOL:
             raise ValueError("loop is not closed")
 
@@ -119,9 +119,9 @@ def wedge_loop(n: int, omega: float, tau: float) -> LoopSpec:
     proportionally; n = 1 reduces to the standard NOT loop.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidOrder(f"wedge order n must be an integer >= 1, got {n!r}")
+        raise ConfigError(f"wedge order n must be an integer >= 1, got {n!r}")
     if not (tau > 0 and np.isfinite(tau)):
-        raise InvalidDuration(f"total time must be positive, got {tau}")
+        raise ConfigError(f"total time must be positive, got {tau}")
     half_pi = np.pi / 2.0
     opening = np.pi / (2.0 * n)
     total_angle = 2.0 * half_pi + opening
@@ -141,7 +141,7 @@ def wedge_loop(n: int, omega: float, tau: float) -> LoopSpec:
 def with_total_time(loop: LoopSpec, tau: float) -> LoopSpec:
     """Same path, rescaled to a new total time (angular speeds scale)."""
     if not (tau > 0 and np.isfinite(tau)):
-        raise InvalidDuration(f"total time must be positive, got {tau}")
+        raise ConfigError(f"total time must be positive, got {tau}")
     scale = tau / loop.total_time
     arcs = tuple(
         ArcSegment(a.kind, a.fixed_angle, a.start_angle, a.end_angle, a.duration * scale)
@@ -164,19 +164,19 @@ def wedge_order(loop: LoopSpec) -> int:
     """Wedge order n such that the loop's opening is pi/(2n)."""
     opening = abs(solid_angle(loop))
     if opening == 0.0:
-        raise UnsupportedLoop("degenerate loop has no wedge order")
+        raise ConfigError("degenerate loop has no wedge order")
     n = int(round(np.pi / (2.0 * opening)))
     if n < 1 or abs(np.pi / (2.0 * n) - opening) > 1e-9:
-        raise UnsupportedLoop(f"equatorial opening {opening} is not pi/(2n)")
+        raise ConfigError(f"equatorial opening {opening} is not pi/(2n)")
     return n
 
 
 def optimal_time(k: int, n: int, omega: float) -> float:
     """Closed-form k-th fidelity-revival time of the order-n wedge loop."""
     if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidOrder(f"revival index k must be an integer >= 1, got {k!r}")
+        raise ConfigError(f"revival index k must be an integer >= 1, got {k!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidOrder(f"wedge order n must be an integer >= 1, got {n!r}")
+        raise ConfigError(f"wedge order n must be an integer >= 1, got {n!r}")
     return (2 * n + 1) * math.pi / (2 * n * omega) * math.sqrt(16.0 * k * k * n * n - 1.0)
 
 

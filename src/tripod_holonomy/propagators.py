@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDuration
+from .errors import ConfigError, NumericalError
 from .linalg import _ordered_product
 from .loops import ArcKind, ArcSegment, LoopSpec, solid_angle
 from .tripod import DIM, FRAME_ENERGY, EigenFrame, eigenframe, hamiltonian
@@ -60,9 +60,9 @@ def loop_times(loop: LoopSpec, omega_tau) -> np.ndarray:
     omega_tau = np.asarray(omega_tau, dtype=float)
     positive = np.isfinite(omega_tau) & (omega_tau > 0)
     if omega_tau.ndim != 1 or not omega_tau.size or not positive.all():
-        raise InvalidDuration("an Omega*tau grid must be a non-empty 1-d array of positive times")
+        raise ConfigError("an Omega*tau grid must be a non-empty 1-d array of positive times")
     if float(omega_tau.max()) / float(loop.omega_scale) == np.inf:  # as floats: no warning
-        raise InvalidDuration(f"loop time {omega_tau.max():g} / {loop.omega_scale:g} overflows")
+        raise NumericalError(f"loop time {omega_tau.max():g} / {loop.omega_scale:g} overflows")
     return omega_tau / loop.omega_scale
 
 

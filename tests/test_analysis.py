@@ -23,13 +23,7 @@ from tripod_holonomy import (
 from tripod_holonomy import analysis
 from tripod_holonomy.analysis import PEAK_TOL, PEAK_WINDOW
 from tripod_holonomy.cli import _sweep_csv
-from tripod_holonomy.errors import (
-    InvalidDuration,
-    ModelMismatch,
-    NoPeakInWindow,
-    StepCountTooSmall,
-    UnderdeterminedFit,
-)
+from tripod_holonomy.errors import ConfigError, NumericalError
 from tripod_holonomy.lindblad import NoiseModel, _channel_plan, default_step_count
 from tripod_holonomy.loops import loop_from_dict
 from tripod_holonomy.propagators import dark_block, start_frame
@@ -171,7 +165,7 @@ class TestBatchedNoiselessCurve:
 
     @pytest.mark.parametrize("lambda_sq", [0.0, 0.02], ids=["exact", "channel"])
     def test_empty_grid_is_rejected_on_either_engine(self, lambda_sq):
-        with pytest.raises(InvalidDuration, match="non-empty"):
+        with pytest.raises(ConfigError, match="non-empty"):
             mean_fidelity(wedge_loop(1, 1.0, 1.0), high_temperature_noise(lambda_sq),
                           omega_tau=np.array([]))
 
@@ -210,7 +204,7 @@ class TestBatchedNoiselessCurve:
         grid = np.array([17.0, OMEGA_TAU_1, 19.0])
         scales = np.array([1.0, 1.5, 1.0])
         for noise in (high_temperature_noise(0.0), high_temperature_noise(0.02)):
-            with pytest.raises(StepCountTooSmall, match="outside"):
+            with pytest.raises(NumericalError, match="outside"):
                 mean_fidelity(wedge_loop(1, 1.0, 1.0), noise, omega_tau=grid)
 
 
@@ -379,7 +373,7 @@ class TestFindOptimalPoint:
     def test_monotone_window_raises(self, no_noise, monkeypatch):
         # Omega*tau 10-14, below the first revival at 18.25, holds no maximum
         monkeypatch.setattr(analysis, "PEAK_WINDOW", (10.0 / OMEGA_TAU_1, 14.0 / OMEGA_TAU_1))
-        with pytest.raises(NoPeakInWindow):
+        with pytest.raises(NumericalError, match="no maximum uphill"):
             find_optimal_point(standard_not_loop(1.0, 1.0), no_noise)
 
 
@@ -417,7 +411,7 @@ class TestFitEngine:
         assert fit.coefficients[0].stderr > 0
 
     def test_underdetermined(self):
-        with pytest.raises(UnderdeterminedFit):
+        with pytest.raises(ConfigError, match="needs at least 2 points, got 1"):
             fit_noise_response([(1e-4, 1.0)], "f_linear")
 
     @pytest.mark.parametrize("model, lambdas", [
@@ -425,11 +419,11 @@ class TestFitEngine:
         ("f_quartic", [1e-3] * 4),
     ], ids=["all-zero", "quartic-one-value"])
     def test_degenerate_lambdas_are_underdetermined(self, model, lambdas):
-        with pytest.raises(UnderdeterminedFit):
+        with pytest.raises(ConfigError, match=r"lambda\^2 values fix"):
             fit_noise_response([(x, 1.0 - 6.34 * x) for x in lambdas], model)
 
     def test_unknown_model(self):
-        with pytest.raises(ModelMismatch):
+        with pytest.raises(ConfigError, match="unknown fit model"):
             fit_noise_response([(1e-4, 1.0), (2e-4, 0.9)], "cubic-spline")
 
 
@@ -462,7 +456,7 @@ class TestFOfTauRelation:
             "tau_linear",
             intercept=OMEGA_TAU_1,
         )
-        with pytest.raises(ModelMismatch):
+        with pytest.raises(ConfigError, match="needs the two linear fits"):
             f_of_tau_relation(q_fit, t_fit)
 
 
@@ -492,3 +486,17 @@ class TestRobustness:
         monkeypatch.setattr(analysis, "loop_channel", recording)
         robustness_at(standard_not_loop(1.0, 1.0), high_temperature_noise(0.02), steps=400)
         assert seen and set(seen) == {400}
+
+    @pytest.mark.parametrize("omega, middle, message", [
+        (2e-307, 1.0, "total time must be positive, got inf"),
+        (1e308, 1.0, "total time must be positive, got 0.0"),
+        (1e307, 1e-300, "arc duration must be positive, got 0.0"),
+    ], ids=["tau3-overflows", "tau3-underflows", "arc-underflows"])
+    def test_third_revival_past_the_float_range_is_numerical(self, omega, middle, message):
+        # a loop at this Omega is valid input; its third revival time, or
+        # the middle arc rescaled to it, is not a float
+        loop = wedge_loop(1, omega, 3.0)
+        arcs = (loop.arcs[0], replace(loop.arcs[1], duration=middle), loop.arcs[2])
+        with pytest.raises(NumericalError, match="third revival time .* overflows or underflows: "
+                                                 + message):
+            robustness(replace(loop, arcs=arcs), high_temperature_noise(0.0), 0.99)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tripod_holonomy
 from tripod_holonomy import analysis, lindblad
 from tripod_holonomy.cli import DEFAULT_LAMBDA_LIST, build_parser, main
-from tripod_holonomy.errors import StepCountTooSmall
+from tripod_holonomy.errors import NumericalError
 from tripod_holonomy.lindblad import DEFAULT_GAMMA0, high_temperature_noise
 from tripod_holonomy.loops import optimal_time, wedge_loop, with_total_time
 
@@ -75,6 +75,13 @@ def opening_loop_doc(opening=0.5):
     return doc
 
 
+def out_and_back_loop_doc():
+    """The standard loop's two meridians, down and back up at phi = 0: no opening."""
+    doc = loop_doc(n=1)
+    doc["arcs"] = [doc["arcs"][0], {**doc["arcs"][2], "fixed_angle": 0.0}]
+    return doc
+
+
 def synthetic_rows(n=1):
     """Optimal-table rows of the order-n wedge loop with F2 = 6.34 and
     tau2 = 59.40."""
@@ -126,6 +133,16 @@ def run(argv, capsys=None):
     if capsys is not None:
         return code, capsys.readouterr()
     return code
+
+
+# The prefix of the one stderr line main prints for each failing exit code.
+PREFIX = {2: "error: ", 3: "numerical validation failed: "}
+
+
+def assert_one_line(code, err):
+    """err is one line, with no traceback, that starts with the prefix of exit code `code`."""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(PREFIX[code]), err
 
 
 class TestHolonomyCommand:
@@ -181,9 +198,10 @@ class TestHolonomyCommand:
         ({**loop_doc(), "omega_scale": "1.0"}, "omega_scale must be a number"),
         (typed_loop_doc("duration", True), "duration must be a number"),
         (typed_loop_doc("end_angle", "1.5707963267948966"), "end_angle must be a number"),
+        (typed_loop_doc("end_angle", float("nan")), "arc angles must be finite"),
     ], ids=["non-contiguous", "arcs-not-a-list", "bare-list", "zero-duration", "no-arcs",
             "off-pole", "interior-gauge-jump", "omega-scale-string", "duration-bool",
-            "angle-string"])
+            "angle-string", "angle-nan"])
     def test_bad_loop_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(doc))
@@ -195,7 +213,8 @@ class TestHolonomyCommand:
     @pytest.mark.parametrize("doc, message", [
         (opening_loop_doc(), "is not pi/(2n)"),
         (GAUGE_JUMP_LOOP_DOC, "gauge frame jumps"),
-    ], ids=["opening-not-pi-over-2n", "interior-gauge-jump"])
+        (out_and_back_loop_doc(), "degenerate loop has no wedge order"),
+    ], ids=["opening-not-pi-over-2n", "interior-gauge-jump", "zero-opening"])
     def test_bad_loop_file_of_optimal_and_fit_is_config_error(
         self, tmp_path, capsys, command, doc, message
     ):
@@ -275,8 +294,9 @@ class TestSweepCommands:
         ({"lambda_sq": 0, "gamma": {"0": "0.5", "1": "1e-1"}}, "gamma[0] must be a number"),
         ({"lambda_sq": 0, "lamb_shift": {"1": False}}, "lamb_shift[1] must be a number"),
         ({"lambda_sq": 0.05, "gamma": {"0": 0.5}}, "the couplings come from lambda_sq"),
+        ({"lambda_sq": 0, "lamb_shift": {"7": 0.1}}, "lamb_shift keyed by unknown frequency"),
     ], ids=["missing", "gamma-not-a-table", "nan-rate", "inf-shift", "lambda-sq-bool",
-            "rate-string", "shift-bool", "lambda-sq-not-zero"])
+            "rate-string", "shift-bool", "lambda-sq-not-zero", "shift-unknown-frequency"])
     def test_bad_noise_file_is_config_error(self, tmp_path, capsys, doc, message):
         path = "nowhere/missing.json"
         if doc is not None:
@@ -287,7 +307,8 @@ class TestSweepCommands:
             "--out", str(tmp_path / "x"),
         ], capsys)
         assert code == 2
-        assert message in out.err and len(out.err.splitlines()) == 1
+        assert message in out.err
+        assert_one_line(code, out.err)
         assert not (tmp_path / "x").exists()
 
     def test_omega_and_the_flat_rate_act_only_through_lambda_sq(self, tmp_path):
@@ -419,7 +440,7 @@ class TestSweepCommands:
                             lambda plan, loop, lambda_sq, scales:
                             np.full((len(scales), 16, 16), np.nan))
         loop = wedge_loop(1, 1.0, OMEGA_TAU_1)
-        with pytest.raises(StepCountTooSmall, match="not finite"):
+        with pytest.raises(NumericalError, match="not finite"):
             analysis.mean_fidelity(loop, high_temperature_noise(0.05))
         code, out = run([
             "noisy-sweep", "--grid", "18.25:18.25:1", "--lambda-sq", "0.05",
@@ -460,7 +481,7 @@ def test_extreme_input_exits_with_one_line(tmp_path, capsys, argv, expected):
         argv = with_files(argv if argv[0] == "holonomy" else [*argv, "--out", str(out)], tmp_path)
         code, streams = run(argv, capsys)
     assert code == expected
-    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert_one_line(code, streams.err)
     assert not out.exists()
 
 
@@ -482,8 +503,26 @@ def test_overflowing_time_exits_with_one_line(tmp_path, capsys, argv):
         warnings.simplefilter("error")
         code, streams = run(with_files([*argv, "--out", str(out)], tmp_path), capsys)
     assert code == 3
-    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert_one_line(code, streams.err)
     assert "overflows" in streams.err or "empty search window" in streams.err
+    assert not out.exists()
+
+
+def test_overflowing_third_revival_exits_with_one_line(tmp_path, capsys):
+    # at Omega 2e-307 optimal finds the first revival, but robustness's
+    # third revival time Omega*tau*_3 / Omega overflows
+    table = tmp_path / "opt"
+    argv = ["optimal", "--loop-file", loop_doc(1, 2e-307), "--lambda-sq", "0", "--out", str(table)]
+    code, streams = run(with_files(argv, tmp_path), capsys)
+    assert code == 0 and streams.err == ""
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, streams = run(["robustness", "--table", str(table / "optimal_points.json"),
+                             "--out", str(out)], capsys)
+    assert code == 3
+    assert_one_line(code, streams.err)
+    assert "overflows" in streams.err
     assert not out.exists()
 
 
@@ -510,7 +549,10 @@ def test_extreme_channel_input_exits_with_one_line(tmp_path, capsys, argv, expec
         warnings.simplefilter("error")
         code, streams = run(with_files([*argv, "--out", str(out)], tmp_path), capsys)
     assert code == expected
-    assert len(streams.err.splitlines()) == (1 if code else 0) and "Traceback" not in streams.err
+    if code:
+        assert_one_line(code, streams.err)
+    else:
+        assert streams.err == ""
     assert out.exists() == (code == 0)
 
 
@@ -541,7 +583,7 @@ def test_number_past_float_range_exits_with_one_line(tmp_path, capsys, argv, doc
     out = tmp_path / "x"
     code, streams = run([*argv, "--out", str(out)], capsys)
     assert code == 2
-    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert_one_line(code, streams.err)
     assert not out.exists()
 
 
@@ -552,7 +594,7 @@ def test_out_that_cannot_be_a_directory_exits_with_one_line(tmp_path, capsys, su
     out = afile / sub if sub else afile
     code, streams = run(["ideal-sweep", "--grid", "1:2:3", "--out", str(out)], capsys)
     assert code == 2
-    assert len(streams.err.splitlines()) == 1 and "Traceback" not in streams.err
+    assert_one_line(code, streams.err)
     assert str(out) in streams.err
     assert afile.read_text() == "kept\n"
 
@@ -1069,11 +1111,17 @@ class TestDeterminismAndRoundTrip:
         # a loop file beside the setting it replaces
         ("ideal-sweep", {}, ["--grid", "18:18:1", "--loop-file", "loop.json", "--loop", "wedge:3"],
          "loop 'wedge:3' conflicts with loop_file"),
+        ("ideal-sweep", {}, ["--grid", "18:18:1", "--loop", "wedge:x"], "bad wedge order"),
+        ("ideal-sweep", {}, ["--grid", "1:2"], "--grid expects START:STOP:POINTS"),
+        ("ideal-sweep", {}, ["--grid", "a:2:3"], "unparsable --grid value"),
+        ("noisy-sweep", {}, ["--grid", "18:18:1", "--lambda-sq", "x"],
+         "unparsable --lambda-sq list"),
     ], ids=["calibrate-f2-string", "grid-two-entries", "lambda-sq-scalar", "lambda-sq-nan",
             "grid-not-increasing", "lambda-sq-comma",
             "lambda-sq-empty-flag", "lambda-sq-empty-list", "table-not-a-string",
             "lambda-sq-repeated-flag", "lambda-sq-repeated-config", "lambda-sq-same-file-name",
-            "loop-file-and-loop-flag"])
+            "loop-file-and-loop-flag", "wedge-order-not-an-integer", "grid-two-fields",
+            "grid-unparsable", "lambda-sq-unparsable"])
     def test_bad_config_value_is_config_error(
         self, tmp_path, capsys, command, config, flags, key
     ):
