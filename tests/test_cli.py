@@ -135,14 +135,10 @@ def run(argv, capsys=None):
     return code
 
 
-# The prefix of the one stderr line main prints for each failing exit code.
-PREFIX = {2: "error: ", 3: "numerical validation failed: "}
-
-
 def assert_one_line(code, err):
-    """err is one line, with no traceback, that starts with the prefix of exit code `code`."""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-    assert err.startswith(PREFIX[code]), err
+    """err is one line, with no traceback, that starts with main's prefix for exit code `code`."""
+    prefix = {2: "error: ", 3: "numerical validation failed: "}[code]
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and err.startswith(prefix), err
 
 
 class TestHolonomyCommand:
